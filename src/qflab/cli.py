@@ -89,7 +89,6 @@ def _finish(report: RunReport, json_path: str | None, started: float) -> int:
     if json_path:
         with open(json_path, "wb") as fh:
             fh.write(report.to_json_bytes())
-        report.artifacts = list(report.artifacts)
     _print_report(report)
     return 0 if report.all_passed else 1
 
@@ -274,7 +273,6 @@ def cmd_spectrum(args) -> int:
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             fh.write("index,lambda_h1,lambda_h2,paired\n")
-            partners = {round(b, 12) for _, b in pairing.pairs}
             for i in range(args.k):
                 la = pairing.eigenvalues_a[i]
                 lb = pairing.eigenvalues_b[i]
@@ -299,6 +297,17 @@ def cmd_price(args) -> int:
         barrier=args.barrier if kind == "down_and_out_call" else None,
     )
     mp = finance.MarketParams(args.sigma, args.rate)
+    if not 0.0 < args.spot < math.inf:
+        raise ValueError(f"--spot must be finite and > 0, got {args.spot}")
+    if args.monitoring < 1:
+        raise ValueError(f"--monitoring must be >= 1, got {args.monitoring}")
+    want = ("pde", "mc", "closed") if args.method == "all" else (args.method,)
+    cfg = None
+    if "mc" in want:
+        cfg = montecarlo.GbmConfig(
+            drift=args.rate, sigma=args.sigma, s0=args.spot,
+            T=args.maturity, paths=args.paths, seed=args.seed,
+        )
     if args.xmin is None or args.xmax is None:
         g = finance.default_pricing_grid(contract, mp, args.spot, args.n)
     else:
@@ -325,7 +334,6 @@ def cmd_price(args) -> int:
         },
     )
 
-    want = ("pde", "mc", "closed") if args.method == "all" else (args.method,)
     prices: dict[str, float] = {}
     mc_se = None
 
@@ -346,11 +354,7 @@ def cmd_price(args) -> int:
         if args.csv:
             curve.to_csv(args.csv)
             report.artifacts.append(args.csv)
-    if "mc" in want:
-        cfg = montecarlo.GbmConfig(
-            drift=args.rate, sigma=args.sigma, s0=args.spot,
-            T=args.maturity, paths=args.paths, seed=args.seed,
-        )
+    if cfg is not None:
         est = montecarlo.feynman_kac_estimate(cfg, contract, monitoring_per_year=args.monitoring)
         disc = montecarlo.discounted_value(est, args.rate, 0.0, args.maturity)
         prices["mc"] = disc.mean
@@ -373,9 +377,7 @@ def cmd_price(args) -> int:
             gap = abs(prices["pde"] - prices["mc"])
             # PDE is continuously monitored, MC discretely: add the bias bound
             crumbs = montecarlo.fk_pde_crosscheck(
-                mp, contract, g,
-                montecarlo.GbmConfig(drift=args.rate, sigma=args.sigma, s0=args.spot,
-                                     T=args.maturity, paths=args.paths, seed=args.seed),
+                mp, contract, g, cfg,
                 spots=[args.spot], steps=steps, monitoring_per_year=args.monitoring,
             )
             row = crumbs.rows[0]

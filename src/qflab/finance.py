@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.linalg import lu_factor, lu_solve, solve_banded
+from scipy.sparse.linalg import splu
 
-from .grid import Grid1D, derivative_matrices
+from .grid import Grid1D
 from .hamiltonians import build_h3, build_h4
-from .operators import FunctionSpec, LinOp, diagonal
+from .operators import FunctionSpec, LinOp, derivative_operators, diagonal, identity
 from .tolerances import DEFAULT as TOL, EPS
 
 PAYOFF_KINDS = ("european_call", "european_put", "down_and_out_call")
@@ -42,6 +42,8 @@ class MarketParams:
     potential: FunctionSpec | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.sigma) or not math.isfinite(self.r):
+            raise ValueError(f"sigma and r must be finite, got sigma={self.sigma}, r={self.r}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
 
@@ -72,31 +74,30 @@ class OptionContract:
 # -- Hamiltonians ------------------------------------------------------------
 
 
+def _generator(g: Grid1D, mp: MarketParams, drift, source) -> LinOp:
+    """-(sigma^2/2) D2 + (sigma^2/2 - V) D1 + diag(U) for drift rate V and source U."""
+    d1, d2 = derivative_operators(g)
+    half_var = 0.5 * mp.sigma**2
+    ones = np.ones(g.n)
+    return -half_var * d2 + d1.scale_rows((half_var - drift) * ones) + diagonal(g, source * ones)
+
+
 def bs_hamiltonian(g: Grid1D, mp: MarketParams) -> LinOp:
     """H_BS = -(sigma^2/2) D2 + (sigma^2/2 - r) D1 + r I in log-price x."""
-    d1, d2 = derivative_matrices(g)
-    half_var = 0.5 * mp.sigma**2
-    entries = -half_var * d2 + (half_var - mp.r) * d1 + mp.r * np.eye(g.n)
-    return LinOp(entries, g)
+    return _generator(g, mp, mp.r, mp.r)
 
 
 def bsg_hamiltonian(g: Grid1D, mp: MarketParams) -> LinOp:
     """Generalized form: the potential V(x) replaces r in drift and source."""
     if mp.potential is None:
         raise ValueError("bsg_hamiltonian needs MarketParams.potential")
-    d1, d2 = derivative_matrices(g)
-    half_var = 0.5 * mp.sigma**2
     v = mp.potential.values(g)
-    entries = -half_var * d2 + (half_var - v)[:, None] * d1 + np.diag(v)
-    return LinOp(entries, g)
+    return _generator(g, mp, v, v)
 
 
 def bsb_hamiltonian(g: Grid1D, mp: MarketParams, v: FunctionSpec) -> LinOp:
     """Barrier form: constant drift sigma^2/2 - r with potential term diag(V)."""
-    d1, d2 = derivative_matrices(g)
-    half_var = 0.5 * mp.sigma**2
-    entries = -half_var * d2 + (half_var - mp.r) * d1 + np.diag(v.values(g))
-    return LinOp(entries, g)
+    return _generator(g, mp, mp.r, v.values(g))
 
 
 # -- identification ----------------------------------------------------------
@@ -188,7 +189,7 @@ def map_to_deformed(mp: MarketParams, g: Grid1D, kind: str = "auto") -> Deformat
             fs = f if sign > 0 else -f
             cand = _candidate(g, fs, beta, v2_vals, which)
             candidates[(which, sign)] = cand
-            residual = float(np.max(np.abs(cand.entries - target.entries)))
+            residual = (cand - target).max_abs()
             if residual <= tol:
                 matches.append((which, sign, residual))
 
@@ -202,9 +203,7 @@ def map_to_deformed(mp: MarketParams, g: Grid1D, kind: str = "auto") -> Deformat
     if len(branches) > 1:
         # both sign branches matched: legitimate only when the branches are
         # the same matrix (f' negligible, e.g. sigma^2 = 2r), else a fault
-        branch_gap = float(
-            np.max(np.abs(candidates[("H_I", +1)].entries - candidates[("H_I", -1)].entries))
-        )
+        branch_gap = (candidates[("H_I", +1)] - candidates[("H_I", -1)]).max_abs()
         if branch_gap > tol:
             raise DeformationMatchError(
                 f"candidates from both sign branches matched while the branches "
@@ -295,23 +294,6 @@ def _boundary_values(contract: OptionContract, mp: MarketParams, g: Grid1D):
     return (low, lambda tau: s_hi - k * math.exp(-mp.r * tau))
 
 
-def _extract_tridiagonal(entries: np.ndarray):
-    """Interior bands of a real matrix, or None when it is not tridiagonal there."""
-    n = entries.shape[0]
-    inner = entries[1:-1]
-    mask = inner.copy()
-    rows = np.arange(n - 2)
-    mask[rows, rows] = 0.0
-    mask[rows, rows + 1] = 0.0
-    mask[rows, rows + 2] = 0.0
-    if float(np.max(np.abs(mask))) != 0.0:
-        return None
-    lower = entries[np.arange(1, n - 1), np.arange(0, n - 2)]
-    diag = entries[np.arange(1, n - 1), np.arange(1, n - 1)]
-    upper = entries[np.arange(1, n - 1), np.arange(2, n)]
-    return lower, diag, upper
-
-
 def price_pde(
     h: LinOp,
     contract: OptionContract | None,
@@ -330,18 +312,16 @@ def price_pde(
     data and barrier contracts enforce C = 0 at nodes with x <= ln(barrier)
     after every step (nearest-node placement).  With a bare callable payoff
     no rows are overridden and the operator's own one-sided boundary rows
-    evolve the ends (laboratory mode).
+    evolve the ends (laboratory mode).  The two step matrices are factored
+    once by a sparse LU, whatever the operator's band structure.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if contract is None and payoff is None:
         raise ValueError("either a contract or a payoff callable is required")
 
-    entries = h.entries
-    imag_peak = float(np.max(np.abs(entries.imag)))
-    if imag_peak > TOL.rounding(g.n, max(1.0, float(np.max(np.abs(entries))))):
+    if float(np.max(np.abs(h.entries.imag))) > TOL.rounding(g.n, max(1.0, h.max_abs())):
         raise ValueError("pricing Hamiltonian must be real-valued")
-    hm = np.ascontiguousarray(entries.real)
 
     x = g.nodes
     s = np.exp(x)
@@ -374,60 +354,32 @@ def price_pde(
     rann = min(max(rannacher_steps, 0), steps)
 
     override = bc_lo is not None
-    bands = _extract_tridiagonal(hm) if override else None
+    ends = np.zeros(g.n)
+    ends[[0, -1]] = 1.0
 
-    if bands is not None:
-        lower, diag, upper = bands
+    def system(coef):
+        a = identity(g) + coef * h
+        if override:  # Dirichlet rows: C = boundary data at both ends
+            a = a.scale_rows(1.0 - ends) + diagonal(g, ends)
+        return a
 
-        def make_ab(coef):
-            ab = np.zeros((3, g.n))
-            ab[1, 0] = ab[1, -1] = 1.0
-            ab[1, 1:-1] = 1.0 + coef * diag
-            ab[0, 2:] = coef * upper
-            ab[2, :-2] = coef * lower
-            return ab
+    a_ie, a_cn = system(dt), system(0.5 * dt)
+    # reported as "banded": true for every Black-Scholes operator with
+    # Dirichlet rows, false for a wider band or the laboratory mode's own
+    # one-sided boundary rows; the sparse LU below serves either way
+    tridiagonal = all(abs(o) <= 1 or not np.any(d) for o, d in zip(a_ie.offsets, a_ie.entries))
+    lu_ie, lu_cn = (splu(a.to_sparse().real.tocsc(), permc_spec="NATURAL") for a in (a_ie, a_cn))
+    h_real = h.to_sparse().real.tocsr()
 
-        ab_ie, ab_cn = make_ab(dt), make_ab(0.5 * dt)
-
-        def step(c_old, tau_new, implicit):
-            rhs = np.empty(g.n)
-            if implicit:
-                rhs[1:-1] = c_old[1:-1]
-                ab = ab_ie
-            else:
-                rhs[1:-1] = c_old[1:-1] - 0.5 * dt * (
-                    lower * c_old[:-2] + diag * c_old[1:-1] + upper * c_old[2:]
-                )
-                ab = ab_cn
+    def step(c_old, tau_new, implicit):
+        if implicit:
+            rhs = c_old.copy()
+        else:
+            rhs = c_old - 0.5 * dt * (h_real @ c_old)
+        if override:
             rhs[0] = bc_lo(tau_new)
             rhs[-1] = bc_hi(tau_new)
-            return solve_banded((1, 1), ab, rhs)
-
-    else:
-        eye = np.eye(g.n)
-
-        def make_dense(coef):
-            a = eye + coef * hm
-            if override:
-                a[0, :] = 0.0
-                a[0, 0] = 1.0
-                a[-1, :] = 0.0
-                a[-1, -1] = 1.0
-            return lu_factor(a)
-
-        lu_ie, lu_cn = make_dense(dt), make_dense(0.5 * dt)
-
-        def step(c_old, tau_new, implicit):
-            if implicit:
-                rhs = c_old.copy()
-                lu = lu_ie
-            else:
-                rhs = c_old - 0.5 * dt * (hm @ c_old)
-                lu = lu_cn
-            if override:
-                rhs[0] = bc_lo(tau_new)
-                rhs[-1] = bc_hi(tau_new)
-            return lu_solve(lu, rhs)
+        return (lu_ie if implicit else lu_cn).solve(rhs)
 
     for j in range(1, steps + 1):
         c = step(c, j * dt, implicit=j <= rann)
@@ -441,7 +393,7 @@ def price_pde(
         diagnostics={
             "steps": steps,
             "rannacher_steps": rann,
-            "banded": bands is not None,
+            "banded": tridiagonal,
             "payoff_max": payoff_max,
             "max_abs": running_max,
             "barrier_index": barrier_index,

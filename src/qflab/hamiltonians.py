@@ -67,7 +67,7 @@ def _nonhermitian_pair(g: Grid1D, f: FunctionSpec, beta: float, sign: float, lab
     comp = (pf @ pf) if sign > 0 else (pf.adjoint() @ pf.adjoint())
     fp = f.derivative_values(g)
     fpp = f.second_derivative_values(g)
-    first_order = LinOp(2j * fp[:, None] * momentum_operator(g).entries, g)
+    first_order = momentum_operator(g).scale_rows(2j * fp)
     closed = momentum_squared(g) + sign * first_order + diagonal(g, sign * fpp - fp**2)
     b2 = beta * beta
     return HamiltonianPair(b2 * comp, b2 * closed, label, beta)

@@ -41,8 +41,10 @@ class GbmConfig:
     def __post_init__(self):
         if self.T <= self.t0:
             raise ValueError(f"T must exceed t0, got t0={self.t0}, T={self.T}")
-        if self.paths < 1:
-            raise ValueError(f"paths must be >= 1, got {self.paths}")
+        if self.paths < 2:
+            raise ValueError(f"paths must be >= 2 for a standard error, got {self.paths}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if self.s0 <= 0:
@@ -91,10 +93,7 @@ def sample_terminal(cfg: GbmConfig, stream: int = 0) -> np.ndarray:
 
 def _estimate_from_values(values: np.ndarray, cfg: GbmConfig) -> McEstimate:
     mean = float(np.sum(values) / cfg.paths)
-    if cfg.paths > 1:
-        se = float(np.std(values, ddof=1) / math.sqrt(cfg.paths))
-    else:
-        se = 0.0
+    se = float(np.std(values, ddof=1) / math.sqrt(cfg.paths))
     return McEstimate(mean, se, cfg.paths, cfg.seed)
 
 
@@ -111,7 +110,10 @@ def knockout_terminal(
     touches or crosses the barrier at a monitoring date.  Chunk boundaries do
     not affect the draws: normal (p, j) always comes from raw index p*m + j.
     """
+    if monitoring_per_year < 1:
+        raise ValueError(f"monitoring_per_year must be >= 1, got {monitoring_per_year}")
     dt_total = cfg.T - cfg.t0
+    # at least one monitoring date, however short the horizon
     m = max(1, round(monitoring_per_year * dt_total))
     dt = dt_total / m
     drift_term = (cfg.drift - 0.5 * cfg.sigma**2) * dt

@@ -13,11 +13,13 @@ only sense available to a discretization, namely acting on smooth functions.
 that semantics against a fixed corpus of smooth test vectors.
 """
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
+from scipy import sparse
 
 from .grid import Grid1D, derivative_matrices
 from .tolerances import DEFAULT as TOL
@@ -44,8 +46,13 @@ class FunctionSpec:
     def __post_init__(self):
         if (self.coefficients is None) == (self.samples is None):
             raise ValueError("exactly one of coefficients/samples must be given")
-        if self.coefficients is not None and len(self.coefficients) == 0:
-            raise ValueError("polynomial coefficient list must be non-empty")
+        if self.coefficients is not None:
+            if len(self.coefficients) == 0:
+                raise ValueError("polynomial coefficient list must be non-empty")
+            if not all(math.isfinite(c) for c in self.coefficients):
+                raise ValueError(f"polynomial coefficients must be finite, got {self.coefficients}")
+        elif not np.all(np.isfinite(self.samples)):
+            raise ValueError("tabulated function samples must be finite")
 
     # -- constructors ------------------------------------------------------
 
@@ -70,7 +77,7 @@ class FunctionSpec:
             try:
                 return cls.polynomial([float(c) for c in body.split(",")])
             except ValueError as exc:
-                raise ValueError(f"bad polynomial spec {text!r}") from exc
+                raise ValueError(f"bad polynomial spec {text!r}: {exc}") from exc
         if kind == "table" and body:
             values = np.loadtxt(Path(body), dtype=float, ndmin=1)
             return cls.tabulated(values)
@@ -141,6 +148,16 @@ class FunctionSpec:
     def max_abs(self, g: Grid1D) -> float:
         return float(np.max(np.abs(self.values(g))))
 
+    def exponent_values(self, g: Grid1D) -> np.ndarray:
+        """Samples of f, refused when exp(+-f) would overflow float64."""
+        fv = self.values(g)
+        peak = float(np.max(np.abs(fv)))
+        if not peak <= MAX_SAFE_EXPONENT:
+            raise ValueError(
+                f"max|f| = {peak:.3g} exceeds {MAX_SAFE_EXPONENT}; exp(f) would overflow"
+            )
+        return fv
+
     def derivative_scale(self, g: Grid1D) -> float:
         """max(1, |f'|, |f''|, |f'''|) over the grid; feeds tolerance scales."""
         if self.is_polynomial:
@@ -157,26 +174,73 @@ class FunctionSpec:
         return max(1.0, float(np.max(np.abs(fp[inner]))), float(np.max(np.abs(fpp[inner]))))
 
 
+def _clear_outside(data: np.ndarray, offsets) -> None:
+    """Zero, in place, the DIA slots of an (ndiag, m) band array that fall outside the matrix."""
+    m = data.shape[1]
+    for row, o in zip(data, offsets):
+        row[: max(o, 0)] = 0.0
+        row[m + min(o, 0) :] = 0.0
+
+
+def _shift(v: np.ndarray, s: int) -> np.ndarray:
+    """w[j] = v[j - s], zero where j - s falls outside v."""
+    n = len(v)
+    w = np.zeros_like(v)
+    if s >= 0:
+        w[s:] = v[: n - s]
+    else:
+        w[: n + s] = v[-s:]
+    return w
+
+
 @dataclass(frozen=True, eq=False)
 class LinOp:
-    """Dense complex square matrix bound to the grid it acts on.
+    """Banded complex square matrix bound to the grid it acts on.
+
+    Storage is the scipy DIA layout: ``entries`` is a C-contiguous complex
+    (ndiag, n) array and ``entries[k, j]`` is the element A[j - offsets[k], j].
+    Offsets are ascending and distinct, and the slots of a diagonal that fall
+    outside the matrix hold zero.  Every operator in the package has a band
+    width w of a few diagonals, so sums, products, adjoints and actions cost
+    O(n w^2); :meth:`toarray` is the explicit dense export.
 
     Instances are treated as immutable; combining two operators requires a
     shared grid.
     """
 
     entries: np.ndarray
+    offsets: tuple[int, ...]
     grid: Grid1D
 
     def __post_init__(self):
-        e = np.asarray(self.entries, dtype=np.complex128)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValueError(f"operator entries must be square, got shape {e.shape}")
-        if e.shape[0] != self.grid.n:
+        n = self.grid.n
+        offsets = np.asarray(self.offsets, dtype=int).reshape(-1)
+        e = np.asarray(self.entries)
+        if e.shape != (len(offsets), n):
             raise ValueError(
-                f"operator dimension {e.shape[0]} does not match grid size {self.grid.n}"
+                f"band entries must have shape (ndiag, n) = ({len(offsets)}, {n}), got {e.shape}"
             )
+        if np.any(np.abs(offsets) >= n) or len(set(offsets.tolist())) != len(offsets):
+            raise ValueError(f"offsets must be distinct and below {n} in size, got {offsets}")
+        order = np.argsort(offsets)
+        e = np.ascontiguousarray(e[order], dtype=np.complex128)
+        _clear_outside(e, offsets[order])
         object.__setattr__(self, "entries", e)
+        object.__setattr__(self, "offsets", tuple(offsets[order].tolist()))
+
+    @classmethod
+    def from_dense(cls, matrix, g: Grid1D) -> "LinOp":
+        """Band storage of a dense square matrix: every diagonal holding a nonzero."""
+        m = np.asarray(matrix, dtype=np.complex128)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"operator entries must be square, got shape {m.shape}")
+        if m.shape[0] != g.n:
+            raise ValueError(f"operator dimension {m.shape[0]} does not match grid size {g.n}")
+        offsets = [o for o in range(1 - g.n, g.n) if np.any(np.diagonal(m, o))]
+        data = np.zeros((len(offsets), g.n), dtype=np.complex128)
+        for row, o in zip(data, offsets):
+            row[max(o, 0) : max(o, 0) + g.n - abs(o)] = np.diagonal(m, o)
+        return cls(data, tuple(offsets), g)
 
     @property
     def n(self) -> int:
@@ -186,52 +250,103 @@ class LinOp:
         if self.grid != other.grid:
             raise ValueError("operators act on different grids")
 
-    def __add__(self, other: "LinOp") -> "LinOp":
+    def _combine(self, other: "LinOp", other_entries: np.ndarray) -> "LinOp":
         self._require_same_grid(other)
-        return LinOp(self.entries + other.entries, self.grid)
+        offsets = sorted(set(self.offsets) | set(other.offsets))
+        out = np.zeros((len(offsets), self.n), dtype=np.complex128)
+        out[[offsets.index(o) for o in self.offsets]] += self.entries
+        out[[offsets.index(o) for o in other.offsets]] += other_entries
+        return LinOp(out, tuple(offsets), self.grid)
+
+    def __add__(self, other: "LinOp") -> "LinOp":
+        return self._combine(other, other.entries)
 
     def __sub__(self, other: "LinOp") -> "LinOp":
-        self._require_same_grid(other)
-        return LinOp(self.entries - other.entries, self.grid)
+        return self._combine(other, -other.entries)
 
     def __neg__(self) -> "LinOp":
-        return LinOp(-self.entries, self.grid)
+        return LinOp(-self.entries, self.offsets, self.grid)
 
     def __mul__(self, scalar) -> "LinOp":
-        return LinOp(self.entries * scalar, self.grid)
+        return LinOp(self.entries * scalar, self.offsets, self.grid)
 
     __rmul__ = __mul__
 
     def __matmul__(self, other: "LinOp") -> "LinOp":
+        # (AB)[j - p - q, j] = A[j - p - q, j - q] B[j - q, j]: diagonal p of A
+        # meets diagonal q of B on diagonal p + q
         self._require_same_grid(other)
-        return LinOp(self.entries @ other.entries, self.grid)
+        acc: dict[int, np.ndarray] = {}
+        for p, a in zip(self.offsets, self.entries):
+            for q, b in zip(other.offsets, other.entries):
+                if abs(p + q) < self.n:
+                    term = _shift(a, q) * b
+                    acc[p + q] = acc[p + q] + term if p + q in acc else term
+        offsets = tuple(sorted(acc))
+        data = np.array([acc[o] for o in offsets]).reshape(len(offsets), self.n)
+        return LinOp(data, offsets, self.grid)
+
+    def scale_rows(self, values) -> "LinOp":
+        """diag(values) A: row i scaled by values[i]."""
+        v = np.asarray(values)
+        rows = np.array([_shift(v, o) for o in self.offsets]).reshape(self.entries.shape)
+        return LinOp(rows * self.entries, self.offsets, self.grid)
 
     def adjoint(self) -> "LinOp":
-        return LinOp(self.entries.conj().T, self.grid)
+        # (A^dagger)[j + p, j] = conj(A[j, j + p]): diagonal p becomes diagonal -p
+        data = np.array([np.conj(_shift(a, -p)) for p, a in zip(self.offsets, self.entries)])
+        return LinOp(data.reshape(self.entries.shape), tuple(-p for p in self.offsets), self.grid)
 
     def apply(self, vec) -> np.ndarray:
-        return self.entries @ np.asarray(vec)
+        v = np.asarray(vec)
+        out = np.zeros(self.n, dtype=np.result_type(v, np.complex128))
+        for p, a in zip(self.offsets, self.entries):
+            out += _shift(a * v, -p)
+        return out
 
     def max_abs(self) -> float:
-        return float(np.max(np.abs(self.entries)))
+        return float(np.max(np.abs(self.entries), initial=0.0))
 
-    def interior_block(self) -> np.ndarray:
-        s = self.grid.interior()
-        return self.entries[s, s]
+    def principal_bands(self, s: slice) -> tuple[tuple[int, ...], np.ndarray]:
+        """(offsets, entries) in DIA layout of the principal block A[s, s]."""
+        lo, hi, _ = s.indices(self.n)
+        m = max(hi - lo, 0)
+        keep = [k for k, o in enumerate(self.offsets) if abs(o) < m]
+        offsets = tuple(self.offsets[k] for k in keep)
+        data = self.entries[keep, lo:hi]  # a copy: ``keep`` is a list index
+        _clear_outside(data, offsets)
+        return offsets, data
+
+    def block_max_abs(self, s: slice) -> float:
+        """max |A[s, s]| over the principal block ``s``."""
+        return float(np.max(np.abs(self.principal_bands(s)[1]), initial=0.0))
+
+    def to_sparse(self) -> sparse.dia_array:
+        return sparse.dia_array((self.entries, np.array(self.offsets, dtype=int)),
+                                shape=(self.n, self.n))
+
+    def toarray(self) -> np.ndarray:
+        """Dense n x n export."""
+        return self.to_sparse().toarray()
 
 
 # -- basic constructions ---------------------------------------------------
 
 
+def derivative_operators(g: Grid1D) -> tuple[LinOp, LinOp]:
+    """The grid's derivative matrices D1, D2 as (complex) operators."""
+    return tuple(LinOp(d.data, tuple(d.offsets), g) for d in derivative_matrices(g))
+
+
 def identity(g: Grid1D) -> LinOp:
-    return LinOp(np.eye(g.n, dtype=np.complex128), g)
+    return diagonal(g, np.ones(g.n))
 
 
 def diagonal(g: Grid1D, values) -> LinOp:
     v = np.asarray(values)
     if v.shape != (g.n,):
         raise ValueError(f"diagonal needs {g.n} values, got shape {v.shape}")
-    return LinOp(np.diag(v.astype(np.complex128)), g)
+    return LinOp(v[None, :], (0,), g)
 
 
 def position_operator(g: Grid1D) -> LinOp:
@@ -241,8 +356,8 @@ def position_operator(g: Grid1D) -> LinOp:
 
 def momentum_operator(g: Grid1D) -> LinOp:
     """P = -i D1."""
-    d1, _ = derivative_matrices(g)
-    return LinOp(-1j * d1, g)
+    d1, _ = derivative_operators(g)
+    return -1j * d1
 
 
 def momentum_squared(g: Grid1D) -> LinOp:
@@ -253,14 +368,13 @@ def momentum_squared(g: Grid1D) -> LinOp:
     do use matrix products of the momentum matrices, which makes their
     agreement with the closed forms a genuine O(h^2) statement.
     """
-    _, d2 = derivative_matrices(g)
-    return LinOp(-d2.astype(np.complex128), g)
+    _, d2 = derivative_operators(g)
+    return -d2
 
 
 def deformed_momentum(g: Grid1D, f: FunctionSpec) -> LinOp:
     """P_f = P + i diag(f'), with exact f' whenever the spec provides it."""
-    p = momentum_operator(g)
-    return LinOp(p.entries + 1j * np.diag(f.derivative_values(g)), g)
+    return momentum_operator(g) + diagonal(g, 1j * f.derivative_values(g))
 
 
 def deformed_momentum_by_similarity(g: Grid1D, f: FunctionSpec) -> LinOp:
@@ -269,15 +383,9 @@ def deformed_momentum_by_similarity(g: Grid1D, f: FunctionSpec) -> LinOp:
     Exactly annihilates samples of e^f (the conjugated constant vector); agrees
     with :func:`deformed_momentum` acting on smooth vectors within O(h^2).
     """
-    fv = f.values(g)
-    peak = float(np.max(np.abs(fv)))
-    if peak > MAX_SAFE_EXPONENT:
-        raise ValueError(
-            f"max|f| = {peak:.3g} exceeds {MAX_SAFE_EXPONENT}; exp(f) would overflow"
-        )
-    e = np.exp(fv)
-    p = momentum_operator(g)
-    return LinOp(p.entries * e[:, None] / e[None, :], g)
+    e = np.exp(f.exponent_values(g))
+    scaled = momentum_operator(g).scale_rows(e)
+    return LinOp(scaled.entries / e, scaled.offsets, g)
 
 
 def adjoint(a: LinOp) -> LinOp:
@@ -294,9 +402,8 @@ def anticommutator(a: LinOp, b: LinOp) -> LinOp:
 
 def hermiticity_defect(a: LinOp) -> float:
     """max |A - A^dagger| over the interior block."""
-    s = a.grid.interior()
-    d = a.entries - a.entries.conj().T
-    return float(np.max(np.abs(d[s, s]))) if a.n > 8 else float(np.max(np.abs(d)))
+    d = a - a.adjoint()
+    return d.block_max_abs(a.grid.interior()) if a.n > 8 else d.max_abs()
 
 
 # -- action-based comparison corpus ----------------------------------------

@@ -18,11 +18,10 @@ visible.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh
+from scipy.linalg import eig_banded, eigh_tridiagonal, eigvalsh
 
 from .grid import Grid1D
 from .operators import (
-    MAX_SAFE_EXPONENT,
     FunctionSpec,
     LinOp,
     deformed_momentum,
@@ -143,7 +142,7 @@ class BlockOp:
     def to_matrix(self) -> np.ndarray:
         z = np.zeros((self.n, self.n), dtype=np.complex128)
         rows = [
-            [z if b is None else b.entries for b in row] for row in self.blocks
+            [z if b is None else b.toarray() for b in row] for row in self.blocks
         ]
         return np.block(rows)
 
@@ -250,10 +249,10 @@ def identify_blocks(h: BlockOp, references: dict[str, LinOp]) -> BlockMatchRepor
     labels, residuals, ties = [], [], []
     for i in range(h.m):
         block = h.block(i, i)
-        be = np.zeros((h.n, h.n), dtype=np.complex128) if block is None else block.entries
         best_label, best_res, tied = "?", np.inf, []
         for label, ref in references.items():
-            res = float(np.max(np.abs((be - ref.entries)[s, s])))
+            diff = -ref if block is None else block - ref
+            res = diff.block_max_abs(s)
             if res <= tol:
                 tied.append(label)
             if res < best_res:
@@ -344,12 +343,7 @@ def ground_states(
     grid refinements need it: for growing e^{|f|} the state mass sits at the
     boundary, and a fixed-index margin alone creeps toward it as h shrinks.
     """
-    fv = f.values(g)
-    peak = float(np.max(np.abs(fv)))
-    if peak > MAX_SAFE_EXPONENT:
-        raise ValueError(
-            f"max|f| = {peak:.3g} exceeds {MAX_SAFE_EXPONENT}; exp(f) would overflow"
-        )
+    fv = f.exponent_values(g)
     plus, minus = np.exp(fv), np.exp(-fv)
 
     def unit(v):
@@ -393,27 +387,31 @@ def dirichlet_eigenvalues(h: LinOp, k: int) -> np.ndarray:
 
     Trimming the first/last row and column leaves exactly the central-stencil
     matrix with implicit zeros outside the domain.  Rejects non-Hermitian
-    input; uses the tridiagonal solver whenever the trimmed matrix is
-    tridiagonal (true for all closed-form Hamiltonians here).
+    input; uses the tridiagonal solver whenever the trimmed matrix is real and
+    tridiagonal (true for all closed-form Hamiltonians here), else the banded
+    Hermitian solver on the lower band.
     """
-    a = h.entries[1:-1, 1:-1]
-    dim = a.shape[0]
+    trim = slice(1, h.n - 1)
+    offsets, a = h.principal_bands(trim)
+    dim = h.n - 2
     if k < 1 or k > dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
-    scale = max(1.0, float(np.max(np.abs(a))))
-    if float(np.max(np.abs(a - a.conj().T))) > TOL.rounding(h.n, scale):
+    tol = TOL.rounding(h.n, max(1.0, float(np.max(np.abs(a), initial=0.0))))
+    if (h - h.adjoint()).block_max_abs(trim) > tol:
         raise ValueError("operator is not Hermitian; only H1/H2-type spectra are supported")
-    if float(np.max(np.abs(a.imag))) <= TOL.rounding(h.n, scale):
-        ar = a.real
-        off = np.diag(ar, 1)
-        band = np.abs(ar - np.diag(np.diag(ar)) - np.diag(off, 1) - np.diag(np.diag(ar, -1), -1))
-        if float(np.max(band)) == 0.0:
-            return eigh_tridiagonal(
-                np.diag(ar).copy(), off.copy(), select="i", select_range=(0, k - 1),
-                eigvals_only=True,
-            )
-        return eigvalsh(ar, subset_by_index=(0, k - 1))
-    return eigvalsh((a + a.conj().T) / 2.0, subset_by_index=(0, k - 1))
+    band = dict(zip(offsets, a))
+    zero = np.zeros(dim)
+    real = float(np.max(np.abs(a.imag), initial=0.0)) <= tol
+    if real and all(not np.any(d) for o, d in band.items() if abs(o) > 1):
+        return eigh_tridiagonal(
+            band.get(0, zero).real, band.get(1, zero).real[1:], select="i",
+            select_range=(0, k - 1), eigvals_only=True,
+        )
+    # lower band storage: row m holds diagonal -m, column-aligned like DIA
+    width = max((-o for o, d in band.items() if o < 0 and np.any(d)), default=0)
+    lower = np.array([band.get(-m, zero) for m in range(width + 1)])
+    return eig_banded(lower.real if real else lower, lower=True, select="i",
+                      select_range=(0, k - 1), eigvals_only=True)
 
 
 @dataclass(frozen=True)
@@ -507,12 +505,7 @@ def real_spectrum_check(
     max f - min f exceeds the conditioning limit the tolerance is widened and
     flagged.
     """
-    fv = f.values(g)
-    peak = float(np.max(np.abs(fv)))
-    if peak > MAX_SAFE_EXPONENT:
-        raise ValueError(
-            f"max|f| = {peak:.3g} exceeds {MAX_SAFE_EXPONENT}; exp(f) would overflow"
-        )
+    fv = f.exponent_values(g)
     span = float(np.max(fv) - np.min(fv))
     widened = span > SIMILARITY_RANGE_LIMIT
     tol = rel_tol * (np.exp(span - SIMILARITY_RANGE_LIMIT) if widened else 1.0)
@@ -525,7 +518,7 @@ def real_spectrum_check(
             stacklevel=2,
         )
 
-    p2 = momentum_squared(g).entries[1:-1, 1:-1].real * (beta * beta)
+    p2 = momentum_squared(g).toarray()[1:-1, 1:-1].real * (beta * beta)
     ref = np.sort(eigvalsh(p2))
     radius = max(float(np.max(np.abs(ref))), 1e-300)
     ev = np.exp(fv[1:-1])

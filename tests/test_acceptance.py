@@ -141,7 +141,7 @@ def test_c03_susy_algebra():
     hz = superhamiltonian_4x4(q1z, q2z).op
     h2 = superhamiltonian_2x2(q)
     reduction_exact = all(
-        np.array_equal(hz.block(i, i).entries, h2.block(i, i).entries) for i in range(2)
+        np.array_equal(hz.block(i, i).toarray(), h2.block(i, i).toarray()) for i in range(2)
     )
     assert reduction_exact
     elapsed = time.perf_counter() - started

@@ -1,0 +1,106 @@
+"""Band storage of LinOp: agreement with dense algebra, bounded width, O(n) memory."""
+
+import time
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qflab.cli import main
+from qflab.grid import make_grid
+from qflab.hamiltonians import build_from_superpotential, build_h1
+from qflab.operators import FunctionSpec, LinOp, deformed_momentum, diagonal
+from qflab.susy import block_commutator, dirichlet_eigenvalues, supercharge_2x2, superhamiltonian_2x2
+
+N_SMALL = 9
+
+
+def random_band(rng, g, offsets) -> LinOp:
+    data = rng.normal(size=(len(offsets), g.n)) + 1j * rng.normal(size=(len(offsets), g.n))
+    return LinOp(data, offsets, g)
+
+
+band_offsets = st.sets(st.integers(1 - N_SMALL, N_SMALL - 1), min_size=1, max_size=5).map(tuple)
+
+
+@given(st.integers(0, 2**31 - 1), band_offsets, band_offsets)
+@settings(max_examples=50, deadline=None)
+def test_band_algebra_matches_dense_algebra(seed, offs_a, offs_b):
+    rng = np.random.default_rng(seed)
+    g = make_grid(0, 1, N_SMALL)
+    a, b = random_band(rng, g, offs_a), random_band(rng, g, offs_b)
+    da, db = a.toarray(), b.toarray()
+    v = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
+    assert np.array_equal(LinOp.from_dense(da, g).toarray(), da)
+    assert np.array_equal((a + b).toarray(), da + db)
+    assert np.array_equal((a - b).toarray(), da - db)
+    assert np.array_equal(a.adjoint().toarray(), da.conj().T)
+    assert np.array_equal((2.5j * a).toarray(), 2.5j * da)
+    assert np.allclose((a @ b).toarray(), da @ db, rtol=1e-13, atol=1e-13)
+    assert np.allclose(a.apply(v), da @ v, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(a.scale_rows(v).toarray(), v[:, None] * da)
+    assert a.max_abs() == np.max(np.abs(da))
+    s = slice(2, N_SMALL - 3)
+    offsets, bands = a.principal_bands(s)
+    block = LinOp(bands, offsets, make_grid(0, 1, s.stop - s.start)).toarray()
+    assert np.array_equal(block, da[s, s])
+    assert a.block_max_abs(s) == np.max(np.abs(da[s, s]))
+
+
+def test_band_entries_outside_the_matrix_are_zero():
+    g = make_grid(0, 1, N_SMALL)
+    op = LinOp(np.ones((3, g.n)), (2, -1, 0), g)
+    assert op.offsets == (-1, 0, 2)
+    assert op.entries.flags.c_contiguous and op.entries.dtype == np.complex128
+    assert np.count_nonzero(op.entries) == 3 * g.n - 3
+    with pytest.raises(ValueError):
+        LinOp(np.ones((2, g.n)), (0, 0), g)
+    with pytest.raises(ValueError):
+        LinOp(np.ones((1, g.n)), (g.n,), g)
+
+
+def width(op: LinOp) -> int:
+    return max(abs(o) for o in op.offsets)
+
+
+def test_band_width_stays_bounded():
+    g = make_grid(-5, 5, 201)
+    pf = deformed_momentum(g, FunctionSpec.polynomial([0, 0, 0.5]))
+    assert width(pf) <= 2
+    assert width(pf.adjoint() @ pf) <= 4
+    q = supercharge_2x2(g, FunctionSpec.polynomial([0, 0, 0.5]), 1.0)
+    comm = block_commutator(q, superhamiltonian_2x2(q))
+    for row in comm.blocks:
+        for block in row:
+            assert block is None or width(block) <= 7
+
+
+def test_hamiltonian_storage_is_linear_in_n():
+    g = make_grid(-10, 10, 20001)
+    pair = build_h1(g, FunctionSpec.polynomial([0, 0, 0.5]), 1.0)
+    for op in (pair.compositional, pair.closed_form):
+        assert op.entries.nbytes <= 15 * 16 * g.n
+
+
+def test_dirichlet_banded_paths_match_dense_solver():
+    g = make_grid(-5, 5, 201)
+    h1, _ = build_from_superpotential(g, FunctionSpec.polynomial([0, 1]), 1.0)
+    # compositional member: pentadiagonal after trimming -> banded solver
+    dense = np.linalg.eigvalsh(h1.compositional.toarray()[1:-1, 1:-1])[:4]
+    assert np.allclose(dirichlet_eigenvalues(h1.compositional, 4), dense, rtol=1e-10, atol=1e-10)
+    # complex Hermitian input: a unitary diagonal similarity keeps the spectrum
+    phase = diagonal(g, np.exp(1j * g.nodes))
+    rotated = phase @ h1.closed_form @ phase.adjoint()
+    dense = np.linalg.eigvalsh(rotated.toarray()[1:-1, 1:-1])[:4]
+    assert np.allclose(dirichlet_eigenvalues(rotated, 4), dense, rtol=1e-10, atol=1e-10)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--n", "20001"],
+    ["verify-algebra", "--f", "poly:0,0,0.5", "--n", "20001"],
+])
+def test_large_grids_run_in_seconds(argv):
+    # a dense n x n complex operator at n = 20001 would need 6.4 GB
+    started = time.perf_counter()
+    assert main(argv) == 0
+    assert time.perf_counter() - started < 60.0

@@ -94,4 +94,4 @@ def test_derivative_matrices_cached_and_readonly():
     d1b, _ = derivative_matrices(make_grid(0, 1, 11))
     assert d1a is d1b
     with pytest.raises(ValueError):
-        d1a[0, 0] = 1.0
+        d1a.data[0, 0] = 1.0

@@ -35,28 +35,28 @@ def test_free_case_reduces_to_momentum_squared(g):
     for builder, coupling in ((build_h1, 2.0), (build_h2, 2.0), (build_h3, 1.5), (build_h4, 1.5)):
         pair = builder(g, f0, coupling)
         assert np.array_equal(
-            pair.closed_form.entries, (coupling**2 * momentum_squared(g)).entries
+            pair.closed_form.toarray(), (coupling**2 * momentum_squared(g)).toarray()
         )
 
 
 def test_h1_quadratic_f_is_shifted_oscillator(g):
     # f = x^2/2: closed form alpha^2 (P^2 + 1 + x^2)
     pair = build_h1(g, FunctionSpec.polynomial([0, 0, 0.5]), 1.0)
-    expected = momentum_squared(g).entries + np.diag(1.0 + g.nodes**2)
-    assert np.array_equal(pair.closed_form.entries, expected)
+    expected = momentum_squared(g).toarray() + np.diag(1.0 + g.nodes**2)
+    assert np.array_equal(pair.closed_form.toarray(), expected)
 
 
 def test_h2_h3_h4_closed_forms_linear_f(g):
     f = FunctionSpec.polynomial([0, 1])
-    p = momentum_operator(g).entries
-    p2 = momentum_squared(g).entries
+    p = momentum_operator(g).toarray()
+    p2 = momentum_squared(g).toarray()
     eye = np.eye(g.n)
     b = 1.3
-    h3 = build_h3(g, f, b).closed_form.entries
+    h3 = build_h3(g, f, b).closed_form.toarray()
     assert np.allclose(h3, b * b * (p2 - 2j * p - eye), atol=0, rtol=0)
-    h4 = build_h4(g, f, b).closed_form.entries
+    h4 = build_h4(g, f, b).closed_form.toarray()
     assert np.allclose(h4, b * b * (p2 + 2j * p - eye), atol=0, rtol=0)
-    h2 = build_h2(g, f, 2.0).closed_form.entries
+    h2 = build_h2(g, f, 2.0).closed_form.toarray()
     assert np.array_equal(h2, 4.0 * (p2 + eye))
 
 
@@ -64,10 +64,10 @@ def test_compositional_members_are_momentum_products(g):
     f = FunctionSpec.polynomial([0, 0, 0.5])
     pf = deformed_momentum(g, f)
     assert np.array_equal(
-        build_h4(g, f, 1.5).compositional.entries, (2.25 * (pf @ pf)).entries
+        build_h4(g, f, 1.5).compositional.toarray(), (2.25 * (pf @ pf)).toarray()
     )
     assert np.array_equal(
-        build_h1(g, f, 2.0).compositional.entries, (4.0 * (adjoint(pf) @ pf)).entries
+        build_h1(g, f, 2.0).compositional.toarray(), (4.0 * (adjoint(pf) @ pf)).toarray()
     )
 
 
@@ -108,18 +108,18 @@ def test_duality_exchanges_closed_forms_exactly(g, coeffs):
     f = FunctionSpec.polynomial(coeffs)
     neg = -f
     assert np.array_equal(
-        build_h1(g, neg, 1.0).closed_form.entries, build_h2(g, f, 1.0).closed_form.entries
+        build_h1(g, neg, 1.0).closed_form.toarray(), build_h2(g, f, 1.0).closed_form.toarray()
     )
     assert np.array_equal(
-        build_h3(g, neg, 1.0).closed_form.entries, build_h4(g, f, 1.0).closed_form.entries
+        build_h3(g, neg, 1.0).closed_form.toarray(), build_h4(g, f, 1.0).closed_form.toarray()
     )
 
 
 def test_duality_compositional_members_match_on_interior(g):
     f = FunctionSpec.polynomial([0, 0, 0.5])
     s = g.interior()
-    a = build_h2(g, f, 1.0).compositional.entries[s, s]
-    b = build_h1(g, -f, 1.0).compositional.entries[s, s]
+    a = build_h2(g, f, 1.0).compositional.toarray()[s, s]
+    b = build_h1(g, -f, 1.0).compositional.toarray()[s, s]
     scale = deformed_momentum(g, f).max_abs() ** 2
     assert np.max(np.abs(a - b)) <= TOL.rounding(g.n, scale)
 
@@ -135,11 +135,11 @@ def test_coupling_validation(g):
 
 def test_superpotential_zero_and_harmonic(g):
     h1, h2 = build_from_superpotential(g, FunctionSpec.zero(), 1.5)
-    assert np.array_equal(h1.closed_form.entries, (2.25 * momentum_squared(g)).entries)
+    assert np.array_equal(h1.closed_form.toarray(), (2.25 * momentum_squared(g)).toarray())
     h1, h2 = build_from_superpotential(g, FunctionSpec.polynomial([0, 1]), 1.0)
-    p2 = momentum_squared(g).entries
-    assert np.array_equal(h1.closed_form.entries, p2 + np.diag(1.0 + g.nodes**2))
-    assert np.array_equal(h2.closed_form.entries, p2 + np.diag(-1.0 + g.nodes**2))
+    p2 = momentum_squared(g).toarray()
+    assert np.array_equal(h1.closed_form.toarray(), p2 + np.diag(1.0 + g.nodes**2))
+    assert np.array_equal(h2.closed_form.toarray(), p2 + np.diag(-1.0 + g.nodes**2))
 
 
 def test_superpotential_consistent_with_antiderivative_route(g):
@@ -148,8 +148,8 @@ def test_superpotential_consistent_with_antiderivative_route(g):
     f = w.antiderivative()
     h1f = build_h1(g, f, 1.0)
     # same construction up to polyint/polyder rounding on the diagonal
-    assert np.allclose(h1w.closed_form.entries, h1f.closed_form.entries, rtol=1e-12, atol=1e-10)
-    assert np.array_equal(h1w.compositional.entries, h1f.compositional.entries)
+    assert np.allclose(h1w.closed_form.toarray(), h1f.closed_form.toarray(), rtol=1e-12, atol=1e-10)
+    assert np.array_equal(h1w.compositional.toarray(), h1f.compositional.toarray())
 
 
 def test_superpotential_tabulated_route(g):

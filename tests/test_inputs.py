@@ -1,0 +1,109 @@
+"""Invalid inputs are refused where they enter: exit 2, one line, no traceback."""
+
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qflab.cli import main
+from qflab.finance import MarketParams
+from qflab.montecarlo import GbmConfig, knockout_terminal
+from qflab.operators import FunctionSpec
+
+SMALL_PRICE = ("price", "--n", "101", "--steps", "50", "--paths", "64")
+
+
+def run_main(argv) -> int:
+    """Exit code of an in-process CLI call; argparse usage errors exit through SystemExit."""
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (("--seed", "-1"), "seed"),
+        (("--seed", str(2**64)), "seed"),
+        (("--paths", "1"), "paths"),
+        (("--monitoring", "0"), "--monitoring"),
+        (("--spot", "-5"), "--spot"),
+        (("--rate", "inf"), "r"),
+        (("--sigma", "nan"), "sigma"),
+    ],
+)
+def test_price_rejects_bad_flag(capsys, argv, flag):
+    assert run_main((*SMALL_PRICE, *argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert flag in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("spec", ["poly:nan", "poly:0,inf", "poly:1,-inf"])
+def test_verify_algebra_rejects_non_finite_polynomial(capsys, spec):
+    assert run_main(("verify-algebra", "--f", spec, "--n", "41")) == 2
+    assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [("--rate", "inf"), ("--sigma=-inf",), ("--rate", "nan")])
+def test_identify_rejects_non_finite_market(capsys, argv):
+    assert run_main(("identify", "--n", "41", *argv)) == 2
+    assert "must be finite" in capsys.readouterr().err
+
+
+def test_library_constructors_reject_the_same_inputs():
+    with pytest.raises(ValueError, match="seed"):
+        GbmConfig(0.05, 0.2, 100.0, seed=-1)
+    with pytest.raises(ValueError, match="seed"):
+        GbmConfig(0.05, 0.2, 100.0, seed=2**64)
+    GbmConfig(0.05, 0.2, 100.0, seed=2**64 - 1, paths=2)
+    with pytest.raises(ValueError, match="paths"):
+        GbmConfig(0.05, 0.2, 100.0, paths=1)
+    with pytest.raises(ValueError, match="monitoring"):
+        knockout_terminal(GbmConfig(0.05, 0.2, 100.0, paths=2), 80.0, monitoring_per_year=0)
+    with pytest.raises(ValueError, match="finite"):
+        FunctionSpec.polynomial([0.0, math.nan])
+    with pytest.raises(ValueError, match="finite"):
+        FunctionSpec.tabulated([0.0, math.inf, 1.0])
+    for sigma, r in ((math.inf, 0.05), (0.2, math.inf), (math.nan, 0.05), (0.2, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            MarketParams(sigma, r)
+
+
+def test_short_maturity_keeps_one_monitoring_date():
+    cfg = GbmConfig(0.05, 0.2, 100.0, T=1e-4, paths=8)
+    s_t, alive = knockout_terminal(cfg, 80.0, monitoring_per_year=1)
+    assert s_t.shape == alive.shape == (8,)
+
+
+EDGE = ("nan", "inf", "-1", "0", "1")
+PRICE_FLAGS = ("--seed", "--paths", "--monitoring", "--spot", "--sigma", "--rate")
+
+
+@st.composite
+def edge_commands(draw):
+    command = draw(st.sampled_from(("price", "verify-algebra", "identify")))
+    if command == "price":
+        payoff = draw(st.sampled_from(("call", "put", "do-call")))
+        method = draw(st.sampled_from(("pde", "mc", "closed", "all")))
+        flags = draw(st.dictionaries(st.sampled_from(PRICE_FLAGS), st.sampled_from(EDGE),
+                                     min_size=1))
+        argv = [*SMALL_PRICE, "--payoff", payoff, "--method", method]
+    elif command == "verify-algebra":
+        coeffs = draw(st.lists(st.sampled_from(EDGE), min_size=1, max_size=3))
+        flags = {"--f": "poly:" + ",".join(coeffs)}
+        argv = ["verify-algebra", "--n", draw(st.sampled_from(("21", "41")))]
+    else:
+        flags = draw(st.dictionaries(st.sampled_from(("--sigma", "--rate")),
+                                     st.sampled_from(EDGE), min_size=1))
+        argv = ["identify", "--n", "41"]
+    for flag, value in flags.items():
+        argv += [flag, value]
+    return argv
+
+
+@given(edge_commands())
+@settings(max_examples=60, deadline=None)
+def test_edge_values_end_in_an_exit_code(argv):
+    assert run_main(argv) in (0, 1, 2)

@@ -67,7 +67,7 @@ def test_superhamiltonian_2x2_properties(g, f, refs):
     for i in range(2):
         block = h.block(i, i)
         assert hermiticity_defect(block) <= TOL.rounding(g.n, block.max_abs())
-        sym = (block.entries + block.entries.conj().T) / 2
+        sym = (block.toarray() + block.toarray().conj().T) / 2
         lam = np.linalg.eigvalsh(sym)
         assert lam.min() >= -TOL.rounding(g.n, block.max_abs())  # A A+ is PSD
 
@@ -142,11 +142,11 @@ def test_beta_zero_reduction(g, f):
     h4 = superhamiltonian_4x4(q1, q2).op
     h2 = superhamiltonian_2x2(q)
     for i in range(2):
-        assert np.array_equal(h4.block(i, i).entries, h2.block(i, i).entries)
+        assert np.array_equal(h4.block(i, i).toarray(), h2.block(i, i).toarray())
     assert h4.block(2, 2) is None and h4.block(3, 3) is None
     # the supercharges themselves embed the 2x2 one
-    assert np.array_equal(q1.block(0, 1).entries, q.block(0, 1).entries)
-    assert np.array_equal(q2.adjoint().block(0, 1).entries, q.block(0, 1).entries)
+    assert np.array_equal(q1.block(0, 1).toarray(), q.block(0, 1).toarray())
+    assert np.array_equal(q2.adjoint().block(0, 1).toarray(), q.block(0, 1).toarray())
 
 
 def test_duality_maps_h_content_to_htilde(g, f, refs):
@@ -185,14 +185,14 @@ def test_blockop_validation_and_apply(g, f):
     assert np.max(np.abs(out[g.n :])) == 0.0
     m = q.to_matrix()
     assert m.shape == (2 * g.n, 2 * g.n)
-    assert np.array_equal(m[: g.n, g.n :], pf.entries)
+    assert np.array_equal(m[: g.n, g.n :], pf.toarray())
 
 
 def test_blockop_adjoint_layout(g, f):
     q = supercharge_2x2(g, f, 1.0)
     qd = q.adjoint()
     assert qd.block(1, 0) is not None and qd.block(0, 1) is None
-    assert np.array_equal(qd.block(1, 0).entries, q.block(0, 1).entries.conj().T)
+    assert np.array_equal(qd.block(1, 0).toarray(), q.block(0, 1).toarray().conj().T)
 
 
 # -- ground states ---------------------------------------------------------------
@@ -287,7 +287,7 @@ def test_partner_spectra_k_guard(g, f):
 def test_dirichlet_eigenvalues_match_dense_solver(g):
     h1, _ = build_from_superpotential(g, FunctionSpec.polynomial([0, 1]), 1.0)
     fast = dirichlet_eigenvalues(h1.closed_form, 4)
-    dense = np.sort(np.linalg.eigvalsh(h1.closed_form.entries[1:-1, 1:-1].real))[:4]
+    dense = np.sort(np.linalg.eigvalsh(h1.closed_form.toarray()[1:-1, 1:-1].real))[:4]
     assert np.allclose(fast, dense, rtol=1e-12, atol=1e-12)
 
 
