@@ -335,7 +335,6 @@ def cmd_price(args) -> int:
     )
 
     prices: dict[str, float] = {}
-    mc_se = None
 
     if "closed" in want:
         if kind == "down_and_out_call":
@@ -358,29 +357,26 @@ def cmd_price(args) -> int:
         est = montecarlo.feynman_kac_estimate(cfg, contract, monitoring_per_year=args.monitoring)
         disc = montecarlo.discounted_value(est, args.rate, 0.0, args.maturity)
         prices["mc"] = disc.mean
-        mc_se = disc.std_error
 
     for name, value in prices.items():
         label = f"price_{name}"
-        se = f" (std error {mc_se:.6g})" if name == "mc" and mc_se is not None else ""
+        se = f" (std error {disc.std_error:.6g})" if name == "mc" else ""
         print(f"  {label}: {value:.6f}{se}")
         report.parameters.setdefault("prices", {})[name] = value
 
     if args.method == "all":
         if "closed" in prices:
             gap = abs(prices["pde"] - prices["closed"])
-            tol = max(1e-2, 2e-3 * abs(prices["closed"]))
+            tol = finance.pde_tolerance(prices["closed"])
             report.add("pde_vs_closed", gap, tol, gap <= tol)
             gap_mc = abs(prices["mc"] - prices["closed"])
-            report.add("mc_vs_closed_3se", gap_mc, 3.0 * mc_se, gap_mc <= 3.0 * mc_se)
+            tol_mc = 3.0 * disc.std_error
+            report.add("mc_vs_closed_3se", gap_mc, tol_mc, gap_mc <= tol_mc)
         else:
-            gap = abs(prices["pde"] - prices["mc"])
             # PDE is continuously monitored, MC discretely: add the bias bound
-            crumbs = montecarlo.fk_pde_crosscheck(
-                mp, contract, g, cfg,
-                spots=[args.spot], steps=steps, monitoring_per_year=args.monitoring,
-            )
-            row = crumbs.rows[0]
+            shifted = montecarlo.shifted_barrier(contract, args.sigma, args.monitoring)
+            shifted_curve = finance.price_pde(h, shifted, mp, g, steps)
+            row = montecarlo.crosscheck_row(args.spot, disc, curve, shifted_curve)
             report.add("pde_vs_mc", abs(row.gap), row.tolerance, row.passed)
             vanilla = finance.closed_form_european(
                 args.spot, args.strike, args.rate, args.sigma, args.maturity, "call"

@@ -58,11 +58,11 @@ class OptionContract:
     def __post_init__(self):
         if self.payoff_kind not in PAYOFF_KINDS:
             raise ValueError(f"payoff_kind must be one of {PAYOFF_KINDS}")
-        if self.strike <= 0 or self.maturity <= 0:
-            raise ValueError("strike and maturity must be positive")
-        if self.payoff_kind == "down_and_out_call":
-            if self.barrier is None or self.barrier <= 0:
-                raise ValueError("down-and-out contracts need a positive barrier")
+        barrier = ("barrier",) if self.payoff_kind == "down_and_out_call" else ()
+        for name in ("strike", "maturity", *barrier):
+            value = getattr(self, name)
+            if value is None or not 0 < value < math.inf:
+                raise ValueError(f"{self.payoff_kind} needs a finite {name} > 0, got {value}")
 
     def payoff(self, s: np.ndarray) -> np.ndarray:
         s = np.asarray(s, dtype=float)
@@ -262,6 +262,11 @@ def closed_form_european(
 
 
 # -- PDE pricer --------------------------------------------------------------
+
+
+def pde_tolerance(price: float) -> float:
+    """Gate on a PDE price: max(1e-2, 0.2 % of |price|)."""
+    return max(1e-2, 2e-3 * abs(price))
 
 
 @dataclass(frozen=True, eq=False)

@@ -116,20 +116,8 @@ def build_from_superpotential(
     For the harmonic superpotential W(x) = x these are the shifted oscillators
     with spectra 2m+2 and 2m (an exact zero mode in H2).
     """
-    _check_coupling(alpha, "alpha", allow_zero=False)
     f = w.antiderivative(g)
-    pf = deformed_momentum(g, f)
-    wv = w.values(g)
-    wp = w.derivative_values(g)
-    a2 = alpha * alpha
-    p2 = momentum_squared(g)
-    h1 = HamiltonianPair(
-        a2 * (pf.adjoint() @ pf), a2 * (p2 + diagonal(g, wp + wv**2)), "H1", alpha
-    )
-    h2 = HamiltonianPair(
-        a2 * (pf @ pf.adjoint()), a2 * (p2 + diagonal(g, -wp + wv**2)), "H2", alpha
-    )
-    return h1, h2
+    return build_h1(g, f, alpha), build_h2(g, f, alpha)
 
 
 def nonhermitian_defect_floor(g: Grid1D, f: FunctionSpec, beta: float) -> float:

@@ -1,7 +1,12 @@
 import json
+import sys
 
 import pytest
 from conftest import run_cli as run
+
+from qflab import finance, montecarlo
+from qflab.cli import main
+from qflab.grid import Grid1D
 
 
 def test_usage_errors_exit_2():
@@ -111,3 +116,47 @@ def test_json_reports_byte_reproducible(tmp_path, args):
     assert run(*args, "--json", str(a)).returncode == 0
     assert run(*args, "--json", str(b)).returncode == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+SMALL_BARRIER = ("price", "--payoff", "do-call", "--barrier", "80", "--method", "all",
+                 "--paths", "2000", "--n", "201", "--steps", "100")
+
+
+def count_calls(monkeypatch, *functions) -> dict[str, int]:
+    """Count calls of ``functions`` through every qflab module namespace that holds them."""
+    counts = dict.fromkeys((fn.__name__ for fn in functions), 0)
+    for fn in functions:
+        def counted(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("qflab") and getattr(module, fn.__name__, None) is fn:
+                monkeypatch.setattr(module, fn.__name__, counted)
+    return counts
+
+
+def test_barrier_price_draws_once_and_solves_two_pdes(monkeypatch):
+    counts = count_calls(monkeypatch, montecarlo.knockout_terminal, finance.price_pde)
+    assert main(list(SMALL_BARRIER)) == 0
+    assert counts == {"knockout_terminal": 1, "price_pde": 2}
+
+
+def test_barrier_pde_vs_mc_matches_library_crosscheck(tmp_path):
+    out = tmp_path / "report.json"
+    assert main([*SMALL_BARRIER, "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    p = doc["parameters"]
+    contract = finance.OptionContract("down_and_out_call", p["strike"], p["maturity"], p["barrier"])
+    mp = finance.MarketParams(p["sigma"], p["rate"])
+    cfg = montecarlo.GbmConfig(p["rate"], p["sigma"], p["spot"], T=p["maturity"],
+                               paths=p["paths"], seed=p["seed"])
+    crosscheck = montecarlo.fk_pde_crosscheck(
+        mp, contract, Grid1D(p["xmin"], p["xmax"], p["n"]), cfg,
+        spots=[p["spot"]], steps=p["steps"], monitoring_per_year=p["monitoring"],
+    )
+    row = crosscheck.rows[0]
+    check = next(c for c in doc["checks"] if c["name"] == "pde_vs_mc")
+    assert check["measured"] == abs(row.gap)
+    assert check["tolerance"] == row.tolerance
+    assert check["pass"] == row.passed

@@ -3,10 +3,10 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qflab.cli import main
-from qflab.finance import MarketParams
+from qflab.finance import MarketParams, OptionContract
 from qflab.montecarlo import GbmConfig, knockout_terminal
 from qflab.operators import FunctionSpec
 
@@ -31,6 +31,12 @@ def run_main(argv) -> int:
         (("--spot", "-5"), "--spot"),
         (("--rate", "inf"), "r"),
         (("--sigma", "nan"), "sigma"),
+        (("--strike", "nan"), "strike"),
+        (("--strike", "inf"), "strike"),
+        (("--maturity", "nan"), "maturity"),
+        (("--maturity", "inf"), "maturity"),
+        (("--payoff", "do-call", "--barrier", "nan"), "barrier"),
+        (("--payoff", "do-call", "--barrier", "inf"), "barrier"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -69,6 +75,13 @@ def test_library_constructors_reject_the_same_inputs():
     for sigma, r in ((math.inf, 0.05), (0.2, math.inf), (math.nan, 0.05), (0.2, math.nan)):
         with pytest.raises(ValueError, match="finite"):
             MarketParams(sigma, r)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite strike"):
+            OptionContract("european_call", bad, 1.0)
+        with pytest.raises(ValueError, match="finite maturity"):
+            OptionContract("european_put", 100.0, bad)
+        with pytest.raises(ValueError, match="finite barrier"):
+            OptionContract("down_and_out_call", 100.0, 1.0, barrier=bad)
 
 
 def test_short_maturity_keeps_one_monitoring_date():
@@ -78,7 +91,8 @@ def test_short_maturity_keeps_one_monitoring_date():
 
 
 EDGE = ("nan", "inf", "-1", "0", "1")
-PRICE_FLAGS = ("--seed", "--paths", "--monitoring", "--spot", "--sigma", "--rate")
+PRICE_FLAGS = ("--seed", "--paths", "--monitoring", "--spot", "--sigma", "--rate",
+               "--strike", "--maturity", "--barrier")
 
 
 @st.composite
@@ -104,6 +118,8 @@ def edge_commands(draw):
 
 
 @given(edge_commands())
+@example([*SMALL_PRICE, "--maturity", "nan"])
+@example([*SMALL_PRICE, "--method", "pde", "--maturity", "inf"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     assert run_main(argv) in (0, 1, 2)
