@@ -123,7 +123,7 @@ def cmd_verify_algebra(args) -> int:
 
     x_op = operators.position_operator(g)
     pf = operators.deformed_momentum(g, f)
-    rounding = TOL.rounding(g.n, max(x_op.max_abs(), pf.max_abs()) ** 2)
+    safe = f.max_abs(g) <= operators.MAX_SAFE_EXPONENT
 
     report.add("commutator_x_x_zero", operators.commutator(x_op, x_op).max_abs(), 0.0, True)
     report.add("commutator_pf_pf_zero", operators.commutator(pf, pf).max_abs(), 0.0, True)
@@ -136,7 +136,7 @@ def cmd_verify_algebra(args) -> int:
     ratio = defect / operators.canonical_commutator_defect(g_fine, f)
     report.add("canonical_refinement_ratio_dev", abs(ratio - 4.0), 0.5, abs(ratio - 4.0) <= 0.5)
 
-    if f.max_abs(g) <= operators.MAX_SAFE_EXPONENT:
+    if safe:
         sim = operators.deformed_momentum_by_similarity(g, f)
         agreement = operators.action_difference(pf, sim)
         tol_sim = TOL.discretization(g, f.derivative_scale(g) ** 2)
@@ -164,69 +164,53 @@ def cmd_verify_algebra(args) -> int:
     neg = susy.duality_transform(f)
     swapped = hamiltonians.build_all(g, neg, alpha, beta)
     dual = max(
-        (swapped["H1"].closed_form - pairs["H2"].closed_form).max_abs(),
-        (swapped["H2"].closed_form - pairs["H1"].closed_form).max_abs(),
-        (swapped["H3"].closed_form - pairs["H4"].closed_form).max_abs(),
-        (swapped["H4"].closed_form - pairs["H3"].closed_form).max_abs(),
+        (swapped[a].closed_form - pairs[b].closed_form).max_abs()
+        for a, b in (("H1", "H2"), ("H2", "H1"), ("H3", "H4"), ("H4", "H3"))
     )
     report.add("duality_closed_form_residual", dual, 0.0, dual == 0.0)
 
+    def nilpotent(name, q):
+        sq = q @ q
+        zero = sq.structurally_zero
+        report.add(f"{name}_nilpotent", 0.0 if zero else sq.max_abs(), 0.0, zero)
+
+    def commutes(name, q, h):
+        c = susy.block_commutator(q, h).max_abs()
+        tol_c = TOL.rounding(g.n, q.max_abs() * h.max_abs())
+        report.add(name, c, tol_c, c <= tol_c)
+
+    def block_content(name, h, expected):
+        # ``name`` may hold a "{}" slot for the measured labels
+        ident = susy.identify_blocks(h, pairs)
+        passed = ident.matched and all(e in t for e, t in zip(expected, ident.ties))
+        report.add(name.format("_".join(ident.labels).lower()), max(ident.residuals),
+                   ident.tolerance, passed)
+
     q = susy.supercharge_2x2(g, f, alpha)
-    report.add("q2x2_nilpotent", 0.0 if (q @ q).structurally_zero else (q @ q).max_abs(), 0.0,
-               (q @ q).structurally_zero)
+    nilpotent("q2x2", q)
     h2x2 = susy.superhamiltonian_2x2(q)
     report.add("h2x2_block_diagonal", 0.0, 0.0, h2x2.structurally_block_diagonal)
-    comm = susy.block_commutator(q, h2x2).max_abs()
-    tol_c = TOL.rounding(g.n, q.max_abs() * h2x2.max_abs())
-    report.add("commutator_q_h_zero", comm, tol_c, comm <= tol_c)
+    commutes("commutator_q_h_zero", q, h2x2)
     anti = susy.block_anticommutator(q, h2x2).max_abs()
     report.add("anticommutator_q_h_magnitude", anti, None, True)
 
-    refs = susy.hamiltonian_references(g, f, alpha, beta)
     q1, q2, q3, q4 = susy.supercharges_4x4(g, f, alpha, beta)
     for name, qi in (("q1", q1), ("q2", q2), ("q3", q3), ("q4", q4)):
-        sq = qi @ qi
-        report.add(f"{name}_nilpotent", 0.0 if sq.structurally_zero else sq.max_abs(), 0.0,
-                   sq.structurally_zero)
+        nilpotent(name, qi)
 
-    big = susy.superhamiltonian_4x4(q1, q2, refs)
-    report.add("h_block_diagonal", 0.0, 0.0, big.op.structurally_block_diagonal)
-    ident = big.identification
-    expected = ("H2", "H1", "H3", "H3")
-    content_ok = ident.matched and all(e in t for e, t in zip(expected, ident.ties))
-    report.add(
-        "h_block_content_" + "_".join(ident.labels).lower(),
-        max(ident.residuals),
-        ident.tolerance,
-        content_ok,
-    )
-    tilde = susy.superhamiltonian_4x4(q3, q4, refs)
-    report.add("htilde_block_diagonal", 0.0, 0.0, tilde.op.structurally_block_diagonal)
-    ident_t = tilde.identification
-    expected_t = ("H1", "H2", "H4", "H4")
-    content_t_ok = ident_t.matched and all(e in t for e, t in zip(expected_t, ident_t.ties))
-    report.add(
-        "htilde_block_content_" + "_".join(ident_t.labels).lower(),
-        max(ident_t.residuals),
-        ident_t.tolerance,
-        content_t_ok,
-    )
-    for name, qi, ham in (("q1", q1, big.op), ("q2", q2, big.op), ("q3", q3, tilde.op), ("q4", q4, tilde.op)):
-        c = susy.block_commutator(qi, ham).max_abs()
-        tol_c = TOL.rounding(g.n, qi.max_abs() * ham.max_abs())
-        report.add(f"conserved_charge_{name}", c, tol_c, c <= tol_c)
+    h = susy.superhamiltonian_4x4(q1, q2)
+    report.add("h_block_diagonal", 0.0, 0.0, h.structurally_block_diagonal)
+    block_content("h_block_content_{}", h, ("H2", "H1", "H3", "H3"))
+    htilde = susy.superhamiltonian_4x4(q3, q4)
+    report.add("htilde_block_diagonal", 0.0, 0.0, htilde.structurally_block_diagonal)
+    block_content("htilde_block_content_{}", htilde, ("H1", "H2", "H4", "H4"))
+    for name, qi, ham in (("q1", q1, h), ("q2", q2, h), ("q3", q3, htilde), ("q4", q4, htilde)):
+        commutes(f"conserved_charge_{name}", qi, ham)
 
-    dual_labels = susy.identify_blocks(
-        susy.superhamiltonian_4x4(*susy.supercharges_4x4(g, neg, alpha, beta)[:2]).op, refs
-    )
-    report.add(
-        "duality_maps_h_to_htilde",
-        max(dual_labels.residuals),
-        dual_labels.tolerance,
-        dual_labels.matched and all(e in t for e, t in zip(expected_t, dual_labels.ties)),
-    )
+    h_neg = susy.superhamiltonian_4x4(*susy.supercharges_4x4(g, neg, alpha, beta)[:2])
+    block_content("duality_maps_h_to_htilde", h_neg, ("H1", "H2", "H4", "H4"))
 
-    if f.max_abs(g) <= operators.MAX_SAFE_EXPONENT:
+    if safe:
         gs, gs_tilde = susy.ground_states(g, f, alpha, beta)
         tol_gs = susy.ground_state_tolerance(g, f, alpha, beta)
         report.add("ground_state_residual_h", gs.residual, tol_gs, gs.residual <= tol_gs)

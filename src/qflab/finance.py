@@ -32,6 +32,11 @@ from .tolerances import DEFAULT as TOL, EPS
 
 PAYOFF_KINDS = ("european_call", "european_put", "down_and_out_call")
 
+# exp(x) overflows float64 above this log-price
+MAX_LOG_PRICE = math.log(np.finfo(float).max)
+# fully-implicit steps before Crank-Nicolson, damping the payoff-kink oscillation
+RANNACHER_STEPS = 2
+
 
 @dataclass(frozen=True)
 class MarketParams:
@@ -46,6 +51,8 @@ class MarketParams:
             raise ValueError(f"sigma and r must be finite, got sigma={self.sigma}, r={self.r}")
         if self.sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
+        if not 0 < self.sigma * self.sigma < math.inf:
+            raise ValueError(f"sigma**2 must be finite and > 0, got sigma={self.sigma}")
 
 
 @dataclass(frozen=True)
@@ -308,11 +315,10 @@ def price_pde(
     payoff=None,
     maturity: float | None = None,
     hard_barrier: bool = True,
-    rannacher_steps: int = 2,
 ) -> PriceCurve:
     """Backward Hamiltonian evolution dC/dtau = -H C from the terminal payoff.
 
-    Crank-Nicolson with ``rannacher_steps`` fully-implicit start-up steps.
+    Crank-Nicolson with ``RANNACHER_STEPS`` fully-implicit start-up steps.
     With a contract, boundary rows are overridden by the asymptotic Dirichlet
     data and barrier contracts enforce C = 0 at nodes with x <= ln(barrier)
     after every step (nearest-node placement).  With a bare callable payoff
@@ -324,6 +330,10 @@ def price_pde(
         raise ValueError(f"steps must be >= 1, got {steps}")
     if contract is None and payoff is None:
         raise ValueError("either a contract or a payoff callable is required")
+    if not g.x_max < MAX_LOG_PRICE:
+        raise ValueError(f"grid x_max = {g.x_max:.6g} must be below {MAX_LOG_PRICE:.6g}, where "
+                         f"exp(x_max) overflows; the default grid grows with strike, spot and "
+                         f"sigma*sqrt(maturity)")
 
     if float(np.max(np.abs(h.entries.imag))) > TOL.rounding(g.n, max(1.0, h.max_abs())):
         raise ValueError("pricing Hamiltonian must be real-valued")
@@ -356,7 +366,7 @@ def price_pde(
     dt = maturity / steps
     payoff_max = float(np.max(np.abs(c)))
     running_max = payoff_max
-    rann = min(max(rannacher_steps, 0), steps)
+    rann = min(RANNACHER_STEPS, steps)
 
     override = bc_lo is not None
     ends = np.zeros(g.n)

@@ -42,9 +42,9 @@ class HamiltonianPair:
     def grid(self) -> Grid1D:
         return self.compositional.grid
 
-    def agreement(self, tests=None) -> float:
+    def agreement(self) -> float:
         """Action difference of the two members on the smooth test corpus."""
-        return action_difference(self.compositional, self.closed_form, tests)
+        return action_difference(self.compositional, self.closed_form)
 
 
 def _check_coupling(value: float, name: str, allow_zero: bool):

@@ -423,35 +423,24 @@ def smooth_test_vectors(g: Grid1D) -> list[tuple[str, np.ndarray, float]]:
     ]
 
 
-def action_difference(a: LinOp, b: LinOp, tests=None) -> float:
+def action_difference(a: LinOp, b: LinOp) -> float:
     """max interior |(A - B) v| / scale(v) over the smooth test corpus."""
     a._require_same_grid(b)
-    if tests is None:
-        tests = smooth_test_vectors(a.grid)
     inner = a.grid.interior()
     worst = 0.0
-    for _, v, scale in tests:
+    for _, v, scale in smooth_test_vectors(a.grid):
         w = (a.apply(v) - b.apply(v))[inner]
         worst = max(worst, float(np.max(np.abs(w))) / scale)
     return worst
 
 
-def canonical_commutator_defect(g: Grid1D, f: FunctionSpec | None = None, tests=None) -> float:
+def canonical_commutator_defect(g: Grid1D, f: FunctionSpec | None = None) -> float:
     """max interior |([x, P_f] - iI) v| / scale(v) over the smooth test corpus.
 
     f = None checks the undeformed pair (x, P).
     """
-    x = position_operator(g)
     p = momentum_operator(g) if f is None else deformed_momentum(g, f)
-    c = commutator(x, p)
-    if tests is None:
-        tests = smooth_test_vectors(g)
-    inner = g.interior()
-    worst = 0.0
-    for _, v, scale in tests:
-        w = (c.apply(v) - 1j * v)[inner]
-        worst = max(worst, float(np.max(np.abs(w))) / scale)
-    return worst
+    return action_difference(commutator(position_operator(g), p), 1j * identity(g))
 
 
 def canonical_tolerance(g: Grid1D, f: FunctionSpec | None = None) -> float:

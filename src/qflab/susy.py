@@ -21,6 +21,7 @@ import numpy as np
 from scipy.linalg import eig_banded, eigh_tridiagonal, eigvalsh
 
 from .grid import Grid1D
+from .hamiltonians import HamiltonianPair
 from .operators import (
     FunctionSpec,
     LinOp,
@@ -222,27 +223,14 @@ class BlockMatchReport:
         return all(r <= self.tolerance for r in self.residuals)
 
 
-@dataclass(frozen=True, eq=False)
-class SuperhamiltonianResult:
-    op: BlockOp
-    identification: BlockMatchReport | None
+def identify_blocks(h: BlockOp, pairs: dict[str, HamiltonianPair]) -> BlockMatchReport:
+    """Match each diagonal block of h against the compositional H1..H4 of ``pairs``.
 
-
-def hamiltonian_references(
-    g: Grid1D, f: FunctionSpec, alpha: float, beta: float
-) -> dict[str, LinOp]:
-    """Compositional H1..H4 used as the measuring sticks for block content."""
-    from .hamiltonians import build_all
-
-    return {label: pair.compositional for label, pair in build_all(g, f, alpha, beta).items()}
-
-
-def identify_blocks(h: BlockOp, references: dict[str, LinOp]) -> BlockMatchReport:
-    """Match each diagonal block of h against the reference Hamiltonians.
-
-    Comparison runs on the interior block at machine-rounding tolerance, so
-    boundary-stencil asymmetries between P and P+ cannot mask a match.
+    ``pairs`` is the dict of :func:`hamiltonians.build_all`.  Comparison runs
+    on the interior block at machine-rounding tolerance, so boundary-stencil
+    asymmetries between P and P+ cannot mask a match.
     """
+    references = {label: pair.compositional for label, pair in pairs.items()}
     s = h.grid.interior()
     scale = max(h.max_abs(), max((r.max_abs() for r in references.values()), default=1.0))
     tol = TOL.rounding(h.n, scale)
@@ -265,13 +253,9 @@ def identify_blocks(h: BlockOp, references: dict[str, LinOp]) -> BlockMatchRepor
     return BlockMatchReport(tuple(labels), tuple(residuals), tuple(ties), tol)
 
 
-def superhamiltonian_4x4(
-    qa: BlockOp, qb: BlockOp, references: dict[str, LinOp] | None = None
-) -> SuperhamiltonianResult:
-    """H = {Qa, Qb} with an optional measured identification of its blocks."""
-    h = block_anticommutator(qa, qb)
-    ident = None if references is None else identify_blocks(h, references)
-    return SuperhamiltonianResult(h, ident)
+def superhamiltonian_4x4(qa: BlockOp, qb: BlockOp) -> BlockOp:
+    """H = {Qa, Qb}; :func:`identify_blocks` measures its diagonal content."""
+    return block_anticommutator(qa, qb)
 
 
 def duality_transform(f: FunctionSpec) -> FunctionSpec:
@@ -492,10 +476,12 @@ class RealSpectrumReport:
 
 # conditioning of diag(e^f) degrades the non-symmetric eigensolve beyond this range of f
 SIMILARITY_RANGE_LIMIT = 30.0
+# relative tolerance of the similarity spectra within that range
+SIMILARITY_REL_TOL = 1e-8
 
 
 def real_spectrum_check(
-    g: Grid1D, f: FunctionSpec, beta: float, k: int = 6, rel_tol: float = 1e-8
+    g: Grid1D, f: FunctionSpec, beta: float, k: int = 6
 ) -> tuple[RealSpectrumReport, RealSpectrumReport]:
     """Verify that similarity-built H4 and H3 share the real spectrum of b^2 P^2.
 
@@ -508,7 +494,7 @@ def real_spectrum_check(
     fv = f.exponent_values(g)
     span = float(np.max(fv) - np.min(fv))
     widened = span > SIMILARITY_RANGE_LIMIT
-    tol = rel_tol * (np.exp(span - SIMILARITY_RANGE_LIMIT) if widened else 1.0)
+    tol = SIMILARITY_REL_TOL * (np.exp(span - SIMILARITY_RANGE_LIMIT) if widened else 1.0)
     if widened:
         import warnings
 

@@ -36,7 +36,6 @@ from qflab.susy import (
     block_commutator,
     ground_state_tolerance,
     ground_states,
-    hamiltonian_references,
     identify_blocks,
     partner_spectra,
     real_spectrum_check,
@@ -125,20 +124,21 @@ def test_c03_susy_algebra():
     q1, q2, q3, q4 = supercharges_4x4(g, f, 1.0, 1.0)
     for qi in (q1, q2, q3, q4):
         assert (qi @ qi).structurally_zero
-    refs = hamiltonian_references(g, f, 1.0, 1.0)
-    big = superhamiltonian_4x4(q1, q2, refs)
-    tilde = superhamiltonian_4x4(q3, q4, refs)
-    assert big.op.structurally_block_diagonal and tilde.op.structurally_block_diagonal
-    assert big.identification.labels == ("H2", "H1", "H3", "H3")
-    assert tilde.identification.labels == ("H1", "H2", "H4", "H4")
-    assert big.identification.matched and tilde.identification.matched
+    refs = build_all(g, f, 1.0, 1.0)
+    big = superhamiltonian_4x4(q1, q2)
+    tilde = superhamiltonian_4x4(q3, q4)
+    big_ident, tilde_ident = identify_blocks(big, refs), identify_blocks(tilde, refs)
+    assert big.structurally_block_diagonal and tilde.structurally_block_diagonal
+    assert big_ident.labels == ("H2", "H1", "H3", "H3")
+    assert tilde_ident.labels == ("H1", "H2", "H4", "H4")
+    assert big_ident.matched and tilde_ident.matched
     worst = 0.0
-    for qi, ham in ((q1, big.op), (q2, big.op), (q3, tilde.op), (q4, tilde.op)):
+    for qi, ham in ((q1, big), (q2, big), (q3, tilde), (q4, tilde)):
         c = block_commutator(qi, ham).max_abs()
         assert c <= TOL.rounding(g.n, qi.max_abs() * ham.max_abs())
         worst = max(worst, c)
     q1z, q2z, _, _ = supercharges_4x4(g, f, 1.0, 0.0)
-    hz = superhamiltonian_4x4(q1z, q2z).op
+    hz = superhamiltonian_4x4(q1z, q2z)
     h2 = superhamiltonian_2x2(q)
     reduction_exact = all(
         np.array_equal(hz.block(i, i).toarray(), h2.block(i, i).toarray()) for i in range(2)
@@ -160,9 +160,9 @@ def test_c04_duality():
         for a, b in (("H1", "H2"), ("H2", "H1"), ("H3", "H4"), ("H4", "H3")):
             residual = (swapped[a].closed_form - pairs[b].closed_form).max_abs()
             assert residual == 0.0, (label, a, b, residual)
-        refs = hamiltonian_references(g, f, 1.0, 1.0)
+        refs = build_all(g, f, 1.0, 1.0)
         q1n, q2n, _, _ = supercharges_4x4(g, -f, 1.0, 1.0)
-        ident = identify_blocks(superhamiltonian_4x4(q1n, q2n).op, refs)
+        ident = identify_blocks(superhamiltonian_4x4(q1n, q2n), refs)
         expected = ("H1", "H2", "H4", "H4")
         assert ident.matched and all(e in t for e, t in zip(expected, ident.ties)), label
     elapsed = time.perf_counter() - started

@@ -4,7 +4,7 @@ import sys
 import pytest
 from conftest import run_cli as run
 
-from qflab import finance, montecarlo
+from qflab import finance, hamiltonians, montecarlo, operators
 from qflab.cli import main
 from qflab.grid import Grid1D
 
@@ -140,6 +140,17 @@ def test_barrier_price_draws_once_and_solves_two_pdes(monkeypatch):
     counts = count_calls(monkeypatch, montecarlo.knockout_terminal, finance.price_pde)
     assert main(list(SMALL_BARRIER)) == 0
     assert counts == {"knockout_terminal": 1, "price_pde": 2}
+
+
+def test_verify_algebra_builds_each_hamiltonian_once(monkeypatch):
+    counts = count_calls(monkeypatch, hamiltonians.build_all)
+    matmul, products = operators.LinOp.__matmul__, []
+    monkeypatch.setattr(operators.LinOp, "__matmul__",
+                        lambda a, b: products.append(1) or matmul(a, b))
+    assert main(["verify-algebra", "--f", "poly:0,0,0.5", "--n", "101"]) == 0
+    # H1..H4 of f and of -f, nothing built twice
+    assert counts == {"build_all": 2}
+    assert len(products) == 50
 
 
 def test_barrier_pde_vs_mc_matches_library_crosscheck(tmp_path):

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qflab.cli import main
-from qflab.finance import MarketParams, OptionContract
+from qflab.finance import MarketParams, OptionContract, bs_hamiltonian, price_pde
+from qflab.grid import Grid1D
 from qflab.montecarlo import GbmConfig, knockout_terminal
 from qflab.operators import FunctionSpec
 
@@ -37,6 +38,11 @@ def run_main(argv) -> int:
         (("--maturity", "inf"), "maturity"),
         (("--payoff", "do-call", "--barrier", "nan"), "barrier"),
         (("--payoff", "do-call", "--barrier", "inf"), "barrier"),
+        (("--sigma", "1e200"), "sigma"),
+        (("--sigma", "1e-200"), "sigma"),
+        (("--strike", "1e300"), "x_max"),
+        (("--maturity", "1e300"), "x_max"),
+        (("--xmin", "0", "--xmax", "800"), "x_max"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -52,7 +58,8 @@ def test_verify_algebra_rejects_non_finite_polynomial(capsys, spec):
     assert "finite" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("argv", [("--rate", "inf"), ("--sigma=-inf",), ("--rate", "nan")])
+@pytest.mark.parametrize("argv", [("--rate", "inf"), ("--sigma=-inf",), ("--rate", "nan"),
+                                  ("--sigma", "1e200"), ("--sigma", "1e-200")])
 def test_identify_rejects_non_finite_market(capsys, argv):
     assert run_main(("identify", "--n", "41", *argv)) == 2
     assert "must be finite" in capsys.readouterr().err
@@ -82,6 +89,12 @@ def test_library_constructors_reject_the_same_inputs():
             OptionContract("european_put", 100.0, bad)
         with pytest.raises(ValueError, match="finite barrier"):
             OptionContract("down_and_out_call", 100.0, 1.0, barrier=bad)
+    for sigma in (1e200, 1e-200):
+        with pytest.raises(ValueError, match="sigma"):
+            MarketParams(sigma, 0.05)
+    mp, g = MarketParams(0.2, 0.05), Grid1D(0.0, 800.0, 101)
+    with pytest.raises(ValueError, match="x_max"):
+        price_pde(bs_hamiltonian(g, mp), OptionContract("european_call", 100.0, 1.0), mp, g, 10)
 
 
 def test_short_maturity_keeps_one_monitoring_date():
@@ -120,6 +133,12 @@ def edge_commands(draw):
 @given(edge_commands())
 @example([*SMALL_PRICE, "--maturity", "nan"])
 @example([*SMALL_PRICE, "--method", "pde", "--maturity", "inf"])
+@example([*SMALL_PRICE, "--strike", "1e300"])
+@example([*SMALL_PRICE, "--method", "pde", "--maturity", "1e300"])
+@example([*SMALL_PRICE, "--xmin", "0", "--xmax", "800"])
+@example([*SMALL_PRICE, "--sigma", "1e200"])
+@example(["identify", "--n", "41", "--sigma", "1e200"])
+@example(["identify", "--n", "41", "--sigma", "1e-200"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     assert run_main(argv) in (0, 1, 2)

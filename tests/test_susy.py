@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qflab.grid import make_grid
-from qflab.hamiltonians import build_from_superpotential, build_h3
+from qflab.hamiltonians import build_all, build_from_superpotential, build_h3
 from qflab.operators import FunctionSpec, hermiticity_defect, momentum_squared
 from qflab.susy import (
     BlockOp,
@@ -12,7 +12,6 @@ from qflab.susy import (
     duality_transform,
     ground_state_tolerance,
     ground_states,
-    hamiltonian_references,
     identify_blocks,
     partner_spectra,
     real_spectrum_check,
@@ -43,7 +42,7 @@ def charges(g, f):
 
 @pytest.fixture(scope="module")
 def refs(g, f):
-    return hamiltonian_references(g, f, ALPHA, BETA)
+    return build_all(g, f, ALPHA, BETA)
 
 
 # -- 2x2 sector ----------------------------------------------------------------
@@ -107,20 +106,22 @@ def test_supercharges_4x4_nilpotent_and_sparse(charges):
 
 def test_superhamiltonian_block_content(charges, refs):
     q1, q2, q3, q4 = charges
-    res = superhamiltonian_4x4(q1, q2, refs)
-    assert res.op.structurally_block_diagonal
-    assert res.identification.labels == ("H2", "H1", "H3", "H3")
-    assert res.identification.matched
-    res_t = superhamiltonian_4x4(q3, q4, refs)
-    assert res_t.op.structurally_block_diagonal
-    assert res_t.identification.labels == ("H1", "H2", "H4", "H4")
-    assert res_t.identification.matched
+    h = superhamiltonian_4x4(q1, q2)
+    res = identify_blocks(h, refs)
+    assert h.structurally_block_diagonal
+    assert res.labels == ("H2", "H1", "H3", "H3")
+    assert res.matched
+    h_t = superhamiltonian_4x4(q3, q4)
+    res_t = identify_blocks(h_t, refs)
+    assert h_t.structurally_block_diagonal
+    assert res_t.labels == ("H1", "H2", "H4", "H4")
+    assert res_t.matched
 
 
 def test_conserved_charges(charges):
     q1, q2, q3, q4 = charges
-    h = superhamiltonian_4x4(q1, q2).op
-    ht = superhamiltonian_4x4(q3, q4).op
+    h = superhamiltonian_4x4(q1, q2)
+    ht = superhamiltonian_4x4(q3, q4)
     for q, ham in ((q1, h), (q2, h), (q3, ht), (q4, ht)):
         c = block_commutator(q, ham).max_abs()
         assert c <= TOL.rounding(h.n, q.max_abs() * ham.max_abs())
@@ -128,7 +129,7 @@ def test_conserved_charges(charges):
 
 def test_free_case_4x4_anticommutator(g):
     q1, q2, _, _ = supercharges_4x4(g, FunctionSpec.zero(), 1.0, 1.0)
-    h = superhamiltonian_4x4(q1, q2).op
+    h = superhamiltonian_4x4(q1, q2)
     from qflab.operators import action_difference
 
     p2 = momentum_squared(g)
@@ -139,7 +140,7 @@ def test_free_case_4x4_anticommutator(g):
 def test_beta_zero_reduction(g, f):
     q1, q2, _, _ = supercharges_4x4(g, f, ALPHA, 0.0)
     q = supercharge_2x2(g, f, ALPHA)
-    h4 = superhamiltonian_4x4(q1, q2).op
+    h4 = superhamiltonian_4x4(q1, q2)
     h2 = superhamiltonian_2x2(q)
     for i in range(2):
         assert np.array_equal(h4.block(i, i).toarray(), h2.block(i, i).toarray())
@@ -153,7 +154,7 @@ def test_duality_maps_h_content_to_htilde(g, f, refs):
     neg = duality_transform(f)
     assert np.array_equal(neg.values(g), -f.values(g))
     q1n, q2n, _, _ = supercharges_4x4(g, neg, ALPHA, BETA)
-    ident = identify_blocks(superhamiltonian_4x4(q1n, q2n).op, refs)
+    ident = identify_blocks(superhamiltonian_4x4(q1n, q2n), refs)
     assert ident.matched
     expected = ("H1", "H2", "H4", "H4")
     assert all(e in t for e, t in zip(expected, ident.ties))
@@ -165,9 +166,9 @@ def test_duality_is_involution(g, f):
 
 def test_zero_f_is_duality_fixed_point(g):
     f0 = FunctionSpec.zero()
-    refs0 = hamiltonian_references(g, f0, ALPHA, BETA)
+    refs0 = build_all(g, f0, ALPHA, BETA)
     q1, q2, _, _ = supercharges_4x4(g, duality_transform(f0), ALPHA, BETA)
-    ident = identify_blocks(superhamiltonian_4x4(q1, q2).op, refs0)
+    ident = identify_blocks(superhamiltonian_4x4(q1, q2), refs0)
     assert ident.matched
 
 
