@@ -108,6 +108,7 @@ def cmd_verify_algebra(args) -> int:
     started = time.perf_counter()
     g = _grid_from_args(args)
     f = FunctionSpec.parse(args.f)
+    f_scale = f.derivative_scale(g)  # refuses an f the tolerance models cannot hold
     alpha, beta = args.alpha, args.beta
     report = RunReport(
         "verify-algebra",
@@ -139,11 +140,10 @@ def cmd_verify_algebra(args) -> int:
     if safe:
         sim = operators.deformed_momentum_by_similarity(g, f)
         agreement = operators.action_difference(pf, sim)
-        tol_sim = TOL.discretization(g, f.derivative_scale(g) ** 2)
+        tol_sim = TOL.discretization(g, f_scale**2)
         report.add("similarity_construction_agreement", agreement, tol_sim, agreement <= tol_sim)
 
     pairs = hamiltonians.build_all(g, f, alpha, beta)
-    f_scale = f.derivative_scale(g)
     tol_pair = TOL.discretization(g, max(alpha, beta) ** 2 * f_scale**2)
     for label, pair in pairs.items():
         agreement = pair.agreement()

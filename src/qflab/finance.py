@@ -38,6 +38,13 @@ MAX_LOG_PRICE = math.log(np.finfo(float).max)
 RANNACHER_STEPS = 2
 
 
+def check_discount(r: float, maturity: float) -> None:
+    """Refuse a rate and horizon whose discount factor exp(-r T) overflows float64."""
+    if not -r * maturity < MAX_LOG_PRICE:
+        raise ValueError(f"-rate*maturity = {-r * maturity:.6g} must be below {MAX_LOG_PRICE:.6g}, "
+                         f"where the discount factor overflows; got rate={r}, maturity={maturity}")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Volatility, short rate and (for the generalized equations) a potential V(x)."""
@@ -53,6 +60,9 @@ class MarketParams:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if not 0 < self.sigma * self.sigma < math.inf:
             raise ValueError(f"sigma**2 must be finite and > 0, got sigma={self.sigma}")
+        if not abs(self.r) < MAX_LOG_PRICE:
+            raise ValueError(f"rate r = {self.r} must lie within +-{MAX_LOG_PRICE:.6g} per year, "
+                             f"where the one-year factor exp(r) or exp(-r) overflows")
 
 
 @dataclass(frozen=True)
@@ -255,12 +265,13 @@ def closed_form_european(
         raise ValueError("spot, strike must be > 0 and sigma, maturity >= 0")
     if kind not in ("call", "put"):
         raise ValueError(f"kind must be call or put, got {kind!r}")
+    check_discount(r, maturity)
     disc = math.exp(-r * maturity)
     vol = sigma * math.sqrt(maturity)
     if vol < 1e-12:
-        forward = s0 * math.exp(r * maturity)
-        intrinsic = max(forward - strike, 0.0) if kind == "call" else max(strike - forward, 0.0)
-        return disc * intrinsic
+        # discounted deterministic forward, s0 e^{rT} e^{-rT} - K e^{-rT}, never formed
+        intrinsic = s0 - strike * disc
+        return max(intrinsic, 0.0) if kind == "call" else max(-intrinsic, 0.0)
     d1 = (math.log(s0 / strike) + (r + 0.5 * sigma**2) * maturity) / vol
     d2 = d1 - vol
     if kind == "call":
@@ -342,15 +353,8 @@ def price_pde(
     s = np.exp(x)
     barrier_index = None
     if contract is not None:
+        check_discount(mp.r, contract.maturity)
         c = contract.payoff(s)
-        ln_k = math.log(contract.strike)
-        width = 6.0 * mp.sigma * math.sqrt(contract.maturity)
-        if g.x_max < ln_k + width or g.x_min > ln_k - width:
-            warnings.warn(
-                f"grid [{g.x_min:.3g}, {g.x_max:.3g}] narrower than ln K +- 6 sigma sqrt(T); "
-                f"boundary data will bias the price",
-                stacklevel=2,
-            )
         bc_lo, bc_hi = _boundary_values(contract, mp, g)
         maturity = contract.maturity
         if contract.payoff_kind == "down_and_out_call" and hard_barrier:
@@ -396,11 +400,24 @@ def price_pde(
             rhs[-1] = bc_hi(tau_new)
         return (lu_ie if implicit else lu_cn).solve(rhs)
 
-    for j in range(1, steps + 1):
-        c = step(c, j * dt, implicit=j <= rann)
-        if barrier_index:
-            c[:barrier_index] = 0.0
-        running_max = max(running_max, float(np.max(np.abs(c))))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite curve is refused below
+        for j in range(1, steps + 1):
+            c = step(c, j * dt, implicit=j <= rann)
+            if barrier_index:
+                c[:barrier_index] = 0.0
+            running_max = max(running_max, float(np.max(np.abs(c))))
+    if not np.all(np.isfinite(c)):
+        raise ValueError(f"PDE values overflow float64 on the grid [{g.x_min:.6g}, {g.x_max:.6g}]; "
+                         f"the payoff grows as exp(x_max), so lower x_max")
+    if contract is not None:
+        ln_k = math.log(contract.strike)
+        width = 6.0 * mp.sigma * math.sqrt(contract.maturity)
+        if g.x_max < ln_k + width or g.x_min > ln_k - width:
+            warnings.warn(
+                f"grid [{g.x_min:.3g}, {g.x_max:.3g}] narrower than ln K +- 6 sigma sqrt(T); "
+                f"boundary data will bias the price",
+                stacklevel=2,
+            )
 
     return PriceCurve(
         grid=g,

@@ -21,7 +21,14 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import erfinv
 
-from .finance import OptionContract, PriceCurve, bs_hamiltonian, pde_tolerance, price_pde
+from .finance import (
+    OptionContract,
+    PriceCurve,
+    bs_hamiltonian,
+    check_discount,
+    pde_tolerance,
+    price_pde,
+)
 from .grid import Grid1D
 
 _PHILOX_OUTPUTS_PER_BLOCK = 4
@@ -49,6 +56,7 @@ class GbmConfig:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if self.s0 <= 0:
             raise ValueError(f"s0 must be > 0, got {self.s0}")
+        check_discount(self.drift, self.T - self.t0)
 
 
 @dataclass(frozen=True)
@@ -156,13 +164,19 @@ def feynman_kac_estimate(
             raise ValueError(f"start time t={t} must be below T={cfg.T}")
         cfg = replace(cfg, t0=float(t))
 
-    if isinstance(payoff, OptionContract) and payoff.payoff_kind == "down_and_out_call":
-        s_t, alive = knockout_terminal(cfg, payoff.barrier, monitoring_per_year, stream)
-        values = np.where(alive, payoff.payoff(s_t), 0.0)
-    else:
-        s_t = sample_terminal(cfg, stream=stream)
-        values = payoff.payoff(s_t) if isinstance(payoff, OptionContract) else np.asarray(payoff(s_t), dtype=float)
-    return _estimate_from_values(values, cfg)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
+        if isinstance(payoff, OptionContract) and payoff.payoff_kind == "down_and_out_call":
+            s_t, alive = knockout_terminal(cfg, payoff.barrier, monitoring_per_year, stream)
+            values = np.where(alive, payoff.payoff(s_t), 0.0)
+        else:
+            s_t = sample_terminal(cfg, stream=stream)
+            values = payoff.payoff(s_t) if isinstance(payoff, OptionContract) else np.asarray(payoff(s_t), dtype=float)
+        est = _estimate_from_values(values, cfg)
+    if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
+        raise ValueError(f"Monte Carlo estimate {est.mean:.3g} +- {est.std_error:.3g} is not finite: "
+                         f"the payoff samples overflow float64 at spot={cfg.s0:.6g}, "
+                         f"drift={cfg.drift:.6g}, sigma={cfg.sigma:.6g}, T={cfg.T:.6g}")
+    return est
 
 
 def discounted_value(est: McEstimate, r: float, t: float, T: float) -> McEstimate:

@@ -26,6 +26,8 @@ from .tolerances import DEFAULT as TOL
 
 # exp(f) overflows float64 near 709; similarity constructions stay well clear
 MAX_SAFE_EXPONENT = 300.0
+# tolerance models raise the derivative scale of f to at most the 4th power
+MAX_DERIVATIVE_SCALE = float(np.finfo(float).max) ** 0.25
 
 
 @dataclass(frozen=True, eq=False)
@@ -159,19 +161,23 @@ class FunctionSpec:
         return fv
 
     def derivative_scale(self, g: Grid1D) -> float:
-        """max(1, |f'|, |f''|, |f'''|) over the grid; feeds tolerance scales."""
+        """max(1, |f'|, |f''|, |f'''|) over the grid; feeds tolerance scales.
+
+        Refused from ``MAX_DERIVATIVE_SCALE`` on, where the tolerance models
+        overflow float64.
+        """
         if self.is_polynomial:
             c = self.coefficients
-            tops = [
-                float(np.max(np.abs(npoly.polyval(g.nodes, npoly.polyder(c, m)))))
-                for m in (1, 2, 3)
-            ]
-            return max(1.0, *tops)
-        fp = self.derivative_values(g)
-        _, d2 = derivative_matrices(g)
-        fpp = d2 @ self.values(g)
-        inner = g.interior()
-        return max(1.0, float(np.max(np.abs(fp[inner]))), float(np.max(np.abs(fpp[inner]))))
+            tops = [npoly.polyval(g.nodes, npoly.polyder(c, m)) for m in (1, 2, 3)]
+        else:
+            _, d2 = derivative_matrices(g)
+            inner = g.interior()
+            tops = [self.derivative_values(g)[inner], (d2 @ self.values(g))[inner]]
+        scale = max(1.0, *(float(np.max(np.abs(t))) for t in tops))
+        if not scale < MAX_DERIVATIVE_SCALE:
+            raise ValueError(f"derivative scale of f, max(1, |f'|, |f''|, |f'''|) = {scale:.3g} "
+                             f"on the grid, must be below {MAX_DERIVATIVE_SCALE:.3g}")
+        return scale
 
 
 def _clear_outside(data: np.ndarray, offsets) -> None:

@@ -13,12 +13,15 @@ The conserved-charge statement is implemented as the commutator [Q, h] = 0,
 which follows identically from Q^2 = 0; the anticommutator {Q, h} = 2 Q Q+ Q
 is generically nonzero and is computed alongside so the difference stays
 visible.
+
+Every spectrum comes from the bands by :func:`dirichlet_eigenvalues`; H3/H4
+are diagonally similar to a symmetric band, so their spectrum is real.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal, eigvalsh
+from scipy.linalg import eig_banded, eigh_tridiagonal
 
 from .grid import Grid1D
 from .hamiltonians import HamiltonianPair
@@ -26,6 +29,7 @@ from .operators import (
     FunctionSpec,
     LinOp,
     deformed_momentum,
+    hermiticity_defect,
     momentum_squared,
 )
 from .tolerances import DEFAULT as TOL
@@ -370,32 +374,38 @@ def dirichlet_eigenvalues(h: LinOp, k: int) -> np.ndarray:
     """k lowest eigenvalues of h under Dirichlet truncation (end nodes dropped).
 
     Trimming the first/last row and column leaves exactly the central-stencil
-    matrix with implicit zeros outside the domain.  Rejects non-Hermitian
-    input; uses the tridiagonal solver whenever the trimmed matrix is real and
-    tridiagonal (true for all closed-form Hamiltonians here), else the banded
-    Hermitian solver on the lower band.
+    matrix with implicit zeros outside the domain.  Hermitian bands use the
+    tridiagonal solver when real and tridiagonal (H1/H2), else the banded one.
+    A real tridiagonal band with off-diagonal products u_i l_i >= 0 (H3/H4) is
+    diagonally similar to the symmetric band with off-diagonal sqrt(u_i l_i)
+    (Wilkinson 1965), so its spectrum is real; anything else is refused.
     """
     trim = slice(1, h.n - 1)
     offsets, a = h.principal_bands(trim)
     dim = h.n - 2
     if k < 1 or k > dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
+    # the whole spectrum needs no index selection (bisection costs O(dim^2))
+    select = {"select": "a"} if k == dim else {"select": "i", "select_range": (0, k - 1)}
     tol = TOL.rounding(h.n, max(1.0, float(np.max(np.abs(a), initial=0.0))))
-    if (h - h.adjoint()).block_max_abs(trim) > tol:
-        raise ValueError("operator is not Hermitian; only H1/H2-type spectra are supported")
     band = dict(zip(offsets, a))
     zero = np.zeros(dim)
     real = float(np.max(np.abs(a.imag), initial=0.0)) <= tol
-    if real and all(not np.any(d) for o, d in band.items() if abs(o) > 1):
-        return eigh_tridiagonal(
-            band.get(0, zero).real, band.get(1, zero).real[1:], select="i",
-            select_range=(0, k - 1), eigvals_only=True,
-        )
+    tridiagonal = real and all(not np.any(d) for o, d in band.items() if abs(o) > 1)
+    off = band.get(1, zero).real[1:]
+    if (h - h.adjoint()).block_max_abs(trim) > tol:
+        products = off * band.get(-1, zero).real[:-1]
+        if not tridiagonal or np.any(products < 0):
+            why = ("has a negative off-diagonal product" if tridiagonal
+                   else "is neither Hermitian nor real tridiagonal")
+            raise ValueError(f"operator {why}; its spectrum need not be real")
+        off = np.sqrt(products)
+    if tridiagonal:
+        return eigh_tridiagonal(band.get(0, zero).real, off, eigvals_only=True, **select)
     # lower band storage: row m holds diagonal -m, column-aligned like DIA
     width = max((-o for o, d in band.items() if o < 0 and np.any(d)), default=0)
     lower = np.array([band.get(-m, zero) for m in range(width + 1)])
-    return eig_banded(lower.real if real else lower, lower=True, select="i",
-                      select_range=(0, k - 1), eigvals_only=True)
+    return eig_banded(lower.real if real else lower, lower=True, eigvals_only=True, **select)
 
 
 @dataclass(frozen=True)
@@ -432,10 +442,13 @@ def partner_spectra(h1: LinOp, h2: LinOp, k: int, pair_tol: float = 1e-3) -> Pai
     The zero-mode threshold is floored by ``pair_tol``: a discretized zero
     mode sits at O(h^2) rather than exactly at zero, and anything within the
     pairing tolerance of zero is indistinguishable from a zero mode at the
-    resolution of this check.
+    resolution of this check.  Partners must be Hermitian (H1/H2-type).
     """
     if k > h1.n // 4:
         raise ValueError(f"k = {k} too large for grid size {h1.n} (need k <= n/4)")
+    for h in (h1, h2):
+        if hermiticity_defect(h) > TOL.rounding(h.n, max(1.0, h.max_abs())):
+            raise ValueError("partner spectra need Hermitian (H1/H2-type) operators")
     ea = np.sort(dirichlet_eigenvalues(h1, k))
     eb = np.sort(dirichlet_eigenvalues(h2, k))
     top = max(float(np.max(np.abs(ea))), float(np.max(np.abs(eb))), 1e-300)
@@ -466,7 +479,6 @@ class RealSpectrumReport:
     max_sorted_diff_rel: float
     max_imag_rel: float
     tolerance: float
-    widened: bool
     lowest: tuple[tuple[float, float], ...]
 
     @property
@@ -474,9 +486,7 @@ class RealSpectrumReport:
         return self.max_sorted_diff_rel <= self.tolerance and self.max_imag_rel <= self.tolerance
 
 
-# conditioning of diag(e^f) degrades the non-symmetric eigensolve beyond this range of f
-SIMILARITY_RANGE_LIMIT = 30.0
-# relative tolerance of the similarity spectra within that range
+# relative tolerance of the similarity spectra, for every f that exp(+-f) admits
 SIMILARITY_REL_TOL = 1e-8
 
 
@@ -486,37 +496,21 @@ def real_spectrum_check(
     """Verify that similarity-built H4 and H3 share the real spectrum of b^2 P^2.
 
     H4 = diag(e^f) b^2 P^2 diag(e^-f) and H3 = diag(e^-f) b^2 P^2 diag(e^f)
-    under Dirichlet truncation; eigenvalues are compared as sorted lists
-    against the symmetric reference, relative to its spectral radius.  When
-    max f - min f exceeds the conditioning limit the tolerance is widened and
-    flagged.
+    under Dirichlet truncation.  Each whole spectrum comes from
+    :func:`dirichlet_eigenvalues`, and the sorted lists are compared against
+    the symmetric reference, relative to its spectral radius.  ``max_imag_rel``
+    is 0.0 by construction: a band whose spectrum could be complex is refused,
+    not reported.
     """
-    fv = f.exponent_values(g)
-    span = float(np.max(fv) - np.min(fv))
-    widened = span > SIMILARITY_RANGE_LIMIT
-    tol = SIMILARITY_REL_TOL * (np.exp(span - SIMILARITY_RANGE_LIMIT) if widened else 1.0)
-    if widened:
-        import warnings
-
-        warnings.warn(
-            f"similarity transform poorly conditioned (range of f = {span:.3g}); "
-            f"spectral comparison tolerance widened to {tol:.3g}",
-            stacklevel=2,
-        )
-
-    p2 = momentum_squared(g).toarray()[1:-1, 1:-1].real * (beta * beta)
-    ref = np.sort(eigvalsh(p2))
+    e = np.exp(f.exponent_values(g))
+    p2 = (beta * beta) * momentum_squared(g)
+    ref = dirichlet_eigenvalues(p2, g.n - 2)
     radius = max(float(np.max(np.abs(ref))), 1e-300)
-    ev = np.exp(fv[1:-1])
-
     reports = []
-    for label, scalefac in (("H4", ev), ("H3", 1.0 / ev)):
-        sim = p2 * scalefac[:, None] / scalefac[None, :]
-        eig = np.linalg.eigvals(sim)
-        order = np.argsort(eig.real)
-        eig = eig[order]
-        diff = float(np.max(np.abs(eig.real - ref))) / radius
-        imag = float(np.max(np.abs(eig.imag))) / radius
-        lowest = tuple((float(eig.real[i]), float(ref[i])) for i in range(min(k, len(ref))))
-        reports.append(RealSpectrumReport(label, diff, imag, tol, widened, lowest))
+    for label, s in (("H4", e), ("H3", 1.0 / e)):
+        scaled = p2.scale_rows(s)
+        eig = dirichlet_eigenvalues(LinOp(scaled.entries / s, scaled.offsets, g), g.n - 2)
+        diff = float(np.max(np.abs(eig - ref))) / radius
+        lowest = tuple((float(eig[i]), float(ref[i])) for i in range(min(k, len(ref))))
+        reports.append(RealSpectrumReport(label, diff, 0.0, SIMILARITY_REL_TOL, lowest))
     return reports[0], reports[1]

@@ -95,6 +95,37 @@ def test_dirichlet_banded_paths_match_dense_solver():
     assert np.allclose(dirichlet_eigenvalues(rotated, 4), dense, rtol=1e-10, atol=1e-10)
 
 
+@given(dim=st.integers(2, 60), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_dirichlet_real_tridiagonal_with_nonnegative_products(dim, seed):
+    # diagonally similar to a symmetric band: the spectrum is real, and the
+    # tridiagonal solver must reproduce the dense non-symmetric one
+    rng = np.random.default_rng(seed)
+    n = dim + 2
+    sign = rng.choice([-1.0, 1.0], n - 1)
+    upper = sign * rng.uniform(0.1, 10.0, n - 1)
+    lower = sign * rng.uniform(0.1, 10.0, n - 1)
+    lower[rng.random(n - 1) < 0.1] = 0.0  # a zero product splits the band
+    a = np.diag(rng.normal(0.0, 10.0, n)) + np.diag(upper, 1) + np.diag(lower, -1)
+    k = dim if rng.random() < 0.3 else int(rng.integers(1, dim + 1))
+    got = dirichlet_eigenvalues(LinOp.from_dense(a, make_grid(-1, 1, n)), k)
+    dense = np.sort(np.linalg.eigvals(a[1:-1, 1:-1]).real)
+    assert np.max(np.abs(got - dense[:k])) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
+
+
+def test_dirichlet_refuses_bands_whose_spectrum_may_be_complex():
+    g = make_grid(-1, 1, 6)
+    # one negative off-diagonal product: the trimmed block [[0, 1], [-1, 0]] has eigenvalues +-i
+    a = np.diag([1.0, 1.0, 1.0, 1.0, 1.0], 1) + np.diag([1.0, 1.0, -1.0, 1.0, 1.0], -1)
+    assert np.max(np.abs(np.linalg.eigvals(a[1:-1, 1:-1]).imag)) > 0.1
+    with pytest.raises(ValueError, match="negative off-diagonal product"):
+        dirichlet_eigenvalues(LinOp.from_dense(a, g), 2)
+    # a non-Hermitian pentadiagonal band has no diagonal symmetrizer
+    penta = np.diag(np.ones(6)) + np.diag(np.ones(4), 2) + 2.0 * np.diag(np.ones(4), -2)
+    with pytest.raises(ValueError, match="neither Hermitian nor real tridiagonal"):
+        dirichlet_eigenvalues(LinOp.from_dense(penta, g), 2)
+
+
 @pytest.mark.parametrize("argv", [
     ["spectrum", "--n", "20001"],
     ["verify-algebra", "--f", "poly:0,0,0.5", "--n", "20001"],

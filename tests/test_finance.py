@@ -201,6 +201,14 @@ def test_closed_form_limits():
         closed_form_european(100, 100, 0.05, 0.2, 1.0, "straddle")
 
 
+def test_closed_form_zero_volatility_never_forms_the_forward():
+    # s0 e^{rT} overflows here, while its discounted value s0 - K e^{-rT} does not
+    assert closed_form_european(1e300, 100, 20.0, 1e-13, 1.0, "call") == pytest.approx(1e300)
+    assert closed_form_european(1e300, 100, 20.0, 1e-13, 1.0, "put") == 0.0
+    with pytest.raises(ValueError, match="rate"):
+        closed_form_european(100, 100, -1000.0, 0.2, 1.0)
+
+
 @given(
     st.floats(50, 200),
     st.floats(50, 200),
@@ -299,13 +307,14 @@ def test_pde_rejects_bad_input(pricing_setup):
         price_pde(h, None, mp, g, 10, payoff=lambda s: s)
 
 
-def test_pde_dense_fallback_matches_banded(pricing_setup):
+def test_pde_wider_band_matches_tridiagonal(pricing_setup):
     mp, _ = pricing_setup
     g = make_grid(math.log(100) - 4, math.log(100) + 4, 401)
     contract = OptionContract("european_call", 100.0, 1.0)
     h = bs_hamiltonian(g, mp)
     banded = price_pde(h, contract, mp, g, 400)
-    # breaking tridiagonality forces the dense LU path
+    # an entry far off the band: the step matrix is no longer tridiagonal,
+    # and the same sparse LU must give the same price
     entries = h.toarray().copy()
     entries[g.n // 2, 0] += 1e-300
     from qflab.operators import LinOp

@@ -43,6 +43,16 @@ def run_main(argv) -> int:
         (("--strike", "1e300"), "x_max"),
         (("--maturity", "1e300"), "x_max"),
         (("--xmin", "0", "--xmax", "800"), "x_max"),
+        (("--xmin", "700", "--xmax", "709.7"), "x_max"),
+        (("--rate", "1e300", "--sigma", "1e-13", "--method", "closed"), "rate"),
+        (("--rate", "1e300"), "rate"),
+        (("--rate", "1e300", "--method", "mc"), "rate"),
+        (("--rate", "-1", "--maturity", "1000", "--method", "pde"), "rate"),
+        (("--rate", "-1", "--maturity", "1000", "--method", "closed"), "rate"),
+        (("--rate", "-1", "--maturity", "1000", "--method", "mc"), "rate"),
+        (("--rate", "700", "--method", "mc"), "drift"),
+        (("--spot", "1e300"), "spot"),
+        (("--spot", "1e300", "--method", "mc"), "spot"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -56,6 +66,13 @@ def test_price_rejects_bad_flag(capsys, argv, flag):
 def test_verify_algebra_rejects_non_finite_polynomial(capsys, spec):
     assert run_main(("verify-algebra", "--f", spec, "--n", "41")) == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", ["poly:0,1e300", "poly:0,0,1e200"])
+def test_verify_algebra_rejects_overflowing_f(capsys, spec):
+    assert run_main(("verify-algebra", "--f", spec, "--n", "101")) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "derivative scale of f" in err
 
 
 @pytest.mark.parametrize("argv", [("--rate", "inf"), ("--sigma=-inf",), ("--rate", "nan"),
@@ -139,6 +156,15 @@ def edge_commands(draw):
 @example([*SMALL_PRICE, "--sigma", "1e200"])
 @example(["identify", "--n", "41", "--sigma", "1e200"])
 @example(["identify", "--n", "41", "--sigma", "1e-200"])
+@example(["verify-algebra", "--n", "101", "--f", "poly:0,1e300"])
+@example(["verify-algebra", "--n", "101", "--f", "poly:0,0,1e200"])
+@example([*SMALL_PRICE, "--rate", "1e300", "--sigma", "1e-13", "--method", "closed"])
+@example([*SMALL_PRICE, "--xmin", "700", "--xmax", "709.7"])
+@example([*SMALL_PRICE, "--rate", "1e300"])
+@example([*SMALL_PRICE, "--spot", "1e300"])
+@example([*SMALL_PRICE, "--rate", "1e300", "--method", "mc"])
+@example([*SMALL_PRICE, "--spot", "1e300", "--method", "mc"])
+@example([*SMALL_PRICE, "--rate", "-1", "--maturity", "1000", "--method", "closed"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     assert run_main(argv) in (0, 1, 2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -309,15 +311,18 @@ def test_real_spectrum_check_linear_f():
         assert rep.passed
         assert rep.max_sorted_diff_rel <= 1e-8
         assert rep.max_imag_rel <= 1e-8
-        assert not rep.widened
 
 
-def test_real_spectrum_conditioning_warning():
-    g = make_grid(-5, 5, 101)
-    with pytest.warns(UserWarning, match="conditioned"):
-        r4, _ = real_spectrum_check(g, FunctionSpec.polynomial([0, 4.0]), 1.0)
-    assert r4.widened
-    assert r4.tolerance > 1e-8
+@pytest.mark.parametrize("slope, n", [(4.0, 101), (4.0, 1001), (60.0, 1001)])
+def test_real_spectrum_check_keeps_1e8_for_steep_f(slope, n):
+    # the symmetrized tridiagonal solve needs no widening, up to max|f| = 300
+    g = make_grid(-5, 5, n)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reports = real_spectrum_check(g, FunctionSpec.polynomial([0, slope]), 1.0)
+    for rep in reports:
+        assert rep.tolerance == 1e-8
+        assert rep.passed, rep
 
 
 def test_real_spectrum_overflow_guard(g):
