@@ -197,6 +197,10 @@ def map_to_deformed(mp: MarketParams, g: Grid1D, kind: str = "auto") -> Deformat
         v2 = mp.potential
         target = bsb_hamiltonian(g, mp, v2)
 
+    fp_max = float(np.max(np.abs(f.derivative_values(g))))
+    if not fp_max * fp_max < math.inf:  # the candidates carry f'^2
+        raise ValueError(f"sigma={mp.sigma} is too small to identify: f' = (sigma^2/2 - V)/sigma^2 "
+                         f"reaches {fp_max:.3g}, and f'^2 must be finite")
     v2_vals = v2.values(g)
     tol = TOL.round_coeff * EPS * max(target.max_abs(), 1.0)
     matches: list[tuple[str, int, float]] = []

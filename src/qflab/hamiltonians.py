@@ -13,6 +13,7 @@ non-Hermitian whenever f' is not identically zero.  Both couplings enter
 squared (a^2, b^2), keeping the four constructions dimensionally consistent.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,8 @@ class HamiltonianPair:
 def _check_coupling(value: float, name: str, allow_zero: bool):
     if value < 0 or (value == 0 and not allow_zero):
         raise ValueError(f"{name} must be {'>= 0' if allow_zero else '> 0'}, got {value}")
+    if not value * value < math.inf:  # the coupling enters squared
+        raise ValueError(f"{name}**2 must be finite, got {name}={value}")
 
 
 def _hermitian_pair(g: Grid1D, f: FunctionSpec, alpha: float, sign: float, label: str) -> HamiltonianPair:

@@ -8,10 +8,12 @@ so European estimates carry no time-stepping error; path simulation (exact
 GBM increments on ln S) is used only for barrier monitoring.
 
 Randomness is counter-based: normal variate i of stream s is a pure function
-of (seed, s, i), generated through Philox and the inverse error function, so
-results cannot depend on chunking or worker scheduling.  Aggregation always
-runs over the fully materialized value array with numpy's pairwise summation,
-making estimates reproducible bit-for-bit from (config, seed).
+of (seed, s, i), the inverse normal CDF (``ndtri``) of one Philox output, so
+results cannot depend on chunking or worker scheduling.  Path simulation walks
+the paths in chunks of at most ``KNOCKOUT_CHUNK_BYTES`` of normals, so its
+memory does not grow with the path count.  Aggregation always runs over the
+fully materialized value array with numpy's pairwise summation, making
+estimates reproducible bit-for-bit from (config, seed).
 """
 
 import math
@@ -19,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import erfinv
+from scipy.special import ndtri
 
 from .finance import (
     OptionContract,
@@ -32,7 +34,10 @@ from .finance import (
 from .grid import Grid1D
 
 _PHILOX_OUTPUTS_PER_BLOCK = 4
-_SQRT2 = math.sqrt(2.0)
+# bytes of normals one knock-out chunk holds: 2**20 float64, about 4 096 paths
+# at 250 monitoring dates.  The walk's peak memory is about twice this, however
+# many paths there are, and the per-chunk Python overhead stays negligible.
+KNOCKOUT_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -83,10 +88,17 @@ def raw_uint64(seed: int, stream: int, start: int, count: int) -> np.ndarray:
 
 
 def standard_normals(seed: int, count: int, start: int = 0, stream: int = 0) -> np.ndarray:
-    """Standard normals keyed by (seed, stream, index) via inverse erf."""
+    """Standard normals keyed by (seed, stream, index): Phi^-1(u) by ``ndtri``.
+
+    u = (raw >> 11) 2**-53 + 2**-54 is strictly inside (0, 1); it is built and
+    mapped in place, so the call holds at most two arrays of ``count`` words.
+    """
     raw = raw_uint64(seed, stream, start, count)
-    u = (raw >> np.uint64(11)) * 2.0**-53 + 2.0**-54  # strictly inside (0, 1)
-    return _SQRT2 * erfinv(2.0 * u - 1.0)
+    raw >>= np.uint64(11)
+    u = raw * 2.0**-53
+    del raw
+    u += 2.0**-54
+    return ndtri(u, out=u)
 
 
 # -- sampling ----------------------------------------------------------------
@@ -110,19 +122,27 @@ def knockout_terminal(
     barrier: float,
     monitoring_per_year: int = 250,
     stream: int = 0,
-    chunk: int = 65_536,
+    chunk: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(S(T), alive) under discrete barrier monitoring.
 
     Exact GBM increments at monitoring_per_year dates; a path dies when it
-    touches or crosses the barrier at a monitoring date.  Chunk boundaries do
-    not affect the draws: normal (p, j) always comes from raw index p*m + j.
+    touches or crosses the barrier at a monitoring date.  Paths are walked
+    ``chunk`` at a time, by default as many as fit ``KNOCKOUT_CHUNK_BYTES`` of
+    normals.  Chunk boundaries do not affect the draws: normal (p, j) always
+    comes from raw index p*m + j.
     """
     if monitoring_per_year < 1:
         raise ValueError(f"monitoring_per_year must be >= 1, got {monitoring_per_year}")
     dt_total = cfg.T - cfg.t0
     # at least one monitoring date, however short the horizon
     m = max(1, round(monitoring_per_year * dt_total))
+    budget = KNOCKOUT_CHUNK_BYTES // 8
+    if m > budget:
+        raise ValueError(f"{m} monitoring dates per path (monitoring_per_year={monitoring_per_year}, "
+                         f"T={dt_total:.6g}) exceed the {budget} normals of one path chunk")
+    if chunk is None:
+        chunk = budget // m
     dt = dt_total / m
     drift_term = (cfg.drift - 0.5 * cfg.sigma**2) * dt
     vol_term = cfg.sigma * math.sqrt(dt)
@@ -133,10 +153,15 @@ def knockout_terminal(
     alive = np.empty(cfg.paths, dtype=bool)
     for p0 in range(0, cfg.paths, chunk):
         p1 = min(p0 + chunk, cfg.paths)
-        z = standard_normals(cfg.seed, (p1 - p0) * m, start=p0 * m, stream=stream)
-        logs = log_s0 + np.cumsum(drift_term + vol_term * z.reshape(p1 - p0, m), axis=1)
+        # ln S along each path, built in place on the normals
+        logs = standard_normals(cfg.seed, (p1 - p0) * m, start=p0 * m, stream=stream).reshape(p1 - p0, m)
+        logs *= vol_term
+        logs += drift_term
+        np.cumsum(logs, axis=1, out=logs)
+        logs += log_s0
         alive[p0:p1] = np.min(logs, axis=1) > log_b
         s_t[p0:p1] = np.exp(logs[:, -1])
+        del logs  # free this chunk before the next one is drawn
     return s_t, alive
 
 

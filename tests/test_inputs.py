@@ -53,6 +53,8 @@ def run_main(argv) -> int:
         (("--rate", "700", "--method", "mc"), "drift"),
         (("--spot", "1e300"), "spot"),
         (("--spot", "1e300", "--method", "mc"), "spot"),
+        (("--payoff", "do-call", "--method", "mc", "--monitoring", "1000000000"), "monitoring"),
+        (("--payoff", "do-call", "--monitoring", "1000000000"), "monitoring"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -75,8 +77,17 @@ def test_verify_algebra_rejects_overflowing_f(capsys, spec):
     assert err.count("\n") == 1 and "derivative scale of f" in err
 
 
+@pytest.mark.parametrize("argv", [("--alpha", "1e300"), ("--beta", "1e300"), ("--alpha", "nan"),
+                                  ("--beta", "inf")])
+def test_verify_algebra_rejects_overflowing_coupling(capsys, argv):
+    assert run_main(("verify-algebra", "--n", "41", *argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"{argv[0][2:]}**2 must be finite" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv", [("--rate", "inf"), ("--sigma=-inf",), ("--rate", "nan"),
-                                  ("--sigma", "1e200"), ("--sigma", "1e-200")])
+                                  ("--sigma", "1e200"), ("--sigma", "1e-200"), ("--sigma", "1e-150")])
 def test_identify_rejects_non_finite_market(capsys, argv):
     assert run_main(("identify", "--n", "41", *argv)) == 2
     assert "must be finite" in capsys.readouterr().err
@@ -165,6 +176,10 @@ def edge_commands(draw):
 @example([*SMALL_PRICE, "--rate", "1e300", "--method", "mc"])
 @example([*SMALL_PRICE, "--spot", "1e300", "--method", "mc"])
 @example([*SMALL_PRICE, "--rate", "-1", "--maturity", "1000", "--method", "closed"])
+@example([*SMALL_PRICE, "--payoff", "do-call", "--method", "mc", "--monitoring", "1000000000"])
+@example(["verify-algebra", "--n", "41", "--alpha", "1e300"])
+@example(["verify-algebra", "--n", "41", "--beta", "1e300"])
+@example(["identify", "--n", "41", "--sigma", "1e-150"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     assert run_main(argv) in (0, 1, 2)

@@ -1,12 +1,15 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import erfinv
 
 from qflab.finance import MarketParams, OptionContract, closed_form_european
 from qflab.grid import make_grid
 from qflab.montecarlo import (
+    KNOCKOUT_CHUNK_BYTES,
     CrosscheckReport,
     GbmConfig,
     McEstimate,
@@ -53,6 +56,12 @@ def test_normals_standardized():
     assert abs(z.mean()) < 3.0 / math.sqrt(len(z))
     assert abs(z.std() - 1.0) < 0.01
     assert np.all(np.isfinite(z))
+
+
+def test_normals_are_the_inverse_erf_of_the_same_draws():
+    u = (raw_uint64(0, 0, 0, 400_000) >> np.uint64(11)) * 2.0**-53 + 2.0**-54
+    reference = math.sqrt(2.0) * erfinv(2.0 * u - 1.0)
+    assert np.max(np.abs(standard_normals(0, 400_000) - reference)) <= 4e-15
 
 
 @given(st.integers(0, 2**32), st.lists(st.integers(1, 400), min_size=1, max_size=5))
@@ -140,6 +149,40 @@ def test_knockout_chunking_does_not_change_results():
     a = knockout_terminal(cfg, 80.0, monitoring_per_year=50, chunk=64)
     b = knockout_terminal(cfg, 80.0, monitoring_per_year=50, chunk=2_000)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7, 64, 2_000, 5_000])
+def test_knockout_walk_matches_reference_formula(chunk):
+    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=2_000, seed=5)
+    m = 50
+    dt = (cfg.T - cfg.t0) / m
+    z = standard_normals(cfg.seed, cfg.paths * m).reshape(cfg.paths, m)
+    drift, vol = (cfg.drift - 0.5 * cfg.sigma**2) * dt, cfg.sigma * math.sqrt(dt)
+    logs = math.log(cfg.s0) + np.cumsum(drift + vol * z, axis=1)
+    s_t, alive = knockout_terminal(cfg, 80.0, monitoring_per_year=m, chunk=chunk)
+    assert np.array_equal(s_t, np.exp(logs[:, -1]))
+    assert np.array_equal(alive, np.min(logs, axis=1) > math.log(80.0))
+
+
+def test_knockout_memory_is_bounded_by_the_chunk_budget():
+    bound = 3 * KNOCKOUT_CHUNK_BYTES
+    for paths in (8_192, 65_536):
+        cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=paths, seed=0)
+        tracemalloc.start()
+        try:
+            knockout_terminal(cfg, 80.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound, (paths, peak)
+
+
+def test_knockout_refuses_more_dates_than_one_chunk_holds():
+    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=2)
+    with pytest.raises(ValueError, match="monitoring"):
+        knockout_terminal(cfg, 80.0, monitoring_per_year=KNOCKOUT_CHUNK_BYTES // 8 + 1)
+    s_t, alive = knockout_terminal(cfg, 80.0, monitoring_per_year=KNOCKOUT_CHUNK_BYTES // 8)
+    assert s_t.shape == alive.shape == (2,)
 
 
 # -- discounting -------------------------------------------------------------------
