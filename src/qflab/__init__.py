@@ -8,106 +8,4 @@ finite-matrix statement on a uniform grid, verified against independent
 oracles (closed forms, analytic spectra, Monte Carlo).
 """
 
-from .grid import Grid1D, derivative_matrices, make_grid
-from .operators import (
-    FunctionSpec,
-    LinOp,
-    adjoint,
-    anticommutator,
-    commutator,
-    deformed_momentum,
-    deformed_momentum_by_similarity,
-    hermiticity_defect,
-    momentum_operator,
-    momentum_squared,
-    position_operator,
-)
-from .hamiltonians import (
-    HamiltonianPair,
-    build_from_superpotential,
-    build_h1,
-    build_h2,
-    build_h3,
-    build_h4,
-)
-from .susy import (
-    BlockOp,
-    GroundStateReport,
-    duality_transform,
-    ground_states,
-    partner_spectra,
-    real_spectrum_check,
-    supercharge_2x2,
-    supercharges_4x4,
-    superhamiltonian_2x2,
-    superhamiltonian_4x4,
-)
-from .finance import (
-    DeformationMapping,
-    MarketParams,
-    OptionContract,
-    bs_hamiltonian,
-    bsb_hamiltonian,
-    bsg_hamiltonian,
-    closed_form_european,
-    map_to_deformed,
-    price_pde,
-)
-from .montecarlo import (
-    GbmConfig,
-    McEstimate,
-    discounted_value,
-    feynman_kac_estimate,
-    fk_pde_crosscheck,
-    sample_terminal,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "Grid1D",
-    "make_grid",
-    "derivative_matrices",
-    "FunctionSpec",
-    "LinOp",
-    "position_operator",
-    "momentum_operator",
-    "momentum_squared",
-    "deformed_momentum",
-    "deformed_momentum_by_similarity",
-    "adjoint",
-    "commutator",
-    "anticommutator",
-    "hermiticity_defect",
-    "HamiltonianPair",
-    "build_h1",
-    "build_h2",
-    "build_h3",
-    "build_h4",
-    "build_from_superpotential",
-    "BlockOp",
-    "GroundStateReport",
-    "supercharge_2x2",
-    "superhamiltonian_2x2",
-    "supercharges_4x4",
-    "superhamiltonian_4x4",
-    "duality_transform",
-    "ground_states",
-    "partner_spectra",
-    "real_spectrum_check",
-    "MarketParams",
-    "OptionContract",
-    "DeformationMapping",
-    "bs_hamiltonian",
-    "bsg_hamiltonian",
-    "bsb_hamiltonian",
-    "map_to_deformed",
-    "price_pde",
-    "closed_form_european",
-    "GbmConfig",
-    "McEstimate",
-    "sample_terminal",
-    "feynman_kac_estimate",
-    "discounted_value",
-    "fk_pde_crosscheck",
-]

@@ -27,7 +27,7 @@ from scipy.sparse.linalg import splu
 
 from .grid import Grid1D
 from .hamiltonians import build_h3, build_h4
-from .operators import FunctionSpec, LinOp, derivative_operators, diagonal, identity
+from .operators import FunctionSpec, LinOp, derivative_matrices, diagonal, identity
 from .tolerances import DEFAULT as TOL, EPS
 
 PAYOFF_KINDS = ("european_call", "european_put", "down_and_out_call")
@@ -93,7 +93,7 @@ class OptionContract:
 
 def _generator(g: Grid1D, mp: MarketParams, drift, source) -> LinOp:
     """-(sigma^2/2) D2 + (sigma^2/2 - V) D1 + diag(U) for drift rate V and source U."""
-    d1, d2 = derivative_operators(g)
+    d1, d2 = derivative_matrices(g)
     half_var = 0.5 * mp.sigma**2
     ones = np.ones(g.n)
     return -half_var * d2 + d1.scale_rows((half_var - drift) * ones) + diagonal(g, source * ones)
@@ -197,22 +197,27 @@ def map_to_deformed(mp: MarketParams, g: Grid1D, kind: str = "auto") -> Deformat
         v2 = mp.potential
         target = bsb_hamiltonian(g, mp, v2)
 
-    fp_max = float(np.max(np.abs(f.derivative_values(g))))
+    fp, fpp = f.derivative_values(g), f.second_derivative_values(g)
+    fp_max = float(np.max(np.abs(fp)))
     if not fp_max * fp_max < math.inf:  # the candidates carry f'^2
         raise ValueError(f"sigma={mp.sigma} is too small to identify: f' = (sigma^2/2 - V)/sigma^2 "
                          f"reaches {fp_max:.3g}, and f'^2 must be finite")
     v2_vals = v2.values(g)
-    tol = TOL.round_coeff * EPS * max(target.max_abs(), 1.0)
-    matches: list[tuple[str, int, float]] = []
-    candidates: dict[tuple[str, int], LinOp] = {}
-    for which in ("H_I", "H_II"):
-        for sign in (+1, -1):
-            fs = f if sign > 0 else -f
-            cand = _candidate(g, fs, beta, v2_vals, which)
-            candidates[(which, sign)] = cand
-            residual = (cand - target).max_abs()
-            if residual <= tol:
-                matches.append((which, sign, residual))
+    # the candidates cancel the diagonal terms b^2 (f'' -+ f'^2) of their base
+    # Hamiltonian, so their rounding scales with those terms too
+    cancelled = beta * beta * float(np.max(np.abs(fpp) + fp * fp))
+    target_tol = TOL.round_coeff * EPS * max(target.max_abs(), 1.0)
+    tol = TOL.round_coeff * EPS * max(target.max_abs(), cancelled, 1.0)
+    candidates = {(which, sign): _candidate(g, f if sign > 0 else -f, beta, v2_vals, which)
+                  for which in ("H_I", "H_II") for sign in (+1, -1)}
+    # the two sign branches differ by 4i b^2 f' P
+    branch_gap = (candidates[("H_I", +1)] - candidates[("H_I", -1)]).max_abs()
+    if tol >= branch_gap > target_tol:
+        raise ValueError(f"sigma={mp.sigma} is too small to identify: the rounding of the "
+                         f"cancelled terms b^2 f'^2 ({tol:.3g}) reaches the gap between the "
+                         f"sign branches ({branch_gap:.3g})")
+    residuals = {key: (cand - target).max_abs() for key, cand in candidates.items()}
+    matches = [(which, sign, r) for (which, sign), r in residuals.items() if r <= tol]
 
     if not matches:
         raise DeformationMatchError(
@@ -221,15 +226,13 @@ def map_to_deformed(mp: MarketParams, g: Grid1D, kind: str = "auto") -> Deformat
         )
 
     branches = {(+1 if which == "H_I" else -1) * sign for which, sign, _ in matches}
-    if len(branches) > 1:
-        # both sign branches matched: legitimate only when the branches are
-        # the same matrix (f' negligible, e.g. sigma^2 = 2r), else a fault
-        branch_gap = (candidates[("H_I", +1)] - candidates[("H_I", -1)]).max_abs()
-        if branch_gap > tol:
-            raise DeformationMatchError(
-                f"candidates from both sign branches matched while the branches "
-                f"differ by {branch_gap:.3g}: {[(w, s) for w, s, _ in matches]}"
-            )
+    # both sign branches matching is legitimate only when the branches are the
+    # same matrix (f' negligible, e.g. sigma^2 = 2r), else a fault
+    if len(branches) > 1 and branch_gap > tol:
+        raise DeformationMatchError(
+            f"candidates from both sign branches matched while the branches "
+            f"differ by {branch_gap:.3g}: {[(w, s) for w, s, _ in matches]}"
+        )
 
     # Canonical representative: the paper's printed label H_II if it matches
     # with the paper's f, otherwise H_I with the paper's f (the measured

@@ -15,13 +15,14 @@ that semantics against a fixed corpus of smooth test vectors.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 from scipy import sparse
 
-from .grid import Grid1D, derivative_matrices
+from .grid import Grid1D
 from .tolerances import DEFAULT as TOL
 
 # exp(f) overflows float64 near 709; similarity constructions stay well clear
@@ -36,7 +37,7 @@ class FunctionSpec:
 
     Polynomial specs (ascending coefficients) carry exact derivatives and
     antiderivatives by coefficient shifting.  Tabulated specs hold one sample
-    per grid node and differentiate through the grid's D1/D2 matrices, unless
+    per grid node and differentiate through :func:`derivative_matrices`, unless
     exact derivative samples were recorded at construction time (as happens
     for antiderivatives, whose derivative is the integrand itself).
     """
@@ -111,7 +112,7 @@ class FunctionSpec:
         if self.derivative_samples is not None:
             return np.asarray(self.derivative_samples)
         d1, _ = derivative_matrices(g)
-        return d1 @ self.samples
+        return d1.apply(self.samples).real
 
     def second_derivative_values(self, g: Grid1D) -> np.ndarray:
         if self.is_polynomial:
@@ -119,9 +120,9 @@ class FunctionSpec:
         self._check_length(g)
         if self.derivative_samples is not None:
             d1, _ = derivative_matrices(g)
-            return d1 @ self.derivative_samples
+            return d1.apply(self.derivative_samples).real
         _, d2 = derivative_matrices(g)
-        return d2 @ self.samples
+        return d2.apply(self.samples).real
 
     def antiderivative(self, g: Grid1D | None = None) -> "FunctionSpec":
         """Antiderivative anchored at 0 (the integral from 0 to x).
@@ -172,7 +173,7 @@ class FunctionSpec:
         else:
             _, d2 = derivative_matrices(g)
             inner = g.interior()
-            tops = [self.derivative_values(g)[inner], (d2 @ self.values(g))[inner]]
+            tops = [self.derivative_values(g)[inner], d2.apply(self.values(g)).real[inner]]
         scale = max(1.0, *(float(np.max(np.abs(t))) for t in tops))
         if not scale < MAX_DERIVATIVE_SCALE:
             raise ValueError(f"derivative scale of f, max(1, |f'|, |f''|, |f'''|) = {scale:.3g} "
@@ -298,6 +299,11 @@ class LinOp:
         rows = np.array([_shift(v, o) for o in self.offsets]).reshape(self.entries.shape)
         return LinOp(rows * self.entries, self.offsets, self.grid)
 
+    def similarity(self, values) -> "LinOp":
+        """diag(values) A diag(values)^-1: row i times values[i], column j over values[j]."""
+        v = np.asarray(values)
+        return LinOp(self.scale_rows(v).entries / v, self.offsets, self.grid)
+
     def adjoint(self) -> "LinOp":
         # (A^dagger)[j + p, j] = conj(A[j, j + p]): diagonal p becomes diagonal -p
         data = np.array([np.conj(_shift(a, -p)) for p, a in zip(self.offsets, self.entries)])
@@ -339,9 +345,41 @@ class LinOp:
 # -- basic constructions ---------------------------------------------------
 
 
-def derivative_operators(g: Grid1D) -> tuple[LinOp, LinOp]:
-    """The grid's derivative matrices D1, D2 as (complex) operators."""
-    return tuple(LinOp(d.data, tuple(d.offsets), g) for d in derivative_matrices(g))
+@lru_cache(maxsize=8)
+def derivative_matrices(g: Grid1D) -> tuple[LinOp, LinOp]:
+    """First and second derivative matrices (D1, D2), both O(h^2).
+
+    D1 is the central difference ``(u[k+1] - u[k-1]) / 2h`` with one-sided
+    second-order stencils on the first and last row; D2 is the standard
+    second difference ``(u[k+1] - 2u[k] + u[k-1]) / h^2`` with four-point
+    one-sided boundary rows.  Both are real-valued bands (offsets -2..2 for
+    D1, -3..3 for D2, the reach of the boundary rows); the cached operators
+    are shared, so their ``entries`` are read-only.
+    """
+    n, h = g.n, g.h
+    if n < 4:
+        raise ValueError(f"derivative matrices need at least 4 nodes, got n={n}")
+
+    def banded(reach, interior, first, last):
+        # interior row k holds interior[o + 1] at column k + o; the boundary
+        # rows hold their stencils from column 0 and up to column n - 1
+        data = np.zeros((2 * reach + 1, n))
+        for o, c in zip((-1, 0, 1), interior):
+            data[reach + o, 1 + o : n - 1 + o] = c
+        for j, c in enumerate(first):
+            data[reach + j, j] = c
+        for j, c in enumerate(last):
+            o = j - len(last) + 1
+            data[reach + o, n - 1 + o] = c
+        op = LinOp(data, tuple(range(-reach, reach + 1)), g)
+        op.entries.flags.writeable = False
+        return op
+
+    d1 = banded(2, (-0.5 / h, 0.0, 0.5 / h), np.array([-3.0, 4.0, -1.0]) / (2.0 * h),
+                np.array([1.0, -4.0, 3.0]) / (2.0 * h))
+    d2 = banded(3, (1.0 / h**2, -2.0 / h**2, 1.0 / h**2), np.array([2.0, -5.0, 4.0, -1.0]) / h**2,
+                np.array([-1.0, 4.0, -5.0, 2.0]) / h**2)
+    return d1, d2
 
 
 def identity(g: Grid1D) -> LinOp:
@@ -362,7 +400,7 @@ def position_operator(g: Grid1D) -> LinOp:
 
 def momentum_operator(g: Grid1D) -> LinOp:
     """P = -i D1."""
-    d1, _ = derivative_operators(g)
+    d1, _ = derivative_matrices(g)
     return -1j * d1
 
 
@@ -374,7 +412,7 @@ def momentum_squared(g: Grid1D) -> LinOp:
     do use matrix products of the momentum matrices, which makes their
     agreement with the closed forms a genuine O(h^2) statement.
     """
-    _, d2 = derivative_operators(g)
+    _, d2 = derivative_matrices(g)
     return -d2
 
 
@@ -389,13 +427,7 @@ def deformed_momentum_by_similarity(g: Grid1D, f: FunctionSpec) -> LinOp:
     Exactly annihilates samples of e^f (the conjugated constant vector); agrees
     with :func:`deformed_momentum` acting on smooth vectors within O(h^2).
     """
-    e = np.exp(f.exponent_values(g))
-    scaled = momentum_operator(g).scale_rows(e)
-    return LinOp(scaled.entries / e, scaled.offsets, g)
-
-
-def adjoint(a: LinOp) -> LinOp:
-    return a.adjoint()
+    return momentum_operator(g).similarity(np.exp(f.exponent_values(g)))
 
 
 def commutator(a: LinOp, b: LinOp) -> LinOp:

@@ -508,8 +508,7 @@ def real_spectrum_check(
     radius = max(float(np.max(np.abs(ref))), 1e-300)
     reports = []
     for label, s in (("H4", e), ("H3", 1.0 / e)):
-        scaled = p2.scale_rows(s)
-        eig = dirichlet_eigenvalues(LinOp(scaled.entries / s, scaled.offsets, g), g.n - 2)
+        eig = dirichlet_eigenvalues(p2.similarity(s), g.n - 2)
         diff = float(np.max(np.abs(eig - ref))) / radius
         lowest = tuple((float(eig[i]), float(ref[i])) for i in range(min(k, len(ref))))
         reports.append(RealSpectrumReport(label, diff, 0.0, SIMILARITY_REL_TOL, lowest))

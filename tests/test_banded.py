@@ -39,6 +39,7 @@ def test_band_algebra_matches_dense_algebra(seed, offs_a, offs_b):
     assert np.allclose((a @ b).toarray(), da @ db, rtol=1e-13, atol=1e-13)
     assert np.allclose(a.apply(v), da @ v, rtol=1e-13, atol=1e-13)
     assert np.array_equal(a.scale_rows(v).toarray(), v[:, None] * da)
+    assert np.array_equal(a.similarity(v).toarray(), v[:, None] * da / v[None, :])
     assert a.max_abs() == np.max(np.abs(da))
     s = slice(2, N_SMALL - 3)
     offsets, bands = a.principal_bands(s)

@@ -1,8 +1,10 @@
 import json
+import subprocess
 import sys
 
+import numpy as np
 import pytest
-from conftest import run_cli as run
+from conftest import SRC, run_cli as run
 
 from qflab import finance, hamiltonians, montecarlo, operators
 from qflab.cli import main
@@ -33,6 +35,27 @@ def test_verify_algebra_passes(tmp_path):
         n.startswith("h_block_content") for n in names
     )
     assert "NO_COLOR" not in res.stdout and "\x1b[" not in res.stdout
+
+
+def test_verify_algebra_accepts_a_table(tmp_path):
+    n = 301
+    path, out = tmp_path / "f.txt", tmp_path / "report.json"
+    np.savetxt(path, np.linspace(-5.0, 5.0, n) ** 2 / 2)
+    assert main(["verify-algebra", "--f", f"table:{path}", "--n", str(n), "--json", str(out)]) == 0
+    names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+    # a table has no samples on the refined grid: only the two refinement checks are left out
+    assert not [name for name in names if "refinement" in name]
+    assert "canonical_commutator" in names and "ground_state_residual_htilde" in names
+
+
+@pytest.mark.parametrize("module", ["qflab", "qflab.grid"])
+def test_import_loads_no_scipy(module):
+    code = (f"import sys, {module}; "
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)})
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"
 
 
 def test_spectrum_csv_and_failure_exit(tmp_path):

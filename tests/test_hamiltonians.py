@@ -13,7 +13,6 @@ from qflab.hamiltonians import (
 )
 from qflab.operators import (
     FunctionSpec,
-    adjoint,
     deformed_momentum,
     hermiticity_defect,
     momentum_operator,
@@ -67,7 +66,7 @@ def test_compositional_members_are_momentum_products(g):
         build_h4(g, f, 1.5).compositional.toarray(), (2.25 * (pf @ pf)).toarray()
     )
     assert np.array_equal(
-        build_h1(g, f, 2.0).compositional.toarray(), (4.0 * (adjoint(pf) @ pf)).toarray()
+        build_h1(g, f, 2.0).compositional.toarray(), (4.0 * (pf.adjoint() @ pf)).toarray()
     )
 
 

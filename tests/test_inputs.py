@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from qflab.cli import main
-from qflab.finance import MarketParams, OptionContract, bs_hamiltonian, price_pde
+from qflab.finance import MarketParams, OptionContract, bs_hamiltonian, map_to_deformed, price_pde
 from qflab.grid import Grid1D
 from qflab.montecarlo import GbmConfig, knockout_terminal
 from qflab.operators import FunctionSpec
@@ -91,6 +91,24 @@ def test_verify_algebra_rejects_overflowing_coupling(capsys, argv):
 def test_identify_rejects_non_finite_market(capsys, argv):
     assert run_main(("identify", "--n", "41", *argv)) == 2
     assert "must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [41, 601])
+@pytest.mark.parametrize("sigma", [3e-3, 3e-4, 1e-6, 1e-8])
+def test_identify_resolves_small_sigma(n, sigma):
+    # the candidates cancel b^2 f'^2 ~ r^2 / (2 sigma^2); the tolerance follows it
+    assert run_main(("identify", "--n", str(n), "--sigma", repr(sigma))) == 0
+    mapping = map_to_deformed(MarketParams(sigma, 0.05), Grid1D(-3.0, 3.0, n))
+    assert (mapping.which_hamiltonian, mapping.sign) == ("H_I", 1)
+    assert mapping.matches == (("H_I", 1), ("H_II", -1))
+
+
+@pytest.mark.parametrize("n", ["41", "601"])
+def test_identify_refuses_sigma_whose_sign_branches_it_cannot_resolve(capsys, n):
+    assert run_main(("identify", "--n", n, "--sigma", "1e-10")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "too small to identify" in err and "sign branches" in err
 
 
 def test_library_constructors_reject_the_same_inputs():
@@ -180,6 +198,9 @@ def edge_commands(draw):
 @example(["verify-algebra", "--n", "41", "--alpha", "1e300"])
 @example(["verify-algebra", "--n", "41", "--beta", "1e300"])
 @example(["identify", "--n", "41", "--sigma", "1e-150"])
+@example(["identify", "--n", "41", "--sigma", "3e-3"])
+@example(["identify", "--sigma", "3e-4"])
+@example(["identify", "--n", "41", "--sigma", "1e-10"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     assert run_main(argv) in (0, 1, 2)

@@ -7,13 +7,13 @@ from qflab.operators import (
     FunctionSpec,
     LinOp,
     action_difference,
-    adjoint,
     anticommutator,
     canonical_commutator_defect,
     canonical_tolerance,
     commutator,
     deformed_momentum,
     deformed_momentum_by_similarity,
+    derivative_matrices,
     diagonal,
     hermiticity_defect,
     identity,
@@ -79,6 +79,21 @@ def test_parse_poly_and_table(tmp_path):
     for bad in ("poly:", "table:", "spline:1,2", "poly:a,b"):
         with pytest.raises(ValueError):
             FunctionSpec.parse(bad)
+
+
+def test_tabulated_derivatives_are_the_dia_matvec_bit_for_bit(g):
+    # pins the bits of ``table:`` reports to the scipy DIA product of the same bands
+    from scipy import sparse
+
+    d1, d2 = (sparse.dia_array((d.entries.real, d.offsets), shape=(g.n, g.n))
+              for d in derivative_matrices(g))
+    rng = np.random.default_rng(3)
+    u, du = rng.normal(size=g.n), rng.normal(size=g.n)
+    t = FunctionSpec.tabulated(u)
+    assert np.array_equal(t.derivative_values(g), d1 @ u)
+    assert np.array_equal(t.second_derivative_values(g), d2 @ u)
+    with_derivative = FunctionSpec.tabulated(u, derivative_values=du)
+    assert np.array_equal(with_derivative.second_derivative_values(g), d1 @ du)
 
 
 @given(st.lists(st.floats(-5, 5), min_size=1, max_size=6))
@@ -215,9 +230,9 @@ def test_adjoint_involution_and_product_reversal(seed):
     g = make_grid(0, 1, 12)
     a = LinOp.from_dense(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)), g)
     b = LinOp.from_dense(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)), g)
-    assert np.array_equal(adjoint(adjoint(a)).toarray(), a.toarray())
-    lhs = adjoint(a @ b).toarray()
-    rhs = (adjoint(b) @ adjoint(a)).toarray()
+    assert np.array_equal(a.adjoint().adjoint().toarray(), a.toarray())
+    lhs = (a @ b).adjoint().toarray()
+    rhs = (b.adjoint() @ a.adjoint()).toarray()
     assert np.max(np.abs(lhs - rhs)) <= TOL.rounding(12, a.max_abs() * b.max_abs())
 
 
@@ -225,14 +240,14 @@ def test_adjoint_of_linear_deformation(g):
     pf = deformed_momentum(g, FunctionSpec.polynomial([0, 1]))
     inner = g.interior()
     expected = momentum_operator(g).toarray() - 1j * np.eye(g.n)
-    assert np.max(np.abs((adjoint(pf).toarray() - expected)[inner, inner])) == 0.0
+    assert np.max(np.abs((pf.adjoint().toarray() - expected)[inner, inner])) == 0.0
 
 
 def test_adjoint_of_similarity_form(g):
     f = FunctionSpec.polynomial([0, 0.5])
     e = np.exp(f.values(g))
     p = momentum_operator(g)
-    lhs = adjoint(deformed_momentum_by_similarity(g, f)).toarray()
+    lhs = deformed_momentum_by_similarity(g, f).adjoint().toarray()
     rhs = p.adjoint().toarray() / e[:, None] * e[None, :]
     assert np.allclose(lhs, rhs, rtol=1e-13, atol=1e-16)
 
