@@ -125,6 +125,12 @@ def cmd_verify_algebra(args) -> int:
     x_op = operators.position_operator(g)
     pf = operators.deformed_momentum(g, f)
     safe = f.max_abs(g) <= operators.MAX_SAFE_EXPONENT
+    pairs = hamiltonians.build_all(g, f, alpha, beta)  # refuses a coupling whose square overflows
+    # the SUSY checks multiply up to three coupled momenta and scale their bounds by n
+    scale = max(alpha, beta, 1.0) * max(pf.max_abs(), 1.0)
+    if not scale * scale * scale * scale * g.n < math.inf:
+        raise ValueError(f"alpha={alpha}, beta={beta} overflow the operator products: "
+                         f"(max(alpha, beta, 1) * max|P_f| = {scale:.3g})**4 * n = {g.n} is not finite")
 
     report.add("commutator_x_x_zero", operators.commutator(x_op, x_op).max_abs(), 0.0, True)
     report.add("commutator_pf_pf_zero", operators.commutator(pf, pf).max_abs(), 0.0, True)
@@ -145,7 +151,6 @@ def cmd_verify_algebra(args) -> int:
         tol_sim = TOL.discretization(g, f_scale**2)
         report.add("similarity_construction_agreement", agreement, tol_sim, agreement <= tol_sim)
 
-    pairs = hamiltonians.build_all(g, f, alpha, beta)
     tol_pair = TOL.discretization(g, max(alpha, beta) ** 2 * f_scale**2)
     for label, pair in pairs.items():
         agreement = pair.agreement()
@@ -342,7 +347,7 @@ def cmd_price(args) -> int:
             report.artifacts.append(args.csv)
     if cfg is not None:
         est = montecarlo.feynman_kac_estimate(cfg, contract, monitoring_per_year=args.monitoring)
-        disc = montecarlo.discounted_value(est, args.rate, 0.0, args.maturity)
+        disc = montecarlo.discounted_value(est, args.rate, args.maturity)
         prices["mc"] = disc.mean
 
     for name, value in prices.items():

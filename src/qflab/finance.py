@@ -315,39 +315,24 @@ class PriceCurve:
 
 
 def _boundary_values(contract: OptionContract, mp: MarketParams, g: Grid1D):
-    """Asymptotic Dirichlet data at the grid ends as functions of tau."""
-    s_lo, s_hi = math.exp(g.x_min), math.exp(g.x_max)
-    k = contract.strike
+    """Asymptotic Dirichlet data (C at x_min, C at x_max) as a function of tau."""
+    s_lo, s_hi, k = math.exp(g.x_min), math.exp(g.x_max), contract.strike
     if contract.payoff_kind == "european_put":
-        return (lambda tau: k * math.exp(-mp.r * tau) - s_lo, lambda tau: 0.0)
-    low = (lambda tau: 0.0)
-    return (low, lambda tau: s_hi - k * math.exp(-mp.r * tau))
+        return lambda tau: (k * math.exp(-mp.r * tau) - s_lo, 0.0)
+    return lambda tau: (0.0, s_hi - k * math.exp(-mp.r * tau))
 
 
-def price_pde(
-    h: LinOp,
-    contract: OptionContract | None,
-    mp: MarketParams,
-    g: Grid1D,
-    steps: int,
-    payoff=None,
-    maturity: float | None = None,
-    hard_barrier: bool = True,
-) -> PriceCurve:
-    """Backward Hamiltonian evolution dC/dtau = -H C from the terminal payoff.
+def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, g: Grid1D, steps: int) -> PriceCurve:
+    """Backward Hamiltonian evolution dC/dtau = -H C from the contract's payoff.
 
-    Crank-Nicolson with ``RANNACHER_STEPS`` fully-implicit start-up steps.
-    With a contract, boundary rows are overridden by the asymptotic Dirichlet
-    data and barrier contracts enforce C = 0 at nodes with x <= ln(barrier)
-    after every step (nearest-node placement).  With a bare callable payoff
-    no rows are overridden and the operator's own one-sided boundary rows
-    evolve the ends (laboratory mode).  The two step matrices are factored
-    once by a sparse LU, whatever the operator's band structure.
+    Crank-Nicolson with ``RANNACHER_STEPS`` fully-implicit start-up steps.  The
+    boundary rows hold the contract's asymptotic Dirichlet data, and a barrier
+    contract knocks out: C = 0 at nodes with x <= ln(barrier) after every step
+    (nearest-node placement).  The two step matrices are factored once by a
+    sparse LU, whatever the operator's band structure.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
-    if contract is None and payoff is None:
-        raise ValueError("either a contract or a payoff callable is required")
     if not g.x_max < MAX_LOG_PRICE:
         raise ValueError(f"grid x_max = {g.x_max:.6g} must be below {MAX_LOG_PRICE:.6g}, where "
                          f"exp(x_max) overflows; the default grid grows with strike, spot and "
@@ -356,75 +341,54 @@ def price_pde(
     if float(np.max(np.abs(h.entries.imag))) > TOL.rounding(g.n, max(1.0, h.max_abs())):
         raise ValueError("pricing Hamiltonian must be real-valued")
 
+    check_discount(mp.r, contract.maturity)
     x = g.nodes
-    s = np.exp(x)
+    c = contract.payoff(np.exp(x))
+    boundary = _boundary_values(contract, mp, g)
     barrier_index = None
-    if contract is not None:
-        check_discount(mp.r, contract.maturity)
-        c = contract.payoff(s)
-        bc_lo, bc_hi = _boundary_values(contract, mp, g)
-        maturity = contract.maturity
-        if contract.payoff_kind == "down_and_out_call" and hard_barrier:
-            ln_b = math.log(contract.barrier)
-            barrier_index = int(np.searchsorted(x, ln_b, side="right"))
-            c[:barrier_index] = 0.0
-    else:
-        c = np.asarray(payoff(s), dtype=float)
-        bc_lo = bc_hi = None
-        if maturity is None:
-            raise ValueError("maturity is required when pricing a bare payoff")
+    if contract.payoff_kind == "down_and_out_call":
+        barrier_index = int(np.searchsorted(x, math.log(contract.barrier), side="right"))
+        c[:barrier_index] = 0.0
 
-    dt = maturity / steps
+    dt = contract.maturity / steps
     payoff_max = float(np.max(np.abs(c)))
     running_max = payoff_max
     rann = min(RANNACHER_STEPS, steps)
 
-    override = bc_lo is not None
     ends = np.zeros(g.n)
     ends[[0, -1]] = 1.0
 
     def system(coef):
-        a = identity(g) + coef * h
-        if override:  # Dirichlet rows: C = boundary data at both ends
-            a = a.scale_rows(1.0 - ends) + diagonal(g, ends)
-        return a
+        # Dirichlet rows: C = boundary data at both ends
+        return (identity(g) + coef * h).scale_rows(1.0 - ends) + diagonal(g, ends)
 
     a_ie, a_cn = system(dt), system(0.5 * dt)
-    # reported as "banded": true for every Black-Scholes operator with
-    # Dirichlet rows, false for a wider band or the laboratory mode's own
-    # one-sided boundary rows; the sparse LU below serves either way
+    # reported as "banded": true when the step matrix is tridiagonal (every
+    # Black-Scholes operator); the sparse LU below serves either way
     tridiagonal = all(abs(o) <= 1 or not np.any(d) for o, d in zip(a_ie.offsets, a_ie.entries))
     lu_ie, lu_cn = (splu(a.to_sparse().real.tocsc(), permc_spec="NATURAL") for a in (a_ie, a_cn))
     h_real = h.to_sparse().real.tocsr()
 
-    def step(c_old, tau_new, implicit):
-        if implicit:
-            rhs = c_old.copy()
-        else:
-            rhs = c_old - 0.5 * dt * (h_real @ c_old)
-        if override:
-            rhs[0] = bc_lo(tau_new)
-            rhs[-1] = bc_hi(tau_new)
-        return (lu_ie if implicit else lu_cn).solve(rhs)
-
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite curve is refused below
         for j in range(1, steps + 1):
-            c = step(c, j * dt, implicit=j <= rann)
+            implicit = j <= rann
+            rhs = c.copy() if implicit else c - 0.5 * dt * (h_real @ c)
+            rhs[0], rhs[-1] = boundary(j * dt)
+            c = (lu_ie if implicit else lu_cn).solve(rhs)
             if barrier_index:
                 c[:barrier_index] = 0.0
             running_max = max(running_max, float(np.max(np.abs(c))))
     if not np.all(np.isfinite(c)):
         raise ValueError(f"PDE values overflow float64 on the grid [{g.x_min:.6g}, {g.x_max:.6g}]; "
                          f"the payoff grows as exp(x_max), so lower x_max")
-    if contract is not None:
-        ln_k = math.log(contract.strike)
-        width = 6.0 * mp.sigma * math.sqrt(contract.maturity)
-        if g.x_max < ln_k + width or g.x_min > ln_k - width:
-            warnings.warn(
-                f"grid [{g.x_min:.3g}, {g.x_max:.3g}] narrower than ln K +- 6 sigma sqrt(T); "
-                f"boundary data will bias the price",
-                stacklevel=2,
-            )
+    ln_k = math.log(contract.strike)
+    width = 6.0 * mp.sigma * math.sqrt(contract.maturity)
+    if g.x_max < ln_k + width or g.x_min > ln_k - width:
+        warnings.warn(
+            f"grid [{g.x_min:.3g}, {g.x_max:.3g}] narrower than ln K +- 6 sigma sqrt(T); "
+            f"boundary data will bias the price",
+            stacklevel=2,
+        )
 
     return PriceCurve(
         grid=g,

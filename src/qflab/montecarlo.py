@@ -2,7 +2,7 @@
 
 Terminal prices are drawn from the exact lognormal solution
 
-    S(T) = s0 * exp(sigma (W(T) - W(t0)) + (drift - sigma^2/2)(T - t0)),
+    S(T) = s0 * exp(sigma W(T) + (drift - sigma^2/2) T),
 
 so European estimates carry no time-stepping error; path simulation (exact
 GBM increments on ln S) is used only for barrier monitoring.
@@ -45,14 +45,13 @@ class GbmConfig:
     drift: float
     sigma: float
     s0: float
-    t0: float = 0.0
     T: float = 1.0
     paths: int = 100_000
     seed: int = 0
 
     def __post_init__(self):
-        if self.T <= self.t0:
-            raise ValueError(f"T must exceed t0, got t0={self.t0}, T={self.T}")
+        if not self.T > 0:
+            raise ValueError(f"T must be > 0, got {self.T}")
         if self.paths < 2:
             raise ValueError(f"paths must be >= 2 for a standard error, got {self.paths}")
         if not 0 <= self.seed < 2**64:
@@ -61,7 +60,7 @@ class GbmConfig:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if self.s0 <= 0:
             raise ValueError(f"s0 must be > 0, got {self.s0}")
-        check_discount(self.drift, self.T - self.t0)
+        check_discount(self.drift, self.T)
 
 
 @dataclass(frozen=True)
@@ -70,9 +69,6 @@ class McEstimate:
     std_error: float
     paths: int
     seed: int
-
-    def scaled(self, factor: float) -> "McEstimate":
-        return McEstimate(self.mean * factor, self.std_error * abs(factor), self.paths, self.seed)
 
 
 # -- counter-based normal streams -------------------------------------------
@@ -106,9 +102,8 @@ def standard_normals(seed: int, count: int, start: int = 0, stream: int = 0) -> 
 
 def sample_terminal(cfg: GbmConfig, stream: int = 0) -> np.ndarray:
     """Exact lognormal draws of S(T), one per path."""
-    dt = cfg.T - cfg.t0
     z = standard_normals(cfg.seed, cfg.paths, stream=stream)
-    return cfg.s0 * np.exp(cfg.sigma * math.sqrt(dt) * z + (cfg.drift - 0.5 * cfg.sigma**2) * dt)
+    return cfg.s0 * np.exp(cfg.sigma * math.sqrt(cfg.T) * z + (cfg.drift - 0.5 * cfg.sigma**2) * cfg.T)
 
 
 def _estimate_from_values(values: np.ndarray, cfg: GbmConfig) -> McEstimate:
@@ -134,16 +129,15 @@ def knockout_terminal(
     """
     if monitoring_per_year < 1:
         raise ValueError(f"monitoring_per_year must be >= 1, got {monitoring_per_year}")
-    dt_total = cfg.T - cfg.t0
     # at least one monitoring date, however short the horizon
-    m = max(1, round(monitoring_per_year * dt_total))
+    m = max(1, round(monitoring_per_year * cfg.T))
     budget = KNOCKOUT_CHUNK_BYTES // 8
     if m > budget:
         raise ValueError(f"{m} monitoring dates per path (monitoring_per_year={monitoring_per_year}, "
-                         f"T={dt_total:.6g}) exceed the {budget} normals of one path chunk")
+                         f"T={cfg.T:.6g}) exceed the {budget} normals of one path chunk")
     if chunk is None:
         chunk = budget // m
-    dt = dt_total / m
+    dt = cfg.T / m
     drift_term = (cfg.drift - 0.5 * cfg.sigma**2) * dt
     vol_term = cfg.sigma * math.sqrt(dt)
     log_b = math.log(barrier)
@@ -169,33 +163,19 @@ def knockout_terminal(
 
 
 def feynman_kac_estimate(
-    cfg: GbmConfig,
-    payoff,
-    x: float | None = None,
-    t: float | None = None,
-    stream: int = 0,
-    monitoring_per_year: int = 250,
+    cfg: GbmConfig, contract: OptionContract, stream: int = 0, monitoring_per_year: int = 250
 ) -> McEstimate:
-    """Monte Carlo mean and standard error of h(X(T)) started at X(t) = x.
+    """Monte Carlo mean and standard error of the contract's payoff at S(T), from S(0) = s0.
 
-    ``payoff`` is an OptionContract or a plain callable on S(T).  Barrier
-    contracts switch to monitored path simulation; everything else samples
-    the terminal value exactly.
+    A barrier contract is priced on monitored paths; every other contract
+    samples the terminal value exactly.
     """
-    if x is not None:
-        cfg = replace(cfg, s0=float(x))
-    if t is not None:
-        if t >= cfg.T:
-            raise ValueError(f"start time t={t} must be below T={cfg.T}")
-        cfg = replace(cfg, t0=float(t))
-
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
-        if isinstance(payoff, OptionContract) and payoff.payoff_kind == "down_and_out_call":
-            s_t, alive = knockout_terminal(cfg, payoff.barrier, monitoring_per_year, stream)
-            values = np.where(alive, payoff.payoff(s_t), 0.0)
+        if contract.payoff_kind == "down_and_out_call":
+            s_t, alive = knockout_terminal(cfg, contract.barrier, monitoring_per_year, stream)
+            values = np.where(alive, contract.payoff(s_t), 0.0)
         else:
-            s_t = sample_terminal(cfg, stream=stream)
-            values = payoff.payoff(s_t) if isinstance(payoff, OptionContract) else np.asarray(payoff(s_t), dtype=float)
+            values = contract.payoff(sample_terminal(cfg, stream=stream))
         est = _estimate_from_values(values, cfg)
     if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
         raise ValueError(f"Monte Carlo estimate {est.mean:.3g} +- {est.std_error:.3g} is not finite: "
@@ -204,9 +184,10 @@ def feynman_kac_estimate(
     return est
 
 
-def discounted_value(est: McEstimate, r: float, t: float, T: float) -> McEstimate:
-    """e^{-r (T - t)} scaling of mean and standard error."""
-    return est.scaled(math.exp(-r * (T - t)))
+def discounted_value(est: McEstimate, r: float, T: float) -> McEstimate:
+    """e^{-r T} scaling of mean and standard error."""
+    factor = math.exp(-r * T)
+    return McEstimate(est.mean * factor, est.std_error * factor, est.paths, est.seed)
 
 
 # -- PDE crosscheck ----------------------------------------------------------
@@ -290,7 +271,7 @@ def fk_pde_crosscheck(
         spots = contract.strike * np.array([0.8, 0.9, 1.0, 1.1, 1.2])
         if is_barrier:
             spots = spots[spots > contract.barrier * 1.05]
-    cfg = replace(cfg, drift=mp.r, T=float(contract.maturity), t0=0.0)
+    cfg = replace(cfg, drift=mp.r, T=float(contract.maturity))
 
     h = bs_hamiltonian(g, mp)
     curve = price_pde(h, contract, mp, g, steps)
@@ -299,8 +280,8 @@ def fk_pde_crosscheck(
         shifted_curve = price_pde(h, shifted_barrier(contract, mp.sigma, monitoring_per_year), mp, g, steps)
     rows = []
     for i, spot in enumerate(np.asarray(spots, dtype=float)):
-        est = feynman_kac_estimate(cfg, contract, x=spot, stream=i, monitoring_per_year=monitoring_per_year)
-        disc = discounted_value(est, mp.r, 0.0, contract.maturity)
+        est = feynman_kac_estimate(replace(cfg, s0=float(spot)), contract, i, monitoring_per_year)
+        disc = discounted_value(est, mp.r, contract.maturity)
         rows.append(crosscheck_row(spot, disc, curve, shifted_curve))
     bias_bound = max((_monitoring_bias(r.spot, r.pde_price, shifted_curve) for r in rows), default=0.0)
     return CrosscheckReport(tuple(rows), bias_bound, monitoring_per_year if is_barrier else None)

@@ -14,14 +14,15 @@ which follows identically from Q^2 = 0; the anticommutator {Q, h} = 2 Q Q+ Q
 is generically nonzero and is computed alongside so the difference stays
 visible.
 
-Every spectrum comes from the bands by :func:`dirichlet_eigenvalues`; H3/H4
-are diagonally similar to a symmetric band, so their spectrum is real.
+Every spectrum comes from the bands by :func:`dirichlet_eigenvalues`: the
+trimmed H1..H4 are real tridiagonal bands, diagonally similar to symmetric
+ones, so their spectra are real.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eig_banded, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 from .grid import Grid1D
 from .hamiltonians import HamiltonianPair
@@ -374,38 +375,29 @@ def dirichlet_eigenvalues(h: LinOp, k: int) -> np.ndarray:
     """k lowest eigenvalues of h under Dirichlet truncation (end nodes dropped).
 
     Trimming the first/last row and column leaves exactly the central-stencil
-    matrix with implicit zeros outside the domain.  Hermitian bands use the
-    tridiagonal solver when real and tridiagonal (H1/H2), else the banded one.
-    A real tridiagonal band with off-diagonal products u_i l_i >= 0 (H3/H4) is
-    diagonally similar to the symmetric band with off-diagonal sqrt(u_i l_i)
-    (Wilkinson 1965), so its spectrum is real; anything else is refused.
+    matrix with implicit zeros outside the domain.  That band must be real and
+    tridiagonal with off-diagonal products u_i l_i >= 0, as it is for H1/H2,
+    H3/H4 and H_BS.  It is then diagonally similar to the symmetric band with
+    off-diagonal sqrt(u_i l_i) (Wilkinson 1965), so its spectrum is real and
+    comes from one symmetric tridiagonal solve; anything else is refused.
     """
     trim = slice(1, h.n - 1)
     offsets, a = h.principal_bands(trim)
     dim = h.n - 2
     if k < 1 or k > dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
+    band = dict(zip(offsets, a))
+    tol = TOL.rounding(h.n, max(1.0, float(np.max(np.abs(a), initial=0.0))))
+    if (float(np.max(np.abs(a.imag), initial=0.0)) > tol
+            or any(np.any(d) for o, d in band.items() if abs(o) > 1)):
+        raise ValueError("operator is not a real tridiagonal band; its spectrum need not be real")
+    zero = np.zeros(dim)
+    products = band.get(1, zero).real[1:] * band.get(-1, zero).real[:-1]
+    if np.any(products < 0):
+        raise ValueError("operator has a negative off-diagonal product; its spectrum need not be real")
     # the whole spectrum needs no index selection (bisection costs O(dim^2))
     select = {"select": "a"} if k == dim else {"select": "i", "select_range": (0, k - 1)}
-    tol = TOL.rounding(h.n, max(1.0, float(np.max(np.abs(a), initial=0.0))))
-    band = dict(zip(offsets, a))
-    zero = np.zeros(dim)
-    real = float(np.max(np.abs(a.imag), initial=0.0)) <= tol
-    tridiagonal = real and all(not np.any(d) for o, d in band.items() if abs(o) > 1)
-    off = band.get(1, zero).real[1:]
-    if (h - h.adjoint()).block_max_abs(trim) > tol:
-        products = off * band.get(-1, zero).real[:-1]
-        if not tridiagonal or np.any(products < 0):
-            why = ("has a negative off-diagonal product" if tridiagonal
-                   else "is neither Hermitian nor real tridiagonal")
-            raise ValueError(f"operator {why}; its spectrum need not be real")
-        off = np.sqrt(products)
-    if tridiagonal:
-        return eigh_tridiagonal(band.get(0, zero).real, off, eigvals_only=True, **select)
-    # lower band storage: row m holds diagonal -m, column-aligned like DIA
-    width = max((-o for o, d in band.items() if o < 0 and np.any(d)), default=0)
-    lower = np.array([band.get(-m, zero) for m in range(width + 1)])
-    return eig_banded(lower.real if real else lower, lower=True, eigvals_only=True, **select)
+    return eigh_tridiagonal(band.get(0, zero).real, np.sqrt(products), eigvals_only=True, **select)
 
 
 @dataclass(frozen=True)

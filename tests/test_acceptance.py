@@ -272,7 +272,7 @@ def test_c09_three_way_pricing():
                 worst_pde = max(worst_pde, abs(pde - ref) / tol)
                 cfg = GbmConfig(rate, sigma, s0, T=maturity, paths=1_000_000, seed=0)
                 est = discounted_value(
-                    feynman_kac_estimate(cfg, contract, stream=stream), rate, 0.0, maturity
+                    feynman_kac_estimate(cfg, contract, stream=stream), rate, maturity
                 )
                 stream += 1
                 assert abs(est.mean - ref) <= 3.0 * est.std_error, (sigma, kind, s0)

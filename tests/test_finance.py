@@ -251,17 +251,6 @@ def test_pde_put_call_parity(pricing_setup):
         assert abs(gap) <= 2e-3
 
 
-def test_pde_constant_payoff_discounts(pricing_setup):
-    mp, _ = pricing_setup
-    g = make_grid(math.log(100) - 3, math.log(100) + 3, 401)
-    curve = price_pde(
-        bs_hamiltonian(g, mp), None, mp, g, 2000,
-        payoff=lambda s: np.full_like(s, 7.0), maturity=1.0,
-    )
-    expected = 7.0 * math.exp(-0.05)
-    assert np.max(np.abs(curve.values - expected)) <= 1e-8 * expected
-
-
 def test_pde_monotonic_in_sigma_and_maturity():
     prices_sigma = []
     for sigma in (0.1, 0.2, 0.4):
@@ -301,10 +290,6 @@ def test_pde_rejects_bad_input(pricing_setup):
     h = bs_hamiltonian(g, mp)
     with pytest.raises(ValueError):
         price_pde(h, OptionContract("european_call", 100, 1.0), mp, g, 0)
-    with pytest.raises(ValueError):
-        price_pde(h, None, mp, g, 10)  # neither contract nor payoff
-    with pytest.raises(ValueError, match="maturity"):
-        price_pde(h, None, mp, g, 10, payoff=lambda s: s)
 
 
 def test_pde_wider_band_matches_tridiagonal(pricing_setup):
@@ -354,12 +339,12 @@ def test_soft_barrier_converges_to_dirichlet(pricing_setup):
     mp, g = pricing_setup
     contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
     dirichlet = price_pde(bs_hamiltonian(g, mp), contract, mp, g, 2000).price_at(100.0)
+    # the potential alone knocks out: the contract carries no barrier
+    call = OptionContract("european_call", 100.0, 1.0)
     gaps = []
     for m in (20.0, 200.0, 2000.0):
         v = FunctionSpec.tabulated(np.where(g.nodes <= math.log(80.0), m, mp.r))
-        soft = price_pde(
-            bsb_hamiltonian(g, mp, v), contract, mp, g, 2000, hard_barrier=False
-        ).price_at(100.0)
+        soft = price_pde(bsb_hamiltonian(g, mp, v), call, mp, g, 2000).price_at(100.0)
         gaps.append(abs(soft - dirichlet))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 5e-3

@@ -1,6 +1,9 @@
 """Invalid inputs are refused where they enter: exit 2, one line, no traceback."""
 
+import json
 import math
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -84,6 +87,23 @@ def test_verify_algebra_rejects_overflowing_coupling(capsys, argv):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"{argv[0][2:]}**2 must be finite" in err and "Traceback" not in err
+
+
+OVERFLOWING_PRODUCTS = (("--beta", "1e150"), ("--alpha", "1e150"),
+                        ("--alpha", "1e100", "--f", "poly:0,0,0.5"))
+
+
+@pytest.mark.parametrize("argv", OVERFLOWING_PRODUCTS)
+def test_verify_algebra_rejects_coupling_whose_products_overflow(capsys, argv):
+    # the squares are finite, but the SUSY checks' products and bounds are not
+    assert run_main(("verify-algebra", "--n", "41", *argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "overflow the operator products" in err and "Traceback" not in err
+
+
+def test_verify_algebra_runs_a_large_coupling_whose_products_fit():
+    assert run_main(("verify-algebra", "--n", "41", "--alpha", "1e75", "--beta", "1e75")) == 0
 
 
 @pytest.mark.parametrize("argv", [("--rate", "inf"), ("--sigma=-inf",), ("--rate", "nan"),
@@ -201,6 +221,18 @@ def edge_commands(draw):
 @example(["identify", "--n", "41", "--sigma", "3e-3"])
 @example(["identify", "--sigma", "3e-4"])
 @example(["identify", "--n", "41", "--sigma", "1e-10"])
+@example(["verify-algebra", "--n", "41", *OVERFLOWING_PRODUCTS[0]])
+@example(["verify-algebra", "--n", "41", *OVERFLOWING_PRODUCTS[1]])
+@example(["verify-algebra", "--n", "41", *OVERFLOWING_PRODUCTS[2]])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
-    assert run_main(argv) in (0, 1, 2)
+    with tempfile.TemporaryDirectory() as tmp:
+        report = Path(tmp) / "report.json"
+        code = run_main([*argv, "--json", str(report)])
+        assert code in (0, 1, 2)
+        if code == 2:
+            return
+        # no empty gate: every number a check reports is finite or null
+        for check in json.loads(report.read_text())["checks"]:
+            for key in ("measured", "tolerance"):
+                assert check[key] is None or math.isfinite(check[key]), (argv, check)

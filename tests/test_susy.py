@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
 from qflab.grid import make_grid
 from qflab.hamiltonians import build_all, build_from_superpotential, build_h3
@@ -292,6 +293,17 @@ def test_dirichlet_eigenvalues_match_dense_solver(g):
     fast = dirichlet_eigenvalues(h1.closed_form, 4)
     dense = np.sort(np.linalg.eigvalsh(h1.closed_form.toarray()[1:-1, 1:-1].real))[:4]
     assert np.allclose(fast, dense, rtol=1e-12, atol=1e-12)
+
+
+def test_symmetrized_band_keeps_the_hermitian_bits():
+    # the spectrum workload's H1: sqrt(u l) = |u| on a symmetric band, and the
+    # bisection reads only squared off-diagonals, so the signed band gives the same bits
+    g = make_grid(-10, 10, 2001)
+    h1, _ = build_from_superpotential(g, FunctionSpec.polynomial([0, 1]), 1.0)
+    band = dict(zip(*h1.closed_form.principal_bands(slice(1, g.n - 1))))
+    signed = eigh_tridiagonal(band[0].real, band[1].real[1:], eigvals_only=True,
+                              select="i", select_range=(0, 5))
+    assert np.array_equal(dirichlet_eigenvalues(h1.closed_form, 6), signed)
 
 
 # -- real spectrum of the non-Hermitian pair -------------------------------------
