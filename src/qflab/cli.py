@@ -107,6 +107,9 @@ def _grid_from_args(args) -> Grid1D:
 def cmd_verify_algebra(args) -> int:
     started = time.perf_counter()
     g = _grid_from_args(args)
+    if g.n < 9:
+        raise ValueError(f"verify-algebra needs n >= 9, got n={g.n}: "
+                         f"its checks compare the interior block 4..n-5, which is empty below that")
     f = FunctionSpec.parse(args.f)
     f_scale = f.derivative_scale(g)  # refuses an f the tolerance models cannot hold
     alpha, beta = args.alpha, args.beta
@@ -293,13 +296,6 @@ def cmd_price(args) -> int:
         raise ValueError(f"--spot must be finite and > 0, got {args.spot}")
     if args.monitoring < 1:
         raise ValueError(f"--monitoring must be >= 1, got {args.monitoring}")
-    want = ("pde", "mc", "closed") if args.method == "all" else (args.method,)
-    cfg = None
-    if "mc" in want:
-        cfg = montecarlo.GbmConfig(
-            drift=args.rate, sigma=args.sigma, s0=args.spot,
-            T=args.maturity, paths=args.paths, seed=args.seed,
-        )
     if args.xmin is None or args.xmax is None:
         g = finance.default_pricing_grid(contract, mp, args.spot, args.n)
     else:
@@ -328,7 +324,7 @@ def cmd_price(args) -> int:
 
     prices: dict[str, float] = {}
 
-    if "closed" in want:
+    if args.method in ("closed", "all"):
         if kind == "down_and_out_call":
             if args.method == "closed":
                 print("error: no closed form for barrier contracts", file=sys.stderr)
@@ -338,21 +334,28 @@ def cmd_price(args) -> int:
             prices["closed"] = finance.closed_form_european(
                 args.spot, args.strike, args.rate, args.sigma, args.maturity, fk
             )
-    if "pde" in want:
-        h = finance.bs_hamiltonian(g, mp)
-        curve = finance.price_pde(h, contract, mp, g, steps)
+    curve = None
+    if args.method == "all":
+        crosscheck = montecarlo.fk_pde_crosscheck(
+            mp, contract, g, args.paths, args.seed, spots=[args.spot], steps=steps,
+            monitoring_per_year=args.monitoring,
+        )
+        curve, (row,) = crosscheck.curve, crosscheck.rows
+        prices["pde"], prices["mc"], mc_se = row.pde_price, row.mc_mean, row.mc_std_error
+    elif args.method == "pde":
+        curve = finance.price_pde(finance.bs_hamiltonian(g, mp), contract, mp, g, steps)
         prices["pde"] = curve.price_at(args.spot)
-        if args.csv:
-            curve.to_csv(args.csv)
-            report.artifacts.append(args.csv)
-    if cfg is not None:
-        est = montecarlo.feynman_kac_estimate(cfg, contract, monitoring_per_year=args.monitoring)
-        disc = montecarlo.discounted_value(est, args.rate, args.maturity)
-        prices["mc"] = disc.mean
+    elif args.method == "mc":
+        est = montecarlo.feynman_kac_estimate(mp, contract, args.spot, args.paths, args.seed,
+                                              monitoring_per_year=args.monitoring)
+        prices["mc"], mc_se = est.mean, est.std_error
+    if curve is not None and args.csv:
+        curve.to_csv(args.csv)
+        report.artifacts.append(args.csv)
 
     for name, value in prices.items():
         label = f"price_{name}"
-        se = f" (std error {disc.std_error:.6g})" if name == "mc" else ""
+        se = f" (std error {mc_se:.6g})" if name == "mc" else ""
         print(f"  {label}: {value:.6f}{se}")
         report.parameters.setdefault("prices", {})[name] = value
 
@@ -362,13 +365,10 @@ def cmd_price(args) -> int:
             tol = finance.pde_tolerance(prices["closed"])
             report.add("pde_vs_closed", gap, tol, gap <= tol)
             gap_mc = abs(prices["mc"] - prices["closed"])
-            tol_mc = 3.0 * disc.std_error
+            tol_mc = 3.0 * mc_se
             report.add("mc_vs_closed_3se", gap_mc, tol_mc, gap_mc <= tol_mc)
         else:
-            # PDE is continuously monitored, MC discretely: add the bias bound
-            shifted = montecarlo.shifted_barrier(contract, args.sigma, args.monitoring)
-            shifted_curve = finance.price_pde(h, shifted, mp, g, steps)
-            row = montecarlo.crosscheck_row(args.spot, disc, curve, shifted_curve)
+            # PDE is continuously monitored, MC discretely: the row adds the bias bound
             report.add("pde_vs_mc", abs(row.gap), row.tolerance, row.passed)
             vanilla = finance.closed_form_european(
                 args.spot, args.strike, args.rate, args.sigma, args.maturity, "call"

@@ -13,7 +13,7 @@ results cannot depend on chunking or worker scheduling.  Path simulation walks
 the paths in chunks of at most ``KNOCKOUT_CHUNK_BYTES`` of normals, so its
 memory does not grow with the path count.  Aggregation always runs over the
 fully materialized value array with numpy's pairwise summation, making
-estimates reproducible bit-for-bit from (config, seed).
+estimates reproducible bit-for-bit from (market, contract, spot, paths, seed).
 """
 
 import math
@@ -24,6 +24,7 @@ from numpy.random import Philox
 from scipy.special import ndtri
 
 from .finance import (
+    MarketParams,
     OptionContract,
     PriceCurve,
     bs_hamiltonian,
@@ -106,26 +107,19 @@ def sample_terminal(cfg: GbmConfig, stream: int = 0) -> np.ndarray:
     return cfg.s0 * np.exp(cfg.sigma * math.sqrt(cfg.T) * z + (cfg.drift - 0.5 * cfg.sigma**2) * cfg.T)
 
 
-def _estimate_from_values(values: np.ndarray, cfg: GbmConfig) -> McEstimate:
-    mean = float(np.sum(values) / cfg.paths)
-    se = float(np.std(values, ddof=1) / math.sqrt(cfg.paths))
-    return McEstimate(mean, se, cfg.paths, cfg.seed)
-
-
 def knockout_terminal(
     cfg: GbmConfig,
     barrier: float,
     monitoring_per_year: int = 250,
     stream: int = 0,
-    chunk: int | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(S(T), alive) under discrete barrier monitoring.
 
     Exact GBM increments at monitoring_per_year dates; a path dies when it
-    touches or crosses the barrier at a monitoring date.  Paths are walked
-    ``chunk`` at a time, by default as many as fit ``KNOCKOUT_CHUNK_BYTES`` of
-    normals.  Chunk boundaries do not affect the draws: normal (p, j) always
-    comes from raw index p*m + j.
+    touches or crosses the barrier at a monitoring date.  Paths are walked as
+    many at a time as fit ``KNOCKOUT_CHUNK_BYTES`` of normals.  Chunk
+    boundaries do not affect the draws: normal (p, j) always comes from raw
+    index p*m + j.
     """
     if monitoring_per_year < 1:
         raise ValueError(f"monitoring_per_year must be >= 1, got {monitoring_per_year}")
@@ -135,8 +129,7 @@ def knockout_terminal(
     if m > budget:
         raise ValueError(f"{m} monitoring dates per path (monitoring_per_year={monitoring_per_year}, "
                          f"T={cfg.T:.6g}) exceed the {budget} normals of one path chunk")
-    if chunk is None:
-        chunk = budget // m
+    chunk = budget // m
     dt = cfg.T / m
     drift_term = (cfg.drift - 0.5 * cfg.sigma**2) * dt
     vol_term = cfg.sigma * math.sqrt(dt)
@@ -163,31 +156,31 @@ def knockout_terminal(
 
 
 def feynman_kac_estimate(
-    cfg: GbmConfig, contract: OptionContract, stream: int = 0, monitoring_per_year: int = 250
+    mp: MarketParams, contract: OptionContract, spot: float, paths: int, seed: int = 0, stream: int = 0,
+    monitoring_per_year: int = 250,
 ) -> McEstimate:
-    """Monte Carlo mean and standard error of the contract's payoff at S(T), from S(0) = s0.
+    """Discounted Monte Carlo price e^{-rT} E[payoff(S(T))] from S(0) = spot.
 
-    A barrier contract is priced on monitored paths; every other contract
-    samples the terminal value exactly.
+    Paths follow GBM with the market's rate as drift and its sigma, up to the
+    contract's maturity.  A barrier contract is priced on monitored paths;
+    every other contract samples the terminal value exactly.  Mean and
+    standard error are discounted once, after aggregation.
     """
+    cfg = GbmConfig(mp.r, mp.sigma, spot, contract.maturity, paths, seed)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
         if contract.payoff_kind == "down_and_out_call":
             s_t, alive = knockout_terminal(cfg, contract.barrier, monitoring_per_year, stream)
             values = np.where(alive, contract.payoff(s_t), 0.0)
         else:
             values = contract.payoff(sample_terminal(cfg, stream=stream))
-        est = _estimate_from_values(values, cfg)
-    if not (math.isfinite(est.mean) and math.isfinite(est.std_error)):
-        raise ValueError(f"Monte Carlo estimate {est.mean:.3g} +- {est.std_error:.3g} is not finite: "
+        mean = float(np.sum(values) / paths)
+        se = float(np.std(values, ddof=1) / math.sqrt(paths))
+    if not (math.isfinite(mean) and math.isfinite(se)):
+        raise ValueError(f"Monte Carlo estimate {mean:.3g} +- {se:.3g} is not finite: "
                          f"the payoff samples overflow float64 at spot={cfg.s0:.6g}, "
                          f"drift={cfg.drift:.6g}, sigma={cfg.sigma:.6g}, T={cfg.T:.6g}")
-    return est
-
-
-def discounted_value(est: McEstimate, r: float, T: float) -> McEstimate:
-    """e^{-r T} scaling of mean and standard error."""
-    factor = math.exp(-r * T)
-    return McEstimate(est.mean * factor, est.std_error * factor, est.paths, est.seed)
+    factor = math.exp(-mp.r * contract.maturity)
+    return McEstimate(mean * factor, se * factor, paths, seed)
 
 
 # -- PDE crosscheck ----------------------------------------------------------
@@ -211,6 +204,7 @@ class CrosscheckRow:
 @dataclass(frozen=True)
 class CrosscheckReport:
     rows: tuple[CrosscheckRow, ...]
+    curve: PriceCurve
     monitoring_bias_bound: float
     monitoring_per_year: int | None
 
@@ -231,38 +225,22 @@ def shifted_barrier(contract: OptionContract, sigma: float, monitoring_per_year:
     return replace(contract, barrier=contract.barrier * shift)
 
 
-def _monitoring_bias(spot: float, pde: float, shifted_curve: PriceCurve | None) -> float:
-    return 0.0 if shifted_curve is None else max(0.0, shifted_curve.price_at(spot) - pde)
-
-
-def crosscheck_row(
-    spot: float, disc: McEstimate, curve: PriceCurve, shifted_curve: PriceCurve | None
-) -> CrosscheckRow:
-    """Gate a discounted Monte Carlo estimate against the PDE price at ``spot``.
-
-    Passes when |MC - PDE| <= 3 * std_error + pde_tolerance(PDE), plus the
-    monitoring-bias bound when a shifted-barrier curve is given (else None).
-    """
-    pde = curve.price_at(spot)
-    gap = disc.mean - pde
-    tol = 3.0 * disc.std_error + pde_tolerance(pde) + _monitoring_bias(spot, pde, shifted_curve)
-    return CrosscheckRow(float(spot), disc.mean, disc.std_error, pde, float(gap), tol, abs(gap) <= tol)
-
-
 def fk_pde_crosscheck(
-    mp,
+    mp: MarketParams,
     contract: OptionContract,
     g: Grid1D,
-    cfg: GbmConfig,
+    paths: int,
+    seed: int = 0,
     spots=None,
     steps: int | None = None,
     monitoring_per_year: int = 250,
 ) -> CrosscheckReport:
     """Compare discounted Monte Carlo estimates against the PDE price curve.
 
-    Five spot levels by default, each gated by :func:`crosscheck_row`; barrier
-    contracts add the monitoring-bias bound from re-pricing with
-    :func:`shifted_barrier`.  The raw gaps stay in the report.
+    Five spot levels by default; the estimate at spot i draws stream i.  A
+    row passes when |MC - PDE| <= 3 * std_error + pde_tolerance(PDE).  A
+    barrier contract adds the monitoring-bias bound, the rise of the PDE price
+    under :func:`shifted_barrier`.  The raw gaps stay in the report.
     """
     if steps is None:
         steps = g.n
@@ -271,17 +249,19 @@ def fk_pde_crosscheck(
         spots = contract.strike * np.array([0.8, 0.9, 1.0, 1.1, 1.2])
         if is_barrier:
             spots = spots[spots > contract.barrier * 1.05]
-    cfg = replace(cfg, drift=mp.r, T=float(contract.maturity))
 
     h = bs_hamiltonian(g, mp)
     curve = price_pde(h, contract, mp, g, steps)
     shifted_curve = None
     if is_barrier:
         shifted_curve = price_pde(h, shifted_barrier(contract, mp.sigma, monitoring_per_year), mp, g, steps)
-    rows = []
-    for i, spot in enumerate(np.asarray(spots, dtype=float)):
-        est = feynman_kac_estimate(replace(cfg, s0=float(spot)), contract, i, monitoring_per_year)
-        disc = discounted_value(est, mp.r, contract.maturity)
-        rows.append(crosscheck_row(spot, disc, curve, shifted_curve))
-    bias_bound = max((_monitoring_bias(r.spot, r.pde_price, shifted_curve) for r in rows), default=0.0)
-    return CrosscheckReport(tuple(rows), bias_bound, monitoring_per_year if is_barrier else None)
+    rows, bias_bound = [], 0.0
+    for i, spot in enumerate(np.asarray(spots, dtype=float).tolist()):
+        est = feynman_kac_estimate(mp, contract, spot, paths, seed, i, monitoring_per_year)
+        pde = curve.price_at(spot)
+        bias = 0.0 if shifted_curve is None else max(0.0, shifted_curve.price_at(spot) - pde)
+        bias_bound = max(bias_bound, bias)
+        gap = est.mean - pde
+        tol = 3.0 * est.std_error + pde_tolerance(pde) + bias
+        rows.append(CrosscheckRow(spot, est.mean, est.std_error, pde, gap, tol, abs(gap) <= tol))
+    return CrosscheckReport(tuple(rows), curve, bias_bound, monitoring_per_year if is_barrier else None)

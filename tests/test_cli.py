@@ -8,7 +8,6 @@ from conftest import SRC, run_cli as run
 
 from qflab import finance, hamiltonians, montecarlo, operators
 from qflab.cli import main
-from qflab.grid import Grid1D
 
 
 def test_usage_errors_exit_2():
@@ -176,21 +175,13 @@ def test_verify_algebra_builds_each_hamiltonian_once(monkeypatch):
     assert len(products) == 50
 
 
-def test_barrier_pde_vs_mc_matches_library_crosscheck(tmp_path):
-    out = tmp_path / "report.json"
-    assert main([*SMALL_BARRIER, "--json", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    p = doc["parameters"]
-    contract = finance.OptionContract("down_and_out_call", p["strike"], p["maturity"], p["barrier"])
-    mp = finance.MarketParams(p["sigma"], p["rate"])
-    cfg = montecarlo.GbmConfig(p["rate"], p["sigma"], p["spot"], T=p["maturity"],
-                               paths=p["paths"], seed=p["seed"])
-    crosscheck = montecarlo.fk_pde_crosscheck(
-        mp, contract, Grid1D(p["xmin"], p["xmax"], p["n"]), cfg,
-        spots=[p["spot"]], steps=p["steps"], monitoring_per_year=p["monitoring"],
-    )
-    row = crosscheck.rows[0]
-    check = next(c for c in doc["checks"] if c["name"] == "pde_vs_mc")
-    assert check["measured"] == abs(row.gap)
-    assert check["tolerance"] == row.tolerance
-    assert check["pass"] == row.passed
+@pytest.mark.parametrize("payoff", ["call", "do-call"])
+def test_price_all_reports_the_pde_and_mc_prices(tmp_path, payoff):
+    small = ("price", "--payoff", payoff, "--paths", "2000", "--n", "401", "--steps", "200")
+    prices = {}
+    for method in ("all", "pde", "mc"):
+        out = tmp_path / f"{method}.json"
+        assert main([*small, "--method", method, "--json", str(out)]) == 0
+        prices[method] = json.loads(out.read_text())["parameters"]["prices"]
+    assert prices["all"]["pde"] == prices["pde"]["pde"]
+    assert prices["all"]["mc"] == prices["mc"]["mc"]

@@ -67,6 +67,29 @@ def test_price_rejects_bad_flag(capsys, argv, flag):
     assert flag in err and "Traceback" not in err
 
 
+SMALL_SPECTRUM = ("spectrum", "--n", "201")
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0", "inf", "-inf"])
+def test_spectrum_rejects_bad_pair_tol(capsys, value):
+    assert run_main((*SMALL_SPECTRUM, f"--pair-tol={value}")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "pair_tol" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("n", [3, 5, 8])
+def test_verify_algebra_rejects_a_grid_without_interior(capsys, n):
+    assert run_main(("verify-algebra", "--n", str(n))) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"n={n}" in err and "n >= 9" in err and "Traceback" not in err
+
+
+def test_verify_algebra_runs_the_smallest_grid_with_interior():
+    assert run_main(("verify-algebra", "--n", "9")) == 0
+
+
 @pytest.mark.parametrize("spec", ["poly:nan", "poly:0,inf", "poly:1,-inf"])
 def test_verify_algebra_rejects_non_finite_polynomial(capsys, spec):
     assert run_main(("verify-algebra", "--f", spec, "--n", "41")) == 2
@@ -176,7 +199,7 @@ PRICE_FLAGS = ("--seed", "--paths", "--monitoring", "--spot", "--sigma", "--rate
 
 @st.composite
 def edge_commands(draw):
-    command = draw(st.sampled_from(("price", "verify-algebra", "identify")))
+    command = draw(st.sampled_from(("price", "verify-algebra", "identify", "spectrum")))
     if command == "price":
         payoff = draw(st.sampled_from(("call", "put", "do-call")))
         method = draw(st.sampled_from(("pde", "mc", "closed", "all")))
@@ -187,6 +210,10 @@ def edge_commands(draw):
         coeffs = draw(st.lists(st.sampled_from(EDGE), min_size=1, max_size=3))
         flags = {"--f": "poly:" + ",".join(coeffs)}
         argv = ["verify-algebra", "--n", draw(st.sampled_from(("21", "41")))]
+    elif command == "spectrum":
+        flags = draw(st.dictionaries(st.sampled_from(("--pair-tol", "--k", "--alpha")),
+                                     st.sampled_from(EDGE), min_size=1))
+        argv = list(SMALL_SPECTRUM)
     else:
         flags = draw(st.dictionaries(st.sampled_from(("--sigma", "--rate")),
                                      st.sampled_from(EDGE), min_size=1))
@@ -224,6 +251,13 @@ def edge_commands(draw):
 @example(["verify-algebra", "--n", "41", *OVERFLOWING_PRODUCTS[0]])
 @example(["verify-algebra", "--n", "41", *OVERFLOWING_PRODUCTS[1]])
 @example(["verify-algebra", "--n", "41", *OVERFLOWING_PRODUCTS[2]])
+@example([*SMALL_SPECTRUM, "--pair-tol", "nan"])
+@example([*SMALL_SPECTRUM, "--pair-tol", "-1"])
+@example([*SMALL_SPECTRUM, "--pair-tol", "inf"])
+@example(["verify-algebra", "--n", "5"])
+@example(["verify-algebra", "--n", "8"])
+@example([*SMALL_PRICE, "--method", "all", "--paths", "1"])
+@example([*SMALL_PRICE, "--method", "all", "--seed", "-1"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     with tempfile.TemporaryDirectory() as tmp:

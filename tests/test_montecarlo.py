@@ -6,14 +6,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.special import erfinv
 
+from qflab import montecarlo
 from qflab.finance import MarketParams, OptionContract, closed_form_european
 from qflab.grid import make_grid
 from qflab.montecarlo import (
     KNOCKOUT_CHUNK_BYTES,
     CrosscheckReport,
     GbmConfig,
-    McEstimate,
-    discounted_value,
     feynman_kac_estimate,
     fk_pde_crosscheck,
     knockout_terminal,
@@ -109,8 +108,8 @@ def test_log_moments_match_lognormal():
 
 def test_constant_claim_has_zero_error():
     # a barrier above the spot knocks every path out at the first date: the claim is 0
-    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=10_000, seed=0)
-    est = feynman_kac_estimate(cfg, OptionContract("down_and_out_call", 100.0, 1.0, barrier=150.0))
+    contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier=150.0)
+    est = feynman_kac_estimate(MarketParams(0.2, 0.05), contract, 100.0, 10_000)
     assert est.mean == 0.0
     assert est.std_error == 0.0
 
@@ -123,38 +122,45 @@ def test_linear_claim_matches_gbm_mean():
 
 
 def test_call_estimate_matches_closed_form():
-    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=1_000_000, seed=0)
     contract = OptionContract("european_call", 100.0, 1.0)
-    est = discounted_value(feynman_kac_estimate(cfg, contract), 0.05, 1.0)
+    est = feynman_kac_estimate(MarketParams(0.2, 0.05), contract, 100.0, 1_000_000)
     ref = closed_form_european(100, 100, 0.05, 0.2, 1.0, "call")
     assert abs(est.mean - ref) <= 3.0 * est.std_error
 
 
 def test_estimates_are_bit_reproducible():
-    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=50_000, seed=11)
-    contract = OptionContract("european_call", 90.0, 1.0)
-    a = feynman_kac_estimate(cfg, contract)
-    b = feynman_kac_estimate(cfg, contract)
+    mp, contract = MarketParams(0.2, 0.05), OptionContract("european_call", 90.0, 1.0)
+    a = feynman_kac_estimate(mp, contract, 100.0, 50_000, seed=11)
+    b = feynman_kac_estimate(mp, contract, 100.0, 50_000, seed=11)
     assert (a.mean, a.std_error) == (b.mean, b.std_error)
-    assert a.paths == cfg.paths and a.seed == cfg.seed
+    assert a.paths == 50_000 and a.seed == 11
 
 
-def test_knockout_chunking_does_not_change_results():
+def chunk_paths(monkeypatch, paths: int, m: int):
+    """Shrink the knock-out chunk budget so that one chunk holds ``paths`` paths of m dates."""
+    monkeypatch.setattr(montecarlo, "KNOCKOUT_CHUNK_BYTES", 8 * paths * m)
+
+
+def test_knockout_chunking_does_not_change_results(monkeypatch):
     cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=2_000, seed=5)
-    a = knockout_terminal(cfg, 80.0, monitoring_per_year=50, chunk=64)
-    b = knockout_terminal(cfg, 80.0, monitoring_per_year=50, chunk=2_000)
+    chunk_paths(monkeypatch, 64, 50)
+    a = knockout_terminal(cfg, 80.0, monitoring_per_year=50)
+    chunk_paths(monkeypatch, 2_000, 50)
+    b = knockout_terminal(cfg, 80.0, monitoring_per_year=50)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 7, 64, 2_000, 5_000])
-def test_knockout_walk_matches_reference_formula(chunk):
+def test_knockout_walk_matches_reference_formula(monkeypatch, chunk):
     cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=2_000, seed=5)
     m = 50
+    if chunk is not None:
+        chunk_paths(monkeypatch, chunk, m)
     dt = cfg.T / m
     z = standard_normals(cfg.seed, cfg.paths * m).reshape(cfg.paths, m)
     drift, vol = (cfg.drift - 0.5 * cfg.sigma**2) * dt, cfg.sigma * math.sqrt(dt)
     logs = math.log(cfg.s0) + np.cumsum(drift + vol * z, axis=1)
-    s_t, alive = knockout_terminal(cfg, 80.0, monitoring_per_year=m, chunk=chunk)
+    s_t, alive = knockout_terminal(cfg, 80.0, monitoring_per_year=m)
     assert np.array_equal(s_t, np.exp(logs[:, -1]))
     assert np.array_equal(alive, np.min(logs, axis=1) > math.log(80.0))
 
@@ -183,22 +189,24 @@ def test_knockout_refuses_more_dates_than_one_chunk_holds():
 # -- discounting -------------------------------------------------------------------
 
 
-def test_discounting_examples():
-    est = McEstimate(1.0, 0.1, 100, 0)
-    assert discounted_value(est, 0.0, 1.0) == est
-    assert discounted_value(est, 0.05, 0.0) == est
-    d = discounted_value(est, 0.05, 1.0)
-    assert d.mean == pytest.approx(0.951229, abs=1e-6)
-    assert d.std_error == pytest.approx(0.1 * math.exp(-0.05), rel=1e-15)
-
-
-@given(st.floats(-0.1, 0.2), st.floats(0.01, 5))
-@settings(max_examples=50)
-def test_discounting_scales_mean_and_se(r, T):
-    est = McEstimate(2.0, 0.5, 10, 0)
-    d = discounted_value(est, r, T)
-    factor = math.exp(-r * T)
-    assert d.mean == 2.0 * factor and d.std_error == 0.5 * factor
+@pytest.mark.parametrize("r", [0.0, 0.05, -0.01])
+@pytest.mark.parametrize("payoff", ["call", "do-call"])
+def test_estimate_is_the_discounted_sampler_mean(payoff, r):
+    # the undiscounted payoff values of the same draws, aggregated as the estimate does
+    barrier = 90.0 if payoff == "do-call" else None
+    contract = OptionContract("down_and_out_call" if barrier else "european_call", 100.0, 0.5, barrier)
+    cfg = GbmConfig(r, 0.2, 100.0, T=0.5, paths=4_000, seed=9)
+    if barrier:
+        s_t, alive = knockout_terminal(cfg, barrier, monitoring_per_year=50, stream=2)
+        values = np.where(alive, contract.payoff(s_t), 0.0)
+    else:
+        values = contract.payoff(sample_terminal(cfg, stream=2))
+    est = feynman_kac_estimate(MarketParams(0.2, r), contract, 100.0, 4_000, seed=9, stream=2,
+                               monitoring_per_year=50)
+    factor = math.exp(-r * 0.5)
+    assert est.mean == float(np.sum(values) / 4_000) * factor
+    assert est.std_error == float(np.std(values, ddof=1) / math.sqrt(4_000)) * factor
+    assert (est.paths, est.seed) == (4_000, 9)
 
 
 # -- standard-error scaling ---------------------------------------------------------
@@ -207,12 +215,8 @@ def test_discounting_scales_mean_and_se(r, T):
 def test_standard_error_scaling():
     contract = OptionContract("european_call", 100.0, 1.0)
     for seed in range(10):
-        small = feynman_kac_estimate(
-            GbmConfig(0.05, 0.2, 100.0, T=1.0, paths=20_000, seed=seed), contract
-        )
-        big = feynman_kac_estimate(
-            GbmConfig(0.05, 0.2, 100.0, T=1.0, paths=80_000, seed=seed), contract
-        )
+        small = feynman_kac_estimate(MarketParams(0.2, 0.05), contract, 100.0, 20_000, seed=seed)
+        big = feynman_kac_estimate(MarketParams(0.2, 0.05), contract, 100.0, 80_000, seed=seed)
         ratio = big.std_error / small.std_error
         assert 0.4 <= ratio <= 0.6  # quadrupling paths halves the SE within 20%
 
@@ -224,10 +228,10 @@ def test_fk_pde_crosscheck_vanilla():
     mp = MarketParams(0.2, 0.05)
     contract = OptionContract("european_call", 100.0, 1.0)
     g = make_grid(math.log(100) - 5, math.log(100) + 5, 1501)
-    cfg = GbmConfig(0.05, 0.2, 100.0, T=1.0, paths=400_000, seed=0)
-    report = fk_pde_crosscheck(mp, contract, g, cfg)
+    report = fk_pde_crosscheck(mp, contract, g, 400_000)
     assert isinstance(report, CrosscheckReport)
     assert len(report.rows) == 5
+    assert all(row.pde_price == report.curve.price_at(row.spot) for row in report.rows)
     assert report.passed
     assert report.monitoring_per_year is None
 
@@ -236,8 +240,7 @@ def test_fk_pde_crosscheck_deep_otm_high_vol():
     mp = MarketParams(0.4, 0.05)
     contract = OptionContract("european_call", 100.0, 1.0)
     g = make_grid(math.log(100) - 6, math.log(100) + 6, 1501)
-    cfg = GbmConfig(0.05, 0.4, 60.0, T=1.0, paths=400_000, seed=0)
-    report = fk_pde_crosscheck(mp, contract, g, cfg, spots=[60.0, 80.0, 100.0])
+    report = fk_pde_crosscheck(mp, contract, g, 400_000, spots=[60.0, 80.0, 100.0])
     assert report.passed
 
 
@@ -245,8 +248,7 @@ def test_fk_pde_crosscheck_barrier():
     mp = MarketParams(0.2, 0.05)
     contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
     g = make_grid(math.log(100) - 5, math.log(100) + 5, 1501)
-    cfg = GbmConfig(0.05, 0.2, 100.0, T=1.0, paths=100_000, seed=0)
-    report = fk_pde_crosscheck(mp, contract, g, cfg)
+    report = fk_pde_crosscheck(mp, contract, g, 100_000)
     assert report.passed
     assert report.monitoring_per_year == 250
     assert report.monitoring_bias_bound > 0.0
