@@ -13,6 +13,7 @@ import math
 import os
 import sys
 import time
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -135,8 +136,9 @@ def cmd_verify_algebra(args) -> int:
         raise ValueError(f"alpha={alpha}, beta={beta} overflow the operator products: "
                          f"(max(alpha, beta, 1) * max|P_f| = {scale:.3g})**4 * n = {g.n} is not finite")
 
-    report.add("commutator_x_x_zero", operators.commutator(x_op, x_op).max_abs(), 0.0, True)
-    report.add("commutator_pf_pf_zero", operators.commutator(pf, pf).max_abs(), 0.0, True)
+    for name, op in (("commutator_x_x_zero", x_op), ("commutator_pf_pf_zero", pf)):
+        c = operators.commutator(op, op).max_abs()
+        report.add(name, c, 0.0, c == 0.0)
 
     defect = operators.canonical_commutator_defect(g, f)
     tol = operators.canonical_tolerance(g, f)
@@ -171,11 +173,11 @@ def cmd_verify_algebra(args) -> int:
             tol_h = TOL.rounding(g.n, pairs[label].closed_form.max_abs())
             report.add(f"{label.lower()}_hermitian_for_constant_f", d, tol_h, d <= tol_h)
 
-    neg = susy.duality_transform(f)
-    swapped = hamiltonians.build_all(g, neg, alpha, beta)
+    # the duality f -> -f permutes (H1, H2, H3, H4) -> (H2, H1, H4, H3) and maps H to H~
+    neg = -f
     dual = max(
-        (swapped[a].closed_form - pairs[b].closed_form).max_abs()
-        for a, b in (("H1", "H2"), ("H2", "H1"), ("H3", "H4"), ("H4", "H3"))
+        (hamiltonians.closed_form(g, neg, a, c) - pairs[b].closed_form).max_abs()
+        for a, b, c in (("H1", "H2", alpha), ("H2", "H1", alpha), ("H3", "H4", beta), ("H4", "H3", beta))
     )
     report.add("duality_closed_form_residual", dual, 0.0, dual == 0.0)
 
@@ -261,7 +263,7 @@ def cmd_spectrum(args) -> int:
         },
     )
     h1, h2 = hamiltonians.build_from_superpotential(g, w, args.alpha)
-    pairing = susy.partner_spectra(h1.closed_form, h2.closed_form, args.k, args.pair_tol)
+    pairing = susy.partner_spectra(h1, h2, args.k, args.pair_tol)
     report.add("partner_pairing_gap", pairing.max_pair_gap, pairing.pair_tol, pairing.all_paired)
     report.add("unpaired_zero_modes", sum(pairing.zero_modes), None, True)
 
@@ -481,14 +483,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    # warnings reach stderr as one line each, without the source location
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

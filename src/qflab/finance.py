@@ -26,7 +26,7 @@ from scipy.interpolate import CubicSpline
 from scipy.sparse.linalg import splu
 
 from .grid import Grid1D
-from .hamiltonians import build_h3, build_h4
+from .hamiltonians import closed_form
 from .operators import FunctionSpec, LinOp, derivative_matrices, diagonal, identity
 from .tolerances import DEFAULT as TOL, EPS
 
@@ -149,10 +149,10 @@ def _candidate(g: Grid1D, f: FunctionSpec, beta: float, v2: np.ndarray, which: s
     fp = f.derivative_values(g)
     fpp = f.second_derivative_values(g)
     if which == "H_I":
-        base = build_h4(g, f, beta).closed_form
+        base = closed_form(g, f, "H4", beta)
         u = -b2 * (fpp - fp**2) + v2
     else:
-        base = build_h3(g, f, beta).closed_form
+        base = closed_form(g, f, "H3", beta)
         u = b2 * (fpp + fp**2) + v2
     return base + diagonal(g, u)
 

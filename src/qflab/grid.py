@@ -51,8 +51,3 @@ class Grid1D:
         package.
         """
         return slice(4, self.n - 4)
-
-
-def make_grid(x_min: float, x_max: float, n: int) -> Grid1D:
-    """Validated constructor for :class:`Grid1D`."""
-    return Grid1D(float(x_min), float(x_max), int(n))

@@ -1,12 +1,11 @@
 """The four quadratic Hamiltonians built from the deformed momentum.
 
-Each is constructed two independent ways and shipped as a pair:
-
-* compositionally, as a matrix product of deformed-momentum factors
-  (H1 = a^2 Pf+ Pf, H2 = a^2 Pf Pf+, H3 = b^2 Pf+ Pf+, H4 = b^2 Pf Pf);
-* from the expanded closed form in terms of P^2 = -D2, diag(f'), diag(f'')
-  (H1/H2 pick up +-f'' and f'^2; H3/H4 pick up the first-order term
-  -+2i f' P together with -+f'' and -f'^2).
+:func:`closed_form` builds each one from its expanded closed form in terms of
+P^2 = -D2, diag(f'), diag(f'') (H1/H2 pick up +-f'' and f'^2; H3/H4 pick up
+the first-order term -+2i f' P together with -+f'' and -f'^2).
+:func:`build_all` adds the independent construction the algebra checks
+compare it with: the matrix product of deformed-momentum factors
+(H1 = a^2 Pf+ Pf, H2 = a^2 Pf Pf+, H3 = b^2 Pf+ Pf+, H4 = b^2 Pf Pf).
 
 H1 and H2 are Hermitian on the interior block; H3 and H4 are strictly
 non-Hermitian whenever f' is not identically zero.  Both couplings enter
@@ -29,6 +28,14 @@ from .operators import (
     momentum_squared,
 )
 
+# signs of the first-order term 2i f' P, of f'' and of f'^2 in each closed form
+_SIGNS = {
+    "H1": (0.0, +1.0, +1.0),
+    "H2": (0.0, -1.0, +1.0),
+    "H3": (-1.0, -1.0, -1.0),
+    "H4": (+1.0, +1.0, -1.0),
+}
+
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianPair:
@@ -36,12 +43,6 @@ class HamiltonianPair:
 
     compositional: LinOp
     closed_form: LinOp
-    label: str
-    coupling: float
-
-    @property
-    def grid(self) -> Grid1D:
-        return self.compositional.grid
 
     def agreement(self) -> float:
         """Action difference of the two members on the smooth test corpus."""
@@ -55,72 +56,43 @@ def _check_coupling(value: float, name: str, allow_zero: bool):
         raise ValueError(f"{name}**2 must be finite, got {name}={value}")
 
 
-def _hermitian_pair(g: Grid1D, f: FunctionSpec, alpha: float, sign: float, label: str) -> HamiltonianPair:
-    pf = deformed_momentum(g, f)
-    comp = (pf.adjoint() @ pf) if sign > 0 else (pf @ pf.adjoint())
-    fpp = f.second_derivative_values(g)
-    fp = f.derivative_values(g)
-    closed = momentum_squared(g) + diagonal(g, sign * fpp + fp**2)
-    a2 = alpha * alpha
-    return HamiltonianPair(a2 * comp, a2 * closed, label, alpha)
+def closed_form(g: Grid1D, f: FunctionSpec, label: str, coupling: float) -> LinOp:
+    """c^2 (P^2 + s1 2i f' P + s2 f'' + s3 f'^2) with the signs of ``label``.
 
-
-def _nonhermitian_pair(g: Grid1D, f: FunctionSpec, beta: float, sign: float, label: str) -> HamiltonianPair:
-    pf = deformed_momentum(g, f)
-    comp = (pf @ pf) if sign > 0 else (pf.adjoint() @ pf.adjoint())
+    The coupling c is alpha > 0 for the Hermitian H1, H2 and beta >= 0 for
+    the non-Hermitian H3, H4.  H1 = a^2 (P^2 + f'' + f'^2),
+    H2 = a^2 (P^2 - f'' + f'^2), H3 = b^2 (P^2 - 2i f' P - f'' - f'^2),
+    H4 = b^2 (P^2 + 2i f' P + f'' - f'^2).
+    """
+    s_first, s_fpp, s_fp2 = _SIGNS[label]
+    _check_coupling(coupling, "beta" if s_first else "alpha", allow_zero=bool(s_first))
     fp = f.derivative_values(g)
     fpp = f.second_derivative_values(g)
-    first_order = momentum_operator(g).scale_rows(2j * fp)
-    closed = momentum_squared(g) + sign * first_order + diagonal(g, sign * fpp - fp**2)
-    b2 = beta * beta
-    return HamiltonianPair(b2 * comp, b2 * closed, label, beta)
-
-
-def build_h1(g: Grid1D, f: FunctionSpec, alpha: float) -> HamiltonianPair:
-    """H1 = a^2 Pf+ Pf = a^2 (P^2 + f'' + f'^2): Hermitian."""
-    _check_coupling(alpha, "alpha", allow_zero=False)
-    return _hermitian_pair(g, f, alpha, +1.0, "H1")
-
-
-def build_h2(g: Grid1D, f: FunctionSpec, alpha: float) -> HamiltonianPair:
-    """H2 = a^2 Pf Pf+ = a^2 (P^2 - f'' + f'^2): Hermitian, dual of H1 under f -> -f."""
-    _check_coupling(alpha, "alpha", allow_zero=False)
-    return _hermitian_pair(g, f, alpha, -1.0, "H2")
-
-
-def build_h3(g: Grid1D, f: FunctionSpec, beta: float) -> HamiltonianPair:
-    """H3 = b^2 Pf+ Pf+ = b^2 (P^2 - 2i f' P - f'' - f'^2): non-Hermitian."""
-    _check_coupling(beta, "beta", allow_zero=True)
-    return _nonhermitian_pair(g, f, beta, -1.0, "H3")
-
-
-def build_h4(g: Grid1D, f: FunctionSpec, beta: float) -> HamiltonianPair:
-    """H4 = b^2 Pf Pf = b^2 (P^2 + 2i f' P + f'' - f'^2): non-Hermitian, dual of H3."""
-    _check_coupling(beta, "beta", allow_zero=True)
-    return _nonhermitian_pair(g, f, beta, +1.0, "H4")
+    op = momentum_squared(g)
+    if s_first:
+        op = op + s_first * momentum_operator(g).scale_rows(2j * fp)
+    return coupling * coupling * (op + diagonal(g, s_fpp * fpp + s_fp2 * fp**2))
 
 
 def build_all(g: Grid1D, f: FunctionSpec, alpha: float, beta: float) -> dict[str, HamiltonianPair]:
-    return {
-        "H1": build_h1(g, f, alpha),
-        "H2": build_h2(g, f, alpha),
-        "H3": build_h3(g, f, beta),
-        "H4": build_h4(g, f, beta),
-    }
+    """H1..H4 of f, each as its momentum product and its closed form."""
+    pf = deformed_momentum(g, f)
+    pfd = pf.adjoint()
+    factors = {"H1": (alpha, pfd, pf), "H2": (alpha, pf, pfd), "H3": (beta, pfd, pfd), "H4": (beta, pf, pf)}
+    # the closed forms check the couplings before any product is formed
+    closed = {label: closed_form(g, f, label, c) for label, (c, _, _) in factors.items()}
+    return {label: HamiltonianPair(c * c * (a @ b), closed[label]) for label, (c, a, b) in factors.items()}
 
 
-def build_from_superpotential(
-    g: Grid1D, w: FunctionSpec, alpha: float
-) -> tuple[HamiltonianPair, HamiltonianPair]:
-    """Partner Hamiltonians H1 = a^2 (P^2 + W' + W^2), H2 = a^2 (P^2 - W' + W^2).
+def build_from_superpotential(g: Grid1D, w: FunctionSpec, alpha: float) -> tuple[LinOp, LinOp]:
+    """Closed-form partners H1 = a^2 (P^2 + W' + W^2), H2 = a^2 (P^2 - W' + W^2).
 
-    The deformation function is the antiderivative f(x) = integral_0^x W, so
-    the compositional members coincide with build_h1/build_h2 applied to f.
+    The deformation function is the antiderivative f(x) = integral_0^x W.
     For the harmonic superpotential W(x) = x these are the shifted oscillators
     with spectra 2m+2 and 2m (an exact zero mode in H2).
     """
     f = w.antiderivative(g)
-    return build_h1(g, f, alpha), build_h2(g, f, alpha)
+    return closed_form(g, f, "H1", alpha), closed_form(g, f, "H2", alpha)
 
 
 def nonhermitian_defect_floor(g: Grid1D, f: FunctionSpec, beta: float) -> float:

@@ -167,20 +167,25 @@ def feynman_kac_estimate(
     standard error are discounted once, after aggregation.
     """
     cfg = GbmConfig(mp.r, mp.sigma, spot, contract.maturity, paths, seed)
+    return _estimate(cfg, contract, stream, monitoring_per_year)
+
+
+def _estimate(cfg: GbmConfig, contract: OptionContract, stream: int, monitoring_per_year: int) -> McEstimate:
+    """The discounted estimate of :func:`feynman_kac_estimate` on a validated config."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
         if contract.payoff_kind == "down_and_out_call":
             s_t, alive = knockout_terminal(cfg, contract.barrier, monitoring_per_year, stream)
             values = np.where(alive, contract.payoff(s_t), 0.0)
         else:
             values = contract.payoff(sample_terminal(cfg, stream=stream))
-        mean = float(np.sum(values) / paths)
-        se = float(np.std(values, ddof=1) / math.sqrt(paths))
+        mean = float(np.sum(values) / cfg.paths)
+        se = float(np.std(values, ddof=1) / math.sqrt(cfg.paths))
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise ValueError(f"Monte Carlo estimate {mean:.3g} +- {se:.3g} is not finite: "
                          f"the payoff samples overflow float64 at spot={cfg.s0:.6g}, "
                          f"drift={cfg.drift:.6g}, sigma={cfg.sigma:.6g}, T={cfg.T:.6g}")
-    factor = math.exp(-mp.r * contract.maturity)
-    return McEstimate(mean * factor, se * factor, paths, seed)
+    factor = math.exp(-cfg.drift * cfg.T)
+    return McEstimate(mean * factor, se * factor, cfg.paths, cfg.seed)
 
 
 # -- PDE crosscheck ----------------------------------------------------------
@@ -250,14 +255,17 @@ def fk_pde_crosscheck(
         if is_barrier:
             spots = spots[spots > contract.barrier * 1.05]
 
+    spots = np.asarray(spots, dtype=float).tolist()
+    # the configs refuse bad paths or seeds before any PDE work
+    cfgs = [GbmConfig(mp.r, mp.sigma, spot, contract.maturity, paths, seed) for spot in spots]
     h = bs_hamiltonian(g, mp)
     curve = price_pde(h, contract, mp, g, steps)
     shifted_curve = None
     if is_barrier:
         shifted_curve = price_pde(h, shifted_barrier(contract, mp.sigma, monitoring_per_year), mp, g, steps)
     rows, bias_bound = [], 0.0
-    for i, spot in enumerate(np.asarray(spots, dtype=float).tolist()):
-        est = feynman_kac_estimate(mp, contract, spot, paths, seed, i, monitoring_per_year)
+    for i, (spot, cfg) in enumerate(zip(spots, cfgs)):
+        est = _estimate(cfg, contract, i, monitoring_per_year)
         pde = curve.price_at(spot)
         bias = 0.0 if shifted_curve is None else max(0.0, shifted_curve.price_at(spot) - pde)
         bias_bound = max(bias_bound, bias)

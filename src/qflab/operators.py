@@ -434,10 +434,6 @@ def commutator(a: LinOp, b: LinOp) -> LinOp:
     return a @ b - b @ a
 
 
-def anticommutator(a: LinOp, b: LinOp) -> LinOp:
-    return a @ b + b @ a
-
-
 def hermiticity_defect(a: LinOp) -> float:
     """max |A - A^dagger| over the interior block."""
     d = a - a.adjoint()

@@ -263,11 +263,6 @@ def superhamiltonian_4x4(qa: BlockOp, qb: BlockOp) -> BlockOp:
     return block_anticommutator(qa, qb)
 
 
-def duality_transform(f: FunctionSpec) -> FunctionSpec:
-    """f -> -f, permuting (H1, H2, H3, H4) -> (H2, H1, H4, H3) and H -> H~."""
-    return -f
-
-
 # -- ground states -----------------------------------------------------------
 
 

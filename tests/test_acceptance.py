@@ -22,7 +22,7 @@ from qflab.finance import (
     map_to_deformed,
     price_pde,
 )
-from qflab.grid import make_grid
+from qflab.grid import Grid1D
 from qflab.hamiltonians import build_all, nonhermitian_defect_floor
 from qflab.montecarlo import feynman_kac_estimate, fk_pde_crosscheck
 from qflab.operators import (
@@ -66,7 +66,7 @@ def test_c01_canonical_algebra():
         f = FunctionSpec.polynomial(coeffs)
         defects = {}
         for n in (501, 1001):
-            g = make_grid(-5, 5, n)
+            g = Grid1D(-5, 5, n)
             d = canonical_commutator_defect(g, f)
             tol = canonical_tolerance(g, f)
             assert d <= tol, (label, n, d, tol)
@@ -90,7 +90,7 @@ def test_c02_hamiltonian_agreement_and_hermiticity():
         f = FunctionSpec.polynomial(coeffs)
         agreements = {lbl: [] for lbl in ("H1", "H2", "H3", "H4")}
         for n in (501, 1001):
-            g = make_grid(-5, 5, n)
+            g = Grid1D(-5, 5, n)
             pairs = build_all(g, f, 1.0, 1.0)
             tol = TOL.discretization(g, f.derivative_scale(g) ** 2)
             pf_scale = deformed_momentum(g, f).max_abs() ** 2
@@ -117,7 +117,7 @@ def test_c02_hamiltonian_agreement_and_hermiticity():
 
 def test_c03_susy_algebra():
     started = time.perf_counter()
-    g = make_grid(-5, 5, 501)
+    g = Grid1D(-5, 5, 501)
     f = FunctionSpec.polynomial([0, 0, 0.5])
     q = supercharge_2x2(g, f, 1.0)
     assert (q @ q).structurally_zero
@@ -152,7 +152,7 @@ def test_c03_susy_algebra():
 
 def test_c04_duality():
     started = time.perf_counter()
-    g = make_grid(-5, 5, 501)
+    g = Grid1D(-5, 5, 501)
     for label in ("x", "x^2/2", "x^3/6"):
         f = FunctionSpec.polynomial(F_CORPUS[label])
         pairs = build_all(g, f, 1.0, 1.0)
@@ -179,7 +179,7 @@ def test_c05_ground_states():
         f = FunctionSpec.polynomial(F_CORPUS[label])
         residuals, residuals_t = [], []
         for n in (501, 1001, 2001):
-            g = make_grid(-5, 5, n)
+            g = Grid1D(-5, 5, n)
             gs, gs_t = ground_states(g, f, 1.0, 1.0, margin=margin)
             tol = ground_state_tolerance(g, f, 1.0, 1.0)
             assert gs.residual <= tol and gs_t.residual <= tol, (label, n)
@@ -199,9 +199,9 @@ def test_c06_partner_isospectrality():
     started = time.perf_counter()
     from qflab.hamiltonians import build_from_superpotential
 
-    g = make_grid(-10, 10, 2001)
+    g = Grid1D(-10, 10, 2001)
     h1, h2 = build_from_superpotential(g, FunctionSpec.polynomial([0, 1]), 1.0)
-    rep = partner_spectra(h1.closed_form, h2.closed_form, 6)
+    rep = partner_spectra(h1, h2, 6)
     err1 = np.max(np.abs(rep.eigenvalues_a - np.array([2, 4, 6, 8, 10, 12])))
     err2 = np.max(np.abs(rep.eigenvalues_b - np.array([0, 2, 4, 6, 8, 10])))
     assert err1 <= 1e-3 and err2 <= 1e-3, (err1, err2)
@@ -215,7 +215,7 @@ def test_c06_partner_isospectrality():
 
 def test_c07_real_spectrum_of_nonhermitian():
     started = time.perf_counter()
-    g = make_grid(-5, 5, 801)
+    g = Grid1D(-5, 5, 801)
     r4, r3 = real_spectrum_check(g, FunctionSpec.polynomial([0, 0.5]), 1.0)
     for rep in (r4, r3):
         assert rep.max_sorted_diff_rel <= 1e-8, rep
@@ -227,7 +227,7 @@ def test_c07_real_spectrum_of_nonhermitian():
 
 def test_c08_finance_identification():
     started = time.perf_counter()
-    g = make_grid(-3, 3, 601)
+    g = Grid1D(-3, 3, 601)
     for sigma in (0.1, 0.2, 0.4):
         for r in (0.0, 0.01, 0.05, 0.1):
             mp = MarketParams(sigma, r)
@@ -253,7 +253,7 @@ def test_c08_finance_identification():
 def test_c09_three_way_pricing():
     started = time.perf_counter()
     strike, rate, maturity = 100.0, 0.05, 1.0
-    g = make_grid(math.log(strike) - 5, math.log(strike) + 5, 2001)
+    g = Grid1D(math.log(strike) - 5, math.log(strike) + 5, 2001)
     worst_pde, worst_z = 0.0, 0.0
     stream = 0
     for sigma in (0.1, 0.2, 0.4):
@@ -288,7 +288,7 @@ def test_c10_barrier():
     started = time.perf_counter()
     mp = MarketParams(0.2, 0.05)
     contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
-    g = make_grid(math.log(100) - 5, math.log(100) + 5, 2001)
+    g = Grid1D(math.log(100) - 5, math.log(100) + 5, 2001)
     report = fk_pde_crosscheck(mp, contract, g, 200_000, spots=[100.0])
     row = report.rows[0]
     assert row.passed, row

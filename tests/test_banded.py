@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qflab.cli import main
-from qflab.grid import make_grid
-from qflab.hamiltonians import build_from_superpotential, build_h1
+from qflab.grid import Grid1D
+from qflab.hamiltonians import build_all
 from qflab.operators import FunctionSpec, LinOp, deformed_momentum, diagonal
 from qflab.susy import block_commutator, dirichlet_eigenvalues, supercharge_2x2, superhamiltonian_2x2
 
@@ -27,7 +27,7 @@ band_offsets = st.sets(st.integers(1 - N_SMALL, N_SMALL - 1), min_size=1, max_si
 @settings(max_examples=50, deadline=None)
 def test_band_algebra_matches_dense_algebra(seed, offs_a, offs_b):
     rng = np.random.default_rng(seed)
-    g = make_grid(0, 1, N_SMALL)
+    g = Grid1D(0, 1, N_SMALL)
     a, b = random_band(rng, g, offs_a), random_band(rng, g, offs_b)
     da, db = a.toarray(), b.toarray()
     v = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
@@ -43,13 +43,13 @@ def test_band_algebra_matches_dense_algebra(seed, offs_a, offs_b):
     assert a.max_abs() == np.max(np.abs(da))
     s = slice(2, N_SMALL - 3)
     offsets, bands = a.principal_bands(s)
-    block = LinOp(bands, offsets, make_grid(0, 1, s.stop - s.start)).toarray()
+    block = LinOp(bands, offsets, Grid1D(0, 1, s.stop - s.start)).toarray()
     assert np.array_equal(block, da[s, s])
     assert a.block_max_abs(s) == np.max(np.abs(da[s, s]))
 
 
 def test_band_entries_outside_the_matrix_are_zero():
-    g = make_grid(0, 1, N_SMALL)
+    g = Grid1D(0, 1, N_SMALL)
     op = LinOp(np.ones((3, g.n)), (2, -1, 0), g)
     assert op.offsets == (-1, 0, 2)
     assert op.entries.flags.c_contiguous and op.entries.dtype == np.complex128
@@ -65,7 +65,7 @@ def width(op: LinOp) -> int:
 
 
 def test_band_width_stays_bounded():
-    g = make_grid(-5, 5, 201)
+    g = Grid1D(-5, 5, 201)
     pf = deformed_momentum(g, FunctionSpec.polynomial([0, 0, 0.5]))
     assert width(pf) <= 2
     assert width(pf.adjoint() @ pf) <= 4
@@ -77,15 +77,15 @@ def test_band_width_stays_bounded():
 
 
 def test_hamiltonian_storage_is_linear_in_n():
-    g = make_grid(-10, 10, 20001)
-    pair = build_h1(g, FunctionSpec.polynomial([0, 0, 0.5]), 1.0)
-    for op in (pair.compositional, pair.closed_form):
-        assert op.entries.nbytes <= 15 * 16 * g.n
+    g = Grid1D(-10, 10, 20001)
+    for pair in build_all(g, FunctionSpec.polynomial([0, 0, 0.5]), 1.0, 1.0).values():
+        for op in (pair.compositional, pair.closed_form):
+            assert op.entries.nbytes <= 15 * 16 * g.n
 
 
 def test_dirichlet_refuses_wide_and_complex_bands():
-    g = make_grid(-5, 5, 201)
-    h1, _ = build_from_superpotential(g, FunctionSpec.polynomial([0, 1]), 1.0)
+    g = Grid1D(-5, 5, 201)
+    h1 = build_all(g, FunctionSpec.polynomial([0, 0, 0.5]), 1.0, 1.0)["H1"]
     # compositional member: pentadiagonal after trimming
     with pytest.raises(ValueError, match="not a real tridiagonal band"):
         dirichlet_eigenvalues(h1.compositional, 4)
@@ -109,13 +109,13 @@ def test_dirichlet_real_tridiagonal_with_nonnegative_products(dim, seed):
     lower[rng.random(n - 1) < 0.1] = 0.0  # a zero product splits the band
     a = np.diag(rng.normal(0.0, 10.0, n)) + np.diag(upper, 1) + np.diag(lower, -1)
     k = dim if rng.random() < 0.3 else int(rng.integers(1, dim + 1))
-    got = dirichlet_eigenvalues(LinOp.from_dense(a, make_grid(-1, 1, n)), k)
+    got = dirichlet_eigenvalues(LinOp.from_dense(a, Grid1D(-1, 1, n)), k)
     dense = np.sort(np.linalg.eigvals(a[1:-1, 1:-1]).real)
     assert np.max(np.abs(got - dense[:k])) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
 
 
 def test_dirichlet_refuses_bands_whose_spectrum_may_be_complex():
-    g = make_grid(-1, 1, 6)
+    g = Grid1D(-1, 1, 6)
     # one negative off-diagonal product: the trimmed block [[0, 1], [-1, 0]] has eigenvalues +-i
     a = np.diag([1.0, 1.0, 1.0, 1.0, 1.0], 1) + np.diag([1.0, 1.0, -1.0, 1.0, 1.0], -1)
     assert np.max(np.abs(np.linalg.eigvals(a[1:-1, 1:-1]).imag)) > 0.1

@@ -164,15 +164,65 @@ def test_barrier_price_draws_once_and_solves_two_pdes(monkeypatch):
     assert counts == {"knockout_terminal": 1, "price_pde": 2}
 
 
-def test_verify_algebra_builds_each_hamiltonian_once(monkeypatch):
-    counts = count_calls(monkeypatch, hamiltonians.build_all)
+def count_products(monkeypatch) -> list:
+    """One entry per operator product formed after the call."""
     matmul, products = operators.LinOp.__matmul__, []
     monkeypatch.setattr(operators.LinOp, "__matmul__",
                         lambda a, b: products.append(1) or matmul(a, b))
+    return products
+
+
+def test_verify_algebra_builds_each_hamiltonian_once(monkeypatch):
+    counts = count_calls(monkeypatch, hamiltonians.build_all)
+    products = count_products(monkeypatch)
     assert main(["verify-algebra", "--f", "poly:0,0,0.5", "--n", "101"]) == 0
-    # H1..H4 of f and of -f, nothing built twice
-    assert counts == {"build_all": 2}
-    assert len(products) == 50
+    # H1..H4 of f once; the duality check reads only the closed forms of -f
+    assert counts == {"build_all": 1}
+    assert len(products) == 46
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "--n", "801", "--k", "2"), ("identify", "--n", "41")])
+def test_spectrum_and_identify_form_no_products(monkeypatch, capsys, argv):
+    # both read closed forms only
+    products = count_products(monkeypatch)
+    assert main(list(argv)) == 0
+    assert products == []
+
+
+def test_zero_commutator_checks_read_their_measurement(monkeypatch, capsys, tmp_path):
+    monkeypatch.setattr(operators, "commutator", lambda a, b: operators.identity(a.grid))
+    out = tmp_path / "report.json"
+    main(["verify-algebra", "--n", "41", "--json", str(out)])
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    for name in ("commutator_x_x_zero", "commutator_pf_pf_zero"):
+        assert checks[name]["measured"] == 1.0
+        assert checks[name]["pass"] is False
+
+
+@pytest.mark.parametrize("payoff", ["call", "do-call"])
+@pytest.mark.parametrize("flag,message", [(("--paths", "1"), "error: paths must be >= 2"),
+                                          (("--seed", "-1"), "error: seed must be in [0, 2**64)")],
+                         ids=["paths", "seed"])
+def test_price_all_refuses_paths_and_seed_before_the_pde(monkeypatch, capsys, payoff, flag, message):
+    counts = count_calls(monkeypatch, finance.price_pde)
+    assert main(["price", "--payoff", payoff, "--method", "all", "--n", "101", "--steps", "50", *flag]) == 2
+    assert counts == {"price_pde": 0}
+    assert capsys.readouterr().err.startswith(message)
+
+
+NARROW_GRID = ("price", "--xmin", "4", "--xmax", "5.2", "--n", "201", "--steps", "50")
+NARROW_WARNING = ("warning: grid [4, 5.2] narrower than ln K +- 6 sigma sqrt(T); "
+                  "boundary data will bias the price\n")
+
+
+@pytest.mark.parametrize("argv,count", [
+    (("--method", "pde"), 1),
+    (("--payoff", "do-call", "--method", "all", "--paths", "2000"), 2),  # two PDE solves
+])
+def test_warnings_reach_stderr_as_one_line_each(argv, count):
+    res = run(*NARROW_GRID, *argv)
+    assert res.returncode == 0, res.stderr
+    assert res.stderr == NARROW_WARNING * count
 
 
 @pytest.mark.parametrize("payoff", ["call", "do-call"])

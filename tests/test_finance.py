@@ -16,14 +16,14 @@ from qflab.finance import (
     map_to_deformed,
     price_pde,
 )
-from qflab.grid import make_grid
+from qflab.grid import Grid1D
 from qflab.operators import FunctionSpec, hermiticity_defect
 from qflab.tolerances import DEFAULT as TOL, EPS
 
 
 @pytest.fixture(scope="module")
 def g():
-    return make_grid(-3, 3, 601)
+    return Grid1D(-3, 3, 601)
 
 
 # -- contract / params validation ---------------------------------------------
@@ -229,7 +229,7 @@ def test_put_call_parity_closed_form(s0, k, r, sigma, t):
 @pytest.fixture(scope="module")
 def pricing_setup():
     mp = MarketParams(0.2, 0.05)
-    g = make_grid(math.log(100) - 5, math.log(100) + 5, 2001)
+    g = Grid1D(math.log(100) - 5, math.log(100) + 5, 2001)
     return mp, g
 
 
@@ -280,7 +280,7 @@ def test_pde_stability_bound(pricing_setup):
 
 def test_pde_narrow_grid_warns():
     mp = MarketParams(0.4, 0.05)
-    g = make_grid(math.log(100) - 0.5, math.log(100) + 0.5, 201)
+    g = Grid1D(math.log(100) - 0.5, math.log(100) + 0.5, 201)
     with pytest.warns(UserWarning, match="narrower"):
         price_pde(bs_hamiltonian(g, mp), OptionContract("european_call", 100, 1.0), mp, g, 100)
 
@@ -294,7 +294,7 @@ def test_pde_rejects_bad_input(pricing_setup):
 
 def test_pde_wider_band_matches_tridiagonal(pricing_setup):
     mp, _ = pricing_setup
-    g = make_grid(math.log(100) - 4, math.log(100) + 4, 401)
+    g = Grid1D(math.log(100) - 4, math.log(100) + 4, 401)
     contract = OptionContract("european_call", 100.0, 1.0)
     h = bs_hamiltonian(g, mp)
     banded = price_pde(h, contract, mp, g, 400)
@@ -352,7 +352,7 @@ def test_soft_barrier_converges_to_dirichlet(pricing_setup):
 
 def test_price_curve_csv(tmp_path, pricing_setup):
     mp, _ = pricing_setup
-    g = make_grid(math.log(100) - 2, math.log(100) + 2, 101)
+    g = Grid1D(math.log(100) - 2, math.log(100) + 2, 101)
     contract = OptionContract("european_call", 100.0, 0.5)
     curve = price_pde(bs_hamiltonian(g, mp), contract, mp, g, 100)
     path = tmp_path / "curve.csv"

@@ -2,25 +2,25 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from qflab.grid import make_grid
+from qflab.grid import Grid1D
 from qflab.operators import derivative_matrices
 from qflab.tolerances import DEFAULT as TOL
 
 
 def test_make_grid_examples():
-    g = make_grid(-1, 1, 3)
+    g = Grid1D(-1, 1, 3)
     assert g.h == 1.0
     assert np.array_equal(g.nodes, [-1.0, 0.0, 1.0])
-    g = make_grid(0, 10, 11)
+    g = Grid1D(0, 10, 11)
     assert g.h == 1.0
     assert g.nodes[5] == 5.0
-    assert make_grid(-10, 10, 2001).h == pytest.approx(0.01, abs=0)
+    assert Grid1D(-10, 10, 2001).h == pytest.approx(0.01, abs=0)
 
 
 @pytest.mark.parametrize("xmin,xmax,n", [(0, 1, 2), (0, 1, 1), (1, 1, 5), (2, -1, 5)])
 def test_make_grid_rejects_bad_input(xmin, xmax, n):
     with pytest.raises(ValueError):
-        make_grid(xmin, xmax, n)
+        Grid1D(xmin, xmax, n)
 
 
 @given(
@@ -29,7 +29,7 @@ def test_make_grid_rejects_bad_input(xmin, xmax, n):
     st.integers(3, 500),
 )
 def test_grid_invariants(xmin, width, n):
-    g = make_grid(xmin, xmin + width, n)
+    g = Grid1D(xmin, xmin + width, n)
     assert g.h > 0
     nodes = g.nodes
     assert len(nodes) == n
@@ -40,7 +40,7 @@ def test_grid_invariants(xmin, width, n):
 
 
 def test_d1_exact_on_linear():
-    g = make_grid(-5, 5, 201)
+    g = Grid1D(-5, 5, 201)
     d1, _ = derivative_matrices(g)
     res = d1.apply(g.nodes).real
     scale = np.max(np.abs(g.nodes)) / g.h
@@ -48,7 +48,7 @@ def test_d1_exact_on_linear():
 
 
 def test_d2_exact_on_quadratic():
-    g = make_grid(-5, 5, 201)
+    g = Grid1D(-5, 5, 201)
     _, d2 = derivative_matrices(g)
     res = d2.apply(g.nodes**2).real
     scale = np.max(g.nodes**2) / g.h**2
@@ -60,7 +60,7 @@ def test_convergence_order_on_sine(deriv):
     # analytic-derivative oracle: halving h cuts the max interior error ~4x
     errors = []
     for n in (201, 401):
-        g = make_grid(-np.pi, np.pi, n)
+        g = Grid1D(-np.pi, np.pi, n)
         d1, d2 = derivative_matrices(g)
         x = g.nodes
         exact = np.cos(x) if deriv == 1 else -np.sin(x)
@@ -75,7 +75,7 @@ def test_convergence_order_on_sine(deriv):
 def test_one_sided_boundary_rows_are_second_order():
     errs = []
     for n in (201, 401):
-        g = make_grid(-np.pi, np.pi, n)
+        g = Grid1D(-np.pi, np.pi, n)
         d1, d2 = derivative_matrices(g)
         x = g.nodes
         errs.append(
@@ -90,9 +90,9 @@ def test_one_sided_boundary_rows_are_second_order():
 
 
 def test_derivative_matrices_cached_and_readonly():
-    g = make_grid(0, 1, 11)
+    g = Grid1D(0, 1, 11)
     d1a, _ = derivative_matrices(g)
-    d1b, _ = derivative_matrices(make_grid(0, 1, 11))
+    d1b, _ = derivative_matrices(Grid1D(0, 1, 11))
     assert d1a is d1b
     with pytest.raises(ValueError):
         d1a.entries[0, 0] = 1.0

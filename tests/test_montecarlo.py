@@ -8,7 +8,7 @@ from scipy.special import erfinv
 
 from qflab import montecarlo
 from qflab.finance import MarketParams, OptionContract, closed_form_european
-from qflab.grid import make_grid
+from qflab.grid import Grid1D
 from qflab.montecarlo import (
     KNOCKOUT_CHUNK_BYTES,
     CrosscheckReport,
@@ -227,7 +227,7 @@ def test_standard_error_scaling():
 def test_fk_pde_crosscheck_vanilla():
     mp = MarketParams(0.2, 0.05)
     contract = OptionContract("european_call", 100.0, 1.0)
-    g = make_grid(math.log(100) - 5, math.log(100) + 5, 1501)
+    g = Grid1D(math.log(100) - 5, math.log(100) + 5, 1501)
     report = fk_pde_crosscheck(mp, contract, g, 400_000)
     assert isinstance(report, CrosscheckReport)
     assert len(report.rows) == 5
@@ -239,7 +239,7 @@ def test_fk_pde_crosscheck_vanilla():
 def test_fk_pde_crosscheck_deep_otm_high_vol():
     mp = MarketParams(0.4, 0.05)
     contract = OptionContract("european_call", 100.0, 1.0)
-    g = make_grid(math.log(100) - 6, math.log(100) + 6, 1501)
+    g = Grid1D(math.log(100) - 6, math.log(100) + 6, 1501)
     report = fk_pde_crosscheck(mp, contract, g, 400_000, spots=[60.0, 80.0, 100.0])
     assert report.passed
 
@@ -247,7 +247,7 @@ def test_fk_pde_crosscheck_deep_otm_high_vol():
 def test_fk_pde_crosscheck_barrier():
     mp = MarketParams(0.2, 0.05)
     contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
-    g = make_grid(math.log(100) - 5, math.log(100) + 5, 1501)
+    g = Grid1D(math.log(100) - 5, math.log(100) + 5, 1501)
     report = fk_pde_crosscheck(mp, contract, g, 100_000)
     assert report.passed
     assert report.monitoring_per_year == 250

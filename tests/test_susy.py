@@ -4,15 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from qflab.grid import make_grid
-from qflab.hamiltonians import build_all, build_from_superpotential, build_h3
+from qflab.grid import Grid1D
+from qflab.hamiltonians import build_all, build_from_superpotential, closed_form
 from qflab.operators import FunctionSpec, hermiticity_defect, momentum_squared
 from qflab.susy import (
     BlockOp,
     block_anticommutator,
     block_commutator,
     dirichlet_eigenvalues,
-    duality_transform,
     ground_state_tolerance,
     ground_states,
     identify_blocks,
@@ -30,7 +29,7 @@ ALPHA, BETA = 1.0, 1.0
 
 @pytest.fixture(scope="module")
 def g():
-    return make_grid(-5, 5, 401)
+    return Grid1D(-5, 5, 401)
 
 
 @pytest.fixture(scope="module")
@@ -154,7 +153,7 @@ def test_beta_zero_reduction(g, f):
 
 
 def test_duality_maps_h_content_to_htilde(g, f, refs):
-    neg = duality_transform(f)
+    neg = -f
     assert np.array_equal(neg.values(g), -f.values(g))
     q1n, q2n, _, _ = supercharges_4x4(g, neg, ALPHA, BETA)
     ident = identify_blocks(superhamiltonian_4x4(q1n, q2n), refs)
@@ -164,13 +163,13 @@ def test_duality_maps_h_content_to_htilde(g, f, refs):
 
 
 def test_duality_is_involution(g, f):
-    assert duality_transform(duality_transform(f)).coefficients == f.coefficients
+    assert (-(-f)).coefficients == f.coefficients
 
 
 def test_zero_f_is_duality_fixed_point(g):
     f0 = FunctionSpec.zero()
     refs0 = build_all(g, f0, ALPHA, BETA)
-    q1, q2, _, _ = supercharges_4x4(g, duality_transform(f0), ALPHA, BETA)
+    q1, q2, _, _ = supercharges_4x4(g, -f0, ALPHA, BETA)
     ident = identify_blocks(superhamiltonian_4x4(q1, q2), refs0)
     assert ident.matched
 
@@ -208,7 +207,7 @@ def test_ground_state_residuals_and_convergence(coeffs):
     margin = 4 * (10 / 500)
     residuals, residuals_t = [], []
     for n in (501, 1001, 2001):
-        g = make_grid(-5, 5, n)
+        g = Grid1D(-5, 5, n)
         gs, gs_t = ground_states(g, f, ALPHA, BETA, margin=margin)
         assert abs(np.linalg.norm(gs.state) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(gs_t.state) - 1.0) <= 1e-12
@@ -248,9 +247,9 @@ def test_ground_state_overflow_guard(g):
 
 
 def test_partner_spectra_harmonic():
-    g = make_grid(-10, 10, 2001)
+    g = Grid1D(-10, 10, 2001)
     h1, h2 = build_from_superpotential(g, FunctionSpec.polynomial([0, 1]), 1.0)
-    rep = partner_spectra(h1.closed_form, h2.closed_form, 6)
+    rep = partner_spectra(h1, h2, 6)
     assert np.allclose(rep.eigenvalues_a, [2, 4, 6, 8, 10, 12], atol=1e-3)
     assert np.allclose(rep.eigenvalues_b, [0, 2, 4, 6, 8, 10], atol=1e-3)
     assert rep.zero_modes == (0, 1)
@@ -259,9 +258,9 @@ def test_partner_spectra_harmonic():
 
 
 def test_partner_spectra_free_box():
-    g = make_grid(-5, 5, 1001)
+    g = Grid1D(-5, 5, 1001)
     h1, h2 = build_from_superpotential(g, FunctionSpec.zero(), 1.0)
-    rep = partner_spectra(h1.closed_form, h2.closed_form, 4)
+    rep = partner_spectra(h1, h2, 4)
     exact = np.array([(np.pi * m / 10.0) ** 2 for m in range(1, 5)])
     assert np.allclose(rep.eigenvalues_a, exact, rtol=5e-4)
     assert np.array_equal(rep.eigenvalues_a, rep.eigenvalues_b)
@@ -269,15 +268,15 @@ def test_partner_spectra_free_box():
 
 
 def test_partner_spectra_cubic_superpotential():
-    g = make_grid(-6, 6, 2001)
+    g = Grid1D(-6, 6, 2001)
     h1, h2 = build_from_superpotential(g, FunctionSpec.polynomial([0, 0, 0, 1.0]), 1.0)
-    rep = partner_spectra(h1.closed_form, h2.closed_form, 5)
+    rep = partner_spectra(h1, h2, 5)
     assert rep.max_pair_gap <= 1e-3
     assert rep.zero_modes == (0, 1)
 
 
 def test_partner_spectra_rejects_non_hermitian(g, f):
-    h3 = build_h3(g, f, 1.0).closed_form
+    h3 = closed_form(g, f, "H3", 1.0)
     with pytest.raises(ValueError, match="Hermitian"):
         partner_spectra(h3, h3, 3)
 
@@ -285,25 +284,25 @@ def test_partner_spectra_rejects_non_hermitian(g, f):
 def test_partner_spectra_k_guard(g, f):
     h1, h2 = build_from_superpotential(g, FunctionSpec.zero(), 1.0)
     with pytest.raises(ValueError):
-        partner_spectra(h1.closed_form, h2.closed_form, g.n)
+        partner_spectra(h1, h2, g.n)
 
 
 def test_dirichlet_eigenvalues_match_dense_solver(g):
     h1, _ = build_from_superpotential(g, FunctionSpec.polynomial([0, 1]), 1.0)
-    fast = dirichlet_eigenvalues(h1.closed_form, 4)
-    dense = np.sort(np.linalg.eigvalsh(h1.closed_form.toarray()[1:-1, 1:-1].real))[:4]
+    fast = dirichlet_eigenvalues(h1, 4)
+    dense = np.sort(np.linalg.eigvalsh(h1.toarray()[1:-1, 1:-1].real))[:4]
     assert np.allclose(fast, dense, rtol=1e-12, atol=1e-12)
 
 
 def test_symmetrized_band_keeps_the_hermitian_bits():
     # the spectrum workload's H1: sqrt(u l) = |u| on a symmetric band, and the
     # bisection reads only squared off-diagonals, so the signed band gives the same bits
-    g = make_grid(-10, 10, 2001)
+    g = Grid1D(-10, 10, 2001)
     h1, _ = build_from_superpotential(g, FunctionSpec.polynomial([0, 1]), 1.0)
-    band = dict(zip(*h1.closed_form.principal_bands(slice(1, g.n - 1))))
+    band = dict(zip(*h1.principal_bands(slice(1, g.n - 1))))
     signed = eigh_tridiagonal(band[0].real, band[1].real[1:], eigvals_only=True,
                               select="i", select_range=(0, 5))
-    assert np.array_equal(dirichlet_eigenvalues(h1.closed_form, 6), signed)
+    assert np.array_equal(dirichlet_eigenvalues(h1, 6), signed)
 
 
 # -- real spectrum of the non-Hermitian pair -------------------------------------
@@ -317,7 +316,7 @@ def test_real_spectrum_check_zero_f(g):
 
 
 def test_real_spectrum_check_linear_f():
-    g = make_grid(-5, 5, 801)
+    g = Grid1D(-5, 5, 801)
     r4, r3 = real_spectrum_check(g, FunctionSpec.polynomial([0, 0.5]), 1.3)
     for rep in (r4, r3):
         assert rep.passed
@@ -327,7 +326,7 @@ def test_real_spectrum_check_linear_f():
 @pytest.mark.parametrize("slope, n", [(4.0, 101), (4.0, 1001), (60.0, 1001)])
 def test_real_spectrum_check_keeps_1e8_for_steep_f(slope, n):
     # the symmetrized tridiagonal solve needs no widening, up to max|f| = 300
-    g = make_grid(-5, 5, n)
+    g = Grid1D(-5, 5, n)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         reports = real_spectrum_check(g, FunctionSpec.polynomial([0, slope]), 1.0)
