@@ -14,7 +14,7 @@ import os
 import sys
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -326,16 +326,8 @@ def cmd_price(args) -> int:
 
     prices: dict[str, float] = {}
 
-    if args.method in ("closed", "all"):
-        if kind == "down_and_out_call":
-            if args.method == "closed":
-                print("error: no closed form for barrier contracts", file=sys.stderr)
-                return 2
-        else:
-            fk = "call" if kind == "european_call" else "put"
-            prices["closed"] = finance.closed_form_european(
-                args.spot, args.strike, args.rate, args.sigma, args.maturity, fk
-            )
+    if args.method == "closed" or (args.method == "all" and contract.barrier is None):
+        prices["closed"] = finance.closed_form_price(mp, contract, args.spot)
     curve = None
     if args.method == "all":
         crosscheck = montecarlo.fk_pde_crosscheck(
@@ -367,13 +359,14 @@ def cmd_price(args) -> int:
             tol = finance.pde_tolerance(prices["closed"])
             report.add("pde_vs_closed", gap, tol, gap <= tol)
             gap_mc = abs(prices["mc"] - prices["closed"])
-            tol_mc = 3.0 * mc_se
+            # floored at rounding, so that a standard error of 0 leaves a gate
+            tol_mc = max(3.0 * mc_se, TOL.rounding(args.paths, abs(prices["closed"])))
             report.add("mc_vs_closed_3se", gap_mc, tol_mc, gap_mc <= tol_mc)
         else:
             # PDE is continuously monitored, MC discretely: the row adds the bias bound
             report.add("pde_vs_mc", abs(row.gap), row.tolerance, row.passed)
-            vanilla = finance.closed_form_european(
-                args.spot, args.strike, args.rate, args.sigma, args.maturity, "call"
+            vanilla = finance.closed_form_price(
+                mp, replace(contract, payoff_kind="european_call", barrier=None), args.spot
             )
             report.add("barrier_below_vanilla", prices["pde"] - vanilla, 1e-6,
                        prices["pde"] <= vanilla + 1e-6)

@@ -128,8 +128,8 @@ class DeformationMatchError(RuntimeError):
 class DeformationMapping:
     """Measured identification of a finance Hamiltonian with H_I/H_II.
 
-    ``sign`` records which orientation of the paper-form f enters the matching
-    candidate; ``matches`` keeps the complete list of (label, sign) candidates
+    ``sign`` is the orientation of the paper-form f in the canonical candidate
+    (always +1); ``matches`` keeps the complete list of (label, sign) candidates
     that reproduced the target, since H_I(f) and H_II(-f) coincide as matrices.
     """
 
@@ -158,7 +158,10 @@ def _candidate(g: Grid1D, f: FunctionSpec, beta: float, v2: np.ndarray, which: s
 
 
 def map_to_deformed(mp: MarketParams, g: Grid1D, kind: str = "auto") -> DeformationMapping:
-    """Measure which of the four (H_I/H_II, +-f) candidates equals the target.
+    """Measure which of the two sign branches, H_I(f) or H_II(f), equals the target.
+
+    ``matches`` lists both (label, sign) twins of every matching branch, in
+    the order (H_I, +1), (H_I, -1), (H_II, +1), (H_II, -1).
 
     kind: 'bs' (target H_BS, f linear from r), 'bsg' (target H_BSG, f from the
     integral of (sigma^2/2 - V)/sigma^2), 'bsb' (target H_BSB, f as in 'bs'
@@ -208,16 +211,20 @@ def map_to_deformed(mp: MarketParams, g: Grid1D, kind: str = "auto") -> Deformat
     cancelled = beta * beta * float(np.max(np.abs(fpp) + fp * fp))
     target_tol = TOL.round_coeff * EPS * max(target.max_abs(), 1.0)
     tol = TOL.round_coeff * EPS * max(target.max_abs(), cancelled, 1.0)
-    candidates = {(which, sign): _candidate(g, f if sign > 0 else -f, beta, v2_vals, which)
-                  for which in ("H_I", "H_II") for sign in (+1, -1)}
+    # branch +1 is H_I(f) = H_II(-f), branch -1 is H_II(f) = H_I(-f): one
+    # matrix per branch, measured once
+    candidates = {which: _candidate(g, f, beta, v2_vals, which) for which in ("H_I", "H_II")}
     # the two sign branches differ by 4i b^2 f' P
-    branch_gap = (candidates[("H_I", +1)] - candidates[("H_I", -1)]).max_abs()
+    branch_gap = (candidates["H_I"] - candidates["H_II"]).max_abs()
     if tol >= branch_gap > target_tol:
         raise ValueError(f"sigma={mp.sigma} is too small to identify: the rounding of the "
                          f"cancelled terms b^2 f'^2 ({tol:.3g}) reaches the gap between the "
                          f"sign branches ({branch_gap:.3g})")
-    residuals = {key: (cand - target).max_abs() for key, cand in candidates.items()}
-    matches = [(which, sign, r) for (which, sign), r in residuals.items() if r <= tol]
+    residuals = {which: (cand - target).max_abs() for which, cand in candidates.items()}
+    # (label, sign) lies on branch (+1 for H_I, -1 for H_II) * sign, i.e. it
+    # equals the paper-f candidate of that label or of the other one
+    twin = {("H_I", +1): "H_I", ("H_I", -1): "H_II", ("H_II", +1): "H_II", ("H_II", -1): "H_I"}
+    matches = [key for key, which in twin.items() if residuals[which] <= tol]
 
     if not matches:
         raise DeformationMatchError(
@@ -225,35 +232,28 @@ def map_to_deformed(mp: MarketParams, g: Grid1D, kind: str = "auto") -> Deformat
             f"(this indicates an implementation fault)"
         )
 
-    branches = {(+1 if which == "H_I" else -1) * sign for which, sign, _ in matches}
     # both sign branches matching is legitimate only when the branches are the
     # same matrix (f' negligible, e.g. sigma^2 = 2r), else a fault
-    if len(branches) > 1 and branch_gap > tol:
+    if len(matches) == 4 and branch_gap > tol:
         raise DeformationMatchError(
             f"candidates from both sign branches matched while the branches "
-            f"differ by {branch_gap:.3g}: {[(w, s) for w, s, _ in matches]}"
+            f"differ by {branch_gap:.3g}: {matches}"
         )
 
     # Canonical representative: the paper's printed label H_II if it matches
     # with the paper's f, otherwise H_I with the paper's f (the measured
-    # resolution under P = -i d/dx).  One of the two is always present.
-    by_key = {(w, s): r for w, s, r in matches}
-    if ("H_II", +1) in by_key:
-        which, sign = "H_II", +1
-    elif ("H_I", +1) in by_key:
-        which, sign = "H_I", +1
-    else:  # pragma: no cover - every branch contains a +1 candidate
-        which, sign, _ = matches[0]
+    # resolution under P = -i d/dx).
+    which = "H_II" if residuals["H_II"] <= tol else "H_I"
     return DeformationMapping(
         beta=beta,
         f=f,
         v2=v2,
-        sign=sign,
+        sign=+1,
         which_hamiltonian=which,
-        residual=by_key[(which, sign)],
+        residual=residuals[which],
         tolerance=tol,
         kind=kind,
-        matches=tuple((w, s) for w, s, _ in matches),
+        matches=tuple(matches),
     )
 
 
@@ -264,26 +264,26 @@ def _norm_cdf(x: float) -> float:
     return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
 
 
-def closed_form_european(
-    s0: float, strike: float, r: float, sigma: float, maturity: float, kind: str = "call"
-) -> float:
-    """Lognormal closed form through the error function."""
-    if s0 <= 0 or strike <= 0 or sigma < 0 or maturity < 0:
-        raise ValueError("spot, strike must be > 0 and sigma, maturity >= 0")
-    if kind not in ("call", "put"):
-        raise ValueError(f"kind must be call or put, got {kind!r}")
+def closed_form_price(mp: MarketParams, contract: OptionContract, spot: float) -> float:
+    """Lognormal closed form of a European call or put through the error function."""
+    if contract.payoff_kind == "down_and_out_call":
+        raise ValueError("no closed form for barrier contracts")
+    if spot <= 0:
+        raise ValueError(f"spot must be > 0, got {spot}")
+    r, sigma, strike, maturity = mp.r, mp.sigma, contract.strike, contract.maturity
     check_discount(r, maturity)
+    call = contract.payoff_kind == "european_call"
     disc = math.exp(-r * maturity)
     vol = sigma * math.sqrt(maturity)
     if vol < 1e-12:
         # discounted deterministic forward, s0 e^{rT} e^{-rT} - K e^{-rT}, never formed
-        intrinsic = s0 - strike * disc
-        return max(intrinsic, 0.0) if kind == "call" else max(-intrinsic, 0.0)
-    d1 = (math.log(s0 / strike) + (r + 0.5 * sigma**2) * maturity) / vol
+        intrinsic = spot - strike * disc
+        return max(intrinsic, 0.0) if call else max(-intrinsic, 0.0)
+    d1 = (math.log(spot / strike) + (r + 0.5 * sigma**2) * maturity) / vol
     d2 = d1 - vol
-    if kind == "call":
-        return s0 * _norm_cdf(d1) - strike * disc * _norm_cdf(d2)
-    return strike * disc * _norm_cdf(-d2) - s0 * _norm_cdf(-d1)
+    if call:
+        return spot * _norm_cdf(d1) - strike * disc * _norm_cdf(d2)
+    return strike * disc * _norm_cdf(-d2) - spot * _norm_cdf(-d1)
 
 
 # -- PDE pricer --------------------------------------------------------------

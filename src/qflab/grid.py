@@ -7,6 +7,7 @@ themselves to the interior block (see :meth:`Grid1D.interior`), where
 one-sided-stencil artifacts cannot reach even after one matrix product.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,13 @@ class Grid1D:
             raise ValueError(
                 f"grid requires x_min < x_max, got [{self.x_min}, {self.x_max}]"
             )
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError(f"grid bounds must be finite, got [{self.x_min}, {self.x_max}]")
+        # the second-difference stencil divides by h**2
+        h2 = self.h * self.h
+        if not (0.0 < h2 < math.inf and 1.0 / h2 < math.inf):
+            raise ValueError(f"grid spacing h = {self.h:.3g} on [{self.x_min}, {self.x_max}] "
+                             f"with n={self.n}: h**2 and 1/h**2 must be finite and nonzero")
 
     @property
     def h(self) -> float:

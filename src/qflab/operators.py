@@ -82,7 +82,10 @@ class FunctionSpec:
             except ValueError as exc:
                 raise ValueError(f"bad polynomial spec {text!r}: {exc}") from exc
         if kind == "table" and body:
-            values = np.loadtxt(Path(body), dtype=float, ndmin=1)
+            try:
+                values = np.loadtxt(Path(body), dtype=float, ndmin=1)
+            except OSError as exc:
+                raise ValueError(f"cannot read table {body!r}: {exc.strerror or exc}") from exc
             return cls.tabulated(values)
         raise ValueError(f"function spec must look like 'poly:c0,c1,...' or "
                          f"'table:<path>', got {text!r}")

@@ -30,7 +30,6 @@ from .operators import (
     FunctionSpec,
     LinOp,
     deformed_momentum,
-    hermiticity_defect,
     momentum_squared,
 )
 from .tolerances import DEFAULT as TOL
@@ -429,14 +428,16 @@ def partner_spectra(h1: LinOp, h2: LinOp, k: int, pair_tol: float = 1e-3) -> Pai
     The zero-mode threshold is floored by ``pair_tol``: a discretized zero
     mode sits at O(h^2) rather than exactly at zero, and anything within the
     pairing tolerance of zero is indistinguishable from a zero mode at the
-    resolution of this check.  Partners must be Hermitian (H1/H2-type).
+    resolution of this check.  Partners must be Hermitian (H1/H2-type) on the
+    Dirichlet block, where the one-sided boundary rows are trimmed.
     """
     if not 0.0 < pair_tol < np.inf:
         raise ValueError(f"pair_tol must be finite and > 0, got {pair_tol}")
     if k > h1.n // 4:
         raise ValueError(f"k = {k} too large for grid size {h1.n} (need k <= n/4)")
+    trim = slice(1, h1.n - 1)  # the Dirichlet block that dirichlet_eigenvalues solves
     for h in (h1, h2):
-        if hermiticity_defect(h) > TOL.rounding(h.n, max(1.0, h.max_abs())):
+        if (h - h.adjoint()).block_max_abs(trim) > TOL.rounding(h.n, max(1.0, h.max_abs())):
             raise ValueError("partner spectra need Hermitian (H1/H2-type) operators")
     ea = np.sort(dirichlet_eigenvalues(h1, k))
     eb = np.sort(dirichlet_eigenvalues(h2, k))

@@ -18,7 +18,7 @@ from qflab.finance import (
     bs_hamiltonian,
     bsb_hamiltonian,
     bsg_hamiltonian,
-    closed_form_european,
+    closed_form_price,
     map_to_deformed,
     price_pde,
 )
@@ -263,7 +263,7 @@ def test_c09_three_way_pricing():
             contract = OptionContract(payoff_kind, strike, maturity)
             curve = price_pde(h, contract, mp, g, 2000)
             for s0 in (80.0, 100.0, 120.0):
-                ref = closed_form_european(s0, strike, rate, sigma, maturity, kind)
+                ref = closed_form_price(mp, contract, s0)
                 pde = curve.price_at(s0)
                 tol = max(1e-2, 2e-3 * abs(ref))
                 assert abs(pde - ref) <= tol, (sigma, kind, s0, pde, ref)
@@ -292,7 +292,7 @@ def test_c10_barrier():
     report = fk_pde_crosscheck(mp, contract, g, 200_000, spots=[100.0])
     row = report.rows[0]
     assert row.passed, row
-    vanilla = closed_form_european(100, 100, 0.05, 0.2, 1.0, "call")
+    vanilla = closed_form_price(mp, OptionContract("european_call", 100.0, 1.0), 100.0)
     assert row.pde_price <= vanilla
     elapsed = time.perf_counter() - started
     _report("C10", "barrier pricing", elapsed < 120.0,

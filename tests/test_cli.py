@@ -110,6 +110,7 @@ def test_price_closed_worthless_put():
 def test_price_closed_rejects_barrier():
     res = run("price", "--payoff", "do-call", "--method", "closed")
     assert res.returncode == 2
+    assert res.stderr == "error: no closed form for barrier contracts\n"
 
 
 def test_price_all_methods_small(tmp_path):
@@ -235,3 +236,15 @@ def test_price_all_reports_the_pde_and_mc_prices(tmp_path, payoff):
         prices[method] = json.loads(out.read_text())["parameters"]["prices"]
     assert prices["all"]["pde"] == prices["pde"]["pde"]
     assert prices["all"]["mc"] == prices["mc"]["mc"]
+
+
+@pytest.mark.parametrize("argv,passed", [
+    (("--paths", "3"), False),  # every payoff is 0, so the standard error is 0
+    (("--sigma", "1e-17", "--paths", "1000", "--n", "401", "--steps", "200"), True),  # exact draws
+], ids=["zero-payoffs", "zero-volatility"])
+def test_mc_gate_is_floored_at_rounding(tmp_path, capsys, argv, passed):
+    out = tmp_path / "report.json"
+    assert main(["price", "--method", "all", *argv, "--json", str(out)]) != 2
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["mc_vs_closed_3se"]["tolerance"] > 0
+    assert checks["mc_vs_closed_3se"]["pass"] is passed

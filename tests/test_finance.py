@@ -5,25 +5,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from qflab import finance
 from qflab.finance import (
     MarketParams,
     OptionContract,
     bs_hamiltonian,
     bsb_hamiltonian,
     bsg_hamiltonian,
-    closed_form_european,
+    closed_form_price,
     default_pricing_grid,
     map_to_deformed,
     price_pde,
 )
 from qflab.grid import Grid1D
-from qflab.operators import FunctionSpec, hermiticity_defect
+from qflab.hamiltonians import closed_form
+from qflab.operators import FunctionSpec, diagonal, hermiticity_defect
 from qflab.tolerances import DEFAULT as TOL, EPS
+
+
+G = Grid1D(-3, 3, 601)
 
 
 @pytest.fixture(scope="module")
 def g():
-    return Grid1D(-3, 3, 601)
+    return G
 
 
 # -- contract / params validation ---------------------------------------------
@@ -150,6 +155,54 @@ def test_identification_barrier(g):
     assert (mapping.which_hamiltonian, mapping.sign) == ("H_I", 1)
 
 
+# the identification's f's: linear from (sigma, r), and the bsg antiderivatives of
+# a polynomial and of a tabulated V
+IDENTIFICATIONS = {
+    **{f"bs-{s}-{r}": (MarketParams(s, r), "bs")
+       for s, r in ((0.1, 0.0), (0.1, 0.1), (0.2, 0.02), (0.2, 0.05), (0.4, 0.01), (0.4, 0.1))},
+    "bsg-poly": (MarketParams(0.3, 0.0, FunctionSpec.polynomial([0.05, 0.01])), "bsg"),
+    "bsg-table": (MarketParams(0.3, 0.0, FunctionSpec.tabulated(0.05 + 0.01 * np.tanh(G.nodes))), "bsg"),
+    "bsb": (MarketParams(0.2, 0.05, FunctionSpec.polynomial([0.05, 0.01])), "bsb"),
+}
+
+
+def four_candidates(g, mapping):
+    """H_I(+-f) and H_II(+-f) of the mapping's f, rebuilt from the public builders."""
+    b2, v2 = mapping.beta * mapping.beta, mapping.v2.values(g)
+    out = {}
+    for sign, f in ((+1, mapping.f), (-1, -mapping.f)):
+        fp, fpp = f.derivative_values(g), f.second_derivative_values(g)
+        out["H_I", sign] = closed_form(g, f, "H4", mapping.beta) + diagonal(g, -b2 * (fpp - fp**2) + v2)
+        out["H_II", sign] = closed_form(g, f, "H3", mapping.beta) + diagonal(g, b2 * (fpp + fp**2) + v2)
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(IDENTIFICATIONS))
+def test_sign_branches_are_duality_twins(g, case):
+    # H_I(+-f) and H_II(-+f) are the same matrix, so two candidates cover all four
+    mp, kind = IDENTIFICATIONS[case]
+    mapping = map_to_deformed(mp, g, kind=kind)
+    cands = four_candidates(g, mapping)
+    for sign in (+1, -1):
+        a, b = cands["H_I", sign], cands["H_II", -sign]
+        assert a.offsets == b.offsets and np.array_equal(a.entries, b.entries)
+    # the measured matches and residual are those of the four candidates
+    target = (bsb_hamiltonian(g, mp, mp.potential) if kind == "bsb"
+              else bsg_hamiltonian(g, mp) if kind == "bsg" else bs_hamiltonian(g, mp))
+    residuals = {(w, s): (cands[w, s] - target).max_abs() for w in ("H_I", "H_II") for s in (1, -1)}
+    assert mapping.matches == tuple(key for key, r in residuals.items() if r <= mapping.tolerance)
+    assert mapping.residual == residuals[mapping.which_hamiltonian, mapping.sign]
+
+
+@pytest.mark.parametrize("case", ["bs-0.2-0.05", "bsg-table", "bsb"])
+def test_identification_builds_each_sign_branch_once(g, monkeypatch, case):
+    labels = []
+    monkeypatch.setattr(finance, "closed_form", lambda *a: labels.append(a[2]) or closed_form(*a))
+    mp, kind = IDENTIFICATIONS[case]
+    map_to_deformed(mp, g, kind=kind)
+    assert labels == ["H4", "H3"]  # H_I(f) and H_II(f)
+
+
 def test_identification_requires_potential_for_bsg(g):
     with pytest.raises(ValueError):
         map_to_deformed(MarketParams(0.2, 0.05), g, kind="bsg")
@@ -171,9 +224,13 @@ QUADRATURE_ORACLE = [
 ]
 
 
+def closed(s0, k, r, sigma, t, kind):
+    return closed_form_price(MarketParams(sigma, r), OptionContract(f"european_{kind}", k, t), s0)
+
+
 @pytest.mark.parametrize("s0,k,r,sigma,t,kind,expected", QUADRATURE_ORACLE)
 def test_closed_form_against_quadrature(s0, k, r, sigma, t, kind, expected):
-    assert closed_form_european(s0, k, r, sigma, t, kind) == pytest.approx(expected, abs=2e-7)
+    assert closed(s0, k, r, sigma, t, kind) == pytest.approx(expected, abs=2e-7)
 
 
 def test_quadrature_oracle_reproducible():
@@ -191,22 +248,25 @@ def test_quadrature_oracle_reproducible():
 
 
 def test_closed_form_limits():
-    assert closed_form_european(100, 1e-8, 0.05, 0.2, 1.0, "call") == pytest.approx(100.0, abs=1e-7)
-    assert closed_form_european(100, 1e-8, 0.05, 0.2, 1.0, "put") == pytest.approx(0.0, abs=1e-12)
+    assert closed(100, 1e-8, 0.05, 0.2, 1.0, "call") == pytest.approx(100.0, abs=1e-7)
+    assert closed(100, 1e-8, 0.05, 0.2, 1.0, "put") == pytest.approx(0.0, abs=1e-12)
     # zero-volatility limit: deterministic forward
-    assert closed_form_european(100, 90, 0.05, 1e-13, 1.0, "call") == pytest.approx(
+    assert closed(100, 90, 0.05, 1e-13, 1.0, "call") == pytest.approx(
         100 - 90 * math.exp(-0.05), rel=1e-12
     )
-    with pytest.raises(ValueError):
-        closed_form_european(100, 100, 0.05, 0.2, 1.0, "straddle")
+    with pytest.raises(ValueError, match="no closed form for barrier contracts"):
+        closed_form_price(MarketParams(0.2, 0.05), OptionContract("down_and_out_call", 100, 1.0, 80.0), 100)
+    with pytest.raises(ValueError, match="spot"):
+        closed(0.0, 100, 0.05, 0.2, 1.0, "call")
 
 
 def test_closed_form_zero_volatility_never_forms_the_forward():
     # s0 e^{rT} overflows here, while its discounted value s0 - K e^{-rT} does not
-    assert closed_form_european(1e300, 100, 20.0, 1e-13, 1.0, "call") == pytest.approx(1e300)
-    assert closed_form_european(1e300, 100, 20.0, 1e-13, 1.0, "put") == 0.0
+    assert closed(1e300, 100, 20.0, 1e-13, 1.0, "call") == pytest.approx(1e300)
+    assert closed(1e300, 100, 20.0, 1e-13, 1.0, "put") == 0.0
+    # the rate is within MarketParams' range, but exp(-r T) overflows over two years
     with pytest.raises(ValueError, match="rate"):
-        closed_form_european(100, 100, -1000.0, 0.2, 1.0)
+        closed(100, 100, -400.0, 0.2, 2.0, "call")
 
 
 @given(
@@ -218,8 +278,8 @@ def test_closed_form_zero_volatility_never_forms_the_forward():
 )
 @settings(max_examples=80)
 def test_put_call_parity_closed_form(s0, k, r, sigma, t):
-    call = closed_form_european(s0, k, r, sigma, t, "call")
-    put = closed_form_european(s0, k, r, sigma, t, "put")
+    call = closed(s0, k, r, sigma, t, "call")
+    put = closed(s0, k, r, sigma, t, "put")
     assert call - put == pytest.approx(s0 - k * math.exp(-r * t), abs=1e-9 * max(s0, k))
 
 

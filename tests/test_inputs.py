@@ -154,6 +154,48 @@ def test_identify_refuses_sigma_whose_sign_branches_it_cannot_resolve(capsys, n)
     assert "too small to identify" in err and "sign branches" in err
 
 
+TINY_OR_HUGE_SPACING = [
+    ("verify-algebra", "--xmin", "0", "--xmax", "1e-200", "--n", "41"),
+    ("identify", "--xmin", "0", "--xmax", "1e-170"),
+    ("spectrum", "--xmin=-1e160", "--xmax=1e160"),
+    ("price", "--method", "pde", "--xmin=-1e308", "--xmax=5"),
+]
+
+
+@pytest.mark.parametrize("argv", TINY_OR_HUGE_SPACING)
+def test_grid_refuses_a_spacing_its_stencils_cannot_hold(capsys, argv):
+    assert run_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "h**2 and 1/h**2 must be finite and nonzero" in err
+
+
+@pytest.mark.parametrize("argv", [("verify-algebra", "--xmax", "inf"), ("spectrum", "--xmin=-inf"),
+                                  ("identify", "--xmax", "inf"),
+                                  ("price", "--method", "pde", "--xmin", "1", "--xmax", "inf")])
+def test_grid_refuses_non_finite_bounds(capsys, argv):
+    assert run_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "grid bounds must be finite" in err
+
+
+@pytest.mark.parametrize("argv", [("verify-algebra", "--n", "41", "--f"), ("spectrum", "--n", "201", "--w"),
+                                  ("identify", "--n", "41", "--v")], ids=["f", "w", "v"])
+@pytest.mark.parametrize("target", ["missing", "directory"])
+def test_unreadable_table_is_a_usage_error(capsys, tmp_path, argv, target):
+    path = tmp_path / "missing.csv" if target == "missing" else tmp_path
+    assert run_main((*argv, f"table:{path}")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read table '{path}'") and err.count("\n") == 1
+
+
+def test_spectrum_runs_hermitian_partners_on_a_small_grid(capsys):
+    # H1 and H2 are Hermitian on the Dirichlet block that is solved
+    assert run_main(("spectrum", "--k", "1", "--n", "8")) != 2
+    assert "error" not in capsys.readouterr().err
+
+
 def test_library_constructors_reject_the_same_inputs():
     with pytest.raises(ValueError, match="seed"):
         GbmConfig(0.05, 0.2, 100.0, seed=-1)
@@ -258,6 +300,10 @@ def edge_commands(draw):
 @example(["verify-algebra", "--n", "8"])
 @example([*SMALL_PRICE, "--method", "all", "--paths", "1"])
 @example([*SMALL_PRICE, "--method", "all", "--seed", "-1"])
+@example(["verify-algebra", "--xmin", "0", "--xmax", "1e-200", "--n", "41"])
+@example(["spectrum", "--xmin=-1e160", "--xmax=1e160"])
+@example([*SMALL_PRICE, "--method", "pde", "--xmin=-1e308", "--xmax=5"])
+@example(["identify", "--n", "41", "--xmax", "inf"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     with tempfile.TemporaryDirectory() as tmp:

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.special import erfinv
 
 from qflab import montecarlo
-from qflab.finance import MarketParams, OptionContract, closed_form_european
+from qflab.finance import MarketParams, OptionContract, closed_form_price
 from qflab.grid import Grid1D
 from qflab.montecarlo import (
     KNOCKOUT_CHUNK_BYTES,
@@ -122,9 +122,9 @@ def test_linear_claim_matches_gbm_mean():
 
 
 def test_call_estimate_matches_closed_form():
-    contract = OptionContract("european_call", 100.0, 1.0)
-    est = feynman_kac_estimate(MarketParams(0.2, 0.05), contract, 100.0, 1_000_000)
-    ref = closed_form_european(100, 100, 0.05, 0.2, 1.0, "call")
+    mp, contract = MarketParams(0.2, 0.05), OptionContract("european_call", 100.0, 1.0)
+    est = feynman_kac_estimate(mp, contract, 100.0, 1_000_000)
+    ref = closed_form_price(mp, contract, 100.0)
     assert abs(est.mean - ref) <= 3.0 * est.std_error
 
 

@@ -31,6 +31,11 @@ COMMANDS = {
     "price_call": ("price", "--payoff", "call", *SMALL_PRICE),
     "price_do_call": ("price", "--payoff", "do-call", *SMALL_PRICE),
     "identify": ("identify",),
+    "identify_h_ii": ("identify", "--sigma", "0.2", "--rate", "0.02"),
+    "identify_bsg": ("identify", "--kind", "bsg", "--sigma", "0.3", "--rate", "0", "--v", "poly:0.05,0.01"),
+    "identify_bsb": ("identify", "--kind", "bsb", "--v", "poly:0.05,0.01"),
+    "price_put_closed": ("price", "--payoff", "put", "--method", "closed"),
+    "price_forward": ("price", "--method", "closed", "--sigma", "1e-13", "--strike", "90"),
 }
 
 

@@ -276,9 +276,18 @@ def test_partner_spectra_cubic_superpotential():
 
 
 def test_partner_spectra_rejects_non_hermitian(g, f):
-    h3 = closed_form(g, f, "H3", 1.0)
-    with pytest.raises(ValueError, match="Hermitian"):
-        partner_spectra(h3, h3, 3)
+    # at n = 9 the interior block 4..n-5 is one node, where H3 - H3^dagger is 0
+    for grid in (g, Grid1D(-5, 5, 9)):
+        h3 = closed_form(grid, f, "H3", 1.0)
+        with pytest.raises(ValueError, match="Hermitian"):
+            partner_spectra(h3, h3, 1)
+
+
+@pytest.mark.parametrize("n", [4, 5, 8, 9])
+def test_partner_spectra_accepts_hermitian_partners_on_small_grids(n):
+    # the one-sided boundary rows are not Hermitian, but the Dirichlet block is
+    h1, h2 = build_from_superpotential(Grid1D(-10, 10, n), FunctionSpec.polynomial([0, 1]), 1.0)
+    assert len(partner_spectra(h1, h2, 1).eigenvalues_a) == 1
 
 
 def test_partner_spectra_k_guard(g, f):
