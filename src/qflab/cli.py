@@ -330,11 +330,9 @@ def cmd_price(args) -> int:
         prices["closed"] = finance.closed_form_price(mp, contract, args.spot)
     curve = None
     if args.method == "all":
-        crosscheck = montecarlo.fk_pde_crosscheck(
-            mp, contract, g, args.paths, args.seed, spots=[args.spot], steps=steps,
-            monitoring_per_year=args.monitoring,
-        )
-        curve, (row,) = crosscheck.curve, crosscheck.rows
+        row = montecarlo.fk_pde_crosscheck(mp, contract, g, args.spot, args.paths, args.seed, steps,
+                                           args.monitoring)
+        curve = row.curve
         prices["pde"], prices["mc"], mc_se = row.pde_price, row.mc_mean, row.mc_std_error
     elif args.method == "pde":
         curve = finance.price_pde(finance.bs_hamiltonian(g, mp), contract, mp, g, steps)

@@ -303,8 +303,13 @@ class PriceCurve:
     diagnostics: dict
 
     def price_at(self, s0: float) -> float:
-        """Cubic interpolation of the curve at spot s0 (off-node allowed)."""
-        return float(CubicSpline(self.grid.nodes, self.values)(math.log(s0)))
+        """Cubic interpolation of the curve at spot s0 (off-node allowed); refused if not finite."""
+        price = float(CubicSpline(self.grid.nodes, self.values)(math.log(s0)))
+        if not math.isfinite(price):
+            g = self.grid
+            raise ValueError(f"PDE price at spot {s0:.6g} is {price}: the grid [{g.x_min:.6g}, {g.x_max:.6g}] "
+                             f"with n={g.n} does not resolve ln S = {math.log(s0):.6g}")
+        return price
 
     def to_csv(self, path) -> None:
         x = self.grid.nodes

@@ -49,7 +49,8 @@ class HamiltonianPair:
         return action_difference(self.compositional, self.closed_form)
 
 
-def _check_coupling(value: float, name: str, allow_zero: bool):
+def check_coupling(value: float, name: str, allow_zero: bool):
+    """Refuse a coupling below 0, at 0 unless ``allow_zero``, or whose square overflows."""
     if value < 0 or (value == 0 and not allow_zero):
         raise ValueError(f"{name} must be {'>= 0' if allow_zero else '> 0'}, got {value}")
     if not value * value < math.inf:  # the coupling enters squared
@@ -65,7 +66,7 @@ def closed_form(g: Grid1D, f: FunctionSpec, label: str, coupling: float) -> LinO
     H4 = b^2 (P^2 + 2i f' P + f'' - f'^2).
     """
     s_first, s_fpp, s_fp2 = _SIGNS[label]
-    _check_coupling(coupling, "beta" if s_first else "alpha", allow_zero=bool(s_first))
+    check_coupling(coupling, "beta" if s_first else "alpha", allow_zero=bool(s_first))
     fp = f.derivative_values(g)
     fpp = f.second_derivative_values(g)
     op = momentum_squared(g)

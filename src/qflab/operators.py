@@ -212,7 +212,7 @@ class LinOp:
     Offsets are ascending and distinct, and the slots of a diagonal that fall
     outside the matrix hold zero.  Every operator in the package has a band
     width w of a few diagonals, so sums, products, adjoints and actions cost
-    O(n w^2); :meth:`toarray` is the explicit dense export.
+    O(n w^2).
 
     Instances are treated as immutable; combining two operators requires a
     shared grid.
@@ -237,20 +237,6 @@ class LinOp:
         _clear_outside(e, offsets[order])
         object.__setattr__(self, "entries", e)
         object.__setattr__(self, "offsets", tuple(offsets[order].tolist()))
-
-    @classmethod
-    def from_dense(cls, matrix, g: Grid1D) -> "LinOp":
-        """Band storage of a dense square matrix: every diagonal holding a nonzero."""
-        m = np.asarray(matrix, dtype=np.complex128)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError(f"operator entries must be square, got shape {m.shape}")
-        if m.shape[0] != g.n:
-            raise ValueError(f"operator dimension {m.shape[0]} does not match grid size {g.n}")
-        offsets = [o for o in range(1 - g.n, g.n) if np.any(np.diagonal(m, o))]
-        data = np.zeros((len(offsets), g.n), dtype=np.complex128)
-        for row, o in zip(data, offsets):
-            row[max(o, 0) : max(o, 0) + g.n - abs(o)] = np.diagonal(m, o)
-        return cls(data, tuple(offsets), g)
 
     @property
     def n(self) -> int:
@@ -339,10 +325,6 @@ class LinOp:
     def to_sparse(self) -> sparse.dia_array:
         return sparse.dia_array((self.entries, np.array(self.offsets, dtype=int)),
                                 shape=(self.n, self.n))
-
-    def toarray(self) -> np.ndarray:
-        """Dense n x n export."""
-        return self.to_sparse().toarray()
 
 
 # -- basic constructions ---------------------------------------------------
@@ -471,16 +453,12 @@ def action_difference(a: LinOp, b: LinOp) -> float:
     return worst
 
 
-def canonical_commutator_defect(g: Grid1D, f: FunctionSpec | None = None) -> float:
-    """max interior |([x, P_f] - iI) v| / scale(v) over the smooth test corpus.
-
-    f = None checks the undeformed pair (x, P).
-    """
-    p = momentum_operator(g) if f is None else deformed_momentum(g, f)
-    return action_difference(commutator(position_operator(g), p), 1j * identity(g))
+def canonical_commutator_defect(g: Grid1D, f: FunctionSpec) -> float:
+    """max interior |([x, P_f] - iI) v| / scale(v) over the smooth test corpus."""
+    pf = deformed_momentum(g, f)
+    return action_difference(commutator(position_operator(g), pf), 1j * identity(g))
 
 
-def canonical_tolerance(g: Grid1D, f: FunctionSpec | None = None) -> float:
+def canonical_tolerance(g: Grid1D, f: FunctionSpec) -> float:
     """Discretization tolerance for the canonical-algebra checks."""
-    scale = 1.0 if f is None else f.derivative_scale(g)
-    return TOL.discretization(g, scale)
+    return TOL.discretization(g, f.derivative_scale(g))

@@ -25,7 +25,7 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .grid import Grid1D
-from .hamiltonians import HamiltonianPair
+from .hamiltonians import HamiltonianPair, check_coupling
 from .operators import (
     FunctionSpec,
     LinOp,
@@ -144,13 +144,6 @@ class BlockOp:
         tops = [b.max_abs() for row in self.blocks for b in row if b is not None]
         return max(tops, default=0.0)
 
-    def to_matrix(self) -> np.ndarray:
-        z = np.zeros((self.n, self.n), dtype=np.complex128)
-        rows = [
-            [z if b is None else b.toarray() for b in row] for row in self.blocks
-        ]
-        return np.block(rows)
-
     def _compatible(self, other: "BlockOp"):
         if self.grid != other.grid or self.m != other.m:
             raise ValueError("block operators are not compatible")
@@ -169,8 +162,7 @@ def block_anticommutator(a: BlockOp, b: BlockOp) -> BlockOp:
 
 def supercharge_2x2(g: Grid1D, f: FunctionSpec, alpha: float) -> BlockOp:
     """Nilpotent 2x2 supercharge with upper-right block alpha P_f."""
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
+    check_coupling(alpha, "alpha", allow_zero=False)
     pf = deformed_momentum(g, f)
     return BlockOp(((None, alpha * pf), (None, None)), g)
 
@@ -188,10 +180,8 @@ def supercharges_4x4(
     beta = 0 leaves the beta blocks absent, embedding the 2x2 supercharge in
     the top block exactly.
     """
-    if alpha <= 0:
-        raise ValueError(f"alpha must be > 0, got {alpha}")
-    if beta < 0:
-        raise ValueError(f"beta must be >= 0, got {beta}")
+    check_coupling(alpha, "alpha", allow_zero=False)
+    check_coupling(beta, "beta", allow_zero=True)
     pf = deformed_momentum(g, f)
     pfd = pf.adjoint()
     apf, apfd = alpha * pf, alpha * pfd
@@ -276,7 +266,6 @@ class GroundStateReport:
 
     state: np.ndarray
     residual: float
-    label: str
 
 
 def _annihilation_scale(f: FunctionSpec, g: Grid1D) -> float:
@@ -351,10 +340,7 @@ def ground_states(
     inner = np.concatenate([slot * g.n + np.where(keep)[0] for slot in range(4)])
     res = float(np.linalg.norm(ham_action(q1, q2, psi)[inner]))
     res_tilde = float(np.linalg.norm(ham_action(q3, q4, psi_tilde)[inner]))
-    return (
-        GroundStateReport(psi, res, "H"),
-        GroundStateReport(psi_tilde, res_tilde, "Htilde"),
-    )
+    return GroundStateReport(psi, res), GroundStateReport(psi_tilde, res_tilde)
 
 
 def ground_state_tolerance(g: Grid1D, f: FunctionSpec, alpha: float, beta: float) -> float:
@@ -399,9 +385,9 @@ class PairingReport:
     """Spectral pairing of two partner Hamiltonians.
 
     Zero modes (|lambda| below the zero threshold) are set aside; the
-    remaining eigenvalues are matched positionally after sorting.  Tail
-    entries are nonzero eigenvalues whose partner falls outside the computed
-    window (an artifact of asking for the same count k from both spectra).
+    remaining eigenvalues are matched positionally after sorting.  A nonzero
+    eigenvalue whose partner falls outside the computed window (an artifact of
+    asking for the same count k from both spectra) is left unpaired.
     """
 
     eigenvalues_a: np.ndarray
@@ -409,10 +395,7 @@ class PairingReport:
     pairs: tuple[tuple[float, float], ...]
     max_pair_gap: float
     zero_modes: tuple[int, int]
-    tail_a: tuple[float, ...]
-    tail_b: tuple[float, ...]
     pair_tol: float
-    zero_threshold: float
 
     @property
     def all_paired(self) -> bool:
@@ -445,8 +428,7 @@ def partner_spectra(h1: LinOp, h2: LinOp, k: int, pair_tol: float = 1e-3) -> Pai
     zt = max(ZERO_MODE_RATIO * top, pair_tol)
     nz_a = ea[np.abs(ea) >= zt]
     nz_b = eb[np.abs(eb) >= zt]
-    m = min(len(nz_a), len(nz_b))
-    pairs = tuple((float(x), float(y)) for x, y in zip(nz_a[:m], nz_b[:m]))
+    pairs = tuple((float(x), float(y)) for x, y in zip(nz_a, nz_b))
     gap = max((abs(x - y) for x, y in pairs), default=0.0)
     return PairingReport(
         eigenvalues_a=ea,
@@ -454,10 +436,7 @@ def partner_spectra(h1: LinOp, h2: LinOp, k: int, pair_tol: float = 1e-3) -> Pai
         pairs=pairs,
         max_pair_gap=float(gap),
         zero_modes=(len(ea) - len(nz_a), len(eb) - len(nz_b)),
-        tail_a=tuple(float(v) for v in nz_a[m:]),
-        tail_b=tuple(float(v) for v in nz_b[m:]),
         pair_tol=pair_tol,
-        zero_threshold=zt,
     )
 
 

@@ -1,10 +1,14 @@
-"""Shared helper for the tests that start the command line in a child process.
+"""Shared test helpers: the command line in a child process, and dense references.
 
-The child runs ``python -m qflab.cli`` on this checkout's ``src/``: its
-``PYTHONPATH`` starts with that directory, so the code under test is imported
-even where qflab is not installed, or where an older copy is.  The rest of the
-environment stays minimal, so colouring and report bytes do not depend on the
-caller's shell.
+:func:`run_cli` starts the command line in a child process.  The child runs
+``python -m qflab.cli`` on this checkout's ``src/``: its ``PYTHONPATH`` starts
+with that directory, so the code under test is imported even where qflab is
+not installed, or where an older copy is.  The rest of the environment stays
+minimal, so colouring and report bytes do not depend on the caller's shell.
+
+:func:`from_dense`, :func:`toarray` and :func:`to_matrix` convert between the
+package's banded operators and dense numpy matrices, so that tests can check
+the band algebra against plain dense algebra.
 """
 
 import os
@@ -12,7 +16,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from qflab.operators import LinOp
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -32,3 +39,25 @@ def run_cli(*args, timeout=300):
         pytest.fail(f"the child could not import qflab from {SRC}: "
                     f"{res.stderr.strip().splitlines()[-1]}", pytrace=False)
     return res
+
+
+def from_dense(matrix, g):
+    """Band storage of a dense square matrix: every diagonal holding a nonzero."""
+    m = np.asarray(matrix, dtype=np.complex128)
+    assert m.shape == (g.n, g.n), (m.shape, g.n)
+    offsets = [o for o in range(1 - g.n, g.n) if np.any(np.diagonal(m, o))]
+    data = np.zeros((len(offsets), g.n), dtype=np.complex128)
+    for row, o in zip(data, offsets):
+        row[max(o, 0) : max(o, 0) + g.n - abs(o)] = np.diagonal(m, o)
+    return LinOp(data, tuple(offsets), g)
+
+
+def toarray(op) -> np.ndarray:
+    """Dense n x n export of a ``LinOp``."""
+    return op.to_sparse().toarray()
+
+
+def to_matrix(q) -> np.ndarray:
+    """Dense (m n) x (m n) export of a ``BlockOp``; an absent block is zero."""
+    z = np.zeros((q.n, q.n), dtype=np.complex128)
+    return np.block([[z if b is None else toarray(b) for b in row] for row in q.blocks])

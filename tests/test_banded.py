@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import from_dense, toarray
 from qflab.cli import main
 from qflab.grid import Grid1D
 from qflab.hamiltonians import build_all
@@ -29,21 +30,21 @@ def test_band_algebra_matches_dense_algebra(seed, offs_a, offs_b):
     rng = np.random.default_rng(seed)
     g = Grid1D(0, 1, N_SMALL)
     a, b = random_band(rng, g, offs_a), random_band(rng, g, offs_b)
-    da, db = a.toarray(), b.toarray()
+    da, db = toarray(a), toarray(b)
     v = rng.normal(size=g.n) + 1j * rng.normal(size=g.n)
-    assert np.array_equal(LinOp.from_dense(da, g).toarray(), da)
-    assert np.array_equal((a + b).toarray(), da + db)
-    assert np.array_equal((a - b).toarray(), da - db)
-    assert np.array_equal(a.adjoint().toarray(), da.conj().T)
-    assert np.array_equal((2.5j * a).toarray(), 2.5j * da)
-    assert np.allclose((a @ b).toarray(), da @ db, rtol=1e-13, atol=1e-13)
+    assert np.array_equal(toarray(from_dense(da, g)), da)
+    assert np.array_equal(toarray(a + b), da + db)
+    assert np.array_equal(toarray(a - b), da - db)
+    assert np.array_equal(toarray(a.adjoint()), da.conj().T)
+    assert np.array_equal(toarray(2.5j * a), 2.5j * da)
+    assert np.allclose(toarray(a @ b), da @ db, rtol=1e-13, atol=1e-13)
     assert np.allclose(a.apply(v), da @ v, rtol=1e-13, atol=1e-13)
-    assert np.array_equal(a.scale_rows(v).toarray(), v[:, None] * da)
-    assert np.array_equal(a.similarity(v).toarray(), v[:, None] * da / v[None, :])
+    assert np.array_equal(toarray(a.scale_rows(v)), v[:, None] * da)
+    assert np.array_equal(toarray(a.similarity(v)), v[:, None] * da / v[None, :])
     assert a.max_abs() == np.max(np.abs(da))
     s = slice(2, N_SMALL - 3)
     offsets, bands = a.principal_bands(s)
-    block = LinOp(bands, offsets, Grid1D(0, 1, s.stop - s.start)).toarray()
+    block = toarray(LinOp(bands, offsets, Grid1D(0, 1, s.stop - s.start)))
     assert np.array_equal(block, da[s, s])
     assert a.block_max_abs(s) == np.max(np.abs(da[s, s]))
 
@@ -109,7 +110,7 @@ def test_dirichlet_real_tridiagonal_with_nonnegative_products(dim, seed):
     lower[rng.random(n - 1) < 0.1] = 0.0  # a zero product splits the band
     a = np.diag(rng.normal(0.0, 10.0, n)) + np.diag(upper, 1) + np.diag(lower, -1)
     k = dim if rng.random() < 0.3 else int(rng.integers(1, dim + 1))
-    got = dirichlet_eigenvalues(LinOp.from_dense(a, Grid1D(-1, 1, n)), k)
+    got = dirichlet_eigenvalues(from_dense(a, Grid1D(-1, 1, n)), k)
     dense = np.sort(np.linalg.eigvals(a[1:-1, 1:-1]).real)
     assert np.max(np.abs(got - dense[:k])) <= 1e-10 * max(1.0, np.max(np.abs(dense)))
 
@@ -120,11 +121,11 @@ def test_dirichlet_refuses_bands_whose_spectrum_may_be_complex():
     a = np.diag([1.0, 1.0, 1.0, 1.0, 1.0], 1) + np.diag([1.0, 1.0, -1.0, 1.0, 1.0], -1)
     assert np.max(np.abs(np.linalg.eigvals(a[1:-1, 1:-1]).imag)) > 0.1
     with pytest.raises(ValueError, match="negative off-diagonal product"):
-        dirichlet_eigenvalues(LinOp.from_dense(a, g), 2)
+        dirichlet_eigenvalues(from_dense(a, g), 2)
     # a non-Hermitian pentadiagonal band has no diagonal symmetrizer
     penta = np.diag(np.ones(6)) + np.diag(np.ones(4), 2) + 2.0 * np.diag(np.ones(4), -2)
     with pytest.raises(ValueError, match="not a real tridiagonal band"):
-        dirichlet_eigenvalues(LinOp.from_dense(penta, g), 2)
+        dirichlet_eigenvalues(from_dense(penta, g), 2)
 
 
 @pytest.mark.parametrize("argv", [

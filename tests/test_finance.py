@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
+from conftest import from_dense, toarray
 from qflab import finance
 from qflab.finance import (
     MarketParams,
@@ -59,15 +60,15 @@ def test_contract_validation():
 def test_bs_hamiltonian_structure(g):
     from qflab.operators import derivative_matrices
 
-    d1, d2 = (d.toarray().real for d in derivative_matrices(g))
+    d1, d2 = (toarray(d).real for d in derivative_matrices(g))
     mp = MarketParams(1.0, 0.0)
     h = bs_hamiltonian(g, mp)
-    assert np.array_equal(h.toarray().real, -0.5 * d2 + 0.5 * d1)
+    assert np.array_equal(toarray(h).real, -0.5 * d2 + 0.5 * d1)
     # sigma^2 = 2r kills the drift term
     mp = MarketParams(0.2, 0.02)
     h = bs_hamiltonian(g, mp)
     expected = -0.02 * d2 + (0.5 * 0.04 - 0.02) * d1 + 0.02 * np.eye(g.n)
-    assert np.allclose(h.toarray().real, expected, atol=1e-18)
+    assert np.allclose(toarray(h).real, expected, atol=1e-18)
     assert hermiticity_defect(h) > 0 or abs(0.5 * 0.04 - 0.02) < 1e-15
 
 
@@ -77,7 +78,7 @@ def test_bs_hamiltonian_nonhermitian_when_drift_present(g):
 
 def test_bsg_reduces_to_bs_for_constant_potential(g):
     mp = MarketParams(0.25, 0.07, FunctionSpec.polynomial([0.07]))
-    assert np.array_equal(bsg_hamiltonian(g, mp).toarray(), bs_hamiltonian(g, mp).toarray())
+    assert np.array_equal(toarray(bsg_hamiltonian(g, mp)), toarray(bs_hamiltonian(g, mp)))
     with pytest.raises(ValueError):
         bsg_hamiltonian(g, MarketParams(0.25, 0.07))
 
@@ -87,23 +88,23 @@ def test_bsg_drift_varies_with_node(g):
     h = bsg_hamiltonian(g, mp)
     from qflab.operators import derivative_matrices
 
-    d1, d2 = (d.toarray().real for d in derivative_matrices(g))
+    d1, d2 = (toarray(d).real for d in derivative_matrices(g))
     hv = 0.5 * 0.2**2
     expected = -hv * d2 + (hv - g.nodes)[:, None] * d1 + np.diag(g.nodes)
-    assert np.array_equal(h.toarray().real, expected)
+    assert np.array_equal(toarray(h).real, expected)
 
 
 def test_bsb_reduces_to_bs_for_constant_potential(g):
     mp = MarketParams(0.25, 0.07)
     v = FunctionSpec.polynomial([0.07])
-    assert np.array_equal(bsb_hamiltonian(g, mp, v).toarray(), bs_hamiltonian(g, mp).toarray())
+    assert np.array_equal(toarray(bsb_hamiltonian(g, mp, v)), toarray(bs_hamiltonian(g, mp)))
 
 
 def test_bsb_soft_barrier_differs_only_on_diagonal(g):
     mp = MarketParams(0.2, 0.05)
     mask = g.nodes < 0.0
     v = FunctionSpec.tabulated(np.where(mask, 50.0, mp.r))
-    diff = bsb_hamiltonian(g, mp, v).toarray() - bs_hamiltonian(g, mp).toarray()
+    diff = toarray(bsb_hamiltonian(g, mp, v)) - toarray(bs_hamiltonian(g, mp))
     off_diag = diff - np.diag(np.diag(diff))
     assert np.max(np.abs(off_diag)) == 0.0
     assert np.array_equal(np.diag(diff).real != 0.0, mask)
@@ -360,11 +361,9 @@ def test_pde_wider_band_matches_tridiagonal(pricing_setup):
     banded = price_pde(h, contract, mp, g, 400)
     # an entry far off the band: the step matrix is no longer tridiagonal,
     # and the same sparse LU must give the same price
-    entries = h.toarray().copy()
+    entries = toarray(h).copy()
     entries[g.n // 2, 0] += 1e-300
-    from qflab.operators import LinOp
-
-    dense = price_pde(LinOp.from_dense(entries, g), contract, mp, g, 400)
+    dense = price_pde(from_dense(entries, g), contract, mp, g, 400)
     assert not dense.diagnostics["banded"]
     assert banded.diagnostics["banded"]
     assert abs(dense.price_at(100.0) - banded.price_at(100.0)) <= 1e-9

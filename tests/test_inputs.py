@@ -58,6 +58,8 @@ def run_main(argv) -> int:
         (("--spot", "1e300", "--method", "mc"), "spot"),
         (("--payoff", "do-call", "--method", "mc", "--monitoring", "1000000000"), "monitoring"),
         (("--payoff", "do-call", "--monitoring", "1000000000"), "monitoring"),
+        (("--method", "pde", "--xmin=-1e150", "--xmax=10"), "does not resolve"),
+        (("--method", "all", "--xmin=-1e150", "--xmax=10"), "does not resolve"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -304,6 +306,7 @@ def edge_commands(draw):
 @example(["spectrum", "--xmin=-1e160", "--xmax=1e160"])
 @example([*SMALL_PRICE, "--method", "pde", "--xmin=-1e308", "--xmax=5"])
 @example(["identify", "--n", "41", "--xmax", "inf"])
+@example(["price", "--method", "pde", "--xmin=-1e150", "--xmax=5", "--n", "101", "--steps", "10"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     with tempfile.TemporaryDirectory() as tmp:

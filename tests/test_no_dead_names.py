@@ -1,0 +1,51 @@
+"""Every name ``src/qflab`` defines is used somewhere in ``src/qflab``.
+
+A top-level function, class or upper-case constant, or a method other than a
+dunder, whose only occurrence in the package is its own definition is carried
+for the tests alone.  Such code belongs in the tests (see ``conftest.py``'s
+dense references), or nowhere.  Occurrences are matched by name, so a method
+counts as used when any attribute of that name is read anywhere in the package.
+"""
+
+import ast
+
+from conftest import SRC
+
+PACKAGE = SRC / "qflab"
+# a library check that no subcommand runs yet; the verify-algebra real-spectrum
+# checks are meant to call it, or it goes
+ALLOWED = {"real_spectrum_check"}
+
+
+def defined_and_used(trees) -> tuple[dict[str, str], set[str]]:
+    """({name: "<module>.<qualified name>"} of the definitions, the set of names referenced)."""
+    defined, used = {}, set()
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined[node.name] = f"{module}.{node.name}"
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                for t in targets:
+                    if isinstance(t, ast.Name) and t.id.isupper():
+                        defined[t.id] = f"{module}.{t.id}"
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                        defined[item.name] = f"{module}.{node.name}.{item.name}"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    return defined, used
+
+
+def test_every_name_in_src_has_a_caller_in_src():
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
+    defined, used = defined_and_used(trees)
+    assert len(defined) > 50  # the scan sees the package
+    unused = sorted(where for name, where in defined.items() if name not in used and name not in ALLOWED)
+    assert unused == []

@@ -1,9 +1,12 @@
 """Golden report bytes: one small ``--json`` run per CLI path, compared byte for byte.
 
-Each command below runs in-process, and its JSON report must equal
-``tests/data/<name>.json`` exactly, with exit code 0.  No command writes a
+Each command in ``COMMANDS`` runs in-process, and its JSON report must equal
+``tests/data/<name>.json`` exactly, with exit code 0.  None of them writes a
 CSV or reads a ``table:`` file, so the reports hold no file path and their
-bytes do not depend on where the checkout lives.
+bytes do not depend on where the checkout lives.  Each command in
+``CSV_COMMANDS`` writes a CSV instead, and the CSV must equal
+``tests/data/<name>.csv``; its report names the CSV path, so only the CSV is
+compared.
 
 A change that alters a report on purpose states the diff and regenerates the
 goldens from the changed code, from the root of the checkout:
@@ -36,6 +39,13 @@ COMMANDS = {
     "identify_bsb": ("identify", "--kind", "bsb", "--v", "poly:0.05,0.01"),
     "price_put_closed": ("price", "--payoff", "put", "--method", "closed"),
     "price_forward": ("price", "--method", "closed", "--sigma", "1e-13", "--strike", "90"),
+    "price_put_mc": ("price", "--payoff", "put", "--method", "mc", "--paths", "2000", "--seed", "3"),
+    "price_do_call_mc": ("price", "--payoff", "do-call", "--method", "mc", "--paths", "2000", "--seed", "3"),
+    "price_do_call_pde": ("price", "--payoff", "do-call", "--method", "pde", "--n", "401", "--steps", "200"),
+}
+CSV_COMMANDS = {
+    "price_do_call_curve": ("price", "--payoff", "do-call", *SMALL_PRICE),
+    "spectrum_pairs": COMMANDS["spectrum"],
 }
 
 
@@ -46,6 +56,13 @@ def report_bytes(argv, out: Path) -> tuple[int, bytes]:
     return code, out.read_bytes()
 
 
+def csv_bytes(argv, out: Path) -> tuple[int, bytes]:
+    """Exit code and CSV bytes of one in-process run."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main([*argv, "--csv", str(out)])
+    return code, out.read_bytes()
+
+
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_report_bytes_match_golden(tmp_path, name):
     code, got = report_bytes(COMMANDS[name], tmp_path / "report.json")
@@ -53,12 +70,20 @@ def test_report_bytes_match_golden(tmp_path, name):
     assert got == (DATA / f"{name}.json").read_bytes()
 
 
+@pytest.mark.parametrize("name", sorted(CSV_COMMANDS))
+def test_csv_bytes_match_golden(tmp_path, name):
+    code, got = csv_bytes(CSV_COMMANDS[name], tmp_path / "out.csv")
+    assert code == 0
+    assert got == (DATA / f"{name}.csv").read_bytes()
+
+
 if __name__ == "__main__":
     DATA.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
-        for name, argv in COMMANDS.items():
-            code, got = report_bytes(argv, Path(tmp) / "report.json")
-            if code != 0:
-                sys.exit(f"{name}: exit code {code}, golden not written")
-            (DATA / f"{name}.json").write_bytes(got)
-            print(f"wrote {DATA / name}.json")
+        for suffix, commands, run in ((".json", COMMANDS, report_bytes), (".csv", CSV_COMMANDS, csv_bytes)):
+            for name, argv in commands.items():
+                code, got = run(argv, Path(tmp) / f"out{suffix}")
+                if code != 0:
+                    sys.exit(f"{name}: exit code {code}, golden not written")
+                (DATA / f"{name}{suffix}").write_bytes(got)
+                print(f"wrote {DATA / name}{suffix}")

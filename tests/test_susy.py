@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
+from conftest import to_matrix, toarray
 from qflab.grid import Grid1D
 from qflab.hamiltonians import build_all, build_from_superpotential, closed_form
 from qflab.operators import FunctionSpec, hermiticity_defect, momentum_squared
@@ -68,7 +69,7 @@ def test_superhamiltonian_2x2_properties(g, f, refs):
     for i in range(2):
         block = h.block(i, i)
         assert hermiticity_defect(block) <= TOL.rounding(g.n, block.max_abs())
-        sym = (block.toarray() + block.toarray().conj().T) / 2
+        sym = (toarray(block) + toarray(block).conj().T) / 2
         lam = np.linalg.eigvalsh(sym)
         assert lam.min() >= -TOL.rounding(g.n, block.max_abs())  # A A+ is PSD
 
@@ -145,11 +146,11 @@ def test_beta_zero_reduction(g, f):
     h4 = superhamiltonian_4x4(q1, q2)
     h2 = superhamiltonian_2x2(q)
     for i in range(2):
-        assert np.array_equal(h4.block(i, i).toarray(), h2.block(i, i).toarray())
+        assert np.array_equal(toarray(h4.block(i, i)), toarray(h2.block(i, i)))
     assert h4.block(2, 2) is None and h4.block(3, 3) is None
     # the supercharges themselves embed the 2x2 one
-    assert np.array_equal(q1.block(0, 1).toarray(), q.block(0, 1).toarray())
-    assert np.array_equal(q2.adjoint().block(0, 1).toarray(), q.block(0, 1).toarray())
+    assert np.array_equal(toarray(q1.block(0, 1)), toarray(q.block(0, 1)))
+    assert np.array_equal(toarray(q2.adjoint().block(0, 1)), toarray(q.block(0, 1)))
 
 
 def test_duality_maps_h_content_to_htilde(g, f, refs):
@@ -186,16 +187,16 @@ def test_blockop_validation_and_apply(g, f):
     pf = q.block(0, 1)
     assert np.array_equal(out[: g.n], pf.apply(np.cos(g.nodes)))
     assert np.max(np.abs(out[g.n :])) == 0.0
-    m = q.to_matrix()
+    m = to_matrix(q)
     assert m.shape == (2 * g.n, 2 * g.n)
-    assert np.array_equal(m[: g.n, g.n :], pf.toarray())
+    assert np.array_equal(m[: g.n, g.n :], toarray(pf))
 
 
 def test_blockop_adjoint_layout(g, f):
     q = supercharge_2x2(g, f, 1.0)
     qd = q.adjoint()
     assert qd.block(1, 0) is not None and qd.block(0, 1) is None
-    assert np.array_equal(qd.block(1, 0).toarray(), q.block(0, 1).toarray().conj().T)
+    assert np.array_equal(toarray(qd.block(1, 0)), toarray(q.block(0, 1)).conj().T)
 
 
 # -- ground states ---------------------------------------------------------------
@@ -254,7 +255,7 @@ def test_partner_spectra_harmonic():
     assert np.allclose(rep.eigenvalues_b, [0, 2, 4, 6, 8, 10], atol=1e-3)
     assert rep.zero_modes == (0, 1)
     assert rep.all_paired
-    assert len(rep.tail_a) == 1  # H1's top value has no computed partner
+    assert len(rep.pairs) == 5  # H1's top value has no computed partner
 
 
 def test_partner_spectra_free_box():
@@ -299,7 +300,7 @@ def test_partner_spectra_k_guard(g, f):
 def test_dirichlet_eigenvalues_match_dense_solver(g):
     h1, _ = build_from_superpotential(g, FunctionSpec.polynomial([0, 1]), 1.0)
     fast = dirichlet_eigenvalues(h1, 4)
-    dense = np.sort(np.linalg.eigvalsh(h1.toarray()[1:-1, 1:-1].real))[:4]
+    dense = np.sort(np.linalg.eigvalsh(toarray(h1)[1:-1, 1:-1].real))[:4]
     assert np.allclose(fast, dense, rtol=1e-12, atol=1e-12)
 
 
