@@ -298,6 +298,9 @@ def cmd_price(args) -> int:
         raise ValueError(f"--spot must be finite and > 0, got {args.spot}")
     if args.monitoring < 1:
         raise ValueError(f"--monitoring must be >= 1, got {args.monitoring}")
+    run_pde, run_mc = args.method in ("pde", "all"), args.method in ("mc", "all")
+    if args.csv and not run_pde:
+        raise ValueError(f"--csv writes the PDE price curve, which --method {args.method} does not price")
     if args.xmin is None or args.xmax is None:
         g = finance.default_pricing_grid(contract, mp, args.spot, args.n)
     else:
@@ -328,20 +331,20 @@ def cmd_price(args) -> int:
 
     if args.method == "closed" or (args.method == "all" and contract.barrier is None):
         prices["closed"] = finance.closed_form_price(mp, contract, args.spot)
-    curve = None
-    if args.method == "all":
-        row = montecarlo.fk_pde_crosscheck(mp, contract, g, args.spot, args.paths, args.seed, steps,
-                                           args.monitoring)
-        curve = row.curve
-        prices["pde"], prices["mc"], mc_se = row.pde_price, row.mc_mean, row.mc_std_error
-    elif args.method == "pde":
-        curve = finance.price_pde(finance.bs_hamiltonian(g, mp), contract, mp, g, steps)
+    if run_mc:
+        montecarlo.check_draws(args.paths, args.seed)  # refused before any PDE work
+    if run_pde:
+        h = finance.bs_hamiltonian(g, mp)
+        curve = finance.price_pde(h, contract, mp, g, steps)
         prices["pde"] = curve.price_at(args.spot)
-    elif args.method == "mc":
+        if args.method == "all" and contract.barrier is not None:
+            shifted = montecarlo.shifted_barrier(contract, mp.sigma, args.monitoring)
+            shifted_pde = finance.price_pde(h, shifted, mp, g, steps).price_at(args.spot)
+    if run_mc:
         est = montecarlo.feynman_kac_estimate(mp, contract, args.spot, args.paths, args.seed,
                                               monitoring_per_year=args.monitoring)
         prices["mc"], mc_se = est.mean, est.std_error
-    if curve is not None and args.csv:
+    if args.csv:
         curve.to_csv(args.csv)
         report.artifacts.append(args.csv)
 
@@ -361,8 +364,12 @@ def cmd_price(args) -> int:
             tol_mc = max(3.0 * mc_se, TOL.rounding(args.paths, abs(prices["closed"])))
             report.add("mc_vs_closed_3se", gap_mc, tol_mc, gap_mc <= tol_mc)
         else:
-            # PDE is continuously monitored, MC discretely: the row adds the bias bound
-            report.add("pde_vs_mc", abs(row.gap), row.tolerance, row.passed)
+            # PDE is continuously monitored, MC discretely: the gate adds the
+            # monitoring-bias bound, the rise of the PDE price under the shifted barrier
+            bias = max(0.0, shifted_pde - prices["pde"])
+            gap = abs(prices["mc"] - prices["pde"])
+            tol = 3.0 * mc_se + finance.pde_tolerance(prices["pde"]) + bias
+            report.add("pde_vs_mc", gap, tol, gap <= tol)
             vanilla = finance.closed_form_price(
                 mp, replace(contract, payoff_kind="european_call", barrier=None), args.spot
             )

@@ -23,16 +23,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import ndtri
 
-from .finance import (
-    MarketParams,
-    OptionContract,
-    PriceCurve,
-    bs_hamiltonian,
-    check_discount,
-    pde_tolerance,
-    price_pde,
-)
-from .grid import Grid1D
+from .finance import MarketParams, OptionContract, check_discount
 
 _PHILOX_OUTPUTS_PER_BLOCK = 4
 # bytes of normals one knock-out chunk holds: 2**20 float64, about 4 096 paths
@@ -41,22 +32,27 @@ _PHILOX_OUTPUTS_PER_BLOCK = 4
 KNOCKOUT_CHUNK_BYTES = 8 << 20
 
 
+def check_draws(paths: int, seed: int) -> None:
+    """Refuse a path count without a standard error or a seed outside the Philox key."""
+    if paths < 2:
+        raise ValueError(f"paths must be >= 2 for a standard error, got {paths}")
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
+
+
 @dataclass(frozen=True)
 class GbmConfig:
     drift: float
     sigma: float
     s0: float
-    T: float = 1.0
-    paths: int = 100_000
-    seed: int = 0
+    T: float
+    paths: int
+    seed: int
 
     def __post_init__(self):
         if not self.T > 0:
             raise ValueError(f"T must be > 0, got {self.T}")
-        if self.paths < 2:
-            raise ValueError(f"paths must be >= 2 for a standard error, got {self.paths}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
+        check_draws(self.paths, self.seed)
         if self.sigma <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma}")
         if self.s0 <= 0:
@@ -108,7 +104,7 @@ def sample_terminal(cfg: GbmConfig, stream: int = 0) -> np.ndarray:
 def knockout_terminal(
     cfg: GbmConfig,
     barrier: float,
-    monitoring_per_year: int = 250,
+    monitoring_per_year: int,
     stream: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(S(T), alive) under discrete barrier monitoring.
@@ -165,11 +161,6 @@ def feynman_kac_estimate(
     standard error are discounted once, after aggregation.
     """
     cfg = GbmConfig(mp.r, mp.sigma, spot, contract.maturity, paths, seed)
-    return _estimate(cfg, contract, stream, monitoring_per_year)
-
-
-def _estimate(cfg: GbmConfig, contract: OptionContract, stream: int, monitoring_per_year: int) -> McEstimate:
-    """The discounted estimate of :func:`feynman_kac_estimate` on a validated config."""
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
         if contract.payoff_kind == "down_and_out_call":
             s_t, alive = knockout_terminal(cfg, contract.barrier, monitoring_per_year, stream)
@@ -186,23 +177,11 @@ def _estimate(cfg: GbmConfig, contract: OptionContract, stream: int, monitoring_
     return McEstimate(mean * factor, se * factor)
 
 
-# -- PDE crosscheck ----------------------------------------------------------
+# -- monitoring bias ---------------------------------------------------------
 
 # continuity-correction shift for discretely monitored barriers,
-# -zeta(1/2)/sqrt(2 pi); used here only to *bound* the monitoring bias
+# -zeta(1/2)/sqrt(2 pi); used only to *bound* the monitoring bias
 BARRIER_SHIFT_COEFF = 0.5825971579390107
-
-
-@dataclass(frozen=True)
-class CrosscheckRow:
-    mc_mean: float
-    mc_std_error: float
-    pde_price: float
-    gap: float
-    tolerance: float
-    passed: bool
-    bias: float
-    curve: PriceCurve
 
 
 def shifted_barrier(contract: OptionContract, sigma: float, monitoring_per_year: int) -> OptionContract:
@@ -215,36 +194,3 @@ def shifted_barrier(contract: OptionContract, sigma: float, monitoring_per_year:
     dt_mon = contract.maturity / max(1, round(monitoring_per_year * contract.maturity))
     shift = math.exp(-BARRIER_SHIFT_COEFF * sigma * math.sqrt(dt_mon))
     return replace(contract, barrier=contract.barrier * shift)
-
-
-def fk_pde_crosscheck(
-    mp: MarketParams,
-    contract: OptionContract,
-    g: Grid1D,
-    spot: float,
-    paths: int,
-    seed: int,
-    steps: int,
-    monitoring_per_year: int = 250,
-) -> CrosscheckRow:
-    """Compare the discounted Monte Carlo estimate at ``spot`` against the PDE price curve.
-
-    The estimate draws stream 0.  The row passes when
-    |MC - PDE| <= 3 * std_error + pde_tolerance(PDE) + bias, where ``bias`` is
-    0 for a vanilla contract and, for a barrier contract, the monitoring-bias
-    bound: the rise of the PDE price under :func:`shifted_barrier`.  The raw
-    gap stays in the row.
-    """
-    # the config refuses bad paths or seeds before any PDE work
-    cfg = GbmConfig(mp.r, mp.sigma, spot, contract.maturity, paths, seed)
-    h = bs_hamiltonian(g, mp)
-    curve = price_pde(h, contract, mp, g, steps)
-    shifted_curve = None
-    if contract.payoff_kind == "down_and_out_call":
-        shifted_curve = price_pde(h, shifted_barrier(contract, mp.sigma, monitoring_per_year), mp, g, steps)
-    est = _estimate(cfg, contract, 0, monitoring_per_year)
-    pde = curve.price_at(spot)
-    bias = 0.0 if shifted_curve is None else max(0.0, shifted_curve.price_at(spot) - pde)
-    gap = est.mean - pde
-    tol = 3.0 * est.std_error + pde_tolerance(pde) + bias
-    return CrosscheckRow(est.mean, est.std_error, pde, gap, tol, abs(gap) <= tol, bias, curve)

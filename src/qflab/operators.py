@@ -69,10 +69,6 @@ class FunctionSpec:
         return cls(samples=np.asarray(values, dtype=float), derivative_samples=d)
 
     @classmethod
-    def zero(cls) -> "FunctionSpec":
-        return cls.polynomial([0.0])
-
-    @classmethod
     def parse(cls, text: str) -> "FunctionSpec":
         """Parse the textual form ``poly:c0,c1,...`` or ``table:<path.csv>``."""
         kind, _, body = text.partition(":")

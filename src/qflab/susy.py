@@ -405,7 +405,7 @@ class PairingReport:
 ZERO_MODE_RATIO = 1e-6  # |lambda| below this fraction of the largest eigenvalue counts as a zero mode
 
 
-def partner_spectra(h1: LinOp, h2: LinOp, k: int, pair_tol: float = 1e-3) -> PairingReport:
+def partner_spectra(h1: LinOp, h2: LinOp, k: int, pair_tol: float) -> PairingReport:
     """k lowest eigenvalues of each partner plus the isospectrality pairing.
 
     The zero-mode threshold is floored by ``pair_tol``: a discretized zero

@@ -141,8 +141,7 @@ def test_json_reports_byte_reproducible(tmp_path, args):
     assert a.read_bytes() == b.read_bytes()
 
 
-SMALL_BARRIER = ("price", "--payoff", "do-call", "--barrier", "80", "--method", "all",
-                 "--paths", "2000", "--n", "201", "--steps", "100")
+SMALL_ALL = ("price", "--method", "all", "--paths", "2000", "--n", "401", "--steps", "200")
 
 
 def count_calls(monkeypatch, *functions) -> dict[str, int]:
@@ -159,10 +158,15 @@ def count_calls(monkeypatch, *functions) -> dict[str, int]:
     return counts
 
 
-def test_barrier_price_draws_once_and_solves_two_pdes(monkeypatch):
-    counts = count_calls(monkeypatch, montecarlo.knockout_terminal, finance.price_pde)
-    assert main(list(SMALL_BARRIER)) == 0
-    assert counts == {"knockout_terminal": 1, "price_pde": 2}
+@pytest.mark.parametrize("payoff,calls", [
+    ("do-call", {"sample_terminal": 0, "knockout_terminal": 1, "price_pde": 2}),  # + shifted barrier
+    ("call", {"sample_terminal": 1, "knockout_terminal": 0, "price_pde": 1}),
+], ids=["do-call", "call"])
+def test_price_all_runs_each_pricer_once(monkeypatch, capsys, payoff, calls):
+    counts = count_calls(monkeypatch, montecarlo.sample_terminal, montecarlo.knockout_terminal,
+                         finance.price_pde)
+    assert main([*SMALL_ALL, "--payoff", payoff, "--barrier", "80"]) == 0
+    assert counts == calls
 
 
 def count_products(monkeypatch) -> list:

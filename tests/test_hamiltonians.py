@@ -30,7 +30,7 @@ def g():
 
 
 def test_free_case_reduces_to_momentum_squared(g):
-    f0 = FunctionSpec.zero()
+    f0 = FunctionSpec.polynomial([0.0])
     for label, coupling in (("H1", 2.0), ("H2", 2.0), ("H3", 1.5), ("H4", 1.5)):
         assert np.array_equal(
             toarray(closed_form(g, f0, label, coupling)), toarray(coupling**2 * momentum_squared(g))
@@ -118,7 +118,7 @@ def test_duality_compositional_members_match_on_interior(g):
 
 
 def test_coupling_validation(g):
-    f = FunctionSpec.zero()
+    f = FunctionSpec.polynomial([0.0])
     with pytest.raises(ValueError, match="alpha must be > 0"):
         closed_form(g, f, "H1", 0.0)
     with pytest.raises(ValueError, match="beta must be >= 0"):
@@ -141,7 +141,7 @@ def test_coupling_validation(g):
 
 
 def test_superpotential_zero_and_harmonic(g):
-    h1, h2 = build_from_superpotential(g, FunctionSpec.zero(), 1.5)
+    h1, h2 = build_from_superpotential(g, FunctionSpec.polynomial([0.0]), 1.5)
     assert np.array_equal(toarray(h1), toarray(2.25 * momentum_squared(g)))
     h1, h2 = build_from_superpotential(g, FunctionSpec.polynomial([0, 1]), 1.0)
     p2 = toarray(momentum_squared(g))

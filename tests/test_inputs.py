@@ -60,6 +60,8 @@ def run_main(argv) -> int:
         (("--payoff", "do-call", "--monitoring", "1000000000"), "monitoring"),
         (("--method", "pde", "--xmin=-1e150", "--xmax=10"), "does not resolve"),
         (("--method", "all", "--xmin=-1e150", "--xmax=10"), "does not resolve"),
+        (("--method", "mc", "--csv", "curve.csv"), "--csv"),
+        (("--method", "closed", "--csv", "curve.csv"), "--csv"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -200,14 +202,14 @@ def test_spectrum_runs_hermitian_partners_on_a_small_grid(capsys):
 
 def test_library_constructors_reject_the_same_inputs():
     with pytest.raises(ValueError, match="seed"):
-        GbmConfig(0.05, 0.2, 100.0, seed=-1)
+        GbmConfig(0.05, 0.2, 100.0, 1.0, 2, -1)
     with pytest.raises(ValueError, match="seed"):
-        GbmConfig(0.05, 0.2, 100.0, seed=2**64)
-    GbmConfig(0.05, 0.2, 100.0, seed=2**64 - 1, paths=2)
+        GbmConfig(0.05, 0.2, 100.0, 1.0, 2, 2**64)
+    GbmConfig(0.05, 0.2, 100.0, 1.0, 2, 2**64 - 1)
     with pytest.raises(ValueError, match="paths"):
-        GbmConfig(0.05, 0.2, 100.0, paths=1)
+        GbmConfig(0.05, 0.2, 100.0, 1.0, 1, 0)
     with pytest.raises(ValueError, match="monitoring"):
-        knockout_terminal(GbmConfig(0.05, 0.2, 100.0, paths=2), 80.0, monitoring_per_year=0)
+        knockout_terminal(GbmConfig(0.05, 0.2, 100.0, 1.0, 2, 0), 80.0, monitoring_per_year=0)
     with pytest.raises(ValueError, match="finite"):
         FunctionSpec.polynomial([0.0, math.nan])
     with pytest.raises(ValueError, match="finite"):
@@ -231,7 +233,7 @@ def test_library_constructors_reject_the_same_inputs():
 
 
 def test_short_maturity_keeps_one_monitoring_date():
-    cfg = GbmConfig(0.05, 0.2, 100.0, T=1e-4, paths=8)
+    cfg = GbmConfig(0.05, 0.2, 100.0, T=1e-4, paths=8, seed=0)
     s_t, alive = knockout_terminal(cfg, 80.0, monitoring_per_year=1)
     assert s_t.shape == alive.shape == (8,)
 
@@ -307,6 +309,7 @@ def edge_commands(draw):
 @example([*SMALL_PRICE, "--method", "pde", "--xmin=-1e308", "--xmax=5"])
 @example(["identify", "--n", "41", "--xmax", "inf"])
 @example(["price", "--method", "pde", "--xmin=-1e150", "--xmax=5", "--n", "101", "--steps", "10"])
+@example([*SMALL_PRICE, "--method", "mc", "--csv", "curve.csv"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     with tempfile.TemporaryDirectory() as tmp:

@@ -20,7 +20,6 @@ from qflab.montecarlo import (
     KNOCKOUT_CHUNK_BYTES,
     GbmConfig,
     feynman_kac_estimate,
-    fk_pde_crosscheck,
     knockout_terminal,
     raw_uint64,
     sample_terminal,
@@ -31,13 +30,13 @@ from qflab.montecarlo import (
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        GbmConfig(0.05, 0.2, 100.0, T=0.0)
+        GbmConfig(0.05, 0.2, 100.0, 0.0, 100, 0)
     with pytest.raises(ValueError):
-        GbmConfig(0.05, 0.2, 100.0, paths=0)
+        GbmConfig(0.05, 0.2, 100.0, 1.0, 0, 0)
     with pytest.raises(ValueError):
-        GbmConfig(0.05, 0.0, 100.0)
+        GbmConfig(0.05, 0.0, 100.0, 1.0, 100, 0)
     with pytest.raises(ValueError):
-        GbmConfig(0.05, 0.2, -1.0)
+        GbmConfig(0.05, 0.2, -1.0, 1.0, 100, 0)
 
 
 # -- counter-based streams -----------------------------------------------------
@@ -177,7 +176,7 @@ def test_knockout_memory_is_bounded_by_the_chunk_budget():
         cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=paths, seed=0)
         tracemalloc.start()
         try:
-            knockout_terminal(cfg, 80.0)
+            knockout_terminal(cfg, 80.0, 250)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -185,7 +184,7 @@ def test_knockout_memory_is_bounded_by_the_chunk_budget():
 
 
 def test_knockout_refuses_more_dates_than_one_chunk_holds():
-    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=2)
+    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=2, seed=0)
     with pytest.raises(ValueError, match="monitoring"):
         knockout_terminal(cfg, 80.0, monitoring_per_year=KNOCKOUT_CHUNK_BYTES // 8 + 1)
     s_t, alive = knockout_terminal(cfg, 80.0, monitoring_per_year=KNOCKOUT_CHUNK_BYTES // 8)
@@ -232,9 +231,9 @@ def test_standard_error_scaling():
 def crosscheck_spots(mp, contract, g, spots, paths):
     """The crosscheck at several spots: one PDE curve, and the estimate at spot i on stream i.
 
-    Each spot passes the gate of :func:`fk_pde_crosscheck`,
-    |MC - PDE| <= 3 SE + pde_tolerance(PDE) + bias.  Returns the curve and
-    one (estimate, PDE price, bias) per spot.
+    Each spot passes the gate of ``price --method all``,
+    |MC - PDE| <= 3 SE + pde_tolerance(PDE) + bias.  Returns one
+    (estimate, PDE price, bias) per spot.
     """
     h = bs_hamiltonian(g, mp)
     curve = price_pde(h, contract, mp, g, g.n)
@@ -248,19 +247,7 @@ def crosscheck_spots(mp, contract, g, spots, paths):
         bias = 0.0 if shifted is None else max(0.0, shifted.price_at(spot) - pde)
         assert abs(est.mean - pde) <= 3.0 * est.std_error + pde_tolerance(pde) + bias, spot
         rows.append((est, pde, bias))
-    return curve, rows
-
-
-def assert_single_spot_row(mp, contract, g, spot, paths, curve, first):
-    """fk_pde_crosscheck at the first spot equals the stream-0 entry of :func:`crosscheck_spots`."""
-    row = fk_pde_crosscheck(mp, contract, g, spot, paths, 0, g.n)
-    est, pde, bias = first
-    assert (row.mc_mean, row.mc_std_error, row.pde_price, row.bias) == (est.mean, est.std_error, pde, bias)
-    assert row.gap == est.mean - pde
-    assert row.tolerance == 3.0 * est.std_error + pde_tolerance(pde) + bias
-    assert row.passed
-    assert np.array_equal(row.curve.values, curve.values)
-    return row
+    return rows
 
 
 def test_fk_pde_crosscheck_vanilla():
@@ -268,18 +255,14 @@ def test_fk_pde_crosscheck_vanilla():
     contract = OptionContract("european_call", 100.0, 1.0)
     g = Grid1D(math.log(100) - 5, math.log(100) + 5, 1501)
     spots = (100.0 * np.array([0.8, 0.9, 1.0, 1.1, 1.2])).tolist()
-    curve, rows = crosscheck_spots(mp, contract, g, spots, 400_000)
-    row = assert_single_spot_row(mp, contract, g, spots[0], 400_000, curve, rows[0])
-    assert row.bias == 0.0
+    crosscheck_spots(mp, contract, g, spots, 400_000)
 
 
 def test_fk_pde_crosscheck_deep_otm_high_vol():
     mp = MarketParams(0.4, 0.05)
     contract = OptionContract("european_call", 100.0, 1.0)
     g = Grid1D(math.log(100) - 6, math.log(100) + 6, 1501)
-    spots = [60.0, 80.0, 100.0]
-    curve, rows = crosscheck_spots(mp, contract, g, spots, 400_000)
-    assert_single_spot_row(mp, contract, g, spots[0], 400_000, curve, rows[0])
+    crosscheck_spots(mp, contract, g, [60.0, 80.0, 100.0], 400_000)
 
 
 def test_fk_pde_crosscheck_barrier():
@@ -287,7 +270,5 @@ def test_fk_pde_crosscheck_barrier():
     contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
     g = Grid1D(math.log(100) - 5, math.log(100) + 5, 1501)
     spots = (100.0 * np.array([0.9, 1.0, 1.1, 1.2])).tolist()
-    curve, rows = crosscheck_spots(mp, contract, g, spots, 100_000)
+    rows = crosscheck_spots(mp, contract, g, spots, 100_000)
     assert max(bias for _, _, bias in rows) > 0.0
-    row = assert_single_spot_row(mp, contract, g, spots[0], 100_000, curve, rows[0])
-    assert row.bias > 0.0

@@ -156,7 +156,7 @@ def test_momentum_kills_constants_and_is_interior_hermitian(g):
 
 
 def test_deformed_momentum_reduces_to_momentum(g):
-    f0 = FunctionSpec.zero()
+    f0 = FunctionSpec.polynomial([0.0])
     assert np.array_equal(toarray(deformed_momentum(g, f0)), toarray(momentum_operator(g)))
 
 
@@ -175,7 +175,7 @@ def test_deformed_momentum_quadratic_f_shifts_by_position(g):
 
 def test_similarity_equals_momentum_for_zero_f(g):
     assert np.array_equal(
-        toarray(deformed_momentum_by_similarity(g, FunctionSpec.zero())),
+        toarray(deformed_momentum_by_similarity(g, FunctionSpec.polynomial([0.0]))),
         toarray(momentum_operator(g)),
     )
 

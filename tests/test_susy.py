@@ -85,7 +85,7 @@ def test_commutator_with_h_vanishes_anticommutator_does_not(g, f):
 
 def test_free_case_superhamiltonian(g):
     # f = 0: {Q, Q+} = alpha^2 diag(P P+, P+ P), both blocks acting as 4 P^2
-    q = supercharge_2x2(g, FunctionSpec.zero(), 2.0)
+    q = supercharge_2x2(g, FunctionSpec.polynomial([0.0]), 2.0)
     h = superhamiltonian_2x2(q)
     from qflab.operators import action_difference
 
@@ -131,7 +131,7 @@ def test_conserved_charges(charges):
 
 
 def test_free_case_4x4_anticommutator(g):
-    q1, q2, _, _ = supercharges_4x4(g, FunctionSpec.zero(), 1.0, 1.0)
+    q1, q2, _, _ = supercharges_4x4(g, FunctionSpec.polynomial([0.0]), 1.0, 1.0)
     h = superhamiltonian_4x4(q1, q2)
     from qflab.operators import action_difference
 
@@ -168,7 +168,7 @@ def test_duality_is_involution(g, f):
 
 
 def test_zero_f_is_duality_fixed_point(g):
-    f0 = FunctionSpec.zero()
+    f0 = FunctionSpec.polynomial([0.0])
     refs0 = build_all(g, f0, ALPHA, BETA)
     q1, q2, _, _ = supercharges_4x4(g, -f0, ALPHA, BETA)
     ident = identify_blocks(superhamiltonian_4x4(q1, q2), refs0)
@@ -223,7 +223,7 @@ def test_ground_state_residuals_and_convergence(coeffs):
 
 
 def test_ground_state_zero_f_is_constant_vector(g):
-    gs, gs_t = ground_states(g, FunctionSpec.zero(), ALPHA, BETA)
+    gs, gs_t = ground_states(g, FunctionSpec.polynomial([0.0]), ALPHA, BETA)
     slot = gs.state[: g.n]
     assert np.allclose(slot, slot[0])
     assert gs.residual <= TOL.discretization(g)
@@ -250,7 +250,7 @@ def test_ground_state_overflow_guard(g):
 def test_partner_spectra_harmonic():
     g = Grid1D(-10, 10, 2001)
     h1, h2 = build_from_superpotential(g, FunctionSpec.polynomial([0, 1]), 1.0)
-    rep = partner_spectra(h1, h2, 6)
+    rep = partner_spectra(h1, h2, 6, 1e-3)
     assert np.allclose(rep.eigenvalues_a, [2, 4, 6, 8, 10, 12], atol=1e-3)
     assert np.allclose(rep.eigenvalues_b, [0, 2, 4, 6, 8, 10], atol=1e-3)
     assert rep.zero_modes == (0, 1)
@@ -260,8 +260,8 @@ def test_partner_spectra_harmonic():
 
 def test_partner_spectra_free_box():
     g = Grid1D(-5, 5, 1001)
-    h1, h2 = build_from_superpotential(g, FunctionSpec.zero(), 1.0)
-    rep = partner_spectra(h1, h2, 4)
+    h1, h2 = build_from_superpotential(g, FunctionSpec.polynomial([0.0]), 1.0)
+    rep = partner_spectra(h1, h2, 4, 1e-3)
     exact = np.array([(np.pi * m / 10.0) ** 2 for m in range(1, 5)])
     assert np.allclose(rep.eigenvalues_a, exact, rtol=5e-4)
     assert np.array_equal(rep.eigenvalues_a, rep.eigenvalues_b)
@@ -271,7 +271,7 @@ def test_partner_spectra_free_box():
 def test_partner_spectra_cubic_superpotential():
     g = Grid1D(-6, 6, 2001)
     h1, h2 = build_from_superpotential(g, FunctionSpec.polynomial([0, 0, 0, 1.0]), 1.0)
-    rep = partner_spectra(h1, h2, 5)
+    rep = partner_spectra(h1, h2, 5, 1e-3)
     assert rep.max_pair_gap <= 1e-3
     assert rep.zero_modes == (0, 1)
 
@@ -281,20 +281,20 @@ def test_partner_spectra_rejects_non_hermitian(g, f):
     for grid in (g, Grid1D(-5, 5, 9)):
         h3 = closed_form(grid, f, "H3", 1.0)
         with pytest.raises(ValueError, match="Hermitian"):
-            partner_spectra(h3, h3, 1)
+            partner_spectra(h3, h3, 1, 1e-3)
 
 
 @pytest.mark.parametrize("n", [4, 5, 8, 9])
 def test_partner_spectra_accepts_hermitian_partners_on_small_grids(n):
     # the one-sided boundary rows are not Hermitian, but the Dirichlet block is
     h1, h2 = build_from_superpotential(Grid1D(-10, 10, n), FunctionSpec.polynomial([0, 1]), 1.0)
-    assert len(partner_spectra(h1, h2, 1).eigenvalues_a) == 1
+    assert len(partner_spectra(h1, h2, 1, 1e-3).eigenvalues_a) == 1
 
 
 def test_partner_spectra_k_guard(g, f):
-    h1, h2 = build_from_superpotential(g, FunctionSpec.zero(), 1.0)
+    h1, h2 = build_from_superpotential(g, FunctionSpec.polynomial([0.0]), 1.0)
     with pytest.raises(ValueError):
-        partner_spectra(h1, h2, g.n)
+        partner_spectra(h1, h2, g.n, 1e-3)
 
 
 def test_dirichlet_eigenvalues_match_dense_solver(g):
@@ -320,7 +320,7 @@ def test_symmetrized_band_keeps_the_hermitian_bits():
 
 def test_real_spectrum_check_zero_f(g):
     # same matrix through both routes; residual limited by the two eigensolvers
-    r4, r3 = real_spectrum_check(g, FunctionSpec.zero(), 1.0)
+    r4, r3 = real_spectrum_check(g, FunctionSpec.polynomial([0.0]), 1.0)
     assert r4.passed
     assert r3.passed
 
