@@ -10,13 +10,16 @@ GBM increments on ln S) is used only for barrier monitoring.
 Randomness is counter-based: normal variate i of stream s is a pure function
 of (seed, s, i), the inverse normal CDF (``ndtri``) of one Philox output, so
 results cannot depend on chunking or worker scheduling.  Path simulation walks
-the paths in chunks of at most ``KNOCKOUT_CHUNK_BYTES`` of normals, so its
-memory does not grow with the path count.  Aggregation always runs over the
-fully materialized value array with numpy's pairwise summation, making
-estimates reproducible bit-for-bit from (market, contract, spot, paths, seed).
+the paths in chunks on at most two worker threads, which share
+``KNOCKOUT_CHUNK_BYTES`` of normals, so its memory does not grow with the path
+count or the worker count.  Aggregation always runs over the fully
+materialized value array with numpy's pairwise summation, making estimates
+reproducible bit-for-bit from (market, contract, spot, paths, seed).
 """
 
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -26,9 +29,10 @@ from scipy.special import ndtri
 from .finance import MarketParams, OptionContract, check_discount
 
 _PHILOX_OUTPUTS_PER_BLOCK = 4
-# bytes of normals one knock-out chunk holds: 2**20 float64, about 4 096 paths
-# at 250 monitoring dates.  The walk's peak memory is about twice this, however
-# many paths there are, and the per-chunk Python overhead stays negligible.
+# bytes of normals the knock-out walk holds at once: 2**20 float64, shared by
+# its at most two workers, so about 2 100 paths per chunk at 250 monitoring
+# dates.  The walk's peak memory is about twice this, however many paths there
+# are, and the per-chunk Python overhead stays negligible.
 KNOCKOUT_CHUNK_BYTES = 8 << 20
 
 
@@ -110,10 +114,12 @@ def knockout_terminal(
     """(S(T), alive) under discrete barrier monitoring.
 
     Exact GBM increments at monitoring_per_year dates; a path dies when it
-    touches or crosses the barrier at a monitoring date.  Paths are walked as
-    many at a time as fit ``KNOCKOUT_CHUNK_BYTES`` of normals.  Chunk
-    boundaries do not affect the draws: normal (p, j) always comes from raw
-    index p*m + j.
+    touches or crosses the barrier at a monitoring date.  Paths are walked in
+    chunks on at most two threads, as many paths at a time as fit the
+    workers' share of ``KNOCKOUT_CHUNK_BYTES`` of normals; each chunk writes
+    only its own slice of the result.  Neither chunk boundaries nor the
+    worker count affect the draws: normal (p, j) always comes from raw index
+    p*m + j.
     """
     if monitoring_per_year < 1:
         raise ValueError(f"monitoring_per_year must be >= 1, got {monitoring_per_year}")
@@ -123,26 +129,36 @@ def knockout_terminal(
     if m > budget:
         raise ValueError(f"{m} monitoring dates per path (monitoring_per_year={monitoring_per_year}, "
                          f"T={cfg.T:.6g}) exceed the {budget} normals of one path chunk")
-    chunk = budget // m
+    # Philox, ndtri, cumsum, min and exp release the GIL, so the chunks walk in
+    # parallel; a path longer than half the budget walks alone
+    workers = min(2, len(os.sched_getaffinity(0)), budget // m)
+    chunk = budget // (m * workers)
     dt = cfg.T / m
     drift_term = (cfg.drift - 0.5 * cfg.sigma**2) * dt
     vol_term = cfg.sigma * math.sqrt(dt)
     log_b = math.log(barrier)
     log_s0 = math.log(cfg.s0)
+    # numpy's error state is per context, and a pool thread starts from the default
+    err = np.geterr()
 
     s_t = np.empty(cfg.paths)
     alive = np.empty(cfg.paths, dtype=bool)
-    for p0 in range(0, cfg.paths, chunk):
+
+    def walk(p0: int) -> None:
         p1 = min(p0 + chunk, cfg.paths)
-        # ln S along each path, built in place on the normals
-        logs = standard_normals(cfg.seed, (p1 - p0) * m, start=p0 * m, stream=stream).reshape(p1 - p0, m)
-        logs *= vol_term
-        logs += drift_term
-        np.cumsum(logs, axis=1, out=logs)
-        logs += log_s0
-        alive[p0:p1] = np.min(logs, axis=1) > log_b
-        s_t[p0:p1] = np.exp(logs[:, -1])
-        del logs  # free this chunk before the next one is drawn
+        with np.errstate(**err):
+            # ln S along each path, built in place on the normals
+            logs = standard_normals(cfg.seed, (p1 - p0) * m, start=p0 * m, stream=stream).reshape(p1 - p0, m)
+            logs *= vol_term
+            logs += drift_term
+            np.cumsum(logs, axis=1, out=logs)
+            logs += log_s0
+            alive[p0:p1] = np.min(logs, axis=1) > log_b
+            s_t[p0:p1] = np.exp(logs[:, -1])
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        # reading every result re-raises a worker's exception here
+        list(pool.map(walk, range(0, cfg.paths, chunk)))
     return s_t, alive
 
 
@@ -150,7 +166,7 @@ def knockout_terminal(
 
 
 def feynman_kac_estimate(
-    mp: MarketParams, contract: OptionContract, spot: float, paths: int, seed: int = 0, stream: int = 0,
+    mp: MarketParams, contract: OptionContract, spot: float, paths: int, seed: int, stream: int = 0,
     monitoring_per_year: int = 250,
 ) -> McEstimate:
     """Discounted Monte Carlo price e^{-rT} E[payoff(S(T))] from S(0) = spot.

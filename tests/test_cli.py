@@ -113,6 +113,15 @@ def test_price_closed_rejects_barrier():
     assert res.stderr == "error: no closed form for barrier contracts\n"
 
 
+def test_knockout_overflow_is_refused_without_a_worker_warning():
+    # the walk's threads inherit the caller's ignored overflow, so only the refusal prints
+    res = run("price", "--payoff", "do-call", "--barrier", "80", "--method", "mc", "--paths", "5000",
+              "--spot", "1e308", "--rate", "5")
+    assert res.returncode == 2
+    assert res.stderr == ("error: Monte Carlo estimate inf +- nan is not finite: the payoff samples "
+                          "overflow float64 at spot=1e+308, drift=5, sigma=0.2, T=1\n")
+
+
 def test_price_all_methods_small(tmp_path):
     csv = tmp_path / "curve.csv"
     res = run(

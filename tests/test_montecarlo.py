@@ -115,7 +115,7 @@ def test_log_moments_match_lognormal():
 def test_constant_claim_has_zero_error():
     # a barrier above the spot knocks every path out at the first date: the claim is 0
     contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier=150.0)
-    est = feynman_kac_estimate(MarketParams(0.2, 0.05), contract, 100.0, 10_000)
+    est = feynman_kac_estimate(MarketParams(0.2, 0.05), contract, 100.0, 10_000, seed=0)
     assert est.mean == 0.0
     assert est.std_error == 0.0
 
@@ -129,7 +129,7 @@ def test_linear_claim_matches_gbm_mean():
 
 def test_call_estimate_matches_closed_form():
     mp, contract = MarketParams(0.2, 0.05), OptionContract("european_call", 100.0, 1.0)
-    est = feynman_kac_estimate(mp, contract, 100.0, 1_000_000)
+    est = feynman_kac_estimate(mp, contract, 100.0, 1_000_000, seed=0)
     ref = closed_form_price(mp, contract, 100.0)
     assert abs(est.mean - ref) <= 3.0 * est.std_error
 
@@ -168,6 +168,45 @@ def test_knockout_walk_matches_reference_formula(monkeypatch, chunk):
     s_t, alive = knockout_terminal(cfg, 80.0, monitoring_per_year=m)
     assert np.array_equal(s_t, np.exp(logs[:, -1]))
     assert np.array_equal(alive, np.min(logs, axis=1) > math.log(80.0))
+
+
+@pytest.mark.parametrize("chunk", [None, 1, 7, 64])
+def test_knockout_walk_does_not_depend_on_the_worker_count(monkeypatch, chunk):
+    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=2_000, seed=5)
+    if chunk is not None:
+        chunk_paths(monkeypatch, chunk, 50)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+    two = knockout_terminal(cfg, 80.0, monitoring_per_year=50)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0})
+    one = knockout_terminal(cfg, 80.0, monitoring_per_year=50)
+    assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
+
+
+@pytest.mark.parametrize("dates,workers", [(250, 2), (KNOCKOUT_CHUNK_BYTES // 8, 1)])
+def test_knockout_walk_asks_for_at_most_two_workers(monkeypatch, dates, workers):
+    asked = []
+
+    class SerialPool:
+        """Records the worker count and walks the chunks in the calling thread."""
+
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        map = staticmethod(map)
+
+    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
+    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=4, seed=0)
+    s_t, alive = knockout_terminal(cfg, 80.0, monitoring_per_year=dates)
+    # a path longer than half the budget walks alone, so the two workers' chunks still fit it
+    assert asked == [workers]
+    assert s_t.shape == alive.shape == (4,)
 
 
 def test_knockout_memory_is_bounded_by_the_chunk_budget():
@@ -242,7 +281,7 @@ def crosscheck_spots(mp, contract, g, spots, paths):
         shifted = price_pde(h, shifted_barrier(contract, mp.sigma, 250), mp, g, g.n)
     rows = []
     for i, spot in enumerate(spots):
-        est = feynman_kac_estimate(mp, contract, spot, paths, stream=i)
+        est = feynman_kac_estimate(mp, contract, spot, paths, seed=0, stream=i)
         pde = curve.price_at(spot)
         bias = 0.0 if shifted is None else max(0.0, shifted.price_at(spot) - pde)
         assert abs(est.mean - pde) <= 3.0 * est.std_error + pde_tolerance(pde) + bias, spot
