@@ -335,11 +335,11 @@ def cmd_price(args) -> int:
         montecarlo.check_draws(args.paths, args.seed)  # refused before any PDE work
     if run_pde:
         h = finance.bs_hamiltonian(g, mp)
-        curve = finance.price_pde(h, contract, mp, g, steps)
+        curve = finance.price_pde(h, contract, mp, steps)
         prices["pde"] = curve.price_at(args.spot)
         if args.method == "all" and contract.barrier is not None:
             shifted = montecarlo.shifted_barrier(contract, mp.sigma, args.monitoring)
-            shifted_pde = finance.price_pde(h, shifted, mp, g, steps).price_at(args.spot)
+            shifted_pde = finance.price_pde(h, shifted, mp, steps).price_at(args.spot)
     if run_mc:
         est = montecarlo.feynman_kac_estimate(mp, contract, args.spot, args.paths, args.seed,
                                               monitoring_per_year=args.monitoring)

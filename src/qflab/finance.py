@@ -15,6 +15,8 @@ and the measured resolution under P = -i d/dx is the +2i f' P branch, i.e.
 
 Pricing integrates dC/dtau = -H C backward from the payoff by Crank-Nicolson
 with two fully-implicit start-up steps to damp the payoff-kink oscillation.
+Both step matrices are tridiagonal, read from H's band by
+``LinOp.tridiagonal`` and factored once by LAPACK's tridiagonal LU.
 """
 
 import math
@@ -23,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.sparse.linalg import splu
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grid import Grid1D
 from .hamiltonians import closed_form
@@ -157,7 +159,7 @@ def _candidate(g: Grid1D, f: FunctionSpec, beta: float, v2: np.ndarray, which: s
     return base + diagonal(g, u)
 
 
-def map_to_deformed(mp: MarketParams, g: Grid1D, kind: str = "auto") -> DeformationMapping:
+def map_to_deformed(mp: MarketParams, g: Grid1D, kind: str) -> DeformationMapping:
     """Measure which of the two sign branches, H_I(f) or H_II(f), equals the target.
 
     ``matches`` lists both (label, sign) twins of every matching branch, in
@@ -327,24 +329,25 @@ def _boundary_values(contract: OptionContract, mp: MarketParams, g: Grid1D):
     return lambda tau: (0.0, s_hi - k * math.exp(-mp.r * tau))
 
 
-def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, g: Grid1D, steps: int) -> PriceCurve:
-    """Backward Hamiltonian evolution dC/dtau = -H C from the contract's payoff.
+def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, steps: int) -> PriceCurve:
+    """Backward Hamiltonian evolution dC/dtau = -H C from the contract's payoff, on h's grid.
 
     Crank-Nicolson with ``RANNACHER_STEPS`` fully-implicit start-up steps.  The
     boundary rows hold the contract's asymptotic Dirichlet data, and a barrier
     contract knocks out: C = 0 at nodes with x <= ln(barrier) after every step
-    (nearest-node placement).  The two step matrices are factored once by a
-    sparse LU, whatever the operator's band structure.
+    (nearest-node placement).  With the boundary rows replaced, each step
+    matrix A = I + theta dt H is a real tridiagonal band (any other is
+    refused), factored once by LAPACK's ``dgttrf``.  A Crank-Nicolson step
+    solves A y = w and sets C' = 2y - C, since (I - dt H / 2) C = (2I - A) C;
+    w is C except on the Dirichlet rows, which hold (data + C) / 2.
     """
+    g = h.grid
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
     if not g.x_max < MAX_LOG_PRICE:
         raise ValueError(f"grid x_max = {g.x_max:.6g} must be below {MAX_LOG_PRICE:.6g}, where "
                          f"exp(x_max) overflows; the default grid grows with strike, spot and "
                          f"sigma*sqrt(maturity)")
-
-    if float(np.max(np.abs(h.entries.imag))) > TOL.rounding(g.n, max(1.0, h.max_abs())):
-        raise ValueError("pricing Hamiltonian must be real-valued")
 
     check_discount(mp.r, contract.maturity)
     x = g.nodes
@@ -363,23 +366,27 @@ def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, g: Grid1D, s
     ends = np.zeros(g.n)
     ends[[0, -1]] = 1.0
 
-    def system(coef):
+    def factor(coef):
         # Dirichlet rows: C = boundary data at both ends
-        return (identity(g) + coef * h).scale_rows(1.0 - ends) + diagonal(g, ends)
+        a = (identity(g) + coef * h).scale_rows(1.0 - ends) + diagonal(g, ends)
+        *lu, info = dgttrf(*a.tridiagonal())
+        if info != 0:
+            raise ValueError(f"the step matrix I + {coef:.3g} H is singular (LAPACK dgttrf info={info})")
+        return lu
 
-    a_ie, a_cn = system(dt), system(0.5 * dt)
-    # reported as "banded": true when the step matrix is tridiagonal (every
-    # Black-Scholes operator); the sparse LU below serves either way
-    tridiagonal = all(abs(o) <= 1 or not np.any(d) for o, d in zip(a_ie.offsets, a_ie.entries))
-    lu_ie, lu_cn = (splu(a.to_sparse().real.tocsc(), permc_spec="NATURAL") for a in (a_ie, a_cn))
-    h_real = h.to_sparse().real.tocsr()
+    lu_ie, lu_cn = factor(dt), factor(0.5 * dt)
 
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite curve is refused below
         for j in range(1, steps + 1):
-            implicit = j <= rann
-            rhs = c.copy() if implicit else c - 0.5 * dt * (h_real @ c)
-            rhs[0], rhs[-1] = boundary(j * dt)
-            c = (lu_ie if implicit else lu_cn).solve(rhs)
+            lo, hi = boundary(j * dt)
+            w = c.copy()
+            if j <= rann:
+                w[0], w[-1] = lo, hi
+                c, _ = dgttrs(*lu_ie, w)
+            else:
+                w[0], w[-1] = 0.5 * (lo + c[0]), 0.5 * (hi + c[-1])
+                y, _ = dgttrs(*lu_cn, w)
+                c = 2.0 * y - c
             if barrier_index:
                 c[:barrier_index] = 0.0
             running_max = max(running_max, float(np.max(np.abs(c))))
@@ -401,7 +408,7 @@ def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, g: Grid1D, s
         diagnostics={
             "steps": steps,
             "rannacher_steps": rann,
-            "banded": tridiagonal,
+            "banded": True,  # every step matrix is tridiagonal
             "payoff_max": payoff_max,
             "max_abs": running_max,
             "barrier_index": barrier_index,
@@ -409,7 +416,7 @@ def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, g: Grid1D, s
     )
 
 
-def default_pricing_grid(contract: OptionContract, mp: MarketParams, spot: float, n: int = 2001) -> Grid1D:
+def default_pricing_grid(contract: OptionContract, mp: MarketParams, spot: float, n: int) -> Grid1D:
     """Log-price grid centered on the strike, wide enough for payoff decay."""
     ln_k = math.log(contract.strike)
     half = max(5.0, abs(math.log(spot) - ln_k) + 8.0 * mp.sigma * math.sqrt(contract.maturity))

@@ -44,24 +44,11 @@ def check_draws(paths: int, seed: int) -> None:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
 
-@dataclass(frozen=True)
-class GbmConfig:
-    drift: float
-    sigma: float
-    s0: float
-    T: float
-    paths: int
-    seed: int
-
-    def __post_init__(self):
-        if not self.T > 0:
-            raise ValueError(f"T must be > 0, got {self.T}")
-        check_draws(self.paths, self.seed)
-        if self.sigma <= 0:
-            raise ValueError(f"sigma must be > 0, got {self.sigma}")
-        if self.s0 <= 0:
-            raise ValueError(f"s0 must be > 0, got {self.s0}")
-        check_discount(self.drift, self.T)
+def monitoring_dates(monitoring_per_year: int, maturity: float) -> int:
+    """Barrier monitoring dates up to ``maturity``: at least one, however short the horizon."""
+    if monitoring_per_year < 1:
+        raise ValueError(f"monitoring_per_year must be >= 1, got {monitoring_per_year}")
+    return max(1, round(monitoring_per_year * maturity))
 
 
 @dataclass(frozen=True)
@@ -99,19 +86,19 @@ def standard_normals(seed: int, count: int, start: int = 0, stream: int = 0) -> 
 # -- sampling ----------------------------------------------------------------
 
 
-def sample_terminal(cfg: GbmConfig, stream: int = 0) -> np.ndarray:
-    """Exact lognormal draws of S(T), one per path."""
-    z = standard_normals(cfg.seed, cfg.paths, stream=stream)
-    return cfg.s0 * np.exp(cfg.sigma * math.sqrt(cfg.T) * z + (cfg.drift - 0.5 * cfg.sigma**2) * cfg.T)
+def sample_terminal(mp: MarketParams, contract: OptionContract, spot: float, paths: int,
+                    seed: int) -> np.ndarray:
+    """Exact lognormal draws of S(T) from S(0) = spot, one per path, with the rate as drift."""
+    z = standard_normals(seed, paths)
+    t = contract.maturity
+    return spot * np.exp(mp.sigma * math.sqrt(t) * z + (mp.r - 0.5 * mp.sigma**2) * t)
 
 
 def knockout_terminal(
-    cfg: GbmConfig,
-    barrier: float,
+    mp: MarketParams, contract: OptionContract, spot: float, paths: int, seed: int,
     monitoring_per_year: int,
-    stream: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(S(T), alive) under discrete barrier monitoring.
+    """(S(T), alive) under discrete monitoring of the contract's barrier.
 
     Exact GBM increments at monitoring_per_year dates; a path dies when it
     touches or crosses the barrier at a monitoring date.  Paths are walked in
@@ -121,34 +108,31 @@ def knockout_terminal(
     worker count affect the draws: normal (p, j) always comes from raw index
     p*m + j.
     """
-    if monitoring_per_year < 1:
-        raise ValueError(f"monitoring_per_year must be >= 1, got {monitoring_per_year}")
-    # at least one monitoring date, however short the horizon
-    m = max(1, round(monitoring_per_year * cfg.T))
+    m = monitoring_dates(monitoring_per_year, contract.maturity)
     budget = KNOCKOUT_CHUNK_BYTES // 8
     if m > budget:
         raise ValueError(f"{m} monitoring dates per path (monitoring_per_year={monitoring_per_year}, "
-                         f"T={cfg.T:.6g}) exceed the {budget} normals of one path chunk")
+                         f"T={contract.maturity:.6g}) exceed the {budget} normals of one path chunk")
     # Philox, ndtri, cumsum, min and exp release the GIL, so the chunks walk in
     # parallel; a path longer than half the budget walks alone
     workers = min(2, len(os.sched_getaffinity(0)), budget // m)
     chunk = budget // (m * workers)
-    dt = cfg.T / m
-    drift_term = (cfg.drift - 0.5 * cfg.sigma**2) * dt
-    vol_term = cfg.sigma * math.sqrt(dt)
-    log_b = math.log(barrier)
-    log_s0 = math.log(cfg.s0)
+    dt = contract.maturity / m
+    drift_term = (mp.r - 0.5 * mp.sigma**2) * dt
+    vol_term = mp.sigma * math.sqrt(dt)
+    log_b = math.log(contract.barrier)
+    log_s0 = math.log(spot)
     # numpy's error state is per context, and a pool thread starts from the default
     err = np.geterr()
 
-    s_t = np.empty(cfg.paths)
-    alive = np.empty(cfg.paths, dtype=bool)
+    s_t = np.empty(paths)
+    alive = np.empty(paths, dtype=bool)
 
     def walk(p0: int) -> None:
-        p1 = min(p0 + chunk, cfg.paths)
+        p1 = min(p0 + chunk, paths)
         with np.errstate(**err):
             # ln S along each path, built in place on the normals
-            logs = standard_normals(cfg.seed, (p1 - p0) * m, start=p0 * m, stream=stream).reshape(p1 - p0, m)
+            logs = standard_normals(seed, (p1 - p0) * m, start=p0 * m).reshape(p1 - p0, m)
             logs *= vol_term
             logs += drift_term
             np.cumsum(logs, axis=1, out=logs)
@@ -158,7 +142,7 @@ def knockout_terminal(
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # reading every result re-raises a worker's exception here
-        list(pool.map(walk, range(0, cfg.paths, chunk)))
+        list(pool.map(walk, range(0, paths, chunk)))
     return s_t, alive
 
 
@@ -166,8 +150,8 @@ def knockout_terminal(
 
 
 def feynman_kac_estimate(
-    mp: MarketParams, contract: OptionContract, spot: float, paths: int, seed: int, stream: int = 0,
-    monitoring_per_year: int = 250,
+    mp: MarketParams, contract: OptionContract, spot: float, paths: int, seed: int,
+    monitoring_per_year: int,
 ) -> McEstimate:
     """Discounted Monte Carlo price e^{-rT} E[payoff(S(T))] from S(0) = spot.
 
@@ -176,20 +160,24 @@ def feynman_kac_estimate(
     every other contract samples the terminal value exactly.  Mean and
     standard error are discounted once, after aggregation.
     """
-    cfg = GbmConfig(mp.r, mp.sigma, spot, contract.maturity, paths, seed)
+    check_draws(paths, seed)
+    if not spot > 0:
+        raise ValueError(f"spot must be > 0, got {spot}")
+    r, t = mp.r, contract.maturity
+    check_discount(r, t)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
         if contract.payoff_kind == "down_and_out_call":
-            s_t, alive = knockout_terminal(cfg, contract.barrier, monitoring_per_year, stream)
+            s_t, alive = knockout_terminal(mp, contract, spot, paths, seed, monitoring_per_year)
             values = np.where(alive, contract.payoff(s_t), 0.0)
         else:
-            values = contract.payoff(sample_terminal(cfg, stream=stream))
-        mean = float(np.sum(values) / cfg.paths)
-        se = float(np.std(values, ddof=1) / math.sqrt(cfg.paths))
+            values = contract.payoff(sample_terminal(mp, contract, spot, paths, seed))
+        mean = float(np.sum(values) / paths)
+        se = float(np.std(values, ddof=1) / math.sqrt(paths))
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise ValueError(f"Monte Carlo estimate {mean:.3g} +- {se:.3g} is not finite: "
-                         f"the payoff samples overflow float64 at spot={cfg.s0:.6g}, "
-                         f"drift={cfg.drift:.6g}, sigma={cfg.sigma:.6g}, T={cfg.T:.6g}")
-    factor = math.exp(-cfg.drift * cfg.T)
+                         f"the payoff samples overflow float64 at spot={spot:.6g}, "
+                         f"drift={r:.6g}, sigma={mp.sigma:.6g}, T={t:.6g}")
+    factor = math.exp(-r * t)
     return McEstimate(mean * factor, se * factor)
 
 
@@ -207,6 +195,6 @@ def shifted_barrier(contract: OptionContract, sigma: float, monitoring_per_year:
     shifted barrier approximates the discretely monitored one, so the gap
     between the two PDE prices bounds the monitoring bias.
     """
-    dt_mon = contract.maturity / max(1, round(monitoring_per_year * contract.maturity))
+    dt_mon = contract.maturity / monitoring_dates(monitoring_per_year, contract.maturity)
     shift = math.exp(-BARRIER_SHIFT_COEFF * sigma * math.sqrt(dt_mon))
     return replace(contract, barrier=contract.barrier * shift)

@@ -20,7 +20,6 @@ from pathlib import Path
 
 import numpy as np
 from numpy.polynomial import polynomial as npoly
-from scipy import sparse
 
 from .grid import Grid1D
 from .tolerances import DEFAULT as TOL
@@ -123,7 +122,7 @@ class FunctionSpec:
         _, d2 = derivative_matrices(g)
         return d2.apply(self.samples).real
 
-    def antiderivative(self, g: Grid1D | None = None) -> "FunctionSpec":
+    def antiderivative(self, g: Grid1D) -> "FunctionSpec":
         """Antiderivative anchored at 0 (the integral from 0 to x).
 
         Exact coefficient shift for polynomials.  Tabulated specs integrate by
@@ -132,8 +131,6 @@ class FunctionSpec:
         """
         if self.is_polynomial:
             return FunctionSpec.polynomial(npoly.polyint(self.coefficients))
-        if g is None:
-            raise ValueError("tabulated antiderivative needs the grid")
         self._check_length(g)
         from scipy.integrate import cumulative_trapezoid
 
@@ -318,9 +315,21 @@ class LinOp:
         """max |A[s, s]| over the principal block ``s``."""
         return float(np.max(np.abs(self.principal_bands(s)[1]), initial=0.0))
 
-    def to_sparse(self) -> sparse.dia_array:
-        return sparse.dia_array((self.entries, np.array(self.offsets, dtype=int)),
-                                shape=(self.n, self.n))
+    def tridiagonal(self, s: slice = slice(None)) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lower, main, upper) real diagonals of the principal block A[s, s].
+
+        lower[i] = A[i + 1, i] and upper[i] = A[i, i + 1] within the block.  A
+        block with a nonzero entry off these three diagonals, or an imaginary
+        part above rounding, is refused.
+        """
+        offsets, data = self.principal_bands(s)
+        tol = TOL.rounding(self.n, max(1.0, float(np.max(np.abs(data), initial=0.0))))
+        if (float(np.max(np.abs(data.imag), initial=0.0)) > tol
+                or any(np.any(d) for o, d in zip(offsets, data) if abs(o) > 1)):
+            raise ValueError("operator is not a real tridiagonal band")
+        band = dict(zip(offsets, data.real))
+        zero = np.zeros(data.shape[1])
+        return band.get(-1, zero)[:-1], band.get(0, zero), band.get(1, zero)[1:]
 
 
 # -- basic constructions ---------------------------------------------------

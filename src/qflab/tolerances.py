@@ -26,11 +26,11 @@ class Tolerances:
     disc_coeff: float = 10.0
     round_coeff: float = 100.0
 
-    def discretization(self, g: Grid1D, scale: float = 1.0) -> float:
+    def discretization(self, g: Grid1D, scale: float) -> float:
         """Bound for O(h^2)-convergent statements on grid ``g``."""
         return self.disc_coeff * max(scale, 1.0) * g.h**2 + self.round_coeff * EPS * g.n
 
-    def rounding(self, n: int, scale: float = 1.0) -> float:
+    def rounding(self, n: int, scale: float) -> float:
         """Bound for identities that are exact modulo floating-point rounding."""
         return self.round_coeff * EPS * n * max(scale, 1.0)
 

@@ -53,8 +53,11 @@ def from_dense(matrix, g):
 
 
 def toarray(op) -> np.ndarray:
-    """Dense n x n export of a ``LinOp``."""
-    return op.to_sparse().toarray()
+    """Dense n x n export of a ``LinOp``: diagonal o holds ``entries[k, j]`` at column j."""
+    dense = np.zeros((op.n, op.n), dtype=np.complex128)
+    for o, band in zip(op.offsets, op.entries):
+        dense += np.diag(band[max(o, 0) : op.n + min(o, 0)], o)
+    return dense
 
 
 def to_matrix(q) -> np.ndarray:

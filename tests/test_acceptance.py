@@ -232,14 +232,14 @@ def test_c08_finance_identification():
     for sigma in (0.1, 0.2, 0.4):
         for r in (0.0, 0.01, 0.05, 0.1):
             mp = MarketParams(sigma, r)
-            mapping = map_to_deformed(mp, g)
+            mapping = map_to_deformed(mp, g, kind="auto")
             tol = 100.0 * EPS * bs_hamiltonian(g, mp).max_abs()
             assert mapping.residual <= tol, (sigma, r)
             if abs(sigma**2 / 2 - r) > 1e-12:
                 # the four candidates collapse to one matching sign branch
                 assert set(mapping.matches) == {("H_I", 1), ("H_II", -1)}, (sigma, r)
     mp = MarketParams(0.3, 0.0, FunctionSpec.polynomial([0.05, 0.01]))
-    bsg = map_to_deformed(mp, g)
+    bsg = map_to_deformed(mp, g, kind="auto")
     assert bsg.residual <= 100.0 * EPS * bsg_hamiltonian(g, mp).max_abs()
     v = FunctionSpec.tabulated(np.where(g.nodes < 0.0, 40.0, 0.05))
     mpb = MarketParams(0.2, 0.05, v)
@@ -256,26 +256,26 @@ def test_c09_three_way_pricing():
     strike, rate, maturity = 100.0, 0.05, 1.0
     g = Grid1D(math.log(strike) - 5, math.log(strike) + 5, 2001)
     worst_pde, worst_z = 0.0, 0.0
-    stream = 0
+    seed = 0
     for sigma in (0.1, 0.2, 0.4):
         mp = MarketParams(sigma, rate)
         h = bs_hamiltonian(g, mp)
         for kind, payoff_kind in (("call", "european_call"), ("put", "european_put")):
             contract = OptionContract(payoff_kind, strike, maturity)
-            curve = price_pde(h, contract, mp, g, 2000)
+            curve = price_pde(h, contract, mp, 2000)
             for s0 in (80.0, 100.0, 120.0):
                 ref = closed_form_price(mp, contract, s0)
                 pde = curve.price_at(s0)
                 tol = max(1e-2, 2e-3 * abs(ref))
                 assert abs(pde - ref) <= tol, (sigma, kind, s0, pde, ref)
                 worst_pde = max(worst_pde, abs(pde - ref) / tol)
-                est = feynman_kac_estimate(mp, contract, s0, 1_000_000, seed=0, stream=stream)
-                stream += 1
+                est = feynman_kac_estimate(mp, contract, s0, 1_000_000, seed=seed, monitoring_per_year=250)
+                seed += 1
                 assert abs(est.mean - ref) <= 3.0 * est.std_error, (sigma, kind, s0)
                 worst_z = max(worst_z, abs(est.mean - ref) / est.std_error)
     mp = MarketParams(0.2, rate)
     bench = price_pde(
-        bs_hamiltonian(g, mp), OptionContract("european_call", strike, maturity), mp, g, 2000
+        bs_hamiltonian(g, mp), OptionContract("european_call", strike, maturity), mp, 2000
     ).price_at(100.0)
     assert abs(bench - 10.4506) <= 1e-2, bench
     elapsed = time.perf_counter() - started

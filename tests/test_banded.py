@@ -49,6 +49,35 @@ def test_band_algebra_matches_dense_algebra(seed, offs_a, offs_b):
     assert a.block_max_abs(s) == np.max(np.abs(da[s, s]))
 
 
+@given(st.integers(0, 2**31 - 1), st.integers(0, 3), st.integers(0, 3))
+@settings(max_examples=50, deadline=None)
+def test_tridiagonal_reads_the_three_diagonals(seed, lo, cut):
+    rng = np.random.default_rng(seed)
+    g = Grid1D(0, 1, N_SMALL)
+    op = LinOp(rng.normal(size=(3, g.n)), (-1, 0, 1), g)
+    s = slice(lo, N_SMALL - cut)
+    block = toarray(op)[s, s]
+    lower, main, upper = op.tridiagonal(s)
+    assert main.dtype == lower.dtype == upper.dtype == np.float64
+    assert np.array_equal(lower, np.diagonal(block, -1).real)
+    assert np.array_equal(main, np.diagonal(block).real)
+    assert np.array_equal(upper, np.diagonal(block, 1).real)
+    assert [np.array_equal(d, np.diagonal(toarray(op), o).real)
+            for d, o in zip(op.tridiagonal(), (-1, 0, 1))] == [True] * 3
+
+
+def test_tridiagonal_refuses_complex_and_wider_bands():
+    g = Grid1D(0, 1, N_SMALL)
+    with pytest.raises(ValueError, match="not a real tridiagonal band"):
+        LinOp(1j * np.ones((3, g.n)), (-1, 0, 1), g).tridiagonal()
+    for o in (-2, 2):
+        wide = LinOp(np.ones((4, g.n)), (-1, 0, 1, o), g)
+        with pytest.raises(ValueError, match="not a real tridiagonal band"):
+            wide.tridiagonal()
+        # a diagonal that is zero inside the block is no refusal
+        assert len(wide.tridiagonal(slice(3, 5))[1]) == 2
+
+
 def test_band_entries_outside_the_matrix_are_zero():
     g = Grid1D(0, 1, N_SMALL)
     op = LinOp(np.ones((3, g.n)), (2, -1, 0), g)

@@ -116,7 +116,7 @@ def test_bsb_soft_barrier_differs_only_on_diagonal(g):
 @pytest.mark.parametrize("sigma", [0.1, 0.2, 0.4])
 @pytest.mark.parametrize("r", [0.0, 0.01, 0.05, 0.1])
 def test_identification_corpus(g, sigma, r):
-    mapping = map_to_deformed(MarketParams(sigma, r), g)
+    mapping = map_to_deformed(MarketParams(sigma, r), g, kind="auto")
     target = bs_hamiltonian(g, MarketParams(sigma, r))
     assert mapping.residual <= TOL.round_coeff * EPS * target.max_abs()
     assert mapping.beta**2 == pytest.approx(sigma**2 / 2, rel=1e-15)
@@ -127,7 +127,7 @@ def test_identification_corpus(g, sigma, r):
 
 
 def test_identification_degenerate_prefers_h2_label(g):
-    mapping = map_to_deformed(MarketParams(0.2, 0.02), g)  # sigma^2 = 2r, f' ~ 0
+    mapping = map_to_deformed(MarketParams(0.2, 0.02), g, kind="auto")  # sigma^2 = 2r, f' ~ 0
     assert mapping.which_hamiltonian == "H_II"
     assert mapping.sign == 1
     assert len(mapping.matches) == 4
@@ -135,7 +135,7 @@ def test_identification_degenerate_prefers_h2_label(g):
 
 def test_identification_generalized_polynomial(g):
     mp = MarketParams(0.3, 0.0, FunctionSpec.polynomial([0.05, 0.01]))
-    mapping = map_to_deformed(mp, g)
+    mapping = map_to_deformed(mp, g, kind="auto")
     assert mapping.kind == "bsg"
     assert (mapping.which_hamiltonian, mapping.sign) == ("H_I", 1)
     assert mapping.f.is_polynomial  # integral form with exact antiderivative
@@ -143,7 +143,7 @@ def test_identification_generalized_polynomial(g):
 
 def test_identification_generalized_tabulated(g):
     mp = MarketParams(0.3, 0.0, FunctionSpec.tabulated(0.05 + 0.01 * np.tanh(g.nodes)))
-    mapping = map_to_deformed(mp, g)
+    mapping = map_to_deformed(mp, g, kind="auto")
     assert mapping.kind == "bsg"
     assert mapping.residual <= TOL.round_coeff * EPS * bsg_hamiltonian(g, mp).max_abs()
 
@@ -297,7 +297,7 @@ def pricing_setup():
 def test_pde_benchmark_point(pricing_setup):
     mp, g = pricing_setup
     contract = OptionContract("european_call", 100.0, 1.0)
-    curve = price_pde(bs_hamiltonian(g, mp), contract, mp, g, 2000)
+    curve = price_pde(bs_hamiltonian(g, mp), contract, mp, 2000)
     assert curve.price_at(100.0) == pytest.approx(10.450583572185565, abs=1e-2)
     assert curve.diagnostics["banded"]
 
@@ -306,8 +306,8 @@ def test_pde_put_call_parity(pricing_setup):
     mp, g = pricing_setup
     h = bs_hamiltonian(g, mp)
     for s0 in (80.0, 100.0, 120.0):
-        call = price_pde(h, OptionContract("european_call", 100, 1.0), mp, g, 2000)
-        put = price_pde(h, OptionContract("european_put", 100, 1.0), mp, g, 2000)
+        call = price_pde(h, OptionContract("european_call", 100, 1.0), mp, 2000)
+        put = price_pde(h, OptionContract("european_put", 100, 1.0), mp, 2000)
         gap = call.price_at(s0) - put.price_at(s0) - (s0 - 100 * math.exp(-0.05))
         assert abs(gap) <= 2e-3
 
@@ -318,7 +318,7 @@ def test_pde_monotonic_in_sigma_and_maturity():
         mp = MarketParams(sigma, 0.05)
         contract = OptionContract("european_call", 100.0, 1.0)
         g = default_pricing_grid(contract, mp, 100.0, 1001)
-        curve = price_pde(bs_hamiltonian(g, mp), contract, mp, g, 1000)
+        curve = price_pde(bs_hamiltonian(g, mp), contract, mp, 1000)
         prices_sigma.append(curve.price_at(100.0))
     assert prices_sigma == sorted(prices_sigma)
     prices_t = []
@@ -326,7 +326,7 @@ def test_pde_monotonic_in_sigma_and_maturity():
     for t in (0.5, 1.0, 2.0):
         contract = OptionContract("european_call", 100.0, t)
         g = default_pricing_grid(contract, mp, 100.0, 1001)
-        curve = price_pde(bs_hamiltonian(g, mp), contract, mp, g, 1000)
+        curve = price_pde(bs_hamiltonian(g, mp), contract, mp, 1000)
         prices_t.append(curve.price_at(100.0))
     assert prices_t == sorted(prices_t)
 
@@ -334,7 +334,7 @@ def test_pde_monotonic_in_sigma_and_maturity():
 def test_pde_stability_bound(pricing_setup):
     mp, g = pricing_setup
     contract = OptionContract("european_call", 100.0, 1.0)
-    curve = price_pde(bs_hamiltonian(g, mp), contract, mp, g, 500)
+    curve = price_pde(bs_hamiltonian(g, mp), contract, mp, 500)
     bound = curve.diagnostics["payoff_max"] * math.exp(abs(mp.r) * contract.maturity) * (1 + 1e-6)
     assert curve.diagnostics["max_abs"] <= bound
 
@@ -343,30 +343,31 @@ def test_pde_narrow_grid_warns():
     mp = MarketParams(0.4, 0.05)
     g = Grid1D(math.log(100) - 0.5, math.log(100) + 0.5, 201)
     with pytest.warns(UserWarning, match="narrower"):
-        price_pde(bs_hamiltonian(g, mp), OptionContract("european_call", 100, 1.0), mp, g, 100)
+        price_pde(bs_hamiltonian(g, mp), OptionContract("european_call", 100, 1.0), mp, 100)
 
 
 def test_pde_rejects_bad_input(pricing_setup):
     mp, g = pricing_setup
     h = bs_hamiltonian(g, mp)
     with pytest.raises(ValueError):
-        price_pde(h, OptionContract("european_call", 100, 1.0), mp, g, 0)
+        price_pde(h, OptionContract("european_call", 100, 1.0), mp, 0)
 
 
-def test_pde_wider_band_matches_tridiagonal(pricing_setup):
+def test_pde_refuses_a_wider_band(pricing_setup):
     mp, _ = pricing_setup
     g = Grid1D(math.log(100) - 4, math.log(100) + 4, 401)
-    contract = OptionContract("european_call", 100.0, 1.0)
-    h = bs_hamiltonian(g, mp)
-    banded = price_pde(h, contract, mp, g, 400)
-    # an entry far off the band: the step matrix is no longer tridiagonal,
-    # and the same sparse LU must give the same price
-    entries = toarray(h).copy()
+    # an entry far off the band: the step matrix is no longer tridiagonal
+    entries = toarray(bs_hamiltonian(g, mp))
     entries[g.n // 2, 0] += 1e-300
-    dense = price_pde(from_dense(entries, g), contract, mp, g, 400)
-    assert not dense.diagnostics["banded"]
-    assert banded.diagnostics["banded"]
-    assert abs(dense.price_at(100.0) - banded.price_at(100.0)) <= 1e-9
+    with pytest.raises(ValueError, match="not a real tridiagonal band"):
+        price_pde(from_dense(entries, g), OptionContract("european_call", 100.0, 1.0), mp, 400)
+
+
+def test_pde_refuses_a_complex_hamiltonian(pricing_setup):
+    mp, g = pricing_setup
+    h = bs_hamiltonian(g, mp) + diagonal(g, 1e-3j * np.ones(g.n))
+    with pytest.raises(ValueError, match="not a real tridiagonal band"):
+        price_pde(h, OptionContract("european_call", 100.0, 1.0), mp, 100)
 
 
 # -- barrier -----------------------------------------------------------------------
@@ -375,11 +376,11 @@ def test_pde_wider_band_matches_tridiagonal(pricing_setup):
 def test_barrier_below_vanilla_and_ordering(pricing_setup):
     mp, g = pricing_setup
     h = bs_hamiltonian(g, mp)
-    vanilla = price_pde(h, OptionContract("european_call", 100, 1.0), mp, g, 2000)
+    vanilla = price_pde(h, OptionContract("european_call", 100, 1.0), mp, 2000)
     previous_gap = None
     for barrier in (90.0, 80.0, 60.0):
         do = price_pde(
-            h, OptionContract("down_and_out_call", 100, 1.0, barrier=barrier), mp, g, 2000
+            h, OptionContract("down_and_out_call", 100, 1.0, barrier=barrier), mp, 2000
         )
         gap = vanilla.price_at(100.0) - do.price_at(100.0)
         assert gap >= -1e-9
@@ -389,7 +390,7 @@ def test_barrier_below_vanilla_and_ordering(pricing_setup):
     # 5+ standard deviations below spot: knockout nearly irrelevant
     far = price_pde(
         h, OptionContract("down_and_out_call", 100, 1.0, barrier=100 * math.exp(-7 * 0.2)),
-        mp, g, 2000,
+        mp, 2000,
     )
     assert vanilla.price_at(100.0) - far.price_at(100.0) <= 1e-3
 
@@ -397,13 +398,13 @@ def test_barrier_below_vanilla_and_ordering(pricing_setup):
 def test_soft_barrier_converges_to_dirichlet(pricing_setup):
     mp, g = pricing_setup
     contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
-    dirichlet = price_pde(bs_hamiltonian(g, mp), contract, mp, g, 2000).price_at(100.0)
+    dirichlet = price_pde(bs_hamiltonian(g, mp), contract, mp, 2000).price_at(100.0)
     # the potential alone knocks out: the contract carries no barrier
     call = OptionContract("european_call", 100.0, 1.0)
     gaps = []
     for m in (20.0, 200.0, 2000.0):
         v = FunctionSpec.tabulated(np.where(g.nodes <= math.log(80.0), m, mp.r))
-        soft = price_pde(bsb_hamiltonian(g, mp, v), call, mp, g, 2000).price_at(100.0)
+        soft = price_pde(bsb_hamiltonian(g, mp, v), call, mp, 2000).price_at(100.0)
         gaps.append(abs(soft - dirichlet))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] <= 5e-3
@@ -413,7 +414,7 @@ def test_price_curve_csv(tmp_path, pricing_setup):
     mp, _ = pricing_setup
     g = Grid1D(math.log(100) - 2, math.log(100) + 2, 101)
     contract = OptionContract("european_call", 100.0, 0.5)
-    curve = price_pde(bs_hamiltonian(g, mp), contract, mp, g, 100)
+    curve = price_pde(bs_hamiltonian(g, mp), contract, mp, 100)
     path = tmp_path / "curve.csv"
     curve.to_csv(path)
     rows = path.read_text().strip().splitlines()

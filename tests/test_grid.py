@@ -67,7 +67,7 @@ def test_convergence_order_on_sine(deriv):
         approx = (d1 if deriv == 1 else d2).apply(np.sin(x)).real
         inner = g.interior()
         errors.append(np.max(np.abs((approx - exact)[inner])))
-        assert errors[-1] <= TOL.discretization(g)
+        assert errors[-1] <= TOL.discretization(g, 1.0)
     ratio = errors[0] / errors[1]
     assert 3.5 <= ratio <= 4.5
 

@@ -152,7 +152,7 @@ def test_superpotential_zero_and_harmonic(g):
 def test_superpotential_consistent_with_antiderivative_route(g):
     w = FunctionSpec.polynomial([0.0, 1.0, 0.2])
     h1w, h2w = build_from_superpotential(g, w, 1.0)
-    f = w.antiderivative()
+    f = w.antiderivative(g)
     # same construction up to polyint/polyder rounding on the diagonal
     for label, h in (("H1", h1w), ("H2", h2w)):
         assert np.allclose(toarray(h), toarray(closed_form(g, f, label, 1.0)), rtol=1e-12, atol=1e-10)

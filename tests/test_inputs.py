@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from qflab.cli import main
 from qflab.finance import MarketParams, OptionContract, bs_hamiltonian, map_to_deformed, price_pde
 from qflab.grid import Grid1D
-from qflab.montecarlo import GbmConfig, knockout_terminal
+from qflab.montecarlo import feynman_kac_estimate, knockout_terminal
 from qflab.operators import FunctionSpec
 
 SMALL_PRICE = ("price", "--n", "101", "--steps", "50", "--paths", "64")
@@ -145,7 +145,7 @@ def test_identify_rejects_non_finite_market(capsys, argv):
 def test_identify_resolves_small_sigma(n, sigma):
     # the candidates cancel b^2 f'^2 ~ r^2 / (2 sigma^2); the tolerance follows it
     assert run_main(("identify", "--n", str(n), "--sigma", repr(sigma))) == 0
-    mapping = map_to_deformed(MarketParams(sigma, 0.05), Grid1D(-3.0, 3.0, n))
+    mapping = map_to_deformed(MarketParams(sigma, 0.05), Grid1D(-3.0, 3.0, n), kind="auto")
     assert (mapping.which_hamiltonian, mapping.sign) == ("H_I", 1)
     assert mapping.matches == (("H_I", 1), ("H_II", -1))
 
@@ -201,15 +201,17 @@ def test_spectrum_runs_hermitian_partners_on_a_small_grid(capsys):
 
 
 def test_library_constructors_reject_the_same_inputs():
+    mp, call = MarketParams(0.2, 0.05), OptionContract("european_call", 100.0, 1.0)
     with pytest.raises(ValueError, match="seed"):
-        GbmConfig(0.05, 0.2, 100.0, 1.0, 2, -1)
+        feynman_kac_estimate(mp, call, 100.0, 2, -1, 250)
     with pytest.raises(ValueError, match="seed"):
-        GbmConfig(0.05, 0.2, 100.0, 1.0, 2, 2**64)
-    GbmConfig(0.05, 0.2, 100.0, 1.0, 2, 2**64 - 1)
+        feynman_kac_estimate(mp, call, 100.0, 2, 2**64, 250)
+    feynman_kac_estimate(mp, call, 100.0, 2, 2**64 - 1, 250)
     with pytest.raises(ValueError, match="paths"):
-        GbmConfig(0.05, 0.2, 100.0, 1.0, 1, 0)
+        feynman_kac_estimate(mp, call, 100.0, 1, 0, 250)
+    barrier = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
     with pytest.raises(ValueError, match="monitoring"):
-        knockout_terminal(GbmConfig(0.05, 0.2, 100.0, 1.0, 2, 0), 80.0, monitoring_per_year=0)
+        knockout_terminal(mp, barrier, 100.0, 2, 0, monitoring_per_year=0)
     with pytest.raises(ValueError, match="finite"):
         FunctionSpec.polynomial([0.0, math.nan])
     with pytest.raises(ValueError, match="finite"):
@@ -229,12 +231,12 @@ def test_library_constructors_reject_the_same_inputs():
             MarketParams(sigma, 0.05)
     mp, g = MarketParams(0.2, 0.05), Grid1D(0.0, 800.0, 101)
     with pytest.raises(ValueError, match="x_max"):
-        price_pde(bs_hamiltonian(g, mp), OptionContract("european_call", 100.0, 1.0), mp, g, 10)
+        price_pde(bs_hamiltonian(g, mp), OptionContract("european_call", 100.0, 1.0), mp, 10)
 
 
 def test_short_maturity_keeps_one_monitoring_date():
-    cfg = GbmConfig(0.05, 0.2, 100.0, T=1e-4, paths=8, seed=0)
-    s_t, alive = knockout_terminal(cfg, 80.0, monitoring_per_year=1)
+    contract = OptionContract("down_and_out_call", 100.0, 1e-4, barrier=80.0)
+    s_t, alive = knockout_terminal(MarketParams(0.2, 0.05), contract, 100.0, 8, 0, monitoring_per_year=1)
     assert s_t.shape == alive.shape == (8,)
 
 

@@ -18,7 +18,6 @@ from qflab.finance import (
 from qflab.grid import Grid1D
 from qflab.montecarlo import (
     KNOCKOUT_CHUNK_BYTES,
-    GbmConfig,
     feynman_kac_estimate,
     knockout_terminal,
     raw_uint64,
@@ -28,15 +27,20 @@ from qflab.montecarlo import (
 )
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        GbmConfig(0.05, 0.2, 100.0, 0.0, 100, 0)
-    with pytest.raises(ValueError):
-        GbmConfig(0.05, 0.2, 100.0, 1.0, 0, 0)
-    with pytest.raises(ValueError):
-        GbmConfig(0.05, 0.0, 100.0, 1.0, 100, 0)
-    with pytest.raises(ValueError):
-        GbmConfig(0.05, 0.2, -1.0, 1.0, 100, 0)
+MP = MarketParams(0.2, 0.05)
+# the knock-out walks' contract: barrier 80 below a spot of 100, one year
+DO_CALL = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
+
+
+def test_estimate_validation():
+    call = OptionContract("european_call", 100.0, 1.0)
+    with pytest.raises(ValueError, match="paths"):
+        feynman_kac_estimate(MP, call, 100.0, 0, 0, 250)
+    with pytest.raises(ValueError, match="spot"):
+        feynman_kac_estimate(MP, call, -1.0, 100, 0, 250)
+    with pytest.raises(ValueError, match="discount"):
+        feynman_kac_estimate(MarketParams(0.2, -700.0), OptionContract("european_call", 100.0, 2.0),
+                             100.0, 100, 0, 250)
 
 
 # -- counter-based streams -----------------------------------------------------
@@ -85,8 +89,8 @@ def test_chunked_generation_matches_one_shot(seed, chunks):
 
 
 def test_tiny_sigma_is_deterministic():
-    cfg = GbmConfig(drift=0.07, sigma=1e-12, s0=50.0, T=2.0, paths=1000, seed=3)
-    st_ = sample_terminal(cfg)
+    contract = OptionContract("european_call", 100.0, 2.0)
+    st_ = sample_terminal(MarketParams(1e-12, 0.07), contract, 50.0, 1000, 3)
     expected = 50.0 * math.exp(0.07 * 2.0)
     assert np.max(np.abs(st_ / expected - 1.0)) <= 1e-9
 
@@ -95,17 +99,17 @@ def test_tiny_sigma_is_deterministic():
 @pytest.mark.parametrize("r", [0.0, 0.05, 0.1])
 def test_discounted_martingale_property(sigma, r):
     paths = 1_000_000 if (sigma, r) == (0.2, 0.05) else 200_000
-    cfg = GbmConfig(drift=r, sigma=sigma, s0=100.0, T=1.0, paths=paths, seed=0)
-    disc = math.exp(-r) * sample_terminal(cfg)
-    se = np.std(disc, ddof=1) / math.sqrt(cfg.paths)
+    contract = OptionContract("european_call", 100.0, 1.0)
+    disc = math.exp(-r) * sample_terminal(MarketParams(sigma, r), contract, 100.0, paths, 0)
+    se = np.std(disc, ddof=1) / math.sqrt(paths)
     assert abs(disc.mean() - 100.0) <= 3.0 * se
 
 
 def test_log_moments_match_lognormal():
-    cfg = GbmConfig(drift=0.03, sigma=0.3, s0=80.0, T=1.5, paths=400_000, seed=1)
-    logs = np.log(sample_terminal(cfg) / 80.0)
+    contract = OptionContract("european_call", 100.0, 1.5)
+    logs = np.log(sample_terminal(MarketParams(0.3, 0.03), contract, 80.0, 400_000, 1) / 80.0)
     expected = (0.03 - 0.5 * 0.09) * 1.5
-    se = np.std(logs, ddof=1) / math.sqrt(cfg.paths)
+    se = np.std(logs, ddof=1) / math.sqrt(400_000)
     assert abs(logs.mean() - expected) <= 3.0 * se
 
 
@@ -115,29 +119,28 @@ def test_log_moments_match_lognormal():
 def test_constant_claim_has_zero_error():
     # a barrier above the spot knocks every path out at the first date: the claim is 0
     contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier=150.0)
-    est = feynman_kac_estimate(MarketParams(0.2, 0.05), contract, 100.0, 10_000, seed=0)
+    est = feynman_kac_estimate(MP, contract, 100.0, 10_000, seed=0, monitoring_per_year=250)
     assert est.mean == 0.0
     assert est.std_error == 0.0
 
 
 def test_linear_claim_matches_gbm_mean():
-    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=70.0, T=0.75, paths=500_000, seed=2)
-    s_t = sample_terminal(cfg)
+    s_t = sample_terminal(MP, OptionContract("european_call", 100.0, 0.75), 70.0, 500_000, 2)
     expected = 70.0 * math.exp(0.05 * 0.75)
-    assert abs(s_t.mean() - expected) <= 3.0 * np.std(s_t, ddof=1) / math.sqrt(cfg.paths)
+    assert abs(s_t.mean() - expected) <= 3.0 * np.std(s_t, ddof=1) / math.sqrt(500_000)
 
 
 def test_call_estimate_matches_closed_form():
     mp, contract = MarketParams(0.2, 0.05), OptionContract("european_call", 100.0, 1.0)
-    est = feynman_kac_estimate(mp, contract, 100.0, 1_000_000, seed=0)
+    est = feynman_kac_estimate(mp, contract, 100.0, 1_000_000, seed=0, monitoring_per_year=250)
     ref = closed_form_price(mp, contract, 100.0)
     assert abs(est.mean - ref) <= 3.0 * est.std_error
 
 
 def test_estimates_are_bit_reproducible():
     mp, contract = MarketParams(0.2, 0.05), OptionContract("european_call", 90.0, 1.0)
-    a = feynman_kac_estimate(mp, contract, 100.0, 50_000, seed=11)
-    b = feynman_kac_estimate(mp, contract, 100.0, 50_000, seed=11)
+    a = feynman_kac_estimate(mp, contract, 100.0, 50_000, seed=11, monitoring_per_year=250)
+    b = feynman_kac_estimate(mp, contract, 100.0, 50_000, seed=11, monitoring_per_year=250)
     assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
 
@@ -147,38 +150,35 @@ def chunk_paths(monkeypatch, paths: int, m: int):
 
 
 def test_knockout_chunking_does_not_change_results(monkeypatch):
-    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=2_000, seed=5)
     chunk_paths(monkeypatch, 64, 50)
-    a = knockout_terminal(cfg, 80.0, monitoring_per_year=50)
+    a = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50)
     chunk_paths(monkeypatch, 2_000, 50)
-    b = knockout_terminal(cfg, 80.0, monitoring_per_year=50)
+    b = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 7, 64, 2_000, 5_000])
 def test_knockout_walk_matches_reference_formula(monkeypatch, chunk):
-    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=2_000, seed=5)
-    m = 50
+    paths, seed, m = 2_000, 5, 50
     if chunk is not None:
         chunk_paths(monkeypatch, chunk, m)
-    dt = cfg.T / m
-    z = standard_normals(cfg.seed, cfg.paths * m).reshape(cfg.paths, m)
-    drift, vol = (cfg.drift - 0.5 * cfg.sigma**2) * dt, cfg.sigma * math.sqrt(dt)
-    logs = math.log(cfg.s0) + np.cumsum(drift + vol * z, axis=1)
-    s_t, alive = knockout_terminal(cfg, 80.0, monitoring_per_year=m)
+    dt = DO_CALL.maturity / m
+    z = standard_normals(seed, paths * m).reshape(paths, m)
+    drift, vol = (MP.r - 0.5 * MP.sigma**2) * dt, MP.sigma * math.sqrt(dt)
+    logs = math.log(100.0) + np.cumsum(drift + vol * z, axis=1)
+    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, paths, seed, monitoring_per_year=m)
     assert np.array_equal(s_t, np.exp(logs[:, -1]))
     assert np.array_equal(alive, np.min(logs, axis=1) > math.log(80.0))
 
 
 @pytest.mark.parametrize("chunk", [None, 1, 7, 64])
 def test_knockout_walk_does_not_depend_on_the_worker_count(monkeypatch, chunk):
-    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=2_000, seed=5)
     if chunk is not None:
         chunk_paths(monkeypatch, chunk, 50)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
-    two = knockout_terminal(cfg, 80.0, monitoring_per_year=50)
+    two = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0})
-    one = knockout_terminal(cfg, 80.0, monitoring_per_year=50)
+    one = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50)
     assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
 
 
@@ -202,8 +202,7 @@ def test_knockout_walk_asks_for_at_most_two_workers(monkeypatch, dates, workers)
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
-    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=4, seed=0)
-    s_t, alive = knockout_terminal(cfg, 80.0, monitoring_per_year=dates)
+    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, 4, 0, monitoring_per_year=dates)
     # a path longer than half the budget walks alone, so the two workers' chunks still fit it
     assert asked == [workers]
     assert s_t.shape == alive.shape == (4,)
@@ -212,10 +211,9 @@ def test_knockout_walk_asks_for_at_most_two_workers(monkeypatch, dates, workers)
 def test_knockout_memory_is_bounded_by_the_chunk_budget():
     bound = 3 * KNOCKOUT_CHUNK_BYTES
     for paths in (8_192, 65_536):
-        cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=paths, seed=0)
         tracemalloc.start()
         try:
-            knockout_terminal(cfg, 80.0, 250)
+            knockout_terminal(MP, DO_CALL, 100.0, paths, 0, 250)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -223,10 +221,9 @@ def test_knockout_memory_is_bounded_by_the_chunk_budget():
 
 
 def test_knockout_refuses_more_dates_than_one_chunk_holds():
-    cfg = GbmConfig(drift=0.05, sigma=0.2, s0=100.0, T=1.0, paths=2, seed=0)
     with pytest.raises(ValueError, match="monitoring"):
-        knockout_terminal(cfg, 80.0, monitoring_per_year=KNOCKOUT_CHUNK_BYTES // 8 + 1)
-    s_t, alive = knockout_terminal(cfg, 80.0, monitoring_per_year=KNOCKOUT_CHUNK_BYTES // 8)
+        knockout_terminal(MP, DO_CALL, 100.0, 2, 0, monitoring_per_year=KNOCKOUT_CHUNK_BYTES // 8 + 1)
+    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, 2, 0, monitoring_per_year=KNOCKOUT_CHUNK_BYTES // 8)
     assert s_t.shape == alive.shape == (2,)
 
 
@@ -239,14 +236,13 @@ def test_estimate_is_the_discounted_sampler_mean(payoff, r):
     # the undiscounted payoff values of the same draws, aggregated as the estimate does
     barrier = 90.0 if payoff == "do-call" else None
     contract = OptionContract("down_and_out_call" if barrier else "european_call", 100.0, 0.5, barrier)
-    cfg = GbmConfig(r, 0.2, 100.0, T=0.5, paths=4_000, seed=9)
+    mp = MarketParams(0.2, r)
     if barrier:
-        s_t, alive = knockout_terminal(cfg, barrier, monitoring_per_year=50, stream=2)
+        s_t, alive = knockout_terminal(mp, contract, 100.0, 4_000, 9, monitoring_per_year=50)
         values = np.where(alive, contract.payoff(s_t), 0.0)
     else:
-        values = contract.payoff(sample_terminal(cfg, stream=2))
-    est = feynman_kac_estimate(MarketParams(0.2, r), contract, 100.0, 4_000, seed=9, stream=2,
-                               monitoring_per_year=50)
+        values = contract.payoff(sample_terminal(mp, contract, 100.0, 4_000, 9))
+    est = feynman_kac_estimate(mp, contract, 100.0, 4_000, seed=9, monitoring_per_year=50)
     factor = math.exp(-r * 0.5)
     assert est.mean == float(np.sum(values) / 4_000) * factor
     assert est.std_error == float(np.std(values, ddof=1) / math.sqrt(4_000)) * factor
@@ -258,8 +254,8 @@ def test_estimate_is_the_discounted_sampler_mean(payoff, r):
 def test_standard_error_scaling():
     contract = OptionContract("european_call", 100.0, 1.0)
     for seed in range(10):
-        small = feynman_kac_estimate(MarketParams(0.2, 0.05), contract, 100.0, 20_000, seed=seed)
-        big = feynman_kac_estimate(MarketParams(0.2, 0.05), contract, 100.0, 80_000, seed=seed)
+        small = feynman_kac_estimate(MP, contract, 100.0, 20_000, seed=seed, monitoring_per_year=250)
+        big = feynman_kac_estimate(MP, contract, 100.0, 80_000, seed=seed, monitoring_per_year=250)
         ratio = big.std_error / small.std_error
         assert 0.4 <= ratio <= 0.6  # quadrupling paths halves the SE within 20%
 
@@ -268,20 +264,20 @@ def test_standard_error_scaling():
 
 
 def crosscheck_spots(mp, contract, g, spots, paths):
-    """The crosscheck at several spots: one PDE curve, and the estimate at spot i on stream i.
+    """The crosscheck at several spots: one PDE curve, and the estimate at spot i with seed i.
 
     Each spot passes the gate of ``price --method all``,
     |MC - PDE| <= 3 SE + pde_tolerance(PDE) + bias.  Returns one
     (estimate, PDE price, bias) per spot.
     """
     h = bs_hamiltonian(g, mp)
-    curve = price_pde(h, contract, mp, g, g.n)
+    curve = price_pde(h, contract, mp, g.n)
     shifted = None
     if contract.barrier is not None:
-        shifted = price_pde(h, shifted_barrier(contract, mp.sigma, 250), mp, g, g.n)
+        shifted = price_pde(h, shifted_barrier(contract, mp.sigma, 250), mp, g.n)
     rows = []
     for i, spot in enumerate(spots):
-        est = feynman_kac_estimate(mp, contract, spot, paths, seed=0, stream=i)
+        est = feynman_kac_estimate(mp, contract, spot, paths, seed=i, monitoring_per_year=250)
         pde = curve.price_at(spot)
         bias = 0.0 if shifted is None else max(0.0, shifted.price_at(spot) - pde)
         assert abs(est.mean - pde) <= 3.0 * est.std_error + pde_tolerance(pde) + bias, spot

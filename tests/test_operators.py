@@ -50,12 +50,12 @@ def test_tabulated_requires_matching_length(g):
 def test_tabulated_derivative_falls_back_to_d1(g):
     f = FunctionSpec.tabulated(np.sin(g.nodes))
     fp = f.derivative_values(g)
-    assert np.max(np.abs((fp - np.cos(g.nodes))[g.interior()])) <= TOL.discretization(g)
+    assert np.max(np.abs((fp - np.cos(g.nodes))[g.interior()])) <= TOL.discretization(g, 1.0)
 
 
 def test_antiderivative_polynomial_anchored_at_zero(g):
     w = FunctionSpec.polynomial([0.0, 1.0])
-    f = w.antiderivative()
+    f = w.antiderivative(g)
     assert f.coefficients == (0.0, 0.0, 0.5)
     assert f.values(Grid1D(-1, 1, 3))[1] == 0.0  # f(0) = 0
 
@@ -107,7 +107,7 @@ def test_polynomial_negation_is_exact_involution(coeffs):
 def test_antiderivative_derivative_roundtrip(coeffs):
     w = FunctionSpec.polynomial(coeffs)
     g = Grid1D(-2, 2, 41)
-    roundtrip = w.antiderivative().derivative_values(g)
+    roundtrip = w.antiderivative(g).derivative_values(g)
     assert np.allclose(roundtrip, w.values(g), rtol=1e-12, atol=1e-12)
 
 
@@ -142,7 +142,7 @@ def test_momentum_on_plane_wave(g):
     p = momentum_operator(g)
     wave = np.exp(1j * g.nodes)
     res = (p.apply(wave) - wave)[g.interior()]
-    assert np.max(np.abs(res)) <= TOL.discretization(g)
+    assert np.max(np.abs(res)) <= TOL.discretization(g, 1.0)
 
 
 def test_momentum_kills_constants_and_is_interior_hermitian(g):
@@ -216,7 +216,7 @@ def test_deformed_momentum_annihilation_is_second_order():
         res.append(np.max(np.abs(r)) / np.max(state))
         dual_state = np.exp(-g.nodes)
         d = pf.adjoint().apply(dual_state)[g.interior()]
-        assert np.max(np.abs(d)) / np.max(dual_state) <= TOL.discretization(g)
+        assert np.max(np.abs(d)) / np.max(dual_state) <= TOL.discretization(g, 1.0)
     assert 3.5 <= res[0] / res[1] <= 4.5
 
 

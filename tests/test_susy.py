@@ -137,7 +137,7 @@ def test_free_case_4x4_anticommutator(g):
 
     p2 = momentum_squared(g)
     for i in range(4):
-        assert action_difference(h.block(i, i), p2) <= TOL.discretization(g)
+        assert action_difference(h.block(i, i), p2) <= TOL.discretization(g, 1.0)
 
 
 def test_beta_zero_reduction(g, f):
@@ -226,8 +226,8 @@ def test_ground_state_zero_f_is_constant_vector(g):
     gs, gs_t = ground_states(g, FunctionSpec.polynomial([0.0]), ALPHA, BETA)
     slot = gs.state[: g.n]
     assert np.allclose(slot, slot[0])
-    assert gs.residual <= TOL.discretization(g)
-    assert gs_t.residual <= TOL.discretization(g)
+    assert gs.residual <= TOL.discretization(g, 1.0)
+    assert gs_t.residual <= TOL.discretization(g, 1.0)
 
 
 def test_ground_state_slots_follow_measured_ordering(g, f):
