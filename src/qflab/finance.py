@@ -16,7 +16,9 @@ and the measured resolution under P = -i d/dx is the +2i f' P branch, i.e.
 Pricing integrates dC/dtau = -H C backward from the payoff by Crank-Nicolson
 with two fully-implicit start-up steps to damp the payoff-kink oscillation.
 Both step matrices are tridiagonal, read from H's band by
-``LinOp.tridiagonal`` and factored once by LAPACK's tridiagonal LU.
+``LinOp.tridiagonal`` and factored once by LAPACK's tridiagonal LU.  The
+price at a spot is read off the curve by a not-a-knot cubic spline, solved
+by LAPACK's tridiagonal ``dgtsv`` and evaluated at that one point.
 """
 
 import math
@@ -24,8 +26,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
 
 from .grid import Grid1D
 from .hamiltonians import closed_form
@@ -305,8 +306,8 @@ class PriceCurve:
     diagnostics: dict
 
     def price_at(self, s0: float) -> float:
-        """Cubic interpolation of the curve at spot s0 (off-node allowed); refused if not finite."""
-        price = float(CubicSpline(self.grid.nodes, self.values)(math.log(s0)))
+        """Cubic-spline interpolation of the curve at spot s0 (off-node allowed); refused if not finite."""
+        price = _spline_at(self.grid.nodes, self.values, math.log(s0))
         if not math.isfinite(price):
             g = self.grid
             raise ValueError(f"PDE price at spot {s0:.6g} is {price}: the grid [{g.x_min:.6g}, {g.x_max:.6g}] "
@@ -319,6 +320,46 @@ class PriceCurve:
             fh.write("x,S,C\n")
             for xi, ci in zip(x, self.values):
                 fh.write(f"{xi:.17g},{math.exp(xi):.17g},{ci:.17g}\n")
+
+
+def _spline_at(x: np.ndarray, y: np.ndarray, xv: float) -> float:
+    """The not-a-knot cubic spline through (x, y), n >= 4, evaluated at xv.
+
+    Bit for bit ``scipy.interpolate.CubicSpline(x, y)(xv)``, in the same
+    operation order, with the same numpy warnings and refusals: the node
+    slopes solve the tridiagonal not-a-knot system by LAPACK ``dgtsv`` (what
+    ``solve_banded((1, 1), ...)`` calls), the Hermite coefficients are
+    formed on every interval as ``CubicHermiteSpline`` forms them, the
+    interval is the one ``PPoly`` picks (the end intervals extrapolate), and
+    its cubic sums c_k u^k from the constant term up in Python floats, which
+    overflow to inf or nan without a warning, as ``PPoly``'s compiled loop
+    does.
+    """
+    dx = np.diff(x)
+    if np.any(dx <= 0):
+        raise ValueError("`x` must be strictly increasing sequence.")  # CubicSpline's refusal
+    slope = np.diff(y) / dx
+    d0, d1 = x[2] - x[0], x[-1] - x[-3]
+    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
+    upper = np.concatenate(([d0], dx[:-1]))
+    lower = np.concatenate((dx[1:], [d1]))
+    rhs = np.empty(len(x))
+    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
+    rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0
+    rhs[-1] = (dx[-1]**2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
+    *_, s, info = dgtsv(lower, diag, upper, rhs)
+    if info != 0:
+        raise ValueError(f"the spline's slope system is singular (LAPACK dgtsv info={info})")
+    if not np.all(np.isfinite(s)):
+        raise ValueError("`dydx` must contain only finite values.")  # CubicSpline's refusal
+    t = (s[:-1] + s[1:] - 2 * slope) / dx
+    coefficients = (y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx)
+    i = min(max(int(np.searchsorted(x, xv, side="right")) - 1, 0), len(x) - 2)
+    u, res, z = xv - float(x[i]), 0.0, 1.0
+    for c in coefficients:
+        res = res + float(c[i]) * z
+        z *= u
+    return res
 
 
 def _boundary_values(contract: OptionContract, mp: MarketParams, g: Grid1D):

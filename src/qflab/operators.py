@@ -132,9 +132,9 @@ class FunctionSpec:
         if self.is_polynomial:
             return FunctionSpec.polynomial(npoly.polyint(self.coefficients))
         self._check_length(g)
-        from scipy.integrate import cumulative_trapezoid
-
-        raw = cumulative_trapezoid(self.samples, g.nodes, initial=0.0)
+        y = self.samples
+        # scipy.integrate.cumulative_trapezoid(y, nodes, initial=0.0), term for term
+        raw = np.concatenate(([0.0], np.cumsum(np.diff(g.nodes) * (y[1:] + y[:-1]) / 2.0)))
         anchor = int(np.argmin(np.abs(g.nodes)))
         return FunctionSpec.tabulated(raw - raw[anchor], derivative_values=self.samples)
 

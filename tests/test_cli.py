@@ -57,6 +57,37 @@ def test_import_loads_no_scipy(module):
     assert res.stdout.strip() == "[]"
 
 
+# scipy's own base, which every ``import scipy.<subpackage>`` loads
+SCIPY_BASE = {"_lib", "__config__", "version", "_distributor_init", "_cyutility"}
+
+
+def loaded_scipy_subpackages(code):
+    """Top-level scipy subpackages in ``sys.modules`` after ``code`` runs in a fresh interpreter."""
+    code += "\nprint(json.dumps(sorted({m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})))"
+    res = subprocess.run([sys.executable, "-c", "import json, sys\n" + code], capture_output=True,
+                         text=True, env={"PATH": "/usr/bin:/bin", "PYTHONPATH": str(SRC)})
+    assert res.returncode == 0, res.stderr
+    return set(json.loads(res.stdout.splitlines()[-1]))
+
+
+def test_cli_import_loads_only_linalg_and_special_of_scipy():
+    assert loaded_scipy_subpackages("import qflab.cli") <= {"linalg", "special"} | SCIPY_BASE
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-algebra", "--f", "table:{path}"],
+    ["spectrum", "--w", "table:{path}", "--k", "3"],  # antiderivative of a table
+    ["identify", "--kind", "bsg", "--v", "table:{path}"],  # antiderivative of a table
+], ids=["verify-algebra", "spectrum", "identify"])
+def test_table_runs_load_no_scipy_integrate(tmp_path, argv):
+    path = tmp_path / "f.txt"
+    np.savetxt(path, 0.02 + np.linspace(-5.0, 5.0, 301) ** 2 / 200)
+    argv = [a.format(path=path) for a in argv] + ["--n", "301", "--xmin", "-5", "--xmax", "5"]
+    loaded = loaded_scipy_subpackages(f"from qflab.cli import main\nassert main({argv!r}) == 0")
+    assert "integrate" not in loaded
+    assert loaded <= {"linalg", "special"} | SCIPY_BASE
+
+
 def test_spectrum_csv_and_failure_exit(tmp_path):
     csv = tmp_path / "eig.csv"
     res = run(

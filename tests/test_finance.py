@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from conftest import from_dense, toarray
 from qflab import finance
@@ -422,3 +423,43 @@ def test_price_curve_csv(tmp_path, pricing_setup):
     assert len(rows) == g.n + 1
     x, s, c = map(float, rows[1].split(","))
     assert s == pytest.approx(math.exp(x), rel=1e-15)
+
+
+# -- spline read-off ----------------------------------------------------------
+
+
+@given(
+    n=st.integers(4, 4001),
+    seed=st.integers(0, 2**32 - 1),
+    values=st.sampled_from(["call", "put", "noisy"]),
+    where=st.sampled_from(["node", "x_min", "x_max", "below_x_max", "between", "below", "above"]),
+)
+@settings(max_examples=200, deadline=None)
+def test_spline_read_off_is_cubic_spline_bit_for_bit(n, seed, values, where):
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-10.0, 5.0)
+    g = Grid1D(lo, lo + rng.uniform(0.5, 20.0), n)
+    x = g.nodes
+    strike = math.exp(rng.uniform(g.x_min, g.x_max))
+    y = {
+        "call": np.maximum(np.exp(x) - strike, 0.0),
+        "put": np.maximum(strike - np.exp(x), 0.0),
+        "noisy": rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0),
+    }[values]
+    xv = float({
+        "node": x[rng.integers(n)],
+        "x_min": g.x_min,
+        "x_max": g.x_max,
+        "below_x_max": np.nextafter(g.x_max, -np.inf),
+        "between": rng.uniform(g.x_min, g.x_max),
+        "below": g.x_min - rng.uniform(0.0, 5.0),
+        "above": g.x_max + rng.uniform(0.0, 5.0),
+    }[where])
+    assert finance._spline_at(x, y, xv) == float(CubicSpline(x, y)(xv))
+
+
+def test_price_at_reads_the_spline_between_nodes(pricing_setup):
+    mp, g = pricing_setup
+    curve = price_pde(bs_hamiltonian(g, mp), OptionContract("european_put", 80.0, 1.0), mp, 200)
+    for spot in (85.3, 100.0, 117.0):
+        assert curve.price_at(spot) == float(CubicSpline(g.nodes, curve.values)(math.log(spot)))

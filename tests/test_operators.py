@@ -69,6 +69,20 @@ def test_antiderivative_tabulated_keeps_exact_derivative(g):
     assert np.max(np.abs(f.values(g) - np.sin(g.nodes))) < 5e-4  # trapezoid error
 
 
+@given(n=st.integers(3, 3000), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_tabulated_antiderivative_is_cumulative_trapezoid_bit_for_bit(n, seed):
+    from scipy.integrate import cumulative_trapezoid
+
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(-30.0, 10.0)
+    g = Grid1D(lo, lo + rng.uniform(0.1, 60.0), n)
+    y = rng.standard_normal(n) * 10.0 ** rng.uniform(-8.0, 8.0)
+    raw = cumulative_trapezoid(y, g.nodes, initial=0.0)
+    expected = raw - raw[int(np.argmin(np.abs(g.nodes)))]
+    assert FunctionSpec.tabulated(y).antiderivative(g).samples.tobytes() == expected.tobytes()
+
+
 def test_parse_poly_and_table(tmp_path):
     f = FunctionSpec.parse("poly:0,1,0.5")
     assert f.coefficients == (0.0, 1.0, 0.5)
