@@ -5,15 +5,22 @@ human-readable summary and can emit a JSON report whose bytes depend only on
 the flags and the seed (wall time is measured and printed, but serialized as
 null to keep reports byte-reproducible).  Exit codes: 0 all checks passed,
 1 at least one check failed, 2 usage error.
+
+``price`` walks its Monte Carlo draws on one worker thread while the calling
+thread runs the closed form and the PDE solves; the draws, sums and solves are
+the same calls either way, so every report is byte-identical to a serial run.
+No thread outlives the subcommand.
 """
 
 import argparse
+import contextvars
 import json
 import math
 import os
 import sys
 import time
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -333,17 +340,25 @@ def cmd_price(args) -> int:
         prices["closed"] = finance.closed_form_price(mp, contract, args.spot)
     if run_mc:
         montecarlo.check_draws(args.paths, args.seed)  # refused before any PDE work
-    if run_pde:
-        h = finance.bs_hamiltonian(g, mp)
-        curve = finance.price_pde(h, contract, mp, steps)
-        prices["pde"] = curve.price_at(args.spot)
-        if args.method == "all" and contract.barrier is not None:
-            shifted = montecarlo.shifted_barrier(contract, mp.sigma, args.monitoring)
-            shifted_pde = finance.price_pde(h, shifted, mp, steps).price_at(args.spot)
-    if run_mc:
-        est = montecarlo.feynman_kac_estimate(mp, contract, args.spot, args.paths, args.seed,
-                                              monitoring_per_year=args.monitoring)
-        prices["mc"], mc_se = est.mean, est.std_error
+    # the pricers share no data, and the Monte Carlo's heavy calls release the
+    # GIL, so it runs on one worker, in a copy of this context (numpy's error
+    # state), while this thread steps the PDE.  A PDE refusal leaves the block
+    # before the Monte Carlo's result is read, and the block joins the worker
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        if run_mc:
+            mc = pool.submit(contextvars.copy_context().run, montecarlo.feynman_kac_estimate, mp,
+                             contract, args.spot, args.paths, args.seed,
+                             monitoring_per_year=args.monitoring)
+        if run_pde:
+            h = finance.bs_hamiltonian(g, mp)
+            curve = finance.price_pde(h, contract, mp, steps)
+            prices["pde"] = curve.price_at(args.spot)
+            if args.method == "all" and contract.barrier is not None:
+                shifted = montecarlo.shifted_barrier(contract, mp.sigma, args.monitoring)
+                shifted_pde = finance.price_pde(h, shifted, mp, steps).price_at(args.spot)
+        if run_mc:
+            est = mc.result()
+            prices["mc"], mc_se = est.mean, est.std_error
     if args.csv:
         curve.to_csv(args.csv)
         report.artifacts.append(args.csv)

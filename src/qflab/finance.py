@@ -400,8 +400,8 @@ def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, steps: int) 
         c[:barrier_index] = 0.0
 
     dt = contract.maturity / steps
-    payoff_max = float(np.max(np.abs(c)))
-    running_max = payoff_max
+    peak = np.abs(c)  # the largest |C| each node has held so far
+    payoff_max = float(peak.max())
     rann = min(RANNACHER_STEPS, steps)
 
     ends = np.zeros(g.n)
@@ -417,20 +417,22 @@ def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, steps: int) 
 
     lu_ie, lu_cn = factor(dt), factor(0.5 * dt)
 
+    w = np.empty(g.n)  # the right-hand side; a Crank-Nicolson step solves it in place
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite curve is refused below
         for j in range(1, steps + 1):
             lo, hi = boundary(j * dt)
-            w = c.copy()
+            np.copyto(w, c)
             if j <= rann:
                 w[0], w[-1] = lo, hi
                 c, _ = dgttrs(*lu_ie, w)
             else:
                 w[0], w[-1] = 0.5 * (lo + c[0]), 0.5 * (hi + c[-1])
-                y, _ = dgttrs(*lu_cn, w)
-                c = 2.0 * y - c
+                y, _ = dgttrs(*lu_cn, w, overwrite_b=True)
+                y *= 2.0
+                np.subtract(y, c, out=c)
             if barrier_index:
                 c[:barrier_index] = 0.0
-            running_max = max(running_max, float(np.max(np.abs(c))))
+            np.maximum(peak, np.abs(c), out=peak)
     if not np.all(np.isfinite(c)):
         raise ValueError(f"PDE values overflow float64 on the grid [{g.x_min:.6g}, {g.x_max:.6g}]; "
                          f"the payoff grows as exp(x_max), so lower x_max")
@@ -451,7 +453,7 @@ def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, steps: int) 
             "rannacher_steps": rann,
             "banded": True,  # every step matrix is tridiagonal
             "payoff_max": payoff_max,
-            "max_abs": running_max,
+            "max_abs": float(peak.max()),
             "barrier_index": barrier_index,
         },
     )

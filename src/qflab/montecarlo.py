@@ -14,7 +14,9 @@ the paths in chunks on at most two worker threads, which share
 ``KNOCKOUT_CHUNK_BYTES`` of normals, so its memory does not grow with the path
 count or the worker count.  Aggregation always runs over the fully
 materialized value array with numpy's pairwise summation, making estimates
-reproducible bit-for-bit from (market, contract, spot, paths, seed).
+reproducible bit-for-bit from (market, contract, spot, paths, seed), on
+whichever thread ``feynman_kac_estimate`` runs: ``price`` calls it on a worker
+thread of its own, beside the PDE.
 """
 
 import math
@@ -29,11 +31,13 @@ from scipy.special import ndtri
 from .finance import MarketParams, OptionContract, check_discount
 
 _PHILOX_OUTPUTS_PER_BLOCK = 4
-# bytes of normals the knock-out walk holds at once: 2**20 float64, shared by
-# its at most two workers, so about 2 100 paths per chunk at 250 monitoring
-# dates.  The walk's peak memory is about twice this, however many paths there
-# are, and the per-chunk Python overhead stays negligible.
-KNOCKOUT_CHUNK_BYTES = 8 << 20
+# bytes of normals the knock-out walk holds at once: 2**18 float64, shared by
+# its at most two workers, so about 520 paths per chunk at 250 monitoring
+# dates.  Each worker's share, with the Philox words it is made from, then fits
+# a 2 MiB L2 cache; 8 MiB walked about 20 % slower.  The walk's peak memory is
+# about twice this, however many paths there are, and the per-chunk Python
+# overhead stays negligible.
+KNOCKOUT_CHUNK_BYTES = 2 << 20
 
 
 def check_draws(paths: int, seed: int) -> None:

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -253,6 +254,42 @@ def test_price_all_refuses_paths_and_seed_before_the_pde(monkeypatch, capsys, pa
     assert main(["price", "--payoff", payoff, "--method", "all", "--n", "101", "--steps", "50", *flag]) == 2
     assert counts == {"price_pde": 0}
     assert capsys.readouterr().err.startswith(message)
+
+
+BOTH_REFUSE = (*SMALL_ALL, "--payoff", "do-call", "--monitoring", "300000", "--xmin=-1e150", "--xmax=10")
+
+
+@pytest.mark.parametrize("argv,code", [
+    (SMALL_ALL, 0),
+    ((*SMALL_ALL, "--xmin=-1e150", "--xmax=10"), 2),  # the PDE refuses
+    ((*SMALL_ALL, "--payoff", "do-call", "--monitoring", "300000"), 2),  # the Monte Carlo refuses
+    (BOTH_REFUSE, 2),
+], ids=["passes", "pde-refuses", "mc-refuses", "both-refuse"])
+def test_price_leaves_no_thread_running(capsys, argv, code):
+    before = threading.active_count()
+    assert main(list(argv)) == code
+    assert threading.active_count() == before
+
+
+def test_a_pde_refusal_wins_over_a_monte_carlo_refusal(capsys):
+    assert main(list(BOTH_REFUSE)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: PDE price at spot 100 is nan") and err.count("\n") == 1
+
+
+def test_price_runs_the_monte_carlo_beside_the_pde_in_the_callers_context(monkeypatch, capsys):
+    seen = {}
+    for module, fn in ((finance, finance.price_pde), (montecarlo, montecarlo.feynman_kac_estimate)):
+        def recorded(*args, _fn=fn, **kwargs):
+            seen[_fn.__name__] = threading.current_thread(), np.geterr()["divide"]
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, fn.__name__, recorded)
+    with np.errstate(divide="ignore"):
+        assert main(list(SMALL_ALL)) == 0
+    assert seen["price_pde"] == (threading.current_thread(), "ignore")
+    mc_thread, mc_divide = seen["feynman_kac_estimate"]
+    assert mc_thread is not threading.current_thread() and mc_divide == "ignore"
 
 
 NARROW_GRID = ("price", "--xmin", "4", "--xmax", "5.2", "--n", "201", "--steps", "50")

@@ -62,6 +62,7 @@ def run_main(argv) -> int:
         (("--method", "all", "--xmin=-1e150", "--xmax=10"), "does not resolve"),
         (("--method", "mc", "--csv", "curve.csv"), "--csv"),
         (("--method", "closed", "--csv", "curve.csv"), "--csv"),
+        (("--payoff", "do-call", "--monitoring", "262145"), "exceed the 262144 normals of one path chunk"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -234,6 +235,11 @@ def test_library_constructors_reject_the_same_inputs():
         price_pde(bs_hamiltonian(g, mp), OptionContract("european_call", 100.0, 1.0), mp, 10)
 
 
+def test_price_walks_as_many_dates_as_one_path_chunk_holds():
+    assert run_main((*SMALL_PRICE, "--payoff", "do-call", "--method", "mc", "--paths", "2",
+                     "--monitoring", "262144")) == 0
+
+
 def test_short_maturity_keeps_one_monitoring_date():
     contract = OptionContract("down_and_out_call", 100.0, 1e-4, barrier=80.0)
     s_t, alive = knockout_terminal(MarketParams(0.2, 0.05), contract, 100.0, 8, 0, monitoring_per_year=1)
@@ -290,6 +296,7 @@ def edge_commands(draw):
 @example([*SMALL_PRICE, "--spot", "1e300", "--method", "mc"])
 @example([*SMALL_PRICE, "--rate", "-1", "--maturity", "1000", "--method", "closed"])
 @example([*SMALL_PRICE, "--payoff", "do-call", "--method", "mc", "--monitoring", "1000000000"])
+@example([*SMALL_PRICE, "--payoff", "do-call", "--monitoring", "300000"])
 @example(["verify-algebra", "--n", "41", "--alpha", "1e300"])
 @example(["verify-algebra", "--n", "41", "--beta", "1e300"])
 @example(["identify", "--n", "41", "--sigma", "1e-150"])
