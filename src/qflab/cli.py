@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -305,6 +306,8 @@ def cmd_price(args) -> int:
         raise ValueError(f"--spot must be finite and > 0, got {args.spot}")
     if args.monitoring < 1:
         raise ValueError(f"--monitoring must be >= 1, got {args.monitoring}")
+    if args.steps < 0:
+        raise ValueError(f"--steps must be >= 0 (0 picks the default), got {args.steps}")
     run_pde, run_mc = args.method in ("pde", "all"), args.method in ("mc", "all")
     if args.csv and not run_pde:
         raise ValueError(f"--csv writes the PDE price curve, which --method {args.method} does not price")
@@ -312,7 +315,7 @@ def cmd_price(args) -> int:
         g = finance.default_pricing_grid(contract, mp, args.spot, args.n)
     else:
         g = Grid1D(args.xmin, args.xmax, args.n)
-    steps = args.steps if args.steps else g.n
+    steps = args.steps if args.steps else finance.default_pricing_steps(contract, g.n)
     report = RunReport(
         "price",
         {
@@ -343,22 +346,27 @@ def cmd_price(args) -> int:
     # the pricers share no data, and the Monte Carlo's heavy calls release the
     # GIL, so it runs on one worker, in a copy of this context (numpy's error
     # state), while this thread steps the PDE.  A PDE refusal leaves the block
-    # before the Monte Carlo's result is read, and the block joins the worker
+    # before the Monte Carlo's result is read; ``stop`` then ends the knock-out
+    # walk at its next chunk, and the block joins the worker
+    stop = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as pool:
-        if run_mc:
-            mc = pool.submit(contextvars.copy_context().run, montecarlo.feynman_kac_estimate, mp,
-                             contract, args.spot, args.paths, args.seed,
-                             monitoring_per_year=args.monitoring)
-        if run_pde:
-            h = finance.bs_hamiltonian(g, mp)
-            curve = finance.price_pde(h, contract, mp, steps)
-            prices["pde"] = curve.price_at(args.spot)
-            if args.method == "all" and contract.barrier is not None:
-                shifted = montecarlo.shifted_barrier(contract, mp.sigma, args.monitoring)
-                shifted_pde = finance.price_pde(h, shifted, mp, steps).price_at(args.spot)
-        if run_mc:
-            est = mc.result()
-            prices["mc"], mc_se = est.mean, est.std_error
+        try:
+            if run_mc:
+                mc = pool.submit(contextvars.copy_context().run, montecarlo.feynman_kac_estimate, mp,
+                                 contract, args.spot, args.paths, args.seed,
+                                 monitoring_per_year=args.monitoring, stop=stop)
+            if run_pde:
+                h = finance.bs_hamiltonian(g, mp)
+                curve = finance.price_pde(h, contract, mp, steps)
+                prices["pde"] = curve.price_at(args.spot)
+                if args.method == "all" and contract.barrier is not None:
+                    shifted = montecarlo.shifted_barrier(contract, mp.sigma, args.monitoring)
+                    shifted_pde = finance.price_pde(h, shifted, mp, steps).price_at(args.spot)
+            if run_mc:
+                est = mc.result()
+                prices["mc"], mc_se = est.mean, est.std_error
+        finally:
+            stop.set()
     if args.csv:
         curve.to_csv(args.csv)
         report.artifacts.append(args.csv)
@@ -478,7 +486,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--monitoring", type=int, default=250, help="barrier monitoring dates per year")
-    p.add_argument("--steps", type=int, default=0, help="time steps (0 = grid node count)")
+    p.add_argument("--steps", type=int, default=0,
+                   help="time steps (0 = n/4 rounded up for a call or put, n for a barrier)")
     _add_grid_flags(p, None, None, 2001)
     p.add_argument("--csv", default=None)
     p.add_argument("--json", default=None)

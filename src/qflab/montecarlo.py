@@ -21,7 +21,8 @@ thread of its own, beside the PDE.
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -92,15 +93,23 @@ def standard_normals(seed: int, count: int, start: int = 0, stream: int = 0) -> 
 
 def sample_terminal(mp: MarketParams, contract: OptionContract, spot: float, paths: int,
                     seed: int) -> np.ndarray:
-    """Exact lognormal draws of S(T) from S(0) = spot, one per path, with the rate as drift."""
-    z = standard_normals(seed, paths)
+    """Exact lognormal draws of S(T) from S(0) = spot, one per path, with the rate as drift.
+
+    S(T) is built in place on the normals, so the call holds one array of
+    ``paths`` values once the draws are made.
+    """
     t = contract.maturity
-    return spot * np.exp(mp.sigma * math.sqrt(t) * z + (mp.r - 0.5 * mp.sigma**2) * t)
+    s = standard_normals(seed, paths)
+    s *= mp.sigma * math.sqrt(t)
+    s += (mp.r - 0.5 * mp.sigma**2) * t
+    np.exp(s, out=s)
+    s *= spot
+    return s
 
 
 def knockout_terminal(
     mp: MarketParams, contract: OptionContract, spot: float, paths: int, seed: int,
-    monitoring_per_year: int,
+    monitoring_per_year: int, stop: threading.Event | None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(S(T), alive) under discrete monitoring of the contract's barrier.
 
@@ -110,7 +119,8 @@ def knockout_terminal(
     workers' share of ``KNOCKOUT_CHUNK_BYTES`` of normals; each chunk writes
     only its own slice of the result.  Neither chunk boundaries nor the
     worker count affect the draws: normal (p, j) always comes from raw index
-    p*m + j.
+    p*m + j.  Once ``stop`` is set, no further chunk starts, and the walk
+    raises ``CancelledError``.
     """
     m = monitoring_dates(monitoring_per_year, contract.maturity)
     budget = KNOCKOUT_CHUNK_BYTES // 8
@@ -133,6 +143,8 @@ def knockout_terminal(
     alive = np.empty(paths, dtype=bool)
 
     def walk(p0: int) -> None:
+        if stop is not None and stop.is_set():
+            raise CancelledError(f"the knock-out walk was stopped before path {p0}")
         p1 = min(p0 + chunk, paths)
         with np.errstate(**err):
             # ln S along each path, built in place on the normals
@@ -155,14 +167,15 @@ def knockout_terminal(
 
 def feynman_kac_estimate(
     mp: MarketParams, contract: OptionContract, spot: float, paths: int, seed: int,
-    monitoring_per_year: int,
+    monitoring_per_year: int, stop: threading.Event | None = None,
 ) -> McEstimate:
     """Discounted Monte Carlo price e^{-rT} E[payoff(S(T))] from S(0) = spot.
 
     Paths follow GBM with the market's rate as drift and its sigma, up to the
-    contract's maturity.  A barrier contract is priced on monitored paths;
-    every other contract samples the terminal value exactly.  Mean and
-    standard error are discounted once, after aggregation.
+    contract's maturity.  A barrier contract is priced on monitored paths,
+    whose walk ``stop`` ends early (see ``knockout_terminal``); every other
+    contract samples the terminal value exactly.  Mean and standard error are
+    discounted once, after aggregation.
     """
     check_draws(paths, seed)
     if not spot > 0:
@@ -171,7 +184,7 @@ def feynman_kac_estimate(
     check_discount(r, t)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
         if contract.payoff_kind == "down_and_out_call":
-            s_t, alive = knockout_terminal(mp, contract, spot, paths, seed, monitoring_per_year)
+            s_t, alive = knockout_terminal(mp, contract, spot, paths, seed, monitoring_per_year, stop)
             values = np.where(alive, contract.payoff(s_t), 0.0)
         else:
             values = contract.payoff(sample_terminal(mp, contract, spot, paths, seed))

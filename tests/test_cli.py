@@ -1,7 +1,9 @@
+import inspect
 import json
 import subprocess
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -275,6 +277,38 @@ def test_a_pde_refusal_wins_over_a_monte_carlo_refusal(capsys):
     assert main(list(BOTH_REFUSE)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: PDE price at spot 100 is nan") and err.count("\n") == 1
+
+
+def test_a_pde_refusal_stops_the_knock_out_walk(monkeypatch, capsys):
+    # every chunk's draws wait for the stop signal, and the PDE refuses once
+    # the first chunk has started, so only the chunks already drawing (one per
+    # worker) finish, however the threads are scheduled.  Without a stop
+    # signal, the draws stop waiting after the deadline and every chunk runs
+    started, stops, drawn = threading.Event(), [], []
+    deadline = time.monotonic() + 30.0
+    walk, normals = montecarlo.knockout_terminal, montecarlo.standard_normals
+
+    def knockout_terminal(*args, **kwargs):
+        stops.append(inspect.signature(walk).bind(*args, **kwargs).arguments["stop"])
+        return walk(*args, **kwargs)
+
+    def standard_normals(*args, **kwargs):
+        drawn.append(args)
+        started.set()
+        stops[0].wait(timeout=max(0.0, deadline - time.monotonic()))
+        return normals(*args, **kwargs)
+
+    def price_pde(*args, **kwargs):
+        assert started.wait(timeout=60)
+        raise ValueError("the PDE refuses")
+
+    monkeypatch.setattr(montecarlo, "knockout_terminal", knockout_terminal)
+    monkeypatch.setattr(montecarlo, "standard_normals", standard_normals)
+    monkeypatch.setattr(finance, "price_pde", price_pde)
+    assert main(["price", "--payoff", "do-call", "--method", "all", "--paths", "200000"]) == 2
+    chunks = -(-200_000 // (montecarlo.KNOCKOUT_CHUNK_BYTES // 8 // (2 * 250)))
+    assert 1 <= len(drawn) <= 2 < chunks
+    assert capsys.readouterr().err == "error: the PDE refuses\n"
 
 
 def test_price_runs_the_monte_carlo_beside_the_pde_in_the_callers_context(monkeypatch, capsys):

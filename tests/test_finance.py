@@ -332,6 +332,56 @@ def test_pde_monotonic_in_sigma_and_maturity():
     assert prices_t == sorted(prices_t)
 
 
+def centred_grid(contract, mp, spot, n):
+    """The grid centred on ln K that the default grid builder is measured against."""
+    ln_k = math.log(contract.strike)
+    half = max(5.0, abs(math.log(spot) - ln_k) + 8.0 * mp.sigma * math.sqrt(contract.maturity))
+    return Grid1D(ln_k - half, ln_k + half, n)
+
+
+@pytest.mark.parametrize("n", [4, 5, 400, 401, 2000, 2001])
+@pytest.mark.parametrize("kind,strike,spot", [("european_call", 100.0, 100.0), ("european_put", 80.0, 100.0),
+                                              ("european_call", 130.0, 95.0)])
+def test_default_vanilla_grid_puts_the_strike_at_a_cell_midpoint(kind, strike, spot, n):
+    mp, contract = MarketParams(0.3, 0.02), OptionContract(kind, strike, 0.7)
+    g = default_pricing_grid(contract, mp, spot, n)
+    cells = (math.log(strike) - g.x_min) / g.h
+    assert abs(cells - math.floor(cells) - 0.5) <= 1e-9 * n
+    centred = centred_grid(contract, mp, spot, n)
+    assert g.h == pytest.approx(centred.h, rel=1e-12)
+    if n % 2 == 0:  # ln K already lies midway between the two central nodes
+        assert g == centred
+
+
+@pytest.mark.parametrize("n", [4, 5, 2000, 2001])
+def test_default_barrier_grid_stays_centred_on_the_strike(n):
+    mp = MarketParams(0.25, 0.03)
+    contract = OptionContract("down_and_out_call", 105.0, 1.5, barrier=85.0)
+    assert default_pricing_grid(contract, mp, 100.0, n) == centred_grid(contract, mp, 100.0, n)
+
+
+@pytest.mark.parametrize("n,vanilla", [(3, 1), (4, 1), (5, 2), (400, 100), (401, 101), (2001, 501)])
+def test_default_steps_are_a_quarter_of_the_nodes_for_calls_and_puts(n, vanilla):
+    for kind in ("european_call", "european_put"):
+        assert finance.default_pricing_steps(OptionContract(kind, 100.0, 1.0), n) == vanilla
+    barrier = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
+    assert finance.default_pricing_steps(barrier, n) == n
+
+
+def test_default_grid_and_steps_price_the_strike_ladder_within_3e_4():
+    # the strike ladder of perfbench's vanilla workload; 5.81e-4 on the
+    # centred grid at n steps
+    mp, spot, n = MarketParams(0.2, 0.05), 100.0, 2001
+    errors = []
+    for kind in ("european_call", "european_put"):
+        for strike in (80.0, 90.0, 100.0, 110.0, 120.0):
+            contract = OptionContract(kind, strike, 1.0)
+            g = default_pricing_grid(contract, mp, spot, n)
+            curve = price_pde(bs_hamiltonian(g, mp), contract, mp, finance.default_pricing_steps(contract, n))
+            errors.append(abs(curve.price_at(spot) - closed_form_price(mp, contract, spot)))
+    assert max(errors) <= 3e-4
+
+
 def test_pde_stability_bound(pricing_setup):
     mp, g = pricing_setup
     contract = OptionContract("european_call", 100.0, 1.0)

@@ -63,6 +63,11 @@ def run_main(argv) -> int:
         (("--method", "mc", "--csv", "curve.csv"), "--csv"),
         (("--method", "closed", "--csv", "curve.csv"), "--csv"),
         (("--payoff", "do-call", "--monitoring", "262145"), "exceed the 262144 normals of one path chunk"),
+        (("--steps", "-5"), "--steps must be >= 0"),
+        (("--method", "pde", "--steps", "-5"), "--steps must be >= 0"),
+        (("--method", "closed", "--steps", "-5"), "--steps must be >= 0"),
+        (("--method", "mc", "--steps", "-5"), "--steps must be >= 0"),
+        (("--payoff", "do-call", "--steps", "-1"), "--steps must be >= 0"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -212,7 +217,7 @@ def test_library_constructors_reject_the_same_inputs():
         feynman_kac_estimate(mp, call, 100.0, 1, 0, 250)
     barrier = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
     with pytest.raises(ValueError, match="monitoring"):
-        knockout_terminal(mp, barrier, 100.0, 2, 0, monitoring_per_year=0)
+        knockout_terminal(mp, barrier, 100.0, 2, 0, monitoring_per_year=0, stop=None)
     with pytest.raises(ValueError, match="finite"):
         FunctionSpec.polynomial([0.0, math.nan])
     with pytest.raises(ValueError, match="finite"):
@@ -242,7 +247,8 @@ def test_price_walks_as_many_dates_as_one_path_chunk_holds():
 
 def test_short_maturity_keeps_one_monitoring_date():
     contract = OptionContract("down_and_out_call", 100.0, 1e-4, barrier=80.0)
-    s_t, alive = knockout_terminal(MarketParams(0.2, 0.05), contract, 100.0, 8, 0, monitoring_per_year=1)
+    s_t, alive = knockout_terminal(MarketParams(0.2, 0.05), contract, 100.0, 8, 0, monitoring_per_year=1,
+                                   stop=None)
     assert s_t.shape == alive.shape == (8,)
 
 
@@ -319,6 +325,7 @@ def edge_commands(draw):
 @example(["identify", "--n", "41", "--xmax", "inf"])
 @example(["price", "--method", "pde", "--xmin=-1e150", "--xmax=5", "--n", "101", "--steps", "10"])
 @example([*SMALL_PRICE, "--method", "mc", "--csv", "curve.csv"])
+@example([*SMALL_PRICE, "--method", "closed", "--steps", "-5"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     with tempfile.TemporaryDirectory() as tmp:

@@ -151,9 +151,9 @@ def chunk_paths(monkeypatch, paths: int, m: int):
 
 def test_knockout_chunking_does_not_change_results(monkeypatch):
     chunk_paths(monkeypatch, 64, 50)
-    a = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50)
+    a = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50, stop=None)
     chunk_paths(monkeypatch, 2_000, 50)
-    b = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50)
+    b = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50, stop=None)
     assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
 
@@ -166,7 +166,7 @@ def test_knockout_walk_matches_reference_formula(monkeypatch, chunk):
     z = standard_normals(seed, paths * m).reshape(paths, m)
     drift, vol = (MP.r - 0.5 * MP.sigma**2) * dt, MP.sigma * math.sqrt(dt)
     logs = math.log(100.0) + np.cumsum(drift + vol * z, axis=1)
-    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, paths, seed, monitoring_per_year=m)
+    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, paths, seed, monitoring_per_year=m, stop=None)
     assert np.array_equal(s_t, np.exp(logs[:, -1]))
     assert np.array_equal(alive, np.min(logs, axis=1) > math.log(80.0))
 
@@ -176,9 +176,9 @@ def test_knockout_walk_does_not_depend_on_the_worker_count(monkeypatch, chunk):
     if chunk is not None:
         chunk_paths(monkeypatch, chunk, 50)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
-    two = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50)
+    two = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50, stop=None)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0})
-    one = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50)
+    one = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50, stop=None)
     assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
 
 
@@ -202,7 +202,7 @@ def test_knockout_walk_asks_for_at_most_two_workers(monkeypatch, dates, workers)
 
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
-    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, 4, 0, monitoring_per_year=dates)
+    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, 4, 0, monitoring_per_year=dates, stop=None)
     # a path longer than half the budget walks alone, so the two workers' chunks still fit it
     assert asked == [workers]
     assert s_t.shape == alive.shape == (4,)
@@ -213,7 +213,7 @@ def test_knockout_memory_is_bounded_by_the_chunk_budget():
     for paths in (8_192, 65_536):
         tracemalloc.start()
         try:
-            knockout_terminal(MP, DO_CALL, 100.0, paths, 0, 250)
+            knockout_terminal(MP, DO_CALL, 100.0, paths, 0, 250, stop=None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -222,8 +222,10 @@ def test_knockout_memory_is_bounded_by_the_chunk_budget():
 
 def test_knockout_refuses_more_dates_than_one_chunk_holds():
     with pytest.raises(ValueError, match="monitoring"):
-        knockout_terminal(MP, DO_CALL, 100.0, 2, 0, monitoring_per_year=KNOCKOUT_CHUNK_BYTES // 8 + 1)
-    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, 2, 0, monitoring_per_year=KNOCKOUT_CHUNK_BYTES // 8)
+        knockout_terminal(MP, DO_CALL, 100.0, 2, 0, monitoring_per_year=KNOCKOUT_CHUNK_BYTES // 8 + 1,
+                          stop=None)
+    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, 2, 0, monitoring_per_year=KNOCKOUT_CHUNK_BYTES // 8,
+                                   stop=None)
     assert s_t.shape == alive.shape == (2,)
 
 
@@ -238,7 +240,7 @@ def test_estimate_is_the_discounted_sampler_mean(payoff, r):
     contract = OptionContract("down_and_out_call" if barrier else "european_call", 100.0, 0.5, barrier)
     mp = MarketParams(0.2, r)
     if barrier:
-        s_t, alive = knockout_terminal(mp, contract, 100.0, 4_000, 9, monitoring_per_year=50)
+        s_t, alive = knockout_terminal(mp, contract, 100.0, 4_000, 9, monitoring_per_year=50, stop=None)
         values = np.where(alive, contract.payoff(s_t), 0.0)
     else:
         values = contract.payoff(sample_terminal(mp, contract, 100.0, 4_000, 9))
