@@ -311,11 +311,16 @@ def cmd_price(args) -> int:
     run_pde, run_mc = args.method in ("pde", "all"), args.method in ("mc", "all")
     if args.csv and not run_pde:
         raise ValueError(f"--csv writes the PDE price curve, which --method {args.method} does not price")
-    if args.xmin is None or args.xmax is None:
+    if (args.xmin is None) != (args.xmax is None):
+        raise ValueError("--xmin and --xmax set the grid together: give both or neither")
+    if args.xmin is None:
         g = finance.default_pricing_grid(contract, mp, args.spot, args.n)
+        default_steps = finance.default_pricing_steps(contract, g.n)
     else:
+        # a user grid need not put ln K at a cell midpoint, which the fewer steps rely on
         g = Grid1D(args.xmin, args.xmax, args.n)
-    steps = args.steps if args.steps else finance.default_pricing_steps(contract, g.n)
+        default_steps = g.n
+    steps = args.steps if args.steps else default_steps
     report = RunReport(
         "price",
         {
@@ -487,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--monitoring", type=int, default=250, help="barrier monitoring dates per year")
     p.add_argument("--steps", type=int, default=0,
-                   help="time steps (0 = n/4 rounded up for a call or put, n for a barrier)")
+                   help="time steps (0 = n/4 rounded up for a call or put on the default grid, "
+                        "else n)")
     _add_grid_flags(p, None, None, 2001)
     p.add_argument("--csv", default=None)
     p.add_argument("--json", default=None)

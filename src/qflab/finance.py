@@ -478,12 +478,12 @@ def default_pricing_grid(contract: OptionContract, mp: MarketParams, spot: float
 
 
 def default_pricing_steps(contract: OptionContract, n: int) -> int:
-    """Time steps for an n-node grid: ceil(n/4) for a call or put, n for a barrier.
+    """Time steps on an n-node ``default_pricing_grid``: ceil(n/4) for a call or put, n for a barrier.
 
     With the kink at a cell midpoint, the time error of ceil(n/4)
-    Crank-Nicolson steps stays far below the space error of n nodes.  The
-    barrier's knock-out after each step is first order in time, so it keeps
-    n steps.
+    Crank-Nicolson steps stays far below the space error of n nodes; a grid
+    that need not put the kink there takes n steps.  The barrier's knock-out
+    after each step is first order in time, so it keeps n steps.
     """
     if contract.payoff_kind == "down_and_out_call":
         return n

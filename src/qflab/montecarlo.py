@@ -5,7 +5,11 @@ Terminal prices are drawn from the exact lognormal solution
     S(T) = s0 * exp(sigma W(T) + (drift - sigma^2/2) T),
 
 so European estimates carry no time-stepping error; path simulation (exact
-GBM increments on ln S) is used only for barrier monitoring.
+GBM increments on ln S) is used only for barrier monitoring.  The last
+terminal sample is cached, keyed on (sigma, r, T, spot, paths, seed) and
+read-only, so the calls and puts of a strike ladder priced in one process
+draw their normals once (common random numbers, Glasserman 2004); the cache
+keeps that one array of ``paths`` values alive between calls.
 
 Randomness is counter-based: normal variate i of stream s is a pure function
 of (seed, s, i), the inverse normal CDF (``ndtri``) of one Philox output, so
@@ -19,6 +23,7 @@ whichever thread ``feynman_kac_estimate`` runs: ``price`` calls it on a worker
 thread of its own, beside the PDE.
 """
 
+import functools
 import math
 import os
 import threading
@@ -95,15 +100,25 @@ def sample_terminal(mp: MarketParams, contract: OptionContract, spot: float, pat
                     seed: int) -> np.ndarray:
     """Exact lognormal draws of S(T) from S(0) = spot, one per path, with the rate as drift.
 
-    S(T) is built in place on the normals, so the call holds one array of
-    ``paths`` values once the draws are made.
+    The sample depends only on (sigma, r, T, spot, paths, seed), not on the
+    payoff or the strike, so a strike ladder priced in one process shares its
+    draws (common random numbers).  The last sample is cached and returned
+    read-only; the cache holds that one array of ``paths`` values until a
+    call with another key replaces it.
     """
-    t = contract.maturity
+    return _terminal_sample(mp.sigma, mp.r, contract.maturity, spot, paths, seed)
+
+
+@functools.lru_cache(maxsize=1)
+def _terminal_sample(sigma: float, r: float, t: float, spot: float, paths: int,
+                     seed: int) -> np.ndarray:
+    # S(T) is built in place on the normals: one array of ``paths`` values
     s = standard_normals(seed, paths)
-    s *= mp.sigma * math.sqrt(t)
-    s += (mp.r - 0.5 * mp.sigma**2) * t
+    s *= sigma * math.sqrt(t)
+    s += (r - 0.5 * sigma**2) * t
     np.exp(s, out=s)
     s *= spot
+    s.flags.writeable = False
     return s
 
 
@@ -185,11 +200,16 @@ def feynman_kac_estimate(
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite estimate is refused below
         if contract.payoff_kind == "down_and_out_call":
             s_t, alive = knockout_terminal(mp, contract, spot, paths, seed, monitoring_per_year, stop)
-            values = np.where(alive, contract.payoff(s_t), 0.0)
+            values = contract.payoff(s_t)
+            values[~alive] = 0.0
         else:
             values = contract.payoff(sample_terminal(mp, contract, spot, paths, seed))
         mean = float(np.sum(values) / paths)
-        se = float(np.std(values, ddof=1) / math.sqrt(paths))
+        # np.std(values, ddof=1) bit for bit, in its order of operations, but
+        # in place on the payoff array, which nothing else holds
+        values -= mean
+        np.square(values, out=values)
+        se = math.sqrt(np.sum(values) / (paths - 1)) / math.sqrt(paths)
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise ValueError(f"Monte Carlo estimate {mean:.3g} +- {se:.3g} is not finite: "
                          f"the payoff samples overflow float64 at spot={spot:.6g}, "

@@ -9,6 +9,9 @@ minimal, so colouring and report bytes do not depend on the caller's shell.
 :func:`from_dense`, :func:`toarray` and :func:`to_matrix` convert between the
 package's banded operators and dense numpy matrices, so that tests can check
 the band algebra against plain dense algebra.
+
+Every test starts with an empty terminal-sample cache, so that no result or
+draw count depends on which test ran before it.
 """
 
 import os
@@ -19,9 +22,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qflab import montecarlo
 from qflab.operators import LinOp
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+@pytest.fixture(autouse=True)
+def empty_terminal_sample_cache():
+    montecarlo._terminal_sample.cache_clear()
 
 
 def run_cli(*args, timeout=300):

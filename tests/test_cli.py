@@ -212,6 +212,38 @@ def test_price_all_runs_each_pricer_once(monkeypatch, capsys, payoff, calls):
     assert counts == calls
 
 
+def test_a_strike_ladder_draws_once(monkeypatch, capsys, tmp_path):
+    ladder = [("call", "90"), ("put", "90"), ("call", "110"), ("put", "110")]
+
+    def run_ladder(folder, clear) -> list[bytes]:
+        folder.mkdir()
+        for i, (payoff, strike) in enumerate(ladder):
+            if clear:
+                montecarlo._terminal_sample.cache_clear()
+            assert main([*SMALL_ALL, "--payoff", payoff, "--strike", strike,
+                         "--json", str(folder / f"{i}.json")]) == 0
+        return [(folder / f"{i}.json").read_bytes() for i in range(len(ladder))]
+
+    counts = count_calls(monkeypatch, montecarlo.standard_normals)
+    shared = run_ladder(tmp_path / "shared", clear=False)
+    assert counts == {"standard_normals": 1}
+    assert shared == run_ladder(tmp_path / "fresh", clear=True)
+    assert counts == {"standard_normals": 1 + len(ladder)}
+
+
+@pytest.mark.parametrize("argv, steps", [
+    (("--xmin", "2", "--xmax", "7", "--n", "401"), 401),
+    (("--xmin", "4", "--xmax", "5", "--n", "201", "--payoff", "put"), 201),
+    (("--xmin", "2", "--xmax", "7", "--n", "401", "--steps", "30"), 30),
+    (("--n", "401"), 101),
+])
+def test_only_the_default_grid_takes_a_quarter_of_the_steps(capsys, tmp_path, argv, steps):
+    # ln K sits at a cell midpoint only on the default grid
+    out = tmp_path / "report.json"
+    assert main(["price", "--method", "pde", *argv, "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["parameters"]["steps"] == steps
+
+
 def count_products(monkeypatch) -> list:
     """One entry per operator product formed after the call."""
     matmul, products = operators.LinOp.__matmul__, []

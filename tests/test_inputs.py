@@ -68,6 +68,9 @@ def run_main(argv) -> int:
         (("--method", "closed", "--steps", "-5"), "--steps must be >= 0"),
         (("--method", "mc", "--steps", "-5"), "--steps must be >= 0"),
         (("--payoff", "do-call", "--steps", "-1"), "--steps must be >= 0"),
+        (("--method", "pde", "--xmin", "2"), "give both or neither"),
+        (("--xmax", "7"), "give both or neither"),
+        (("--method", "mc", "--xmin", "2"), "give both or neither"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -326,6 +329,7 @@ def edge_commands(draw):
 @example(["price", "--method", "pde", "--xmin=-1e150", "--xmax=5", "--n", "101", "--steps", "10"])
 @example([*SMALL_PRICE, "--method", "mc", "--csv", "curve.csv"])
 @example([*SMALL_PRICE, "--method", "closed", "--steps", "-5"])
+@example([*SMALL_PRICE, "--method", "pde", "--xmin", "2"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     with tempfile.TemporaryDirectory() as tmp:

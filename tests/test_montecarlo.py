@@ -116,9 +116,13 @@ def test_log_moments_match_lognormal():
 # -- Feynman-Kac estimation -------------------------------------------------------
 
 
-def test_constant_claim_has_zero_error():
-    # a barrier above the spot knocks every path out at the first date: the claim is 0
-    contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier=150.0)
+@pytest.mark.parametrize("contract", [OptionContract("down_and_out_call", 100.0, 1.0, barrier=150.0),
+                                      OptionContract("european_call", 1e6, 1.0),
+                                      OptionContract("european_put", 1e-6, 1.0)],
+                         ids=["do-call", "call", "put"])
+def test_constant_claim_has_zero_error(contract):
+    # every path pays 0: a barrier above the spot knocks it out at the first
+    # date, and the call and put end out of the money
     est = feynman_kac_estimate(MP, contract, 100.0, 10_000, seed=0, monitoring_per_year=250)
     assert est.mean == 0.0
     assert est.std_error == 0.0
@@ -232,22 +236,70 @@ def test_knockout_refuses_more_dates_than_one_chunk_holds():
 # -- discounting -------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("paths", [2, 3, 64, 4_000])
 @pytest.mark.parametrize("r", [0.0, 0.05, -0.01])
 @pytest.mark.parametrize("payoff", ["call", "do-call"])
-def test_estimate_is_the_discounted_sampler_mean(payoff, r):
-    # the undiscounted payoff values of the same draws, aggregated as the estimate does
+def test_estimate_is_the_discounted_sampler_mean(payoff, r, paths):
+    # the undiscounted payoff values of the same draws, aggregated as the
+    # estimate does; its in-place standard error is np.std(ddof=1), bit for bit
     barrier = 90.0 if payoff == "do-call" else None
     contract = OptionContract("down_and_out_call" if barrier else "european_call", 100.0, 0.5, barrier)
     mp = MarketParams(0.2, r)
     if barrier:
-        s_t, alive = knockout_terminal(mp, contract, 100.0, 4_000, 9, monitoring_per_year=50, stop=None)
+        s_t, alive = knockout_terminal(mp, contract, 100.0, paths, 9, monitoring_per_year=50, stop=None)
         values = np.where(alive, contract.payoff(s_t), 0.0)
     else:
-        values = contract.payoff(sample_terminal(mp, contract, 100.0, 4_000, 9))
-    est = feynman_kac_estimate(mp, contract, 100.0, 4_000, seed=9, monitoring_per_year=50)
+        values = contract.payoff(sample_terminal(mp, contract, 100.0, paths, 9))
+    est = feynman_kac_estimate(mp, contract, 100.0, paths, seed=9, monitoring_per_year=50)
     factor = math.exp(-r * 0.5)
-    assert est.mean == float(np.sum(values) / 4_000) * factor
-    assert est.std_error == float(np.std(values, ddof=1) / math.sqrt(4_000)) * factor
+    assert est.mean == float(np.sum(values) / paths) * factor
+    assert est.std_error == float(np.std(values, ddof=1) / math.sqrt(paths)) * factor
+
+
+@pytest.mark.parametrize("kind, spot, message", [
+    ("european_call", 1e300, "1.08e+300 +- inf"),
+    ("european_call", 1e308, "inf +- nan"),
+    ("down_and_out_call", 1e300, "1.05e+300 +- inf"),
+    ("down_and_out_call", 1e308, "inf +- inf"),
+])
+def test_overflowing_payoff_is_refused_with_its_estimate(kind, spot, message):
+    contract = OptionContract(kind, 100.0, 1.0, barrier=80.0 if kind == "down_and_out_call" else None)
+    with pytest.raises(ValueError) as info:
+        feynman_kac_estimate(MP, contract, spot, 64, seed=0, monitoring_per_year=250)
+    assert str(info.value) == (f"Monte Carlo estimate {message} is not finite: the payoff samples "
+                               f"overflow float64 at spot={spot:.6g}, drift=0.05, sigma=0.2, T=1")
+
+
+# -- the cached terminal sample -------------------------------------------------------
+
+
+def test_terminal_sample_is_read_only_and_cached():
+    first = sample_terminal(MP, OptionContract("european_call", 100.0, 1.0), 100.0, 1_000, 5)
+    assert not first.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        first[0] = 0.0
+    # the payoff and the strike are not part of the key
+    assert sample_terminal(MP, OptionContract("european_put", 90.0, 1.0), 100.0, 1_000, 5) is first
+
+
+@pytest.mark.parametrize("change", [
+    {"sigma": 0.3}, {"r": 0.01}, {"t": 2.0}, {"spot": 90.0}, {"paths": 1_001}, {"seed": 6},
+], ids=lambda change: next(iter(change)))
+def test_each_sample_input_draws_again(monkeypatch, change):
+    key = {"sigma": 0.2, "r": 0.05, "t": 1.0, "spot": 100.0, "paths": 1_000, "seed": 5}
+    draws = []
+    normals = montecarlo.standard_normals
+    monkeypatch.setattr(montecarlo, "standard_normals",
+                        lambda *args, **kwargs: draws.append(args) or normals(*args, **kwargs))
+
+    def sample(sigma, r, t, spot, paths, seed):
+        return sample_terminal(MarketParams(sigma, r), OptionContract("european_call", 100.0, t),
+                               spot, paths, seed)
+
+    base = sample(**key)
+    assert sample(**key) is base and len(draws) == 1
+    moved = sample(**{**key, **change})
+    assert len(draws) == 2 and not np.array_equal(moved, base)
 
 
 # -- standard-error scaling ---------------------------------------------------------
