@@ -218,16 +218,16 @@ def cmd_verify_algebra(args) -> int:
     for name, qi in (("q1", q1), ("q2", q2), ("q3", q3), ("q4", q4)):
         nilpotent(name, qi)
 
-    h = susy.superhamiltonian_4x4(q1, q2)
+    h = susy.block_anticommutator(q1, q2)
     report.add("h_block_diagonal", 0.0, 0.0, h.structurally_block_diagonal)
     block_content("h_block_content_{}", h, ("H2", "H1", "H3", "H3"))
-    htilde = susy.superhamiltonian_4x4(q3, q4)
+    htilde = susy.block_anticommutator(q3, q4)
     report.add("htilde_block_diagonal", 0.0, 0.0, htilde.structurally_block_diagonal)
     block_content("htilde_block_content_{}", htilde, ("H1", "H2", "H4", "H4"))
     for name, qi, ham in (("q1", q1, h), ("q2", q2, h), ("q3", q3, htilde), ("q4", q4, htilde)):
         commutes(f"conserved_charge_{name}", qi, ham)
 
-    h_neg = susy.superhamiltonian_4x4(*susy.supercharges_4x4(g, neg, alpha, beta)[:2])
+    h_neg = susy.block_anticommutator(*susy.supercharges_4x4(g, neg, alpha, beta)[:2])
     block_content("duality_maps_h_to_htilde", h_neg, ("H1", "H2", "H4", "H4"))
 
     if safe:
@@ -278,10 +278,16 @@ def cmd_spectrum(args) -> int:
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             fh.write("index,lambda_h1,lambda_h2,paired\n")
+            # the H1 members of the pairs are the nonzero H1 eigenvalues, in order
+            pairs = iter(pairing.pairs)
+            own = next(pairs, None)
             for i in range(args.k):
                 la = pairing.eigenvalues_a[i]
                 lb = pairing.eigenvalues_b[i]
-                paired = int(any(abs(la - a) <= pairing.pair_tol for a, _ in pairing.pairs))
+                paired = 0
+                if own is not None and own[0] == la:
+                    paired = int(abs(own[0] - own[1]) <= pairing.pair_tol)
+                    own = next(pairs, None)
                 fh.write(f"{i},{_fmt(la)},{_fmt(lb)},{paired}\n")
         report.artifacts.append(args.csv)
 

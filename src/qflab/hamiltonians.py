@@ -90,8 +90,13 @@ def build_from_superpotential(g: Grid1D, w: FunctionSpec, alpha: float) -> tuple
 
     The deformation function is the antiderivative f(x) = integral_0^x W.
     For the harmonic superpotential W(x) = x these are the shifted oscillators
-    with spectra 2m+2 and 2m (an exact zero mode in H2).
+    with spectra 2m+2 and 2m (an exact zero mode in H2).  A W whose W^2
+    overflows on the grid is refused before any operator is built.
     """
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite W is refused just below
+        w_max = w.max_abs(g)
+    if not w_max * w_max < math.inf:  # the partners carry W^2
+        raise ValueError(f"the superpotential W reaches {w_max:.3g} on the grid, and W^2 must be finite")
     f = w.antiderivative(g)
     return closed_form(g, f, "H1", alpha), closed_form(g, f, "H2", alpha)
 

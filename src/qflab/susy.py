@@ -1,13 +1,13 @@
 """Supercharges, superhamiltonians and the machine-verified SUSY algebra.
 
-Block operators store absent blocks as None, so nilpotency (Q^2 = 0) and
-block-diagonality of the anticommutators are structural facts, not numerical
-ones.  The diagonal content of the superhamiltonians is *measured* against
-the four compositional Hamiltonians rather than assumed: direct block
-multiplication of the supercharge matrices yields diag(H2, H1, H3, H3) for
-{Q1, Q2} and diag(H1, H2, H4, H4) for {Q3, Q4}, and the ground-state vectors
-(e^-f, e^f, e^-f, e^-f) and (e^f, e^-f, e^f, e^f) annihilate exactly that
-ordering.
+Block operators keep only their nonzero blocks, keyed by (row, column), so
+nilpotency (Q^2 = 0) and block-diagonality of the anticommutators are
+structural facts, not numerical ones.  The diagonal content of the
+superhamiltonians is *measured* against the four compositional Hamiltonians
+rather than assumed: direct block multiplication of the supercharge matrices
+yields diag(H2, H1, H3, H3) for {Q1, Q2} and diag(H1, H2, H4, H4) for
+{Q3, Q4}, and the ground-state vectors (e^-f, e^f, e^-f, e^-f) and
+(e^f, e^-f, e^f, e^f) annihilate exactly that ordering.
 
 The conserved-charge statement is implemented as the commutator [Q, h] = 0,
 which follows identically from Q^2 = 0; the anticommutator {Q, h} = 2 Q Q+ Q
@@ -37,116 +37,72 @@ from .tolerances import DEFAULT as TOL
 
 @dataclass(frozen=True, eq=False)
 class BlockOp:
-    """m x m block matrix of LinOps on a shared grid; None marks a zero block."""
+    """m x m block matrix of LinOps on a shared grid.
 
-    blocks: tuple[tuple[LinOp | None, ...], ...]
+    ``blocks`` maps (row, column) to a nonzero block; an absent key is a zero
+    block.  Every sum runs over the keys in ascending order.
+    """
+
+    m: int
+    blocks: dict[tuple[int, int], LinOp]
     grid: Grid1D
 
     def __post_init__(self):
-        m = len(self.blocks)
-        if m not in (2, 4) or any(len(row) != m for row in self.blocks):
-            raise ValueError("blocks must form a 2x2 or 4x4 square layout")
-        for row in self.blocks:
-            for b in row:
-                if b is not None and b.grid != self.grid:
-                    raise ValueError("all blocks must share the block operator's grid")
-
-    @property
-    def m(self) -> int:
-        return len(self.blocks)
+        if self.m not in (2, 4) or not all(0 <= i < self.m and 0 <= j < self.m for i, j in self.blocks):
+            raise ValueError("blocks must sit in a 2x2 or 4x4 layout")
+        if any(b.grid != self.grid for b in self.blocks.values()):
+            raise ValueError("all blocks must share the block operator's grid")
 
     @property
     def n(self) -> int:
         return self.grid.n
 
     def block(self, i: int, j: int) -> LinOp | None:
-        return self.blocks[i][j]
+        return self.blocks.get((i, j))
 
     def __matmul__(self, other: "BlockOp") -> "BlockOp":
-        self._compatible(other)
-        m = self.m
-        out = []
-        for i in range(m):
-            row = []
-            for j in range(m):
-                acc = None
-                for k in range(m):
-                    a, b = self.blocks[i][k], other.blocks[k][j]
-                    if a is None or b is None:
-                        continue
-                    acc = a @ b if acc is None else acc + (a @ b)
-                row.append(acc)
-            out.append(tuple(row))
-        return BlockOp(tuple(out), self.grid)
+        out = {}
+        for (i, k), a in sorted(self.blocks.items()):
+            for (row, j), b in sorted(other.blocks.items()):
+                if row == k:
+                    out[i, j] = out[i, j] + (a @ b) if (i, j) in out else a @ b
+        return BlockOp(self.m, out, self.grid)
 
     def __add__(self, other: "BlockOp") -> "BlockOp":
-        self._compatible(other)
-        return self._zip(other, lambda a, b: a + b)
+        out = dict(self.blocks)
+        for key, b in other.blocks.items():
+            out[key] = out[key] + b if key in out else b
+        return BlockOp(self.m, out, self.grid)
 
     def __sub__(self, other: "BlockOp") -> "BlockOp":
-        self._compatible(other)
-        return self._zip(other, lambda a, b: a - b, negate_right=True)
-
-    def _zip(self, other, combine, negate_right=False):
-        out = []
-        for ra, rb in zip(self.blocks, other.blocks):
-            row = []
-            for a, b in zip(ra, rb):
-                if a is None and b is None:
-                    row.append(None)
-                elif a is None:
-                    row.append(-b if negate_right else b)
-                elif b is None:
-                    row.append(a)
-                else:
-                    row.append(combine(a, b))
-            out.append(tuple(row))
-        return BlockOp(tuple(out), self.grid)
+        out = dict(self.blocks)
+        for key, b in other.blocks.items():
+            out[key] = out[key] - b if key in out else -b
+        return BlockOp(self.m, out, self.grid)
 
     def __rmul__(self, scalar) -> "BlockOp":
-        out = tuple(
-            tuple(None if b is None else scalar * b for b in row) for row in self.blocks
-        )
-        return BlockOp(out, self.grid)
+        return BlockOp(self.m, {key: scalar * b for key, b in self.blocks.items()}, self.grid)
 
     def adjoint(self) -> "BlockOp":
-        m = self.m
-        out = tuple(
-            tuple(
-                None if self.blocks[j][i] is None else self.blocks[j][i].adjoint()
-                for j in range(m)
-            )
-            for i in range(m)
-        )
-        return BlockOp(out, self.grid)
+        return BlockOp(self.m, {(j, i): b.adjoint() for (i, j), b in self.blocks.items()}, self.grid)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
         v = np.asarray(vec).reshape(self.m, self.n)
         out = np.zeros_like(v, dtype=np.complex128)
-        for i in range(self.m):
-            for j in range(self.m):
-                b = self.blocks[i][j]
-                if b is not None:
-                    out[i] += b.apply(v[j])
+        for (i, j), b in sorted(self.blocks.items()):
+            out[i] += b.apply(v[j])
         return out.reshape(-1)
 
     @property
     def structurally_zero(self) -> bool:
-        return all(b is None for row in self.blocks for b in row)
+        return not self.blocks
 
     @property
     def structurally_block_diagonal(self) -> bool:
-        return all(
-            b is None for i, row in enumerate(self.blocks) for j, b in enumerate(row) if i != j
-        )
+        return all(i == j for i, j in self.blocks)
 
     def max_abs(self) -> float:
-        tops = [b.max_abs() for row in self.blocks for b in row if b is not None]
-        return max(tops, default=0.0)
-
-    def _compatible(self, other: "BlockOp"):
-        if self.grid != other.grid or self.m != other.m:
-            raise ValueError("block operators are not compatible")
+        return max((b.max_abs() for _, b in sorted(self.blocks.items())), default=0.0)
 
 
 def block_commutator(a: BlockOp, b: BlockOp) -> BlockOp:
@@ -163,8 +119,7 @@ def block_anticommutator(a: BlockOp, b: BlockOp) -> BlockOp:
 def supercharge_2x2(g: Grid1D, f: FunctionSpec, alpha: float) -> BlockOp:
     """Nilpotent 2x2 supercharge with upper-right block alpha P_f."""
     check_coupling(alpha, "alpha", allow_zero=False)
-    pf = deformed_momentum(g, f)
-    return BlockOp(((None, alpha * pf), (None, None)), g)
+    return BlockOp(2, {(0, 1): alpha * deformed_momentum(g, f)}, g)
 
 
 def superhamiltonian_2x2(q: BlockOp) -> BlockOp:
@@ -178,26 +133,21 @@ def supercharges_4x4(
     """The four 4x4 supercharges; all are structurally nilpotent.
 
     beta = 0 leaves the beta blocks absent, embedding the 2x2 supercharge in
-    the top block exactly.
+    the top block exactly.  {Q1, Q2} and {Q3, Q4} are the superhamiltonians H
+    and H~, whose diagonal content :func:`identify_blocks` measures.
     """
     check_coupling(alpha, "alpha", allow_zero=False)
     check_coupling(beta, "beta", allow_zero=True)
     pf = deformed_momentum(g, f)
     pfd = pf.adjoint()
     apf, apfd = alpha * pf, alpha * pfd
-    bpf = beta * pf if beta > 0 else None
-    bpfd = beta * pfd if beta > 0 else None
-
-    def four(b01=None, b10=None, b23=None, b32=None) -> BlockOp:
-        rows = [[None] * 4 for _ in range(4)]
-        rows[0][1], rows[1][0], rows[2][3], rows[3][2] = b01, b10, b23, b32
-        return BlockOp(tuple(tuple(r) for r in rows), g)
-
-    q1 = four(b01=apf, b23=bpfd)
-    q2 = four(b10=apfd, b32=bpfd)
-    q3 = four(b01=apfd, b23=bpf)
-    q4 = four(b10=apf, b32=bpf)
-    return q1, q2, q3, q4
+    upper = ({(0, 1): apf}, {(1, 0): apfd}, {(0, 1): apfd}, {(1, 0): apf})
+    if beta > 0:
+        bpf, bpfd = beta * pf, beta * pfd
+        lower = ({(2, 3): bpfd}, {(3, 2): bpfd}, {(2, 3): bpf}, {(3, 2): bpf})
+    else:
+        lower = ({}, {}, {}, {})
+    return tuple(BlockOp(4, a | b, g) for a, b in zip(upper, lower))
 
 
 # -- block identification ----------------------------------------------------
@@ -245,11 +195,6 @@ def identify_blocks(h: BlockOp, pairs: dict[str, HamiltonianPair]) -> BlockMatch
         residuals.append(best_res)
         ties.append(tuple(tied))
     return BlockMatchReport(tuple(labels), tuple(residuals), tuple(ties), tol)
-
-
-def superhamiltonian_4x4(qa: BlockOp, qb: BlockOp) -> BlockOp:
-    """H = {Qa, Qb}; :func:`identify_blocks` measures its diagonal content."""
-    return block_anticommutator(qa, qb)
 
 
 # -- ground states -----------------------------------------------------------

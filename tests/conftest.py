@@ -72,4 +72,5 @@ def toarray(op) -> np.ndarray:
 def to_matrix(q) -> np.ndarray:
     """Dense (m n) x (m n) export of a ``BlockOp``; an absent block is zero."""
     z = np.zeros((q.n, q.n), dtype=np.complex128)
-    return np.block([[z if b is None else toarray(b) for b in row] for row in q.blocks])
+    return np.block([[toarray(q.blocks[i, j]) if (i, j) in q.blocks else z for j in range(q.m)]
+                     for i in range(q.m)])

@@ -34,6 +34,7 @@ from qflab.operators import (
     hermiticity_defect,
 )
 from qflab.susy import (
+    block_anticommutator,
     block_commutator,
     ground_state_tolerance,
     ground_states,
@@ -43,7 +44,6 @@ from qflab.susy import (
     supercharge_2x2,
     supercharges_4x4,
     superhamiltonian_2x2,
-    superhamiltonian_4x4,
 )
 from qflab.tolerances import DEFAULT as TOL, EPS
 
@@ -126,8 +126,8 @@ def test_c03_susy_algebra():
     for qi in (q1, q2, q3, q4):
         assert (qi @ qi).structurally_zero
     refs = build_all(g, f, 1.0, 1.0)
-    big = superhamiltonian_4x4(q1, q2)
-    tilde = superhamiltonian_4x4(q3, q4)
+    big = block_anticommutator(q1, q2)
+    tilde = block_anticommutator(q3, q4)
     big_ident, tilde_ident = identify_blocks(big, refs), identify_blocks(tilde, refs)
     assert big.structurally_block_diagonal and tilde.structurally_block_diagonal
     assert big_ident.labels == ("H2", "H1", "H3", "H3")
@@ -139,7 +139,7 @@ def test_c03_susy_algebra():
         assert c <= TOL.rounding(g.n, qi.max_abs() * ham.max_abs())
         worst = max(worst, c)
     q1z, q2z, _, _ = supercharges_4x4(g, f, 1.0, 0.0)
-    hz = superhamiltonian_4x4(q1z, q2z)
+    hz = block_anticommutator(q1z, q2z)
     h2 = superhamiltonian_2x2(q)
     reduction_exact = all(
         np.array_equal(toarray(hz.block(i, i)), toarray(h2.block(i, i))) for i in range(2)
@@ -163,7 +163,7 @@ def test_c04_duality():
             assert residual == 0.0, (label, a, b, residual)
         refs = build_all(g, f, 1.0, 1.0)
         q1n, q2n, _, _ = supercharges_4x4(g, -f, 1.0, 1.0)
-        ident = identify_blocks(superhamiltonian_4x4(q1n, q2n), refs)
+        ident = identify_blocks(block_anticommutator(q1n, q2n), refs)
         expected = ("H1", "H2", "H4", "H4")
         assert ident.matched and all(e in t for e, t in zip(expected, ident.ties)), label
     elapsed = time.perf_counter() - started

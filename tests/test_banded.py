@@ -101,9 +101,8 @@ def test_band_width_stays_bounded():
     assert width(pf.adjoint() @ pf) <= 4
     q = supercharge_2x2(g, FunctionSpec.polynomial([0, 0, 0.5]), 1.0)
     comm = block_commutator(q, superhamiltonian_2x2(q))
-    for row in comm.blocks:
-        for block in row:
-            assert block is None or width(block) <= 7
+    for block in comm.blocks.values():
+        assert width(block) <= 7
 
 
 def test_hamiltonian_storage_is_linear_in_n():

@@ -109,6 +109,18 @@ def test_spectrum_csv_and_failure_exit(tmp_path):
     assert res.returncode == 1
 
 
+@pytest.mark.parametrize("n, k, exit_code, paired", [
+    ("201", "6", 1, ["0"] * 6),  # every pair's gap exceeds 1e-3
+    ("8", "2", 1, ["0"] * 2),  # gap 2: H1 and H2 share no eigenvalue at this resolution
+    ("801", "4", 0, ["1", "1", "1", "0"]),  # H1's top value has no computed partner
+])
+def test_spectrum_csv_marks_a_row_paired_by_its_own_gap(capsys, tmp_path, n, k, exit_code, paired):
+    csv = tmp_path / "eig.csv"
+    grid = ("--xmin", "-8", "--xmax", "8") if n == "801" else ()
+    assert main(["spectrum", "--n", n, "--k", k, *grid, "--csv", str(csv)]) == exit_code
+    assert [row.split(",")[3] for row in csv.read_text().splitlines()[1:]] == paired
+
+
 def test_identify_reports_match(tmp_path):
     out = tmp_path / "id.json"
     res = run("identify", "--sigma", "0.2", "--rate", "0.05", "--json", str(out))

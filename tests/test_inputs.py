@@ -11,6 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from qflab.cli import main
 from qflab.finance import MarketParams, OptionContract, bs_hamiltonian, map_to_deformed, price_pde
 from qflab.grid import Grid1D
+from qflab.hamiltonians import build_from_superpotential
 from qflab.montecarlo import feynman_kac_estimate, knockout_terminal
 from qflab.operators import FunctionSpec
 
@@ -203,6 +204,17 @@ def test_unreadable_table_is_a_usage_error(capsys, tmp_path, argv, target):
     assert err.startswith(f"error: cannot read table '{path}'") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [("--w", "poly:0,1e200"), ("--w", "poly:1e200"),
+                                  ("--w", "poly:0,1e160", "--k", "2"),
+                                  ("--w", "poly:0,0,0,0,0,0,0,0,0,1e305")])  # W itself overflows
+def test_spectrum_refuses_a_superpotential_whose_square_overflows(capsys, argv):
+    assert run_main(("spectrum", *argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "the superpotential W reaches" in err and "W^2 must be finite" in err
+    assert "warning:" not in err
+
+
 def test_spectrum_runs_hermitian_partners_on_a_small_grid(capsys):
     # H1 and H2 are Hermitian on the Dirichlet block that is solved
     assert run_main(("spectrum", "--k", "1", "--n", "8")) != 2
@@ -238,6 +250,8 @@ def test_library_constructors_reject_the_same_inputs():
     for sigma in (1e200, 1e-200):
         with pytest.raises(ValueError, match="sigma"):
             MarketParams(sigma, 0.05)
+    with pytest.raises(ValueError, match=r"W\^2 must be finite"):
+        build_from_superpotential(Grid1D(-10, 10, 21), FunctionSpec.polynomial([0.0, 1e200]), 1.0)
     mp, g = MarketParams(0.2, 0.05), Grid1D(0.0, 800.0, 101)
     with pytest.raises(ValueError, match="x_max"):
         price_pde(bs_hamiltonian(g, mp), OptionContract("european_call", 100.0, 1.0), mp, 10)
@@ -330,6 +344,7 @@ def edge_commands(draw):
 @example([*SMALL_PRICE, "--method", "mc", "--csv", "curve.csv"])
 @example([*SMALL_PRICE, "--method", "closed", "--steps", "-5"])
 @example([*SMALL_PRICE, "--method", "pde", "--xmin", "2"])
+@example(["spectrum", "--w", "poly:0,1e200"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     with tempfile.TemporaryDirectory() as tmp:

@@ -30,6 +30,7 @@ DATA = Path(__file__).resolve().parent / "data"
 SMALL_PRICE = ("--method", "all", "--paths", "2000", "--n", "401", "--steps", "200")
 COMMANDS = {
     "verify_poly": ("verify-algebra", "--f", "poly:0,0,0.5", "--n", "201"),
+    "verify_beta0": ("verify-algebra", "--f", "poly:0,0,0.5", "--beta", "0", "--n", "201"),
     "spectrum": ("spectrum", "--w", "poly:0,1", "--k", "4", "--n", "801", "--xmin", "-8", "--xmax", "8"),
     "price_call": ("price", "--payoff", "call", *SMALL_PRICE),
     "price_do_call": ("price", "--payoff", "do-call", *SMALL_PRICE),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from conftest import to_matrix, toarray
+from conftest import from_dense, to_matrix, toarray
 from qflab.grid import Grid1D
 from qflab.hamiltonians import build_all, build_from_superpotential, closed_form
 from qflab.operators import FunctionSpec, hermiticity_defect, momentum_squared
@@ -21,7 +21,6 @@ from qflab.susy import (
     supercharge_2x2,
     supercharges_4x4,
     superhamiltonian_2x2,
-    superhamiltonian_4x4,
 )
 from qflab.tolerances import DEFAULT as TOL
 
@@ -109,12 +108,12 @@ def test_supercharges_4x4_nilpotent_and_sparse(charges):
 
 def test_superhamiltonian_block_content(charges, refs):
     q1, q2, q3, q4 = charges
-    h = superhamiltonian_4x4(q1, q2)
+    h = block_anticommutator(q1, q2)
     res = identify_blocks(h, refs)
     assert h.structurally_block_diagonal
     assert res.labels == ("H2", "H1", "H3", "H3")
     assert res.matched
-    h_t = superhamiltonian_4x4(q3, q4)
+    h_t = block_anticommutator(q3, q4)
     res_t = identify_blocks(h_t, refs)
     assert h_t.structurally_block_diagonal
     assert res_t.labels == ("H1", "H2", "H4", "H4")
@@ -123,8 +122,8 @@ def test_superhamiltonian_block_content(charges, refs):
 
 def test_conserved_charges(charges):
     q1, q2, q3, q4 = charges
-    h = superhamiltonian_4x4(q1, q2)
-    ht = superhamiltonian_4x4(q3, q4)
+    h = block_anticommutator(q1, q2)
+    ht = block_anticommutator(q3, q4)
     for q, ham in ((q1, h), (q2, h), (q3, ht), (q4, ht)):
         c = block_commutator(q, ham).max_abs()
         assert c <= TOL.rounding(h.n, q.max_abs() * ham.max_abs())
@@ -132,7 +131,7 @@ def test_conserved_charges(charges):
 
 def test_free_case_4x4_anticommutator(g):
     q1, q2, _, _ = supercharges_4x4(g, FunctionSpec.polynomial([0.0]), 1.0, 1.0)
-    h = superhamiltonian_4x4(q1, q2)
+    h = block_anticommutator(q1, q2)
     from qflab.operators import action_difference
 
     p2 = momentum_squared(g)
@@ -143,7 +142,7 @@ def test_free_case_4x4_anticommutator(g):
 def test_beta_zero_reduction(g, f):
     q1, q2, _, _ = supercharges_4x4(g, f, ALPHA, 0.0)
     q = supercharge_2x2(g, f, ALPHA)
-    h4 = superhamiltonian_4x4(q1, q2)
+    h4 = block_anticommutator(q1, q2)
     h2 = superhamiltonian_2x2(q)
     for i in range(2):
         assert np.array_equal(toarray(h4.block(i, i)), toarray(h2.block(i, i)))
@@ -157,7 +156,7 @@ def test_duality_maps_h_content_to_htilde(g, f, refs):
     neg = -f
     assert np.array_equal(neg.values(g), -f.values(g))
     q1n, q2n, _, _ = supercharges_4x4(g, neg, ALPHA, BETA)
-    ident = identify_blocks(superhamiltonian_4x4(q1n, q2n), refs)
+    ident = identify_blocks(block_anticommutator(q1n, q2n), refs)
     assert ident.matched
     expected = ("H1", "H2", "H4", "H4")
     assert all(e in t for e, t in zip(expected, ident.ties))
@@ -171,7 +170,7 @@ def test_zero_f_is_duality_fixed_point(g):
     f0 = FunctionSpec.polynomial([0.0])
     refs0 = build_all(g, f0, ALPHA, BETA)
     q1, q2, _, _ = supercharges_4x4(g, -f0, ALPHA, BETA)
-    ident = identify_blocks(superhamiltonian_4x4(q1, q2), refs0)
+    ident = identify_blocks(block_anticommutator(q1, q2), refs0)
     assert ident.matched
 
 
@@ -180,11 +179,14 @@ def test_zero_f_is_duality_fixed_point(g):
 
 def test_blockop_validation_and_apply(g, f):
     q = supercharge_2x2(g, f, 1.0)
-    with pytest.raises(ValueError):
-        BlockOp((q.blocks[0],), g)  # not square
+    pf = q.block(0, 1)
+    for m, key in ((3, (0, 1)), (2, (0, 2)), (2, (-1, 0))):
+        with pytest.raises(ValueError, match="layout"):
+            BlockOp(m, {key: pf}, g)  # not a block of a 2x2 or 4x4 square layout
+    with pytest.raises(ValueError, match="grid"):
+        BlockOp(2, {(0, 1): pf}, Grid1D(-5, 5, 11))
     v = np.concatenate([np.sin(g.nodes), np.cos(g.nodes)])
     out = q.apply(v)
-    pf = q.block(0, 1)
     assert np.array_equal(out[: g.n], pf.apply(np.cos(g.nodes)))
     assert np.max(np.abs(out[g.n :])) == 0.0
     m = to_matrix(q)
@@ -197,6 +199,48 @@ def test_blockop_adjoint_layout(g, f):
     qd = q.adjoint()
     assert qd.block(1, 0) is not None and qd.block(0, 1) is None
     assert np.array_equal(toarray(qd.block(1, 0)), toarray(q.block(0, 1)).conj().T)
+
+
+def _random_band(small, rng, offsets=(-1, 0, 1)):
+    dense = sum(np.diag(rng.normal(size=small.n - abs(o)) + 1j * rng.normal(size=small.n - abs(o)), o)
+                for o in offsets)
+    return from_dense(dense, small)
+
+
+def test_blockop_algebra_matches_dense_reference():
+    small = Grid1D(-1, 1, 7)
+    rng = np.random.default_rng(5)
+    a1, a2, a3, b1, b2, b3 = (_random_band(small, rng) for _ in range(6))
+    a = BlockOp(2, {(0, 1): a1, (1, 0): a2, (1, 1): a3}, small)
+    b = BlockOp(2, {(0, 0): b1, (1, 0): b2, (1, 1): b3}, small)
+    da, db = to_matrix(a), to_matrix(b)
+    tol = dict(rtol=1e-14, atol=1e-14)
+    assert np.allclose(to_matrix(a @ b), da @ db, **tol)
+    assert np.allclose(to_matrix(b @ a), db @ da, **tol)
+    # block (1, 0) of a @ b sums two k terms, k ascending
+    assert np.array_equal(toarray((a @ b).block(1, 0)), toarray((a2 @ b1) + (a3 @ b2)))
+    # (0, 0) is present only in the right operand: it enters as b1 or -b1
+    assert np.array_equal(to_matrix(a + b), da + db)
+    assert np.array_equal(to_matrix(a - b), da - db)
+    assert np.array_equal(to_matrix(b - a), db - da)
+    assert np.array_equal(toarray((a - b).block(0, 0)), -toarray(b1))
+    assert np.array_equal(to_matrix(a.adjoint()), da.conj().T)
+    assert np.array_equal(to_matrix(2.0 * a), 2.0 * da)
+    v = rng.normal(size=2 * small.n) + 1j * rng.normal(size=2 * small.n)
+    assert np.allclose(a.apply(v), da @ v, **tol)
+    assert np.allclose(block_commutator(a, b).apply(v), (da @ db - db @ da) @ v, **tol)
+
+
+def test_blockop_4x4_algebra_matches_dense_reference():
+    small = Grid1D(-2, 2, 11)
+    f = FunctionSpec.polynomial([0, 0.3, 0.5])
+    q1, q2, q3, q4 = supercharges_4x4(small, f, 1.0, 0.7)
+    for qa, qb in ((q1, q2), (q3, q4)):
+        da, db = to_matrix(qa), to_matrix(qb)
+        h = block_anticommutator(qa, qb)
+        assert np.allclose(to_matrix(h), da @ db + db @ da, rtol=1e-14, atol=1e-12)
+        assert (qa @ qa).structurally_zero and not np.any(da @ da)
+        assert np.array_equal(to_matrix(qa.adjoint()), da.conj().T)
 
 
 # -- ground states ---------------------------------------------------------------
