@@ -1,10 +1,12 @@
 """Command-line entry point: verification suites, spectra and pricing.
 
-Subcommands: verify-algebra, spectrum, price, identify.  Every run prints a
-human-readable summary and can emit a JSON report whose bytes depend only on
-the flags and the seed (wall time is measured and printed, but serialized as
-null to keep reports byte-reproducible).  Exit codes: 0 all checks passed,
-1 at least one check failed, 2 usage error.
+Subcommands: verify-algebra, spectrum, price, identify.  Each ``cmd_*`` builds
+and returns its ``RunReport``; :func:`main` times the run, writes the JSON,
+prints the summary and the wall time, and exits: 0 all checks passed, 1 at
+least one check failed, 2 usage error.  A report's ``parameters`` are the
+parsed flags, minus the output paths, with price's resolved grid, steps and
+barrier, so its bytes depend only on the flags and the seed (wall time is
+printed, but serialized as null).
 
 ``price`` walks its Monte Carlo draws on one worker thread while the calling
 thread runs the closed form and the PDE solves; the draws, sums and solves are
@@ -40,7 +42,6 @@ class RunReport:
     parameters: dict
     checks: list = field(default_factory=list)
     artifacts: list = field(default_factory=list)
-    wall_time: float | None = None
 
     def add(self, name: str, measured: float, tolerance: float | None, passed: bool):
         self.checks.append(
@@ -81,7 +82,12 @@ def _status(passed: bool) -> str:
     return word
 
 
-def _print_report(report: RunReport):
+def _finish(report: RunReport, json_path: str | None, started: float) -> int:
+    """Write the JSON report, print the checks, artifacts and wall time; the exit code."""
+    wall_time = time.perf_counter() - started
+    if json_path:
+        with open(json_path, "wb") as fh:
+            fh.write(report.to_json_bytes())
     for c in report.checks:
         measured = "-" if c["measured"] is None else f"{c['measured']:.6g}"
         tol = "report-only" if c["tolerance"] is None else f"{c['tolerance']:.6g}"
@@ -89,17 +95,15 @@ def _print_report(report: RunReport):
         print(f"  {_status(passed)}  {c['name']}: measured={measured} tolerance={tol}")
     for a in report.artifacts:
         print(f"  wrote {a}")
-    if report.wall_time is not None:
-        print(f"  wall time: {report.wall_time:.3f} s")
-
-
-def _finish(report: RunReport, json_path: str | None, started: float) -> int:
-    report.wall_time = time.perf_counter() - started
-    if json_path:
-        with open(json_path, "wb") as fh:
-            fh.write(report.to_json_bytes())
-    _print_report(report)
+    print(f"  wall time: {wall_time:.3f} s")
     return 0 if report.all_passed else 1
+
+
+def _parameters(args, **resolved) -> dict:
+    """The parameters a report records: every parsed flag but the output paths,
+    in parser order, each replaced by its resolved value where one is given."""
+    flags = {k: v for k, v in vars(args).items() if k not in ("command", "func", "json", "csv")}
+    return flags | resolved
 
 
 def _fmt(value: float) -> str:
@@ -113,8 +117,7 @@ def _grid_from_args(args) -> Grid1D:
 # -- verify-algebra ----------------------------------------------------------
 
 
-def cmd_verify_algebra(args) -> int:
-    started = time.perf_counter()
+def cmd_verify_algebra(args) -> RunReport:
     g = _grid_from_args(args)
     if g.n < 9:
         raise ValueError(f"verify-algebra needs n >= 9, got n={g.n}: "
@@ -122,17 +125,7 @@ def cmd_verify_algebra(args) -> int:
     f = FunctionSpec.parse(args.f)
     f_scale = f.derivative_scale(g)  # refuses an f the tolerance models cannot hold
     alpha, beta = args.alpha, args.beta
-    report = RunReport(
-        "verify-algebra",
-        {
-            "f": args.f,
-            "alpha": alpha,
-            "beta": beta,
-            "xmin": args.xmin,
-            "xmax": args.xmax,
-            "n": args.n,
-        },
-    )
+    report = RunReport("verify-algebra", _parameters(args))
 
     x_op = operators.position_operator(g)
     pf = operators.deformed_momentum(g, f)
@@ -149,7 +142,7 @@ def cmd_verify_algebra(args) -> int:
         report.add(name, c, 0.0, c == 0.0)
 
     defect = operators.canonical_commutator_defect(g, f)
-    tol = operators.canonical_tolerance(g, f)
+    tol = TOL.discretization(g, f_scale)
     report.add("canonical_commutator", defect, tol, defect <= tol)
 
     # the refinement checks evaluate f on a finer grid, where a table has no samples
@@ -208,7 +201,7 @@ def cmd_verify_algebra(args) -> int:
 
     q = susy.supercharge_2x2(g, f, alpha)
     nilpotent("q2x2", q)
-    h2x2 = susy.superhamiltonian_2x2(q)
+    h2x2 = susy.block_anticommutator(q, q.adjoint())
     report.add("h2x2_block_diagonal", 0.0, 0.0, h2x2.structurally_block_diagonal)
     commutes("commutator_q_h_zero", q, h2x2)
     anti = susy.block_anticommutator(q, h2x2).max_abs()
@@ -247,29 +240,16 @@ def cmd_verify_algebra(args) -> int:
         if coarse_gs.residual > noise_floor and fine_gs.residual > 0:
             r = coarse_gs.residual / fine_gs.residual
             report.add("ground_state_refinement_ratio_dev", abs(r - 4.0), 0.5, abs(r - 4.0) <= 0.5)
-
-    return _finish(report, args.json, started)
+    return report
 
 
 # -- spectrum ----------------------------------------------------------------
 
 
-def cmd_spectrum(args) -> int:
-    started = time.perf_counter()
+def cmd_spectrum(args) -> RunReport:
     g = _grid_from_args(args)
     w = FunctionSpec.parse(args.w)
-    report = RunReport(
-        "spectrum",
-        {
-            "w": args.w,
-            "k": args.k,
-            "alpha": args.alpha,
-            "pair_tol": args.pair_tol,
-            "xmin": args.xmin,
-            "xmax": args.xmax,
-            "n": args.n,
-        },
-    )
+    report = RunReport("spectrum", _parameters(args))
     h1, h2 = hamiltonians.build_from_superpotential(g, w, args.alpha)
     pairing = susy.partner_spectra(h1, h2, args.k, args.pair_tol)
     report.add("partner_pairing_gap", pairing.max_pair_gap, pairing.pair_tol, pairing.all_paired)
@@ -294,14 +274,13 @@ def cmd_spectrum(args) -> int:
     print(f"  lambda(H1): {np.array2string(pairing.eigenvalues_a, precision=6)}")
     print(f"  lambda(H2): {np.array2string(pairing.eigenvalues_b, precision=6)}")
     print(f"  zero modes: H1={pairing.zero_modes[0]} H2={pairing.zero_modes[1]}")
-    return _finish(report, args.json, started)
+    return report
 
 
 # -- price -------------------------------------------------------------------
 
 
-def cmd_price(args) -> int:
-    started = time.perf_counter()
+def cmd_price(args) -> RunReport:
     kind = {"call": "european_call", "put": "european_put", "do-call": "down_and_out_call"}[args.payoff]
     contract = finance.OptionContract(
         kind, args.strike, args.maturity,
@@ -327,26 +306,8 @@ def cmd_price(args) -> int:
         g = Grid1D(args.xmin, args.xmax, args.n)
         default_steps = g.n
     steps = args.steps if args.steps else default_steps
-    report = RunReport(
-        "price",
-        {
-            "payoff": args.payoff,
-            "strike": args.strike,
-            "barrier": args.barrier if kind == "down_and_out_call" else None,
-            "maturity": args.maturity,
-            "sigma": args.sigma,
-            "rate": args.rate,
-            "spot": args.spot,
-            "method": args.method,
-            "paths": args.paths,
-            "seed": args.seed,
-            "monitoring": args.monitoring,
-            "xmin": g.x_min,
-            "xmax": g.x_max,
-            "n": g.n,
-            "steps": steps,
-        },
-    )
+    report = RunReport("price", _parameters(args, barrier=contract.barrier, xmin=g.x_min, xmax=g.x_max,
+                                            steps=steps))
 
     prices: dict[str, float] = {}
 
@@ -409,36 +370,23 @@ def cmd_price(args) -> int:
             )
             report.add("barrier_below_vanilla", prices["pde"] - vanilla, 1e-6,
                        prices["pde"] <= vanilla + 1e-6)
-
-    return _finish(report, args.json, started)
+    return report
 
 
 # -- identify ----------------------------------------------------------------
 
 
-def cmd_identify(args) -> int:
-    started = time.perf_counter()
+def cmd_identify(args) -> RunReport:
     g = _grid_from_args(args)
     potential = FunctionSpec.parse(args.v) if args.v else None
     mp = finance.MarketParams(args.sigma, args.rate, potential)
-    report = RunReport(
-        "identify",
-        {
-            "sigma": args.sigma,
-            "rate": args.rate,
-            "v": args.v,
-            "kind": args.kind,
-            "xmin": args.xmin,
-            "xmax": args.xmax,
-            "n": args.n,
-        },
-    )
+    report = RunReport("identify", _parameters(args))
     try:
         mapping = finance.map_to_deformed(mp, g, kind=args.kind)
     except finance.DeformationMatchError as exc:
         print(f"  identification failed: {exc}", file=sys.stderr)
         report.add("identification", math.inf, 0.0, False)
-        return _finish(report, args.json, started)
+        return report
 
     print(f"  matched: {mapping.which_hamiltonian} with sign {mapping.sign:+d} "
           f"(all matches: {list(mapping.matches)})")
@@ -448,7 +396,7 @@ def cmd_identify(args) -> int:
     report.parameters["matches"] = [list(m) for m in mapping.matches]
     report.add("identification_residual", mapping.residual, mapping.tolerance,
                mapping.residual <= mapping.tolerance)
-    return _finish(report, args.json, started)
+    return report
 
 
 # -- parser ------------------------------------------------------------------
@@ -497,10 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--paths", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--monitoring", type=int, default=250, help="barrier monitoring dates per year")
+    _add_grid_flags(p, None, None, 2001)
     p.add_argument("--steps", type=int, default=0,
                    help="time steps (0 = n/4 rounded up for a call or put on the default grid, "
                         "else n)")
-    _add_grid_flags(p, None, None, 2001)
     p.add_argument("--csv", default=None)
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_price)
@@ -522,13 +470,13 @@ def _show_warning(message, category, filename, lineno, file=None, line=None):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    started = time.perf_counter()
     # warnings reach stderr as one line each, without the source location
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return args.func(args)
+            return _finish(args.func(args), args.json, started)
         except ValueError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2

@@ -180,6 +180,8 @@ def map_to_deformed(mp: MarketParams, g: Grid1D, kind: str) -> DeformationMappin
     sig2 = mp.sigma**2
     beta = math.sqrt(0.5 * sig2)
     if kind == "bs":
+        if mp.potential is not None:
+            raise ValueError("bs identification takes no potential V(x): use kind bsg or bsb for one")
         f = FunctionSpec.polynomial([0.0, (0.5 * sig2 - mp.r) / sig2])
         v2 = FunctionSpec.polynomial([mp.r])
         target = bs_hamiltonian(g, mp)

@@ -462,8 +462,3 @@ def canonical_commutator_defect(g: Grid1D, f: FunctionSpec) -> float:
     """max interior |([x, P_f] - iI) v| / scale(v) over the smooth test corpus."""
     pf = deformed_momentum(g, f)
     return action_difference(commutator(position_operator(g), pf), 1j * identity(g))
-
-
-def canonical_tolerance(g: Grid1D, f: FunctionSpec) -> float:
-    """Discretization tolerance for the canonical-algebra checks."""
-    return TOL.discretization(g, f.derivative_scale(g))

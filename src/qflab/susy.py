@@ -122,11 +122,6 @@ def supercharge_2x2(g: Grid1D, f: FunctionSpec, alpha: float) -> BlockOp:
     return BlockOp(2, {(0, 1): alpha * deformed_momentum(g, f)}, g)
 
 
-def superhamiltonian_2x2(q: BlockOp) -> BlockOp:
-    """h = {Q, Q+}: block-diagonal with diagonal (H2, H1) in compositional form."""
-    return block_anticommutator(q, q.adjoint())
-
-
 def supercharges_4x4(
     g: Grid1D, f: FunctionSpec, alpha: float, beta: float
 ) -> tuple[BlockOp, BlockOp, BlockOp, BlockOp]:
@@ -301,16 +296,22 @@ def dirichlet_eigenvalues(h: LinOp, k: int) -> np.ndarray:
 
     Trimming the first/last row and column leaves exactly the central-stencil
     matrix with implicit zeros outside the domain.  That band must be real and
-    tridiagonal with off-diagonal products u_i l_i >= 0, as it is for H1/H2,
-    H3/H4 and H_BS.  It is then diagonally similar to the symmetric band with
-    off-diagonal sqrt(u_i l_i) (Wilkinson 1965), so its spectrum is real and
-    comes from one symmetric tridiagonal solve; anything else is refused.
+    tridiagonal with finite off-diagonal products u_i l_i >= 0, as it is for
+    H1/H2, H3/H4 and H_BS.  It is then diagonally similar to the symmetric
+    band with off-diagonal sqrt(u_i l_i) (Wilkinson 1965), so its spectrum is
+    real and comes from one symmetric tridiagonal solve; anything else is
+    refused.
     """
     dim = h.n - 2
     if k < 1 or k > dim:
         raise ValueError(f"k must be in 1..{dim}, got {k}")
     lower, main, upper = h.tridiagonal(slice(1, h.n - 1))
-    products = upper * lower
+    with np.errstate(over="ignore"):
+        products = upper * lower
+    if not np.all(np.isfinite(products)):
+        peak = max(float(np.max(np.abs(upper))), float(np.max(np.abs(lower))))
+        raise ValueError(f"operator off-diagonal entries reach {peak:.3g}, and their products "
+                         "u_i l_i must be finite")
     if np.any(products < 0):
         raise ValueError("operator has a negative off-diagonal product; its spectrum need not be real")
     # the whole spectrum needs no index selection (bisection costs O(dim^2))

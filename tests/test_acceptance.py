@@ -29,7 +29,6 @@ from qflab.montecarlo import feynman_kac_estimate
 from qflab.operators import (
     FunctionSpec,
     canonical_commutator_defect,
-    canonical_tolerance,
     deformed_momentum,
     hermiticity_defect,
 )
@@ -43,7 +42,6 @@ from qflab.susy import (
     real_spectrum_check,
     supercharge_2x2,
     supercharges_4x4,
-    superhamiltonian_2x2,
 )
 from qflab.tolerances import DEFAULT as TOL, EPS
 
@@ -69,7 +67,7 @@ def test_c01_canonical_algebra():
         for n in (501, 1001):
             g = Grid1D(-5, 5, n)
             d = canonical_commutator_defect(g, f)
-            tol = canonical_tolerance(g, f)
+            tol = TOL.discretization(g, f.derivative_scale(g))
             assert d <= tol, (label, n, d, tol)
             worst_margin = max(worst_margin, d / tol)
             defects[n] = d
@@ -140,7 +138,7 @@ def test_c03_susy_algebra():
         worst = max(worst, c)
     q1z, q2z, _, _ = supercharges_4x4(g, f, 1.0, 0.0)
     hz = block_anticommutator(q1z, q2z)
-    h2 = superhamiltonian_2x2(q)
+    h2 = block_anticommutator(q, q.adjoint())
     reduction_exact = all(
         np.array_equal(toarray(hz.block(i, i)), toarray(h2.block(i, i))) for i in range(2)
     )

@@ -10,7 +10,7 @@ import pytest
 from conftest import SRC, run_cli as run
 
 from qflab import finance, hamiltonians, montecarlo, operators
-from qflab.cli import main
+from qflab.cli import build_parser, main
 
 
 def test_usage_errors_exit_2():
@@ -37,6 +37,26 @@ def test_verify_algebra_passes(tmp_path):
         n.startswith("h_block_content") for n in names
     )
     assert "NO_COLOR" not in res.stdout and "\x1b[" not in res.stdout
+
+
+# per subcommand: flags that keep its run small, and the keys its report adds after the flags
+RECORDED_RUNS = {
+    "verify-algebra": (("--n", "41"), []),
+    "spectrum": (("--n", "201", "--k", "2"), []),
+    "price": (("--method", "closed"), ["prices"]),
+    "identify": (("--n", "41"), ["which_hamiltonian", "sign", "matches"]),
+}
+
+
+@pytest.mark.parametrize("command", sorted(RECORDED_RUNS))
+def test_a_report_records_every_flag_but_the_output_paths(capsys, tmp_path, command):
+    # a flag that must stay out of the report bytes is excluded here on purpose
+    flags = [k for k in vars(build_parser().parse_args([command]))
+             if k not in ("command", "func", "json", "csv")]
+    argv, results = RECORDED_RUNS[command]
+    out = tmp_path / "report.json"
+    assert main([command, *argv, "--json", str(out)]) in (0, 1)
+    assert list(json.loads(out.read_text())["parameters"]) == flags + results
 
 
 def test_verify_algebra_accepts_a_table(tmp_path):

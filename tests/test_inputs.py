@@ -14,6 +14,7 @@ from qflab.grid import Grid1D
 from qflab.hamiltonians import build_from_superpotential
 from qflab.montecarlo import feynman_kac_estimate, knockout_terminal
 from qflab.operators import FunctionSpec
+from qflab.susy import dirichlet_eigenvalues
 
 SMALL_PRICE = ("price", "--n", "101", "--steps", "50", "--paths", "64")
 
@@ -150,6 +151,14 @@ def test_identify_rejects_non_finite_market(capsys, argv):
     assert "must be finite" in capsys.readouterr().err
 
 
+def test_identify_refuses_a_potential_for_plain_black_scholes(capsys):
+    # H_BS has no V(x): a potential is read by bsg or bsb, and bs would drop it
+    assert run_main(("identify", "--n", "41", "--kind", "bs", "--v", "poly:0.1")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "bsg" in err and "bsb" in err
+
+
 @pytest.mark.parametrize("n", [41, 601])
 @pytest.mark.parametrize("sigma", [3e-3, 3e-4, 1e-6, 1e-8])
 def test_identify_resolves_small_sigma(n, sigma):
@@ -215,6 +224,18 @@ def test_spectrum_refuses_a_superpotential_whose_square_overflows(capsys, argv):
     assert "warning:" not in err
 
 
+OVERFLOWING_PARTNERS = ("spectrum", "--w", "poly:0,1", "--alpha", "1e150", "--n", "201")
+
+
+def test_spectrum_refuses_partners_whose_off_diagonal_products_overflow(capsys):
+    # the entries of H1, H2 fit, but the products u_i l_i of the symmetrized band do not
+    assert run_main(OVERFLOWING_PARTNERS) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "products u_i l_i must be finite" in err
+    assert "warning:" not in err
+
+
 def test_spectrum_runs_hermitian_partners_on_a_small_grid(capsys):
     # H1 and H2 are Hermitian on the Dirichlet block that is solved
     assert run_main(("spectrum", "--k", "1", "--n", "8")) != 2
@@ -252,6 +273,11 @@ def test_library_constructors_reject_the_same_inputs():
             MarketParams(sigma, 0.05)
     with pytest.raises(ValueError, match=r"W\^2 must be finite"):
         build_from_superpotential(Grid1D(-10, 10, 21), FunctionSpec.polynomial([0.0, 1e200]), 1.0)
+    with pytest.raises(ValueError, match="bsg or bsb"):
+        map_to_deformed(MarketParams(0.2, 0.05, FunctionSpec.polynomial([0.1])), Grid1D(-3, 3, 41), kind="bs")
+    h1, _ = build_from_superpotential(Grid1D(-10, 10, 201), FunctionSpec.polynomial([0.0, 1.0]), 1e150)
+    with pytest.raises(ValueError, match="u_i l_i must be finite"):
+        dirichlet_eigenvalues(h1, 2)
     mp, g = MarketParams(0.2, 0.05), Grid1D(0.0, 800.0, 101)
     with pytest.raises(ValueError, match="x_max"):
         price_pde(bs_hamiltonian(g, mp), OptionContract("european_call", 100.0, 1.0), mp, 10)
@@ -345,6 +371,8 @@ def edge_commands(draw):
 @example([*SMALL_PRICE, "--method", "closed", "--steps", "-5"])
 @example([*SMALL_PRICE, "--method", "pde", "--xmin", "2"])
 @example(["spectrum", "--w", "poly:0,1e200"])
+@example(list(OVERFLOWING_PARTNERS))
+@example(["identify", "--n", "41", "--kind", "bs", "--v", "poly:0.1"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     with tempfile.TemporaryDirectory() as tmp:

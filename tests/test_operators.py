@@ -9,7 +9,6 @@ from qflab.operators import (
     LinOp,
     action_difference,
     canonical_commutator_defect,
-    canonical_tolerance,
     commutator,
     deformed_momentum,
     deformed_momentum_by_similarity,
@@ -296,13 +295,13 @@ def test_canonical_commutator(coeffs):
         g = Grid1D(-5, 5, n)
         d = canonical_commutator_defect(g, f)
         defects.append(d)
-        assert d <= canonical_tolerance(g, f)
+        assert d <= TOL.discretization(g, f.derivative_scale(g))
     assert 3.5 <= defects[0] / defects[1] <= 4.5
 
 
 def test_canonical_commutator_for_tabulated_f(g):
     f = FunctionSpec.tabulated(np.tanh(g.nodes))
-    assert canonical_commutator_defect(g, f) <= canonical_tolerance(g, f)
+    assert canonical_commutator_defect(g, f) <= TOL.discretization(g, f.derivative_scale(g))
 
 
 # -- hermiticity diagnostics -------------------------------------------------

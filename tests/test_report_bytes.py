@@ -43,6 +43,9 @@ COMMANDS = {
     "price_put_mc": ("price", "--payoff", "put", "--method", "mc", "--paths", "2000", "--seed", "3"),
     "price_do_call_mc": ("price", "--payoff", "do-call", "--method", "mc", "--paths", "2000", "--seed", "3"),
     "price_do_call_pde": ("price", "--payoff", "do-call", "--method", "pde", "--n", "401", "--steps", "200"),
+    # values price resolves rather than copies: the steps of a user grid, and no barrier for a put
+    "price_user_grid": ("price", "--method", "pde", "--xmin", "3", "--xmax", "6", "--n", "301"),
+    "price_put_barrier_flag": ("price", "--payoff", "put", "--barrier", "90", "--method", "closed"),
 }
 CSV_COMMANDS = {
     "price_do_call_curve": ("price", "--payoff", "do-call", *SMALL_PRICE),

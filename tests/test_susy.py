@@ -20,7 +20,6 @@ from qflab.susy import (
     real_spectrum_check,
     supercharge_2x2,
     supercharges_4x4,
-    superhamiltonian_2x2,
 )
 from qflab.tolerances import DEFAULT as TOL
 
@@ -59,7 +58,7 @@ def test_supercharge_2x2_structure(g, f):
 
 def test_superhamiltonian_2x2_properties(g, f, refs):
     q = supercharge_2x2(g, f, ALPHA)
-    h = superhamiltonian_2x2(q)
+    h = block_anticommutator(q, q.adjoint())
     assert h.structurally_block_diagonal
     # measured ordering: diag(H2, H1)
     ident = identify_blocks(h, refs)
@@ -75,7 +74,7 @@ def test_superhamiltonian_2x2_properties(g, f, refs):
 
 def test_commutator_with_h_vanishes_anticommutator_does_not(g, f):
     q = supercharge_2x2(g, f, ALPHA)
-    h = superhamiltonian_2x2(q)
+    h = block_anticommutator(q, q.adjoint())
     comm = block_commutator(q, h).max_abs()
     assert comm <= TOL.rounding(g.n, q.max_abs() * h.max_abs())
     # {Q, h} = 2 Q Q+ Q is generically nonzero: keep the discrepancy visible
@@ -85,7 +84,7 @@ def test_commutator_with_h_vanishes_anticommutator_does_not(g, f):
 def test_free_case_superhamiltonian(g):
     # f = 0: {Q, Q+} = alpha^2 diag(P P+, P+ P), both blocks acting as 4 P^2
     q = supercharge_2x2(g, FunctionSpec.polynomial([0.0]), 2.0)
-    h = superhamiltonian_2x2(q)
+    h = block_anticommutator(q, q.adjoint())
     from qflab.operators import action_difference
 
     p2 = momentum_squared(g)
@@ -143,7 +142,7 @@ def test_beta_zero_reduction(g, f):
     q1, q2, _, _ = supercharges_4x4(g, f, ALPHA, 0.0)
     q = supercharge_2x2(g, f, ALPHA)
     h4 = block_anticommutator(q1, q2)
-    h2 = superhamiltonian_2x2(q)
+    h2 = block_anticommutator(q, q.adjoint())
     for i in range(2):
         assert np.array_equal(toarray(h4.block(i, i)), toarray(h2.block(i, i)))
     assert h4.block(2, 2) is None and h4.block(3, 3) is None
