@@ -328,8 +328,11 @@ def cmd_price(args) -> RunReport:
                                  contract, args.spot, args.paths, args.seed,
                                  monitoring_per_year=args.monitoring, stop=stop)
             if run_pde:
-                h = finance.bs_hamiltonian(g, mp)
-                curve = finance.price_pde(h, contract, mp, steps)
+                if args.xmin is None and contract.barrier is None:
+                    curve = finance.price_by_translation(contract, mp, args.spot, g.n, steps)
+                else:
+                    h = finance.bs_hamiltonian(g, mp)
+                    curve = finance.price_pde(h, contract, mp, steps)
                 prices["pde"] = curve.price_at(args.spot)
                 if args.method == "all" and contract.barrier is not None:
                     shifted = montecarlo.shifted_barrier(contract, mp.sigma, args.monitoring)

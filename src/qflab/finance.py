@@ -17,15 +17,19 @@ Pricing integrates dC/dtau = -H C backward from the payoff by Crank-Nicolson
 with two fully-implicit start-up steps to damp the payoff-kink oscillation.
 The default grid puts a call's or put's kink at a cell midpoint, so ceil(n/4)
 steps suffice there; a barrier keeps a grid centred on the strike, and n steps.
+H_BS commutes with translations in x, so a call's or put's curve on its
+default grid is K times the unit-strike curve moved by ln K; that unit curve
+is solved once and cached, so a strike ladder solves once per payoff kind.
 Both step matrices are tridiagonal, read from H's band by
 ``LinOp.tridiagonal`` and factored once by LAPACK's tridiagonal LU.  The
 price at a spot is read off the curve by a not-a-knot cubic spline, solved
 by LAPACK's tridiagonal ``dgtsv`` and evaluated at that one point.
 """
 
+import functools
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
@@ -439,9 +443,7 @@ def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, steps: int) 
     if not np.all(np.isfinite(c)):
         raise ValueError(f"PDE values overflow float64 on the grid [{g.x_min:.6g}, {g.x_max:.6g}]; "
                          f"the payoff grows as exp(x_max), so lower x_max")
-    ln_k = math.log(contract.strike)
-    width = 6.0 * mp.sigma * math.sqrt(contract.maturity)
-    if g.x_max < ln_k + width or g.x_min > ln_k - width:
+    if _narrow(g, contract, mp):
         warnings.warn(
             f"grid [{g.x_min:.3g}, {g.x_max:.3g}] narrower than ln K +- 6 sigma sqrt(T); "
             f"boundary data will bias the price",
@@ -462,21 +464,91 @@ def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, steps: int) 
     )
 
 
+def _narrow(g: Grid1D, contract: OptionContract, mp: MarketParams) -> bool:
+    """Whether g misses ln K +- 6 sigma sqrt(T), where boundary data bias the price."""
+    ln_k = math.log(contract.strike)
+    width = 6.0 * mp.sigma * math.sqrt(contract.maturity)
+    return g.x_max < ln_k + width or g.x_min > ln_k - width
+
+
+def _half_width(contract: OptionContract, mp: MarketParams, spot: float) -> float:
+    """Half-width of the default grid about ln K: |ln S - ln K| + 8 sigma sqrt(T), at least 5."""
+    ln_k = math.log(contract.strike)
+    return max(5.0, abs(math.log(spot) - ln_k) + 8.0 * mp.sigma * math.sqrt(contract.maturity))
+
+
+def _offset_grid(centre: float, payoff_kind: str, half: float, n: int) -> Grid1D:
+    """The default grid about ``centre`` (ln K, or 0 for the unit strike), ``half`` to each side."""
+    shift = 0.0
+    if payoff_kind != "down_and_out_call" and n % 2:
+        shift = half / (n - 1)  # h/2
+    return Grid1D(centre - half + shift, centre + half + shift, n)
+
+
 def default_pricing_grid(contract: OptionContract, mp: MarketParams, spot: float, n: int) -> Grid1D:
     """Log-price grid around the strike, wide enough for payoff decay.
 
-    A call's or put's payoff kink ln K sits at a cell midpoint, where the
-    node values carry no kink and the PDE error falls (Pooley, Vetzal &
-    Forsyth, J. Comput. Finance 6(4), 2003): an odd-n grid centred on ln K
-    moves up by h/2, and an even-n one already has ln K midway.  A barrier
-    grid stays centred on ln K.
+    The grid spans ln K +- half, with half = |ln S - ln K| + 8 sigma sqrt(T)
+    and at least 5.  A call's or put's payoff kink ln K sits at a cell
+    midpoint, where the node values carry no kink and the PDE error falls
+    (Pooley, Vetzal & Forsyth, J. Comput. Finance 6(4), 2003): an odd-n grid
+    centred on ln K moves up by h/2, and an even-n one already has ln K
+    midway.  A barrier grid stays centred on ln K.  The offsets from ln K
+    depend on (payoff kind, half, n) alone, so the same offsets about 0 are
+    the unit-strike grid of ``price_by_translation``.
     """
-    ln_k = math.log(contract.strike)
-    half = max(5.0, abs(math.log(spot) - ln_k) + 8.0 * mp.sigma * math.sqrt(contract.maturity))
-    shift = 0.0
-    if contract.payoff_kind != "down_and_out_call" and n % 2:
-        shift = half / (n - 1)  # h/2
-    return Grid1D(ln_k - half + shift, ln_k + half + shift, n)
+    half = _half_width(contract, mp, spot)
+    return _offset_grid(math.log(contract.strike), contract.payoff_kind, half, n)
+
+
+@functools.lru_cache(maxsize=2)
+def _unit_curve(payoff_kind: str, sigma: float, r: float, maturity: float, half: float, n: int,
+                steps: int) -> PriceCurve:
+    # one entry per payoff kind: a strike ladder alternates calls and puts
+    mp = MarketParams(sigma, r)
+    g = _offset_grid(0.0, payoff_kind, half, n)
+    curve = price_pde(bs_hamiltonian(g, mp), OptionContract(payoff_kind, 1.0, maturity), mp, steps)
+    curve.values.flags.writeable = False
+    return curve
+
+
+def price_by_translation(contract: OptionContract, mp: MarketParams, spot: float, n: int,
+                         steps: int) -> PriceCurve:
+    """The curve on ``default_pricing_grid``: a call's or put's as C_K(x) = K c_1(x - ln K).
+
+    H_BS has constant coefficients in x = ln S, so it commutes with
+    translations, and the payoff and Dirichlet data of strike K are K times
+    those of strike 1, moved by ln K: Black-Scholes prices are homogeneous
+    in (S, K) (Merton, Bell J. Econ. 4, 1973).  The unit-strike curve c_1 is
+    solved by ``price_pde`` on the offsets of the strike-K grid and cached,
+    keyed on (payoff kind, sigma, r, T, half-width, n, steps), one entry per
+    payoff kind, so a strike ladder priced in one process solves once per
+    kind.  The cached values are read-only; each call scales a copy.
+
+    The cached curve serves only a call or put whose direct solve would pass
+    every check of ``price_pde`` on the strike-K grid without a warning, and
+    whose unit solve does too.  Every other contract, a barrier among them,
+    is solved directly on its strike-K grid, so it refuses and warns exactly
+    as ``price_pde`` does.
+    """
+    half = _half_width(contract, mp, spot)
+    g = _offset_grid(math.log(contract.strike), contract.payoff_kind, half, n)
+    unit = replace(contract, strike=1.0)
+    if (contract.barrier is None and g.x_max < MAX_LOG_PRICE and not _narrow(g, contract, mp)
+            and not _narrow(_offset_grid(0.0, contract.payoff_kind, half, n), unit, mp)):
+        try:
+            c1 = _unit_curve(contract.payoff_kind, mp.sigma, mp.r, contract.maturity, half, n, steps)
+        except ValueError:
+            pass  # a unit refusal says nothing of strike K: its own solve below decides
+        else:
+            k = contract.strike
+            with np.errstate(over="ignore"):  # a curve that overflows is solved directly below
+                values = k * c1.values
+            if np.all(np.isfinite(values)):
+                diagnostics = c1.diagnostics | {"payoff_max": k * c1.diagnostics["payoff_max"],
+                                                "max_abs": k * c1.diagnostics["max_abs"]}
+                return PriceCurve(grid=g, values=values, diagnostics=diagnostics)
+    return price_pde(bs_hamiltonian(g, mp), contract, mp, steps)
 
 
 def default_pricing_steps(contract: OptionContract, n: int) -> int:

@@ -23,6 +23,7 @@ from .operators import (
     LinOp,
     action_difference,
     deformed_momentum,
+    derivative_matrices,
     diagonal,
     momentum_operator,
     momentum_squared,
@@ -91,13 +92,22 @@ def build_from_superpotential(g: Grid1D, w: FunctionSpec, alpha: float) -> tuple
     The deformation function is the antiderivative f(x) = integral_0^x W.
     For the harmonic superpotential W(x) = x these are the shifted oscillators
     with spectra 2m+2 and 2m (an exact zero mode in H2).  A W whose W^2
-    overflows on the grid is refused before any operator is built.
+    overflows on the grid is refused before any operator is built, and so is
+    an alpha for which alpha^2 (max|P^2| + max|W'| + max W^2), a bound on the
+    partners' entries, overflows.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite W is refused just below
         w_max = w.max_abs(g)
     if not w_max * w_max < math.inf:  # the partners carry W^2
         raise ValueError(f"the superpotential W reaches {w_max:.3g} on the grid, and W^2 must be finite")
     f = w.antiderivative(g)
+    check_coupling(alpha, "alpha", allow_zero=False)
+    w_prime_max = float(np.max(np.abs(f.second_derivative_values(g))))
+    # P^2 = -D2, so max|P^2| is the largest entry of the cached D2 stencil
+    scale = derivative_matrices(g)[1].max_abs() + w_prime_max + w_max * w_max
+    if not alpha * alpha * scale < math.inf:
+        raise ValueError(f"alpha={alpha} overflows the partners: alpha**2 * (max|P^2| + max|W'| + max W^2) "
+                         f"= {alpha:.3g}**2 * {scale:.3g} must be finite")
     return closed_form(g, f, "H1", alpha), closed_form(g, f, "H2", alpha)
 
 

@@ -327,18 +327,20 @@ class PairingReport:
     remaining eigenvalues are matched positionally after sorting.  A nonzero
     eigenvalue whose partner falls outside the computed window (an artifact of
     asking for the same count k from both spectra) is left unpaired.
+    ``max_pair_gap`` is None when no pair is left to compare, and the
+    pairing then fails: a check over no pair shows nothing.
     """
 
     eigenvalues_a: np.ndarray
     eigenvalues_b: np.ndarray
     pairs: tuple[tuple[float, float], ...]
-    max_pair_gap: float
+    max_pair_gap: float | None
     zero_modes: tuple[int, int]
     pair_tol: float
 
     @property
     def all_paired(self) -> bool:
-        return self.max_pair_gap <= self.pair_tol
+        return self.max_pair_gap is not None and self.max_pair_gap <= self.pair_tol
 
 
 ZERO_MODE_RATIO = 1e-6  # |lambda| below this fraction of the largest eigenvalue counts as a zero mode
@@ -368,12 +370,11 @@ def partner_spectra(h1: LinOp, h2: LinOp, k: int, pair_tol: float) -> PairingRep
     nz_a = ea[np.abs(ea) >= zt]
     nz_b = eb[np.abs(eb) >= zt]
     pairs = tuple((float(x), float(y)) for x, y in zip(nz_a, nz_b))
-    gap = max((abs(x - y) for x, y in pairs), default=0.0)
     return PairingReport(
         eigenvalues_a=ea,
         eigenvalues_b=eb,
         pairs=pairs,
-        max_pair_gap=float(gap),
+        max_pair_gap=max((abs(x - y) for x, y in pairs), default=None),
         zero_modes=(len(ea) - len(nz_a), len(eb) - len(nz_b)),
         pair_tol=pair_tol,
     )

@@ -10,8 +10,8 @@ minimal, so colouring and report bytes do not depend on the caller's shell.
 package's banded operators and dense numpy matrices, so that tests can check
 the band algebra against plain dense algebra.
 
-Every test starts with an empty terminal-sample cache, so that no result or
-draw count depends on which test ran before it.
+Every test starts with empty terminal-sample and unit-strike curve caches, so
+that no result, draw count or solve count depends on which test ran before it.
 """
 
 import os
@@ -22,15 +22,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qflab import montecarlo
+from qflab import finance, montecarlo
 from qflab.operators import LinOp
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture(autouse=True)
-def empty_terminal_sample_cache():
+def empty_caches():
     montecarlo._terminal_sample.cache_clear()
+    finance._unit_curve.cache_clear()
 
 
 def run_cli(*args, timeout=300):

@@ -141,6 +141,17 @@ def test_spectrum_csv_marks_a_row_paired_by_its_own_gap(capsys, tmp_path, n, k, 
     assert [row.split(",")[3] for row in csv.read_text().splitlines()[1:]] == paired
 
 
+def test_spectrum_fails_a_pairing_that_compares_no_pair(capsys, tmp_path):
+    # at alpha = 0.01 every eigenvalue but H1's top one lies below pair_tol, a zero mode
+    out = tmp_path / "report.json"
+    argv = ["spectrum", "--w", "poly:0,1", "--alpha", "0.01", "--n", "2001", "--json", str(out)]
+    assert main(argv) == 1
+    checks = {c["name"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["partner_pairing_gap"]["measured"] is None
+    assert checks["partner_pairing_gap"]["pass"] is False
+    assert checks["unpaired_zero_modes"]["measured"] == 11
+
+
 def test_identify_reports_match(tmp_path):
     out = tmp_path / "id.json"
     res = run("identify", "--sigma", "0.2", "--rate", "0.05", "--json", str(out))
@@ -261,6 +272,43 @@ def test_a_strike_ladder_draws_once(monkeypatch, capsys, tmp_path):
     assert counts == {"standard_normals": 1}
     assert shared == run_ladder(tmp_path / "fresh", clear=True)
     assert counts == {"standard_normals": 1 + len(ladder)}
+
+
+def test_a_strike_ladder_solves_once_per_payoff_kind(monkeypatch, capsys, tmp_path):
+    # the ten contracts of the vanilla benchmark, in two orders, each from empty caches
+    ladder = [(payoff, strike) for payoff in ("call", "put") for strike in ("80", "90", "100", "110", "120")]
+
+    def run_ladder(folder, order) -> dict:
+        folder.mkdir()
+        montecarlo._terminal_sample.cache_clear()
+        finance._unit_curve.cache_clear()
+        for payoff, strike in order:
+            out = folder / f"{payoff}{strike}.json"
+            assert main([*SMALL_ALL, "--payoff", payoff, "--strike", strike, "--json", str(out)]) == 0
+        return {p.name: p.read_bytes() for p in folder.iterdir()}
+
+    counts = count_calls(monkeypatch, finance.price_pde)
+    forward = run_ladder(tmp_path / "forward", ladder)
+    assert counts == {"price_pde": 2}
+    assert run_ladder(tmp_path / "shuffled", ladder[::-3] + ladder[1::3] + ladder[2::3]) == forward
+
+
+NARROW_DEFAULT = ("price", "--method", "pde", "--n", "5", "--sigma", "0.9")
+
+
+def test_the_narrow_grid_warning_prints_once_per_solve_after_a_cache_hit(monkeypatch, capsys):
+    # half-width 7.2 and n = 5 give the same unit-strike curve at either strike;
+    # the rounding of ln 100 + offset leaves only the strike-100 grid narrow
+    counts = count_calls(monkeypatch, finance.price_pde)
+    for _ in range(2):  # a miss, then a hit
+        assert main([*NARROW_DEFAULT, "--strike", "10", "--spot", "10"]) == 0
+    assert capsys.readouterr().err == ""
+    assert counts == {"price_pde": 1}
+    for _ in range(2):
+        assert main([*NARROW_DEFAULT, "--strike", "100", "--spot", "100"]) == 0
+        assert capsys.readouterr().err == ("warning: grid [-0.795, 13.6] narrower than ln K +- 6 sigma "
+                                           "sqrt(T); boundary data will bias the price\n")
+    assert counts == {"price_pde": 3}  # a narrow grid is solved directly
 
 
 @pytest.mark.parametrize("argv, steps", [

@@ -382,6 +382,41 @@ def test_default_grid_and_steps_price_the_strike_ladder_within_3e_4():
     assert max(errors) <= 3e-4
 
 
+@pytest.mark.parametrize("n", [400, 401])
+@pytest.mark.parametrize("kind", ["european_call", "european_put"])
+def test_a_translated_unit_curve_prices_as_the_direct_solve(kind, n):
+    mp, spot = MarketParams(0.2, 0.05), 100.0
+    for strike in (80.0, 100.0, 120.0):
+        contract = OptionContract(kind, strike, 1.0)
+        g = default_pricing_grid(contract, mp, spot, n)
+        direct = price_pde(bs_hamiltonian(g, mp), contract, mp, n // 4).price_at(spot)
+        curve = finance.price_by_translation(contract, mp, spot, n, n // 4)
+        assert curve.grid == g
+        assert curve.price_at(spot) == pytest.approx(direct, rel=1e-12, abs=0.0)
+    # one unit-strike solve served all three strikes, and its values were never scaled in place
+    assert finance._unit_curve.cache_info()[:2] == (2, 1)  # (hits, misses)
+    unit = finance._unit_curve(kind, 0.2, 0.05, 1.0, 5.0, n, n // 4)
+    assert not unit.values.flags.writeable
+    fresh = price_pde(bs_hamiltonian(unit.grid, mp), OptionContract(kind, 1.0, 1.0), mp, n // 4)
+    assert np.array_equal(unit.values, fresh.values)
+
+
+def test_a_unit_curve_that_overflows_leaves_the_strike_to_its_own_solve():
+    # at r = -708 the unit-strike put overflows float64, but the strike-0.001 one fits
+    mp, contract = MarketParams(0.2, -708.0), OptionContract("european_put", 1e-3, 1.0)
+    g = default_pricing_grid(contract, mp, 1e-3, 101)
+    direct = price_pde(bs_hamiltonian(g, mp), contract, mp, 26)
+    assert np.array_equal(finance.price_by_translation(contract, mp, 1e-3, 101, 26).values, direct.values)
+
+
+def test_a_translated_curve_that_overflows_is_refused_on_its_own_grid(recwarn):
+    # at r = -700 the unit-strike put fits, but 1e5 times it does not
+    mp, contract = MarketParams(0.2, -700.0), OptionContract("european_put", 1e5, 1.0)
+    with pytest.raises(ValueError, match=r"overflow float64 on the grid \[6.56293, 16.5629\]"):
+        finance.price_by_translation(contract, mp, 1e5, 101, 26)
+    assert not recwarn.list
+
+
 def test_pde_stability_bound(pricing_setup):
     mp, g = pricing_setup
     contract = OptionContract("european_call", 100.0, 1.0)

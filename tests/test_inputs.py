@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from qflab import finance
 from qflab.cli import main
 from qflab.finance import MarketParams, OptionContract, bs_hamiltonian, map_to_deformed, price_pde
 from qflab.grid import Grid1D
@@ -73,6 +74,7 @@ def run_main(argv) -> int:
         (("--method", "pde", "--xmin", "2"), "give both or neither"),
         (("--xmax", "7"), "give both or neither"),
         (("--method", "mc", "--xmin", "2"), "give both or neither"),
+        (("--strike", "1e307", "--spot", "1e307", "--method", "pde"), "x_max"),  # a unit curve fits
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -80,6 +82,23 @@ def test_price_rejects_bad_flag(capsys, argv, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err and "Traceback" not in err
+
+
+# half-width 5 about ln K, as at strike 100 and spot 100: the same unit-strike
+# curve, but a strike-K grid whose x_max = ln(1e307) + 5 overflows
+HUGE_STRIKE = (*SMALL_PRICE, "--strike", "1e307", "--spot", "1e307", "--method", "pde")
+
+
+def test_price_refuses_x_max_after_a_cache_hit_as_on_a_cold_cache(capsys):
+    assert run_main(HUGE_STRIKE) == 2
+    cold = capsys.readouterr().err
+    assert cold.startswith("error: grid x_max = 711.9") and cold.count("\n") == 1
+    for _ in range(2):  # a miss, then a hit
+        assert run_main((*SMALL_PRICE, "--method", "pde")) == 0
+    assert finance._unit_curve.cache_info()[:2] == (1, 1)  # (hits, misses)
+    capsys.readouterr()
+    assert run_main(HUGE_STRIKE) == 2
+    assert capsys.readouterr().err == cold
 
 
 SMALL_SPECTRUM = ("spectrum", "--n", "201")
@@ -225,6 +244,8 @@ def test_spectrum_refuses_a_superpotential_whose_square_overflows(capsys, argv):
 
 
 OVERFLOWING_PARTNERS = ("spectrum", "--w", "poly:0,1", "--alpha", "1e150", "--n", "201")
+# alpha^2 (max|P^2| + max|W'| + max W^2) = 1e306 * 601 overflows the entries themselves
+OVERFLOWING_ENTRIES = ("spectrum", "--w", "poly:0,1", "--alpha", "1e153", "--n", "201")
 
 
 def test_spectrum_refuses_partners_whose_off_diagonal_products_overflow(capsys):
@@ -233,6 +254,13 @@ def test_spectrum_refuses_partners_whose_off_diagonal_products_overflow(capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "products u_i l_i must be finite" in err
+    assert "warning:" not in err
+
+
+def test_spectrum_refuses_a_coupling_whose_partner_entries_overflow(capsys):
+    assert run_main(OVERFLOWING_ENTRIES) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: alpha=1e+153 overflows the partners") and err.count("\n") == 1
     assert "warning:" not in err
 
 
@@ -275,6 +303,8 @@ def test_library_constructors_reject_the_same_inputs():
         build_from_superpotential(Grid1D(-10, 10, 21), FunctionSpec.polynomial([0.0, 1e200]), 1.0)
     with pytest.raises(ValueError, match="bsg or bsb"):
         map_to_deformed(MarketParams(0.2, 0.05, FunctionSpec.polynomial([0.1])), Grid1D(-3, 3, 41), kind="bs")
+    with pytest.raises(ValueError, match="overflows the partners"):
+        build_from_superpotential(Grid1D(-10, 10, 201), FunctionSpec.polynomial([0.0, 1.0]), 1e153)
     h1, _ = build_from_superpotential(Grid1D(-10, 10, 201), FunctionSpec.polynomial([0.0, 1.0]), 1e150)
     with pytest.raises(ValueError, match="u_i l_i must be finite"):
         dirichlet_eigenvalues(h1, 2)
@@ -372,6 +402,8 @@ def edge_commands(draw):
 @example([*SMALL_PRICE, "--method", "pde", "--xmin", "2"])
 @example(["spectrum", "--w", "poly:0,1e200"])
 @example(list(OVERFLOWING_PARTNERS))
+@example(list(OVERFLOWING_ENTRIES))
+@example(list(HUGE_STRIKE))
 @example(["identify", "--n", "41", "--kind", "bs", "--v", "poly:0.1"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
