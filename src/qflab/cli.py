@@ -480,7 +480,7 @@ def main(argv=None) -> int:
         warnings.showwarning = _show_warning
         try:
             return _finish(args.func(args), args.json, started)
-        except ValueError as exc:
+        except (ValueError, MemoryError) as exc:  # MemoryError: an array that cannot be allocated
             print(f"error: {exc}", file=sys.stderr)
             return 2
 

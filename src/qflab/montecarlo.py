@@ -11,16 +11,20 @@ read-only, so the calls and puts of a strike ladder priced in one process
 draw their normals once (common random numbers, Glasserman 2004); the cache
 keeps that one array of ``paths`` values alive between calls.
 
-Randomness is counter-based: normal variate i of stream s is a pure function
-of (seed, s, i), the inverse normal CDF (``ndtri``) of one Philox output, so
-results cannot depend on chunking or worker scheduling.  Path simulation walks
-the paths in chunks on at most two worker threads, which share
-``KNOCKOUT_CHUNK_BYTES`` of normals, so its memory does not grow with the path
-count or the worker count.  Aggregation always runs over the fully
-materialized value array with numpy's pairwise summation, making estimates
-reproducible bit-for-bit from (market, contract, spot, paths, seed), on
-whichever thread ``feynman_kac_estimate`` runs: ``price`` calls it on a worker
-thread of its own, beside the PDE.
+Randomness is counter-based, on two Philox streams.  Terminal sampling uses
+``standard_normals``: normal variate i of stream s is a pure function of
+(seed, s, i), the inverse normal CDF (``ndtri``) of one Philox output.  The
+knock-out walk uses ``walk_normals``: numpy's ziggurat sampler, which is
+cheaper per normal but reads a variable number of Philox words per normal, so
+it is keyed by block of whole paths, each block one draw from its own Philox
+counter.  Either way results cannot depend on chunking or worker scheduling.
+Path simulation walks the paths in chunks of whole blocks on at most two
+worker threads, which share ``KNOCKOUT_CHUNK_BYTES`` of normals, so its memory
+does not grow with the path count or the worker count.  Aggregation always
+runs over the fully materialized value array with numpy's pairwise summation,
+making estimates reproducible bit-for-bit from (market, contract, spot, paths,
+seed), on whichever thread ``feynman_kac_estimate`` runs: ``price`` calls it
+on a worker thread of its own, beside the PDE.
 """
 
 import functools
@@ -31,19 +35,23 @@ from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Philox
+from numpy.random import Generator, Philox
 from scipy.special import ndtri
 
 from .finance import MarketParams, OptionContract, check_discount
 
 _PHILOX_OUTPUTS_PER_BLOCK = 4
 # bytes of normals the knock-out walk holds at once: 2**18 float64, shared by
-# its at most two workers, so about 520 paths per chunk at 250 monitoring
-# dates.  Each worker's share, with the Philox words it is made from, then fits
-# a 2 MiB L2 cache; 8 MiB walked about 20 % slower.  The walk's peak memory is
-# about twice this, however many paths there are, and the per-chunk Python
-# overhead stays negligible.
+# its at most two workers, so 524 paths (one block) per chunk at 250
+# monitoring dates.  Each worker's share then fits a 2 MiB L2 cache; 8 MiB
+# walked about 20 % slower.  The walk's peak memory is about this, however
+# many paths there are, and the per-chunk Python overhead stays negligible.
 KNOCKOUT_CHUNK_BYTES = 2 << 20
+# normals in one block of the knock-out walk's stream, one ziggurat draw: as
+# many whole paths as fit, and at least one.  It equals a worker's share of
+# the chunk budget but is not derived from it, so a smaller budget changes no
+# draw
+BLOCK_NORMALS = 1 << 17
 
 
 def check_draws(paths: int, seed: int) -> None:
@@ -93,6 +101,38 @@ def standard_normals(seed: int, count: int, start: int = 0, stream: int = 0) -> 
     return ndtri(u, out=u)
 
 
+def paths_per_block(m: int) -> int:
+    """Paths of m normals in one block of the knock-out walk's stream."""
+    return max(1, BLOCK_NORMALS // m)
+
+
+def walk_normals(seed: int, m: int, p0: int, p1: int) -> np.ndarray:
+    """The knock-out walk's normals of paths [p0, p1): row p - p0 holds path p's m normals.
+
+    Path p lies in block p // ``paths_per_block(m)``.  Block b is one call of
+    numpy's ziggurat ``standard_normal`` on the Philox stream of key (seed, 0)
+    from counter (0, 0, b, 1); ``standard_normals`` advances only counter word
+    0, so the two share no Philox word.  A block's first k normals do not
+    depend on how many follow, so a range that ends inside a block draws only
+    its prefix, and one that starts inside a block draws from the block start
+    and drops the head.
+    """
+    per_block = paths_per_block(m)
+    key = np.array([seed, 0], dtype=np.uint64)
+    z = np.empty((p1 - p0, m))
+    p = p0
+    while p < p1:
+        block, head = divmod(p, per_block)
+        q = min(p1, (block + 1) * per_block)
+        gen = Generator(Philox(key=key, counter=np.array([0, 0, block, 1], dtype=np.uint64)))
+        if head:
+            z[p - p0 : q - p0] = gen.standard_normal((head + q - p) * m)[head * m :].reshape(q - p, m)
+        else:
+            gen.standard_normal(out=z[p - p0 : q - p0])
+        p = q
+    return z
+
+
 # -- sampling ----------------------------------------------------------------
 
 
@@ -131,10 +171,11 @@ def knockout_terminal(
     Exact GBM increments at monitoring_per_year dates; a path dies when it
     touches or crosses the barrier at a monitoring date.  Paths are walked in
     chunks on at most two threads, as many paths at a time as fit the
-    workers' share of ``KNOCKOUT_CHUNK_BYTES`` of normals; each chunk writes
-    only its own slice of the result.  Neither chunk boundaries nor the
-    worker count affect the draws: normal (p, j) always comes from raw index
-    p*m + j.  Once ``stop`` is set, no further chunk starts, and the walk
+    workers' share of ``KNOCKOUT_CHUNK_BYTES`` of normals, rounded down to
+    whole blocks of ``walk_normals`` so that no block is drawn twice; each
+    chunk writes only its own slice of the result.  Neither chunk boundaries
+    nor the worker count affect the draws: path p's normals always come from
+    its block's draw.  Once ``stop`` is set, no further chunk starts, and the walk
     raises ``CancelledError``.
     """
     m = monitoring_dates(monitoring_per_year, contract.maturity)
@@ -142,10 +183,15 @@ def knockout_terminal(
     if m > budget:
         raise ValueError(f"{m} monitoring dates per path (monitoring_per_year={monitoring_per_year}, "
                          f"T={contract.maturity:.6g}) exceed the {budget} normals of one path chunk")
-    # Philox, ndtri, cumsum, min and exp release the GIL, so the chunks walk in
-    # parallel; a path longer than half the budget walks alone
+    # the ziggurat draw, cumsum, min and exp release the GIL, so the chunks
+    # walk in parallel; a path longer than half the budget walks alone
     workers = min(2, len(os.sched_getaffinity(0)), budget // m)
     chunk = budget // (m * workers)
+    # whole blocks, so each is one draw; only a budget below one block (in
+    # tests) leaves chunks that re-draw block prefixes
+    per_block = paths_per_block(m)
+    if chunk >= per_block:
+        chunk -= chunk % per_block
     dt = contract.maturity / m
     drift_term = (mp.r - 0.5 * mp.sigma**2) * dt
     vol_term = mp.sigma * math.sqrt(dt)
@@ -163,7 +209,7 @@ def knockout_terminal(
         p1 = min(p0 + chunk, paths)
         with np.errstate(**err):
             # ln S along each path, built in place on the normals
-            logs = standard_normals(seed, (p1 - p0) * m, start=p0 * m).reshape(p1 - p0, m)
+            logs = walk_normals(seed, m, p0, p1)
             logs *= vol_term
             logs += drift_term
             np.cumsum(logs, axis=1, out=logs)

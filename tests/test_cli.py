@@ -398,13 +398,13 @@ def test_a_pde_refusal_stops_the_knock_out_walk(monkeypatch, capsys):
     # signal, the draws stop waiting after the deadline and every chunk runs
     started, stops, drawn = threading.Event(), [], []
     deadline = time.monotonic() + 30.0
-    walk, normals = montecarlo.knockout_terminal, montecarlo.standard_normals
+    walk, normals = montecarlo.knockout_terminal, montecarlo.walk_normals
 
     def knockout_terminal(*args, **kwargs):
         stops.append(inspect.signature(walk).bind(*args, **kwargs).arguments["stop"])
         return walk(*args, **kwargs)
 
-    def standard_normals(*args, **kwargs):
+    def walk_normals(*args, **kwargs):
         drawn.append(args)
         started.set()
         stops[0].wait(timeout=max(0.0, deadline - time.monotonic()))
@@ -415,7 +415,7 @@ def test_a_pde_refusal_stops_the_knock_out_walk(monkeypatch, capsys):
         raise ValueError("the PDE refuses")
 
     monkeypatch.setattr(montecarlo, "knockout_terminal", knockout_terminal)
-    monkeypatch.setattr(montecarlo, "standard_normals", standard_normals)
+    monkeypatch.setattr(montecarlo, "walk_normals", walk_normals)
     monkeypatch.setattr(finance, "price_pde", price_pde)
     assert main(["price", "--payoff", "do-call", "--method", "all", "--paths", "200000"]) == 2
     chunks = -(-200_000 // (montecarlo.KNOCKOUT_CHUNK_BYTES // 8 // (2 * 250)))

@@ -75,6 +75,9 @@ def run_main(argv) -> int:
         (("--xmax", "7"), "give both or neither"),
         (("--method", "mc", "--xmin", "2"), "give both or neither"),
         (("--strike", "1e307", "--spot", "1e307", "--method", "pde"), "x_max"),  # a unit curve fits
+        (("--method", "mc", "--paths", "1000000000000"), "Unable to allocate"),
+        (("--payoff", "do-call", "--barrier", "80", "--method", "all", "--paths", "1000000000000"),
+         "Unable to allocate"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -405,6 +408,9 @@ def edge_commands(draw):
 @example(list(OVERFLOWING_ENTRIES))
 @example(list(HUGE_STRIKE))
 @example(["identify", "--n", "41", "--kind", "bs", "--v", "poly:0.1"])
+@example([*SMALL_PRICE, "--method", "mc", "--paths", "1000000000000"])
+@example([*SMALL_PRICE, "--payoff", "do-call", "--barrier", "80", "--method", "all",
+          "--paths", "1000000000000"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     with tempfile.TemporaryDirectory() as tmp:

@@ -1,3 +1,4 @@
+import copy
 import math
 import tracemalloc
 
@@ -17,6 +18,7 @@ from qflab.finance import (
 )
 from qflab.grid import Grid1D
 from qflab.montecarlo import (
+    BLOCK_NORMALS,
     KNOCKOUT_CHUNK_BYTES,
     feynman_kac_estimate,
     knockout_terminal,
@@ -24,6 +26,7 @@ from qflab.montecarlo import (
     sample_terminal,
     shifted_barrier,
     standard_normals,
+    walk_normals,
 )
 
 
@@ -83,6 +86,81 @@ def test_chunked_generation_matches_one_shot(seed, chunks):
         parts.append(standard_normals(seed, c, start=start))
         start += c
     assert np.array_equal(whole, np.concatenate(parts))
+
+
+# -- the knock-out walk's block-keyed stream -----------------------------------------
+
+
+def test_walk_normals_standardized():
+    z = walk_normals(0, 250, 0, 1_600).ravel()
+    assert len(z) == 400_000
+    assert abs(z.mean()) < 3.0 / math.sqrt(len(z))
+    assert abs(z.std() - 1.0) < 0.01
+    assert np.all(np.isfinite(z))
+
+
+@pytest.mark.parametrize("m", [1, 50, 250, BLOCK_NORMALS + 3])
+def test_walk_normals_of_any_path_range_are_rows_of_one_draw(m):
+    per_block = montecarlo.paths_per_block(m)
+    paths = 2 * per_block + 5
+    whole = walk_normals(3, m, 0, paths)
+    for p0, p1 in ((0, 1), (1, per_block + 1), (per_block - 1, paths), (per_block, paths)):
+        assert np.array_equal(walk_normals(3, m, p0, p1), whole[p0:p1])
+
+
+def test_a_walk_of_fewer_paths_is_the_head_of_a_longer_walk():
+    # 3000 paths end inside the second block of 2621 paths at 50 dates
+    short = knockout_terminal(MP, DO_CALL, 100.0, 3_000, 5, monitoring_per_year=50, stop=None)
+    long = knockout_terminal(MP, DO_CALL, 100.0, 7_000, 5, monitoring_per_year=50, stop=None)
+    assert np.array_equal(short[0], long[0][:3_000]) and np.array_equal(short[1], long[1][:3_000])
+
+
+def test_the_walk_shares_no_philox_word_with_the_terminal_stream_or_another_seed(monkeypatch):
+    # replay the Philox streams the walk's first blocks read, two words per
+    # normal (the ziggurat reads about one), and compare the words themselves
+    states, philox = [], montecarlo.Philox
+
+    def recorded(*args, **kwargs):
+        bg = philox(*args, **kwargs)
+        states.append(copy.deepcopy(bg.state))
+        return bg
+
+    monkeypatch.setattr(montecarlo, "Philox", recorded)
+    per_block = montecarlo.paths_per_block(50)
+    first, other = walk_normals(7, 50, 0, per_block), walk_normals(8, 50, 0, per_block)
+    assert len(states) == 2 and not np.array_equal(first, other)
+    words = []
+    for state in states:
+        bg = philox()
+        bg.state = state
+        words.append(bg.random_raw(2 * first.size))
+    assert np.intersect1d(words[0], raw_uint64(7, 0, 0, 2 * first.size)).size == 0
+    assert np.intersect1d(words[0], words[1]).size == 0
+
+
+def test_the_default_budget_walks_each_chunk_in_one_draw(monkeypatch):
+    # on two workers a chunk is one whole block: one ziggurat call, and no
+    # block prefix drawn twice
+    m, paths = 250, 200_000
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
+    chunks, generators = [], []
+    walk, philox = montecarlo.walk_normals, montecarlo.Philox
+
+    def walk_normals_(seed, m_, p0, p1):
+        chunks.append(p0)
+        return walk(seed, m_, p0, p1)
+
+    def philox_(*args, **kwargs):
+        generators.append(kwargs["counter"][2])
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(montecarlo, "walk_normals", walk_normals_)
+    monkeypatch.setattr(montecarlo, "Philox", philox_)
+    knockout_terminal(MP, DO_CALL, 100.0, paths, 0, monitoring_per_year=m, stop=None)
+    per_block = montecarlo.paths_per_block(m)
+    assert len(chunks) == len(generators) == -(-paths // per_block)
+    assert all(p0 % per_block == 0 for p0 in chunks)
+    assert sorted(generators) == list(range(len(chunks)))
 
 
 # -- exact terminal sampling -----------------------------------------------------
@@ -167,7 +245,7 @@ def test_knockout_walk_matches_reference_formula(monkeypatch, chunk):
     if chunk is not None:
         chunk_paths(monkeypatch, chunk, m)
     dt = DO_CALL.maturity / m
-    z = standard_normals(seed, paths * m).reshape(paths, m)
+    z = walk_normals(seed, m, 0, paths)
     drift, vol = (MP.r - 0.5 * MP.sigma**2) * dt, MP.sigma * math.sqrt(dt)
     logs = math.log(100.0) + np.cumsum(drift + vol * z, axis=1)
     s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, paths, seed, monitoring_per_year=m, stop=None)
@@ -259,8 +337,8 @@ def test_estimate_is_the_discounted_sampler_mean(payoff, r, paths):
 @pytest.mark.parametrize("kind, spot, message", [
     ("european_call", 1e300, "1.08e+300 +- inf"),
     ("european_call", 1e308, "inf +- nan"),
-    ("down_and_out_call", 1e300, "1.05e+300 +- inf"),
-    ("down_and_out_call", 1e308, "inf +- inf"),
+    ("down_and_out_call", 1e300, "1.07e+300 +- inf"),
+    ("down_and_out_call", 1e308, "inf +- nan"),
 ])
 def test_overflowing_payoff_is_refused_with_its_estimate(kind, spot, message):
     contract = OptionContract(kind, 100.0, 1.0, barrier=80.0 if kind == "down_and_out_call" else None)

@@ -28,6 +28,9 @@ ALLOWED_PARAMETERS = {
     # perfbench/layers.py binds every standard_normals call and keys its
     # unique-draw count by call["stream"]
     "montecarlo.standard_normals.stream",
+    # ... and its draw interval by call["start"], which no src call passes
+    # since the knock-out walk draws from walk_normals
+    "montecarlo.standard_normals.start",
     # the console script ``qflab = qflab.cli:main`` calls main() without
     # arguments; argparse then reads sys.argv
     "cli.main.argv",

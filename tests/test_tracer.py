@@ -20,6 +20,7 @@ COMMANDS = [
     ["price", "--payoff", "do-call", "--method", "all", "--paths", "2000", "--n", "201",
      "--steps", "100"],
     ["identify", "--n", "41"],
+    ["price", "--payoff", "call", "--method", "mc", "--paths", "2000"],
 ]
 
 CHILD = """
@@ -48,7 +49,7 @@ def test_tracer_records_every_span_its_metrics_read():
     )
     assert res.returncode == 0, res.stderr
     out = json.loads(res.stdout)
-    assert out["codes"] == [0, 0, 0, 0]
+    assert out["codes"] == [0, 0, 0, 0, 0]
     assert set(SPANS) <= set(out["spans"]), sorted(set(SPANS) - set(out["spans"]))
     m = out["metrics"]
     assert m["operators.matmul_calls"] > 0
