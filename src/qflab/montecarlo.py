@@ -11,13 +11,14 @@ read-only, so the calls and puts of a strike ladder priced in one process
 draw their normals once (common random numbers, Glasserman 2004); the cache
 keeps that one array of ``paths`` values alive between calls.
 
-Randomness is counter-based, on two Philox streams.  Terminal sampling uses
+Randomness is keyed, not sequential.  Terminal sampling uses
 ``standard_normals``: normal variate i of stream s is a pure function of
 (seed, s, i), the inverse normal CDF (``ndtri``) of one Philox output.  The
 knock-out walk uses ``walk_normals``: numpy's ziggurat sampler, which is
-cheaper per normal but reads a variable number of Philox words per normal, so
-it is keyed by block of whole paths, each block one draw from its own Philox
-counter.  Either way results cannot depend on chunking or worker scheduling.
+cheaper per normal but reads a variable number of words per normal, so it is
+keyed by block of whole paths, each block one draw from its own SFC64
+generator, seeded by the ``SeedSequence`` child (seed, spawn key (block,)).
+Either way results cannot depend on chunking or worker scheduling.
 Path simulation walks the paths in chunks of whole blocks on at most two
 worker threads, which share ``KNOCKOUT_CHUNK_BYTES`` of normals, so its memory
 does not grow with the path count or the worker count.  Aggregation always
@@ -35,7 +36,7 @@ from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Generator, Philox
+from numpy.random import Generator, Philox, SFC64, SeedSequence
 from scipy.special import ndtri
 
 from .finance import MarketParams, OptionContract, check_discount
@@ -75,7 +76,7 @@ class McEstimate:
     std_error: float
 
 
-# -- counter-based normal streams -------------------------------------------
+# -- keyed normal streams -----------------------------------------------------
 
 
 def raw_uint64(seed: int, stream: int, start: int, count: int) -> np.ndarray:
@@ -110,21 +111,23 @@ def walk_normals(seed: int, m: int, p0: int, p1: int) -> np.ndarray:
     """The knock-out walk's normals of paths [p0, p1): row p - p0 holds path p's m normals.
 
     Path p lies in block p // ``paths_per_block(m)``.  Block b is one call of
-    numpy's ziggurat ``standard_normal`` on the Philox stream of key (seed, 0)
-    from counter (0, 0, b, 1); ``standard_normals`` advances only counter word
-    0, so the two share no Philox word.  A block's first k normals do not
-    depend on how many follow, so a range that ends inside a block draws only
-    its prefix, and one that starts inside a block draws from the block start
-    and drops the head.
+    numpy's ziggurat ``standard_normal`` on an SFC64 generator seeded by
+    ``SeedSequence(seed, spawn_key=(b,))``, which is the child
+    ``SeedSequence(seed).spawn(b + 1)[b]``.  The spawn key keeps every
+    (seed, b) pair apart, which the entropy tuple (seed, b) would not: its
+    32-bit words make seed 5 + 3 * 2**32 block 0 the same as seed 5 block 3.
+    An SFC64 stream is drawn in order, so a block's first k normals do not
+    depend on how many follow: a range that ends inside a block draws only its
+    prefix, and one that starts inside a block draws from the block start and
+    drops the head.
     """
     per_block = paths_per_block(m)
-    key = np.array([seed, 0], dtype=np.uint64)
     z = np.empty((p1 - p0, m))
     p = p0
     while p < p1:
         block, head = divmod(p, per_block)
         q = min(p1, (block + 1) * per_block)
-        gen = Generator(Philox(key=key, counter=np.array([0, 0, block, 1], dtype=np.uint64)))
+        gen = Generator(SFC64(SeedSequence(seed, spawn_key=(block,))))
         if head:
             z[p - p0 : q - p0] = gen.standard_normal((head + q - p) * m)[head * m :].reshape(q - p, m)
         else:
@@ -208,14 +211,15 @@ def knockout_terminal(
             raise CancelledError(f"the knock-out walk was stopped before path {p0}")
         p1 = min(p0 + chunk, paths)
         with np.errstate(**err):
-            # ln S along each path, built in place on the normals
+            # ln(S / S0) along each path, built in place on the normals; ln S0
+            # joins only the minimum and the last date, the same bits as at
+            # every date since fl(c + a) is monotone in c
             logs = walk_normals(seed, m, p0, p1)
             logs *= vol_term
             logs += drift_term
             np.cumsum(logs, axis=1, out=logs)
-            logs += log_s0
-            alive[p0:p1] = np.min(logs, axis=1) > log_b
-            s_t[p0:p1] = np.exp(logs[:, -1])
+            alive[p0:p1] = np.min(logs, axis=1) + log_s0 > log_b
+            s_t[p0:p1] = np.exp(logs[:, -1] + log_s0)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # reading every result re-raises a worker's exception here
