@@ -317,9 +317,9 @@ def cmd_price(args) -> RunReport:
         montecarlo.check_draws(args.paths, args.seed)  # refused before any PDE work
     # the pricers share no data, and the Monte Carlo's heavy calls release the
     # GIL, so it runs on one worker, in a copy of this context (numpy's error
-    # state), while this thread steps the PDE.  A PDE refusal leaves the block
+    # state), while this thread steps the PDE.  A PDE refusal leaves the ``with``
     # before the Monte Carlo's result is read; ``stop`` then ends the knock-out
-    # walk at its next chunk, and the block joins the worker
+    # walk before its next block, and the ``with`` joins the worker
     stop = threading.Event()
     with ThreadPoolExecutor(max_workers=1) as pool:
         try:

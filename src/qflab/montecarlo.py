@@ -18,14 +18,13 @@ knock-out walk uses ``walk_normals``: numpy's ziggurat sampler, which is
 cheaper per normal but reads a variable number of words per normal, so it is
 keyed by block of whole paths, each block one draw from its own SFC64
 generator, seeded by the ``SeedSequence`` child (seed, spawn key (block,)).
-Either way results cannot depend on chunking or worker scheduling.
-Path simulation walks the paths in chunks of whole blocks on at most two
-worker threads, which share ``KNOCKOUT_CHUNK_BYTES`` of normals, so its memory
-does not grow with the path count or the worker count.  Aggregation always
-runs over the fully materialized value array with numpy's pairwise summation,
-making estimates reproducible bit-for-bit from (market, contract, spot, paths,
-seed), on whichever thread ``feynman_kac_estimate`` runs: ``price`` calls it
-on a worker thread of its own, beside the PDE.
+Either way results cannot depend on worker scheduling.  Path simulation
+walks one block at a time on each of at most two worker threads, so it
+holds at most 2 MiB of normals however many paths there are.  Aggregation
+always runs over the fully materialized value array with numpy's pairwise
+summation, making estimates reproducible bit-for-bit from (market, contract,
+spot, paths, seed), on whichever thread ``feynman_kac_estimate`` runs:
+``price`` calls it on a worker thread of its own, beside the PDE.
 """
 
 import functools
@@ -42,16 +41,12 @@ from scipy.special import ndtri
 from .finance import MarketParams, OptionContract, check_discount
 
 _PHILOX_OUTPUTS_PER_BLOCK = 4
-# bytes of normals the knock-out walk holds at once: 2**18 float64, shared by
-# its at most two workers, so 524 paths (one block) per chunk at 250
-# monitoring dates.  Each worker's share then fits a 2 MiB L2 cache; 8 MiB
-# walked about 20 % slower.  The walk's peak memory is about this, however
-# many paths there are, and the per-chunk Python overhead stays negligible.
-KNOCKOUT_CHUNK_BYTES = 2 << 20
-# normals in one block of the knock-out walk's stream, one ziggurat draw: as
-# many whole paths as fit, and at least one.  It equals a worker's share of
-# the chunk budget but is not derived from it, so a smaller budget changes no
-# draw
+# normals in one block of the knock-out walk's stream, its unit of work: one
+# SFC64 generator and one ziggurat draw of as many whole paths as fit, and at
+# least one.  Two workers each walk a 1 MiB block, which fits a 2 MiB L2
+# cache (8 MiB walked about 20 % slower); a path longer than a block walks
+# alone, and one longer than two blocks is refused, so the walk holds at most
+# 2 MiB of normals however many paths there are
 BLOCK_NORMALS = 1 << 17
 
 
@@ -107,32 +102,26 @@ def paths_per_block(m: int) -> int:
     return max(1, BLOCK_NORMALS // m)
 
 
-def walk_normals(seed: int, m: int, p0: int, p1: int) -> np.ndarray:
-    """The knock-out walk's normals of paths [p0, p1): row p - p0 holds path p's m normals.
+def walk_normals(seed: int, m: int, block: int, paths: int) -> np.ndarray:
+    """The knock-out walk's normals of a block's first ``paths`` paths, one path a row.
 
-    Path p lies in block p // ``paths_per_block(m)``.  Block b is one call of
+    Block b holds paths [b, b + 1) * ``paths_per_block(m)`` and is one call of
     numpy's ziggurat ``standard_normal`` on an SFC64 generator seeded by
     ``SeedSequence(seed, spawn_key=(b,))``, which is the child
     ``SeedSequence(seed).spawn(b + 1)[b]``.  The spawn key keeps every
     (seed, b) pair apart, which the entropy tuple (seed, b) would not: its
     32-bit words make seed 5 + 3 * 2**32 block 0 the same as seed 5 block 3.
-    An SFC64 stream is drawn in order, so a block's first k normals do not
-    depend on how many follow: a range that ends inside a block draws only its
-    prefix, and one that starts inside a block draws from the block start and
-    drops the head.
+    An SFC64 stream is drawn in order, so a block's first k paths do not
+    depend on how many follow: the last, partial block of a walk is the head
+    of the whole block.
     """
-    per_block = paths_per_block(m)
-    z = np.empty((p1 - p0, m))
-    p = p0
-    while p < p1:
-        block, head = divmod(p, per_block)
-        q = min(p1, (block + 1) * per_block)
-        gen = Generator(SFC64(SeedSequence(seed, spawn_key=(block,))))
-        if head:
-            z[p - p0 : q - p0] = gen.standard_normal((head + q - p) * m)[head * m :].reshape(q - p, m)
-        else:
-            gen.standard_normal(out=z[p - p0 : q - p0])
-        p = q
+    # drawn into a slice of an array made before the generator: drawing into
+    # ``z`` itself, or into an array that ``standard_normal`` makes, measured
+    # the barrier benchmark's wall time 0.6-0.9 % slower in alternated pairs,
+    # for no cause found
+    z = np.empty((paths, m))
+    gen = Generator(SFC64(SeedSequence(seed, spawn_key=(block,))))
+    gen.standard_normal(out=z[:paths])
     return z
 
 
@@ -172,29 +161,20 @@ def knockout_terminal(
     """(S(T), alive) under discrete monitoring of the contract's barrier.
 
     Exact GBM increments at monitoring_per_year dates; a path dies when it
-    touches or crosses the barrier at a monitoring date.  Paths are walked in
-    chunks on at most two threads, as many paths at a time as fit the
-    workers' share of ``KNOCKOUT_CHUNK_BYTES`` of normals, rounded down to
-    whole blocks of ``walk_normals`` so that no block is drawn twice; each
-    chunk writes only its own slice of the result.  Neither chunk boundaries
-    nor the worker count affect the draws: path p's normals always come from
-    its block's draw.  Once ``stop`` is set, no further chunk starts, and the walk
-    raises ``CancelledError``.
+    touches or crosses the barrier at a monitoring date.  Paths are walked
+    one block of ``walk_normals`` at a time on at most two threads, each block
+    writing only its own slice of the result, so the worker count does not
+    affect the draws.  Once ``stop`` is set, no further block starts, and the
+    walk raises ``CancelledError``.
     """
     m = monitoring_dates(monitoring_per_year, contract.maturity)
-    budget = KNOCKOUT_CHUNK_BYTES // 8
-    if m > budget:
+    if m > 2 * BLOCK_NORMALS:
         raise ValueError(f"{m} monitoring dates per path (monitoring_per_year={monitoring_per_year}, "
-                         f"T={contract.maturity:.6g}) exceed the {budget} normals of one path chunk")
-    # the ziggurat draw, cumsum, min and exp release the GIL, so the chunks
-    # walk in parallel; a path longer than half the budget walks alone
-    workers = min(2, len(os.sched_getaffinity(0)), budget // m)
-    chunk = budget // (m * workers)
-    # whole blocks, so each is one draw; only a budget below one block (in
-    # tests) leaves chunks that re-draw block prefixes
+                         f"T={contract.maturity:.6g}) exceed the {2 * BLOCK_NORMALS} that one path may hold")
+    # the ziggurat draw, cumsum, min and exp release the GIL, so the blocks
+    # walk in parallel; a path longer than a block walks alone
+    workers = min(2, len(os.sched_getaffinity(0))) if m <= BLOCK_NORMALS else 1
     per_block = paths_per_block(m)
-    if chunk >= per_block:
-        chunk -= chunk % per_block
     dt = contract.maturity / m
     drift_term = (mp.r - 0.5 * mp.sigma**2) * dt
     vol_term = mp.sigma * math.sqrt(dt)
@@ -206,15 +186,16 @@ def knockout_terminal(
     s_t = np.empty(paths)
     alive = np.empty(paths, dtype=bool)
 
-    def walk(p0: int) -> None:
+    def walk(block: int) -> None:
         if stop is not None and stop.is_set():
-            raise CancelledError(f"the knock-out walk was stopped before path {p0}")
-        p1 = min(p0 + chunk, paths)
+            raise CancelledError(f"the knock-out walk was stopped before block {block}")
+        p0 = block * per_block
+        p1 = min(p0 + per_block, paths)
         with np.errstate(**err):
             # ln(S / S0) along each path, built in place on the normals; ln S0
             # joins only the minimum and the last date, the same bits as at
             # every date since fl(c + a) is monotone in c
-            logs = walk_normals(seed, m, p0, p1)
+            logs = walk_normals(seed, m, block, p1 - p0)
             logs *= vol_term
             logs += drift_term
             np.cumsum(logs, axis=1, out=logs)
@@ -223,7 +204,7 @@ def knockout_terminal(
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # reading every result re-raises a worker's exception here
-        list(pool.map(walk, range(0, paths, chunk)))
+        list(pool.map(walk, range(-(-paths // per_block))))
     return s_t, alive
 
 

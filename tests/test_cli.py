@@ -392,10 +392,10 @@ def test_a_pde_refusal_wins_over_a_monte_carlo_refusal(capsys):
 
 
 def test_a_pde_refusal_stops_the_knock_out_walk(monkeypatch, capsys):
-    # every chunk's draws wait for the stop signal, and the PDE refuses once
-    # the first chunk has started, so only the chunks already drawing (one per
+    # every block's draw waits for the stop signal, and the PDE refuses once
+    # the first block has started, so only the blocks already drawing (one per
     # worker) finish, however the threads are scheduled.  Without a stop
-    # signal, the draws stop waiting after the deadline and every chunk runs
+    # signal, the draws stop waiting after the deadline and every block runs
     started, stops, drawn = threading.Event(), [], []
     deadline = time.monotonic() + 30.0
     walk, normals = montecarlo.knockout_terminal, montecarlo.walk_normals
@@ -418,8 +418,8 @@ def test_a_pde_refusal_stops_the_knock_out_walk(monkeypatch, capsys):
     monkeypatch.setattr(montecarlo, "walk_normals", walk_normals)
     monkeypatch.setattr(finance, "price_pde", price_pde)
     assert main(["price", "--payoff", "do-call", "--method", "all", "--paths", "200000"]) == 2
-    chunks = -(-200_000 // (montecarlo.KNOCKOUT_CHUNK_BYTES // 8 // (2 * 250)))
-    assert 1 <= len(drawn) <= 2 < chunks
+    blocks = -(-200_000 // montecarlo.paths_per_block(250))
+    assert 1 <= len(drawn) <= 2 < blocks
     assert capsys.readouterr().err == "error: the PDE refuses\n"
 
 

@@ -65,7 +65,7 @@ def run_main(argv) -> int:
         (("--method", "all", "--xmin=-1e150", "--xmax=10"), "does not resolve"),
         (("--method", "mc", "--csv", "curve.csv"), "--csv"),
         (("--method", "closed", "--csv", "curve.csv"), "--csv"),
-        (("--payoff", "do-call", "--monitoring", "262145"), "exceed the 262144 normals of one path chunk"),
+        (("--payoff", "do-call", "--monitoring", "262145"), "exceed the 262144 that one path may hold"),
         (("--steps", "-5"), "--steps must be >= 0"),
         (("--method", "pde", "--steps", "-5"), "--steps must be >= 0"),
         (("--method", "closed", "--steps", "-5"), "--steps must be >= 0"),

@@ -18,7 +18,6 @@ from qflab.finance import (
 from qflab.grid import Grid1D
 from qflab.montecarlo import (
     BLOCK_NORMALS,
-    KNOCKOUT_CHUNK_BYTES,
     feynman_kac_estimate,
     knockout_terminal,
     raw_uint64,
@@ -91,7 +90,7 @@ def test_chunked_generation_matches_one_shot(seed, chunks):
 
 
 def test_walk_normals_standardized():
-    z = walk_normals(0, 250, 0, 1_600).ravel()
+    z = np.concatenate([walk_normals(0, 250, b, 400) for b in range(4)]).ravel()
     assert len(z) == 400_000
     assert abs(z.mean()) < 3.0 / math.sqrt(len(z))
     assert abs(z.std() - 1.0) < 0.01
@@ -99,12 +98,13 @@ def test_walk_normals_standardized():
 
 
 @pytest.mark.parametrize("m", [1, 50, 250, BLOCK_NORMALS + 3])
-def test_walk_normals_of_any_path_range_are_rows_of_one_draw(m):
+def test_a_blocks_first_paths_are_the_head_of_the_whole_block(m):
     per_block = montecarlo.paths_per_block(m)
-    paths = 2 * per_block + 5
-    whole = walk_normals(3, m, 0, paths)
-    for p0, p1 in ((0, 1), (1, per_block + 1), (per_block - 1, paths), (per_block, paths)):
-        assert np.array_equal(walk_normals(3, m, p0, p1), whole[p0:p1])
+    for block in (0, 2):
+        whole = walk_normals(3, m, block, per_block)
+        assert whole.shape == (per_block, m)
+        for k in {1, (per_block + 1) // 2, per_block - 1} - {0}:
+            assert np.array_equal(walk_normals(3, m, block, k), whole[:k])
 
 
 def test_a_walk_of_fewer_paths_is_the_head_of_a_longer_walk():
@@ -114,17 +114,21 @@ def test_a_walk_of_fewer_paths_is_the_head_of_a_longer_walk():
     assert np.array_equal(short[0], long[0][:3_000]) and np.array_equal(short[1], long[1][:3_000])
 
 
+def spawned_block(seed: int, b: int, paths: int, m: int) -> np.ndarray:
+    """``paths`` paths of m normals drawn straight from the seed's spawned child b."""
+    child = np.random.SeedSequence(seed).spawn(b + 1)[b]
+    return np.random.Generator(np.random.SFC64(child)).standard_normal((paths, m))
+
+
 def test_walk_blocks_are_the_spawned_children_of_the_seed():
     m = 50
     per_block = montecarlo.paths_per_block(m)
 
     def block(seed, b):
-        return walk_normals(seed, m, b * per_block, (b + 1) * per_block)
+        return walk_normals(seed, m, b, per_block)
 
     for b in range(3):
-        child = np.random.SeedSequence(7).spawn(b + 1)[b]
-        draw = np.random.Generator(np.random.SFC64(child)).standard_normal((per_block, m))
-        assert np.array_equal(block(7, b), draw)
+        assert np.array_equal(block(7, b), spawned_block(7, b, per_block, m))
     assert not np.array_equal(block(7, 0), block(8, 0))
     # the entropy tuple (seed, block) maps these two pairs to one state; the spawn key does not
     high = 5 + 3 * 2**32
@@ -139,22 +143,23 @@ def test_walk_blocks_are_uncorrelated_across_blocks_and_seeds(seed):
     # one path of n dates is one block, so rows 0 and 1 are adjacent blocks
     n = 400_000
     bound = 5.0 / math.sqrt(n)
-    walk, next_seed = walk_normals(seed, n, 0, 2), walk_normals(seed + 1, n, 0, 1)
-    assert abs(np.corrcoef(walk[0], walk[1])[0, 1]) < bound
-    assert abs(np.corrcoef(walk[0], next_seed[0])[0, 1]) < bound
+    first, second = walk_normals(seed, n, 0, 1)[0], walk_normals(seed, n, 1, 1)[0]
+    assert abs(np.corrcoef(first, second)[0, 1]) < bound
+    assert abs(np.corrcoef(first, walk_normals(seed + 1, n, 0, 1)[0])[0, 1]) < bound
 
 
-def test_the_default_budget_walks_each_chunk_in_one_draw(monkeypatch):
-    # on two workers a chunk is one whole block: one ziggurat call, and no
-    # block prefix drawn twice
+@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
+def test_the_walk_draws_each_block_in_one_draw(monkeypatch, cpus):
+    # on one worker or two, a block is one generator and one ziggurat call,
+    # and no block is drawn twice
     m, paths = 250, 200_000
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
-    chunks, generators = [], []
+    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: cpus)
+    blocks, generators = [], []
     walk, sfc64 = montecarlo.walk_normals, montecarlo.SFC64
 
-    def walk_normals_(seed, m_, p0, p1):
-        chunks.append(p0)
-        return walk(seed, m_, p0, p1)
+    def walk_normals_(seed, m_, block, k):
+        blocks.append(block)
+        return walk(seed, m_, block, k)
 
     def sfc64_(seed_sequence):
         generators.append(seed_sequence.spawn_key)
@@ -163,10 +168,9 @@ def test_the_default_budget_walks_each_chunk_in_one_draw(monkeypatch):
     monkeypatch.setattr(montecarlo, "walk_normals", walk_normals_)
     monkeypatch.setattr(montecarlo, "SFC64", sfc64_)
     knockout_terminal(MP, DO_CALL, 100.0, paths, 0, monitoring_per_year=m, stop=None)
-    per_block = montecarlo.paths_per_block(m)
-    assert len(chunks) == len(generators) == -(-paths // per_block)
-    assert all(p0 % per_block == 0 for p0 in chunks)
-    assert sorted(generators) == [(block,) for block in range(len(chunks))]
+    count = -(-paths // montecarlo.paths_per_block(m))
+    assert sorted(blocks) == list(range(count))
+    assert sorted(generators) == [(block,) for block in range(count)]
 
 
 # -- exact terminal sampling -----------------------------------------------------
@@ -232,26 +236,13 @@ def test_estimates_are_bit_reproducible():
     assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
 
-def chunk_paths(monkeypatch, paths: int, m: int):
-    """Shrink the knock-out chunk budget so that one chunk holds ``paths`` paths of m dates."""
-    monkeypatch.setattr(montecarlo, "KNOCKOUT_CHUNK_BYTES", 8 * paths * m)
-
-
-def test_knockout_chunking_does_not_change_results(monkeypatch):
-    chunk_paths(monkeypatch, 64, 50)
-    a = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50, stop=None)
-    chunk_paths(monkeypatch, 2_000, 50)
-    b = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50, stop=None)
-    assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
-
-
-@pytest.mark.parametrize("chunk", [None, 1, 7, 64, 2_000, 5_000])
-def test_knockout_walk_matches_reference_formula(monkeypatch, chunk):
-    paths, seed, m = 2_000, 5, 50
-    if chunk is not None:
-        chunk_paths(monkeypatch, chunk, m)
+# one partial block; two whole blocks and a partial one; one path a block, walked alone
+@pytest.mark.parametrize("m,paths", [(50, 2_000), (50, 6_000), (BLOCK_NORMALS + 3, 3)])
+def test_knockout_walk_matches_reference_formula(m, paths):
+    seed, per_block = 5, max(1, BLOCK_NORMALS // m)
     dt = DO_CALL.maturity / m
-    z = walk_normals(seed, m, 0, paths)
+    blocks = -(-paths // per_block)
+    z = np.concatenate([spawned_block(seed, b, per_block, m) for b in range(blocks)])[:paths]
     drift, vol = (MP.r - 0.5 * MP.sigma**2) * dt, MP.sigma * math.sqrt(dt)
     logs = math.log(100.0) + np.cumsum(drift + vol * z, axis=1)
     s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, paths, seed, monitoring_per_year=m, stop=None)
@@ -259,23 +250,22 @@ def test_knockout_walk_matches_reference_formula(monkeypatch, chunk):
     assert np.array_equal(alive, np.min(logs, axis=1) > math.log(80.0))
 
 
-@pytest.mark.parametrize("chunk", [None, 1, 7, 64])
-def test_knockout_walk_does_not_depend_on_the_worker_count(monkeypatch, chunk):
-    if chunk is not None:
-        chunk_paths(monkeypatch, chunk, 50)
+def test_knockout_walk_does_not_depend_on_the_worker_count(monkeypatch):
+    # two whole blocks of 2621 paths at 50 dates and a partial one
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
-    two = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50, stop=None)
+    two = knockout_terminal(MP, DO_CALL, 100.0, 6_000, 5, monitoring_per_year=50, stop=None)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0})
-    one = knockout_terminal(MP, DO_CALL, 100.0, 2_000, 5, monitoring_per_year=50, stop=None)
+    one = knockout_terminal(MP, DO_CALL, 100.0, 6_000, 5, monitoring_per_year=50, stop=None)
     assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
 
 
-@pytest.mark.parametrize("dates,workers", [(250, 2), (KNOCKOUT_CHUNK_BYTES // 8, 1)])
+@pytest.mark.parametrize("dates,workers", [(250, 2), (BLOCK_NORMALS, 2), (BLOCK_NORMALS + 1, 1),
+                                           (2 * BLOCK_NORMALS, 1)])
 def test_knockout_walk_asks_for_at_most_two_workers(monkeypatch, dates, workers):
     asked = []
 
     class SerialPool:
-        """Records the worker count and walks the chunks in the calling thread."""
+        """Records the worker count and walks the blocks in the calling thread."""
 
         def __init__(self, max_workers):
             asked.append(max_workers)
@@ -291,13 +281,13 @@ def test_knockout_walk_asks_for_at_most_two_workers(monkeypatch, dates, workers)
     monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
     s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, 4, 0, monitoring_per_year=dates, stop=None)
-    # a path longer than half the budget walks alone, so the two workers' chunks still fit it
+    # a path longer than a block walks alone, so the walk still holds at most two blocks of normals
     assert asked == [workers]
     assert s_t.shape == alive.shape == (4,)
 
 
-def test_knockout_memory_is_bounded_by_the_chunk_budget():
-    bound = 3 * KNOCKOUT_CHUNK_BYTES
+def test_knockout_memory_is_bounded_by_two_blocks():
+    bound = 3 * 2 * 8 * BLOCK_NORMALS
     for paths in (8_192, 65_536):
         tracemalloc.start()
         try:
@@ -310,10 +300,8 @@ def test_knockout_memory_is_bounded_by_the_chunk_budget():
 
 def test_knockout_refuses_more_dates_than_one_chunk_holds():
     with pytest.raises(ValueError, match="monitoring"):
-        knockout_terminal(MP, DO_CALL, 100.0, 2, 0, monitoring_per_year=KNOCKOUT_CHUNK_BYTES // 8 + 1,
-                          stop=None)
-    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, 2, 0, monitoring_per_year=KNOCKOUT_CHUNK_BYTES // 8,
-                                   stop=None)
+        knockout_terminal(MP, DO_CALL, 100.0, 2, 0, monitoring_per_year=2 * BLOCK_NORMALS + 1, stop=None)
+    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, 2, 0, monitoring_per_year=2 * BLOCK_NORMALS, stop=None)
     assert s_t.shape == alive.shape == (2,)
 
 
