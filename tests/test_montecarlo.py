@@ -236,8 +236,12 @@ def test_estimates_are_bit_reproducible():
     assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
 
-# one partial block; two whole blocks and a partial one; one path a block, walked alone
-@pytest.mark.parametrize("m,paths", [(50, 2_000), (50, 6_000), (BLOCK_NORMALS + 3, 3)])
+# one partial block; two whole blocks and a partial one; a whole block of one-date paths
+# and a partial one; one path a block on two workers; one path a block, walked alone
+WALK_SHAPES = [(50, 2_000), (50, 6_000), (1, BLOCK_NORMALS + 5), (BLOCK_NORMALS, 3), (BLOCK_NORMALS + 3, 3)]
+
+
+@pytest.mark.parametrize("m,paths", WALK_SHAPES)
 def test_knockout_walk_matches_reference_formula(m, paths):
     seed, per_block = 5, max(1, BLOCK_NORMALS // m)
     dt = DO_CALL.maturity / m
@@ -250,12 +254,12 @@ def test_knockout_walk_matches_reference_formula(m, paths):
     assert np.array_equal(alive, np.min(logs, axis=1) > math.log(80.0))
 
 
-def test_knockout_walk_does_not_depend_on_the_worker_count(monkeypatch):
-    # two whole blocks of 2621 paths at 50 dates and a partial one
+@pytest.mark.parametrize("m,paths", WALK_SHAPES[:-1])
+def test_knockout_walk_does_not_depend_on_the_worker_count(monkeypatch, m, paths):
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
-    two = knockout_terminal(MP, DO_CALL, 100.0, 6_000, 5, monitoring_per_year=50, stop=None)
+    two = knockout_terminal(MP, DO_CALL, 100.0, paths, 5, monitoring_per_year=m, stop=None)
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0})
-    one = knockout_terminal(MP, DO_CALL, 100.0, 6_000, 5, monitoring_per_year=50, stop=None)
+    one = knockout_terminal(MP, DO_CALL, 100.0, paths, 5, monitoring_per_year=m, stop=None)
     assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
 
 
