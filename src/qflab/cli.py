@@ -314,7 +314,7 @@ def cmd_price(args) -> RunReport:
     if args.method == "closed" or (args.method == "all" and contract.barrier is None):
         prices["closed"] = finance.closed_form_price(mp, contract, args.spot)
     if run_mc:
-        montecarlo.check_draws(args.paths, args.seed)  # refused before any PDE work
+        montecarlo.check_draws(contract, args.paths, args.seed)  # refused before any PDE work
     # the pricers share no data, and the Monte Carlo's heavy calls release the
     # GIL, so it runs on one worker, in a copy of this context (numpy's error
     # state), while this thread steps the PDE.  A PDE refusal leaves the ``with``
@@ -334,6 +334,9 @@ def cmd_price(args) -> RunReport:
                     h = finance.bs_hamiltonian(g, mp)
                     curve = finance.price_pde(h, contract, mp, steps)
                 prices["pde"] = curve.price_at(args.spot)
+                if args.method == "pde" and contract.barrier is None:
+                    # --method all gates a call or put against its closed form instead
+                    finance.check_no_arbitrage(mp, contract, args.spot, prices["pde"])
                 if args.method == "all" and contract.barrier is not None:
                     shifted = montecarlo.shifted_barrier(contract, mp.sigma, args.monitoring)
                     shifted_pde = finance.price_pde(h, shifted, mp, steps).price_at(args.spot)

@@ -304,6 +304,26 @@ def pde_tolerance(price: float) -> float:
     return max(1e-2, 2e-3 * abs(price))
 
 
+def check_no_arbitrage(mp: MarketParams, contract: OptionContract, spot: float, price: float) -> None:
+    """Refuse a call or put price farther outside its no-arbitrage bounds than ``pde_tolerance``.
+
+    A call lies in [max(0, S - K e^{-rT}), S] and a put in
+    [max(0, K e^{-rT} - S), K e^{-rT}].  A price below the lower bound L by
+    more than pde_tolerance(L), or above the upper bound U by more than
+    pde_tolerance(U), is farther from every price the bounds allow than the
+    ``pde_vs_closed`` gate of ``price --method all`` forgives.
+    """
+    discounted = contract.strike * math.exp(-mp.r * contract.maturity)
+    if contract.payoff_kind == "european_call":
+        lower, upper = max(0.0, spot - discounted), spot
+    else:
+        lower, upper = max(0.0, discounted - spot), discounted
+    if not lower - pde_tolerance(lower) <= price <= upper + pde_tolerance(upper):
+        raise ValueError(f"PDE price {price:.6g} at spot {spot:.6g} lies outside the no-arbitrage "
+                         f"bounds [{lower:.6g}, {upper:.6g}] by more than the PDE tolerance: "
+                         f"the grid and steps do not resolve the contract")
+
+
 @dataclass(frozen=True, eq=False)
 class PriceCurve:
     """C(0, x) over the grid with run diagnostics."""

@@ -16,15 +16,18 @@ Randomness is keyed, not sequential.  Terminal sampling uses
 (seed, s, i), the inverse normal CDF (``ndtri``) of one Philox output.  The
 knock-out walk uses ``walk_normals``: numpy's ziggurat sampler, which is
 cheaper per normal but reads a variable number of words per normal, so it is
-keyed by block of whole paths, each block one draw from its own SFC64
+keyed by block of whole rows, each block one draw from its own SFC64
 generator, seeded by the ``SeedSequence`` child (seed, spawn key (block,)).
-Either way results cannot depend on worker scheduling.  Path simulation
-walks one block at a time on each of at most two worker threads, so it
-holds at most 2 MiB of normals however many paths there are.  Aggregation
-always runs over the fully materialized value array with numpy's pairwise
-summation, making estimates reproducible bit-for-bit from (market, contract,
-spot, paths, seed), on whichever thread ``feynman_kac_estimate`` runs:
-``price`` calls it on a worker thread of its own, beside the PDE.
+Either way results cannot depend on worker scheduling.  Each row drives an
+antithetic pair of paths, z and -z (Glasserman 2004, section 4.2), so the
+walk draws one normal per pair and date, and a barrier's standard error
+comes from the pairs.  Path simulation walks one block at a time on each of
+at most two worker threads, so it holds at most 2 MiB of normals however
+many paths there are.  Aggregation always runs over the fully materialized
+value array with numpy's pairwise summation, making estimates reproducible
+bit-for-bit from (market, contract, spot, paths, seed), on whichever thread
+``feynman_kac_estimate`` runs: ``price`` calls it on a worker thread of its
+own, beside the PDE.
 """
 
 import functools
@@ -42,18 +45,32 @@ from .finance import MarketParams, OptionContract, check_discount
 
 _PHILOX_OUTPUTS_PER_BLOCK = 4
 # normals in one block of the knock-out walk's stream, its unit of work: one
-# SFC64 generator and one ziggurat draw of as many whole paths as fit, and at
-# least one.  Two workers each walk a 1 MiB block, which fits a 2 MiB L2
-# cache (8 MiB walked about 20 % slower); a path longer than a block walks
-# alone, and one longer than two blocks is refused, so the walk holds at most
-# 2 MiB of normals however many paths there are
+# SFC64 generator and one ziggurat draw of as many whole rows as fit, and at
+# least one, each row the normals of an antithetic pair of paths.  Two
+# workers each walk a 1 MiB block, which fits a 2 MiB L2 cache (8 MiB walked
+# about 20 % slower); a row longer than a block walks alone, and one longer
+# than two blocks is refused, so the walk holds at most 2 MiB of normals
+# however many paths there are
 BLOCK_NORMALS = 1 << 17
+# values in the scratch where a worker forms the +z paths of its block a few
+# rows at a time, and at least one row: on a 2 vCPU host a scratch as large
+# as the block raised the barrier benchmark's peak RSS by 1.7 MB and walked
+# no faster
+SCRATCH_NORMALS = BLOCK_NORMALS // 8
 
 
-def check_draws(paths: int, seed: int) -> None:
-    """Refuse a path count without a standard error or a seed outside the Philox key."""
+def check_draws(contract: OptionContract, paths: int, seed: int) -> None:
+    """Refuse a path count without a standard error, or a seed outside [0, 2**64).
+
+    The seed is a 64-bit key of both the terminal draw's Philox stream and
+    the ``SeedSequence`` of the walk's blocks.  A barrier's standard error
+    comes from its antithetic pairs, so it needs two pairs: four paths.
+    """
     if paths < 2:
         raise ValueError(f"paths must be >= 2 for a standard error, got {paths}")
+    if contract.barrier is not None and paths < 4:
+        raise ValueError(f"paths must be >= 4 for a barrier's standard error, which needs two "
+                         f"antithetic pairs, got {paths}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
@@ -97,21 +114,21 @@ def standard_normals(seed: int, count: int, start: int = 0, stream: int = 0) -> 
     return ndtri(u, out=u)
 
 
-def paths_per_block(m: int) -> int:
-    """Paths of m normals in one block of the knock-out walk's stream."""
+def rows_per_block(m: int) -> int:
+    """Rows of m normals in one block of the knock-out walk's stream, each row a pair of paths."""
     return max(1, BLOCK_NORMALS // m)
 
 
-def walk_normals(seed: int, m: int, block: int, paths: int) -> np.ndarray:
-    """The knock-out walk's normals of a block's first ``paths`` paths, one path a row.
+def walk_normals(seed: int, m: int, block: int, rows: int) -> np.ndarray:
+    """The knock-out walk's normals of a block's first ``rows`` rows of m dates.
 
-    Block b holds paths [b, b + 1) * ``paths_per_block(m)`` and is one call of
+    Block b holds rows [b, b + 1) * ``rows_per_block(m)`` and is one call of
     numpy's ziggurat ``standard_normal`` on an SFC64 generator seeded by
     ``SeedSequence(seed, spawn_key=(b,))``, which is the child
     ``SeedSequence(seed).spawn(b + 1)[b]``.  The spawn key keeps every
     (seed, b) pair apart, which the entropy tuple (seed, b) would not: its
     32-bit words make seed 5 + 3 * 2**32 block 0 the same as seed 5 block 3.
-    An SFC64 stream is drawn in order, so a block's first k paths do not
+    An SFC64 stream is drawn in order, so a block's first k rows do not
     depend on how many follow: the last, partial block of a walk is the head
     of the whole block.
     """
@@ -119,9 +136,9 @@ def walk_normals(seed: int, m: int, block: int, paths: int) -> np.ndarray:
     # ``z`` itself, or into an array that ``standard_normal`` makes, measured
     # the barrier benchmark's wall time 0.6-0.9 % slower in alternated pairs,
     # for no cause found
-    z = np.empty((paths, m))
+    z = np.empty((rows, m))
     gen = Generator(SFC64(SeedSequence(seed, spawn_key=(block,))))
-    gen.standard_normal(out=z[:paths])
+    gen.standard_normal(out=z[:rows])
     return z
 
 
@@ -161,11 +178,16 @@ def knockout_terminal(
     """(S(T), alive) under discrete monitoring of the contract's barrier.
 
     Exact GBM increments at monitoring_per_year dates; a path dies when it
-    touches or crosses the barrier at a monitoring date.  Paths are walked
-    one block of ``walk_normals`` at a time on at most two threads, each block
+    touches or crosses the barrier at a monitoring date.  Paths walk in
+    antithetic pairs: row j of ``walk_normals`` drives path 2j with z and
+    path 2j + 1 with -z, so ln(S / S0) is R + W and R - W, where
+    W = cumsum(sigma sqrt(dt) z) and R is the drift ramp k (r - sigma^2/2) dt
+    at date k.  An odd ``paths`` leaves the last path without its mirror.
+    A block of ``rows_per_block(m)`` rows holds 2 ``rows_per_block(m)``
+    paths; blocks are walked one at a time on at most two threads, each
     writing only its own slice of the result, so the worker count does not
-    affect the draws.  Once ``stop`` is set, no further block starts, and the
-    walk raises ``CancelledError``.
+    affect the draws.  Once ``stop`` is set, no further block starts, and
+    the walk raises ``CancelledError``.
     """
     m = monitoring_dates(monitoring_per_year, contract.maturity)
     if m > 2 * BLOCK_NORMALS:
@@ -174,9 +196,10 @@ def knockout_terminal(
     # the ziggurat draw, cumsum, min and exp release the GIL, so the blocks
     # walk in parallel; a path longer than a block walks alone
     workers = min(2, len(os.sched_getaffinity(0))) if m <= BLOCK_NORMALS else 1
-    per_block = paths_per_block(m)
+    per_block = 2 * rows_per_block(m)
+    scratch_rows = max(1, SCRATCH_NORMALS // m)
     dt = contract.maturity / m
-    drift_term = (mp.r - 0.5 * mp.sigma**2) * dt
+    ramp = (mp.r - 0.5 * mp.sigma**2) * dt * np.arange(1, m + 1)
     vol_term = mp.sigma * math.sqrt(dt)
     log_b = math.log(contract.barrier)
     log_s0 = math.log(spot)
@@ -192,15 +215,28 @@ def knockout_terminal(
         p0 = block * per_block
         p1 = min(p0 + per_block, paths)
         with np.errstate(**err):
-            # ln(S / S0) along each path, built in place on the normals; ln S0
-            # joins only the minimum and the last date, the same bits as at
-            # every date since fl(c + a) is monotone in c
-            logs = walk_normals(seed, m, block, p1 - p0)
-            logs *= vol_term
-            logs += drift_term
-            np.cumsum(logs, axis=1, out=logs)
-            alive[p0:p1] = np.min(logs, axis=1) + log_s0 > log_b
-            s_t[p0:p1] = np.exp(logs[:, -1] + log_s0)
+            # W along each row, built in place on the normals; ln S0 joins
+            # only the minimum and the last date, the same bits as at every
+            # date since fl(c + a) is monotone in c
+            rows = (p1 - p0 + 1) // 2
+            w = walk_normals(seed, m, block, rows)
+            w *= vol_term
+            np.cumsum(w, axis=1, out=w)
+            # path p0 + 2j is R + W of row j, formed a few rows at a time in a
+            # small scratch; path p0 + 2j + 1 is R - W, formed in place on W
+            # after it, and an odd walk's last path has no mirror
+            lowest, last = np.empty(rows), np.empty(rows)
+            scratch = np.empty((min(scratch_rows, rows), m))
+            for a in range(0, rows, scratch_rows):
+                chunk = w[a : a + scratch_rows]
+                plus = np.add(chunk, ramp, out=scratch[: len(chunk)])
+                np.min(plus, axis=1, out=lowest[a : a + len(chunk)])
+                last[a : a + len(chunk)] = plus[:, -1]
+            minus = np.subtract(ramp, w, out=w)[: (p1 - p0) // 2]
+            alive[p0:p1:2] = lowest + log_s0 > log_b
+            s_t[p0:p1:2] = np.exp(last + log_s0)
+            alive[p0 + 1 : p1 : 2] = np.min(minus, axis=1) + log_s0 > log_b
+            s_t[p0 + 1 : p1 : 2] = np.exp(minus[:, -1] + log_s0)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # reading every result re-raises a worker's exception here
@@ -220,10 +256,16 @@ def feynman_kac_estimate(
     Paths follow GBM with the market's rate as drift and its sigma, up to the
     contract's maturity.  A barrier contract is priced on monitored paths,
     whose walk ``stop`` ends early (see ``knockout_terminal``); every other
-    contract samples the terminal value exactly.  Mean and standard error are
-    discounted once, after aggregation.
+    contract samples the terminal value exactly.  The mean is the sum of the
+    payoffs over ``paths``.  A call's or put's standard error is
+    np.std(ddof=1) / sqrt(paths).  A barrier's comes from the q = paths // 2
+    antithetic pairs: sqrt(q s2_pair + (paths mod 2) s2_path) / paths, where
+    s2_pair is the sample variance of the pair sums and s2_path that of the
+    pairs' second paths, which estimates the variance of an odd walk's lone
+    last path.  Both are formed in place on the payoff array.  Mean and
+    standard error are discounted once, after aggregation.
     """
-    check_draws(paths, seed)
+    check_draws(contract, paths, seed)
     if not spot > 0:
         raise ValueError(f"spot must be > 0, got {spot}")
     r, t = mp.r, contract.maturity
@@ -236,17 +278,30 @@ def feynman_kac_estimate(
         else:
             values = contract.payoff(sample_terminal(mp, contract, spot, paths, seed))
         mean = float(np.sum(values) / paths)
-        # np.std(values, ddof=1) bit for bit, in its order of operations, but
-        # in place on the payoff array, which nothing else holds
-        values -= mean
-        np.square(values, out=values)
-        se = math.sqrt(np.sum(values) / (paths - 1)) / math.sqrt(paths)
+        if contract.barrier is None:
+            se = math.sqrt(_variance_in_place(values, mean)) / math.sqrt(paths)
+        else:
+            # the sum of q pairs, plus an odd walk's lone last path, whose
+            # variance the pairs' second paths estimate: each has the law of one path
+            q, lone = divmod(paths, 2)
+            pair_sums, second = values[: 2 * q : 2], values[1 : 2 * q : 2]
+            pair_sums += second
+            pair_var = _variance_in_place(pair_sums, np.sum(pair_sums) / q)
+            path_var = _variance_in_place(second, np.sum(second) / q) if lone else 0.0
+            se = math.sqrt(q * pair_var + lone * path_var) / paths
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise ValueError(f"Monte Carlo estimate {mean:.3g} +- {se:.3g} is not finite: "
                          f"the payoff samples overflow float64 at spot={spot:.6g}, "
                          f"drift={r:.6g}, sigma={mp.sigma:.6g}, T={t:.6g}")
     factor = math.exp(-r * t)
     return McEstimate(mean * factor, se * factor)
+
+
+def _variance_in_place(x: np.ndarray, mean: float) -> float:
+    """np.var(x, ddof=1) bit for bit, given mean = np.sum(x) / len(x), but in place on x, which it overwrites."""
+    x -= mean
+    np.square(x, out=x)
+    return float(np.sum(x) / (len(x) - 1))
 
 
 # -- monitoring bias ---------------------------------------------------------

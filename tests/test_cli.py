@@ -299,15 +299,19 @@ NARROW_DEFAULT = ("price", "--method", "pde", "--n", "5", "--sigma", "0.9")
 def test_the_narrow_grid_warning_prints_once_per_solve_after_a_cache_hit(monkeypatch, capsys):
     # half-width 7.2 and n = 5 give the same unit-strike curve at either strike;
     # the rounding of ln 100 + offset leaves only the strike-100 grid narrow
+    # n = 5 does not resolve the call, so each run then refuses its price; the
+    # refusal follows the solve, so the unit curve is cached all the same
     counts = count_calls(monkeypatch, finance.price_pde)
     for _ in range(2):  # a miss, then a hit
-        assert main([*NARROW_DEFAULT, "--strike", "10", "--spot", "10"]) == 0
-    assert capsys.readouterr().err == ""
+        assert main([*NARROW_DEFAULT, "--strike", "10", "--spot", "10"]) == 2
+        assert capsys.readouterr().err.startswith("error: PDE price 1205.7 at spot 10 lies outside")
     assert counts == {"price_pde": 1}
     for _ in range(2):
-        assert main([*NARROW_DEFAULT, "--strike", "100", "--spot", "100"]) == 0
-        assert capsys.readouterr().err == ("warning: grid [-0.795, 13.6] narrower than ln K +- 6 sigma "
-                                           "sqrt(T); boundary data will bias the price\n")
+        assert main([*NARROW_DEFAULT, "--strike", "100", "--spot", "100"]) == 2
+        warning, error, end = capsys.readouterr().err.split("\n")
+        assert warning == ("warning: grid [-0.795, 13.6] narrower than ln K +- 6 sigma sqrt(T); "
+                           "boundary data will bias the price")
+        assert error.startswith("error: PDE price 12057 at spot 100 lies outside") and end == ""
     assert counts == {"price_pde": 3}  # a narrow grid is solved directly
 
 
@@ -370,6 +374,16 @@ def test_price_all_refuses_paths_and_seed_before_the_pde(monkeypatch, capsys, pa
     assert capsys.readouterr().err.startswith(message)
 
 
+def test_price_all_refuses_a_barrier_without_two_pairs_before_the_pde(monkeypatch, capsys):
+    # a barrier's standard error comes from its antithetic pairs, so 3 paths are too few
+    counts = count_calls(monkeypatch, finance.price_pde)
+    assert main(["price", "--payoff", "do-call", "--method", "all", "--n", "101", "--steps", "50",
+                 "--paths", "3"]) == 2
+    assert counts == {"price_pde": 0}
+    assert capsys.readouterr().err == ("error: paths must be >= 4 for a barrier's standard error, "
+                                       "which needs two antithetic pairs, got 3\n")
+
+
 BOTH_REFUSE = (*SMALL_ALL, "--payoff", "do-call", "--monitoring", "300000", "--xmin=-1e150", "--xmax=10")
 
 
@@ -418,7 +432,7 @@ def test_a_pde_refusal_stops_the_knock_out_walk(monkeypatch, capsys):
     monkeypatch.setattr(montecarlo, "walk_normals", walk_normals)
     monkeypatch.setattr(finance, "price_pde", price_pde)
     assert main(["price", "--payoff", "do-call", "--method", "all", "--paths", "200000"]) == 2
-    blocks = -(-200_000 // montecarlo.paths_per_block(250))
+    blocks = -(-200_000 // (2 * montecarlo.rows_per_block(250)))  # a block's rows drive two paths each
     assert 1 <= len(drawn) <= 2 < blocks
     assert capsys.readouterr().err == "error: the PDE refuses\n"
 

@@ -78,6 +78,13 @@ def run_main(argv) -> int:
         (("--method", "mc", "--paths", "1000000000000"), "Unable to allocate"),
         (("--payoff", "do-call", "--barrier", "80", "--method", "all", "--paths", "1000000000000"),
          "Unable to allocate"),
+        (("--payoff", "do-call", "--paths", "3"), "needs two antithetic pairs, got 3"),
+        (("--payoff", "do-call", "--method", "mc", "--paths", "2"), "needs two antithetic pairs, got 2"),
+        # a call or put priced by --method pde alone is held to its no-arbitrage bounds
+        (("--method", "pde", "--n", "4", "--steps", "0"), "PDE price -641.1 at spot 100 lies outside"),
+        (("--method", "pde", "--n", "5", "--steps", "0"), "PDE price 440.851 at spot 100 lies outside"),
+        (("--payoff", "put", "--strike", "0.001", "--spot", "0.001", "--rate", "-708", "--method", "pde"),
+         "no-arbitrage bounds [3.02338e+304, 3.02338e+304]"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -316,8 +323,8 @@ def test_library_constructors_reject_the_same_inputs():
         price_pde(bs_hamiltonian(g, mp), OptionContract("european_call", 100.0, 1.0), mp, 10)
 
 
-def test_price_walks_as_many_dates_as_one_path_chunk_holds():
-    assert run_main((*SMALL_PRICE, "--payoff", "do-call", "--method", "mc", "--paths", "2",
+def test_price_walks_as_many_dates_as_one_path_block_holds():
+    assert run_main((*SMALL_PRICE, "--payoff", "do-call", "--method", "mc", "--paths", "4",
                      "--monitoring", "262144")) == 0
 
 
@@ -411,6 +418,11 @@ def edge_commands(draw):
 @example([*SMALL_PRICE, "--method", "mc", "--paths", "1000000000000"])
 @example([*SMALL_PRICE, "--payoff", "do-call", "--barrier", "80", "--method", "all",
           "--paths", "1000000000000"])
+@example([*SMALL_PRICE, "--payoff", "do-call", "--method", "all", "--paths", "3"])
+@example(["price", "--method", "pde", "--n", "4"])
+@example(["price", "--method", "pde", "--n", "5"])
+@example(["price", "--payoff", "put", "--strike", "0.001", "--spot", "0.001", "--rate", "-708",
+          "--method", "pde", "--n", "101"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     with tempfile.TemporaryDirectory() as tmp:

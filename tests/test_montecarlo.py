@@ -99,7 +99,7 @@ def test_walk_normals_standardized():
 
 @pytest.mark.parametrize("m", [1, 50, 250, BLOCK_NORMALS + 3])
 def test_a_blocks_first_paths_are_the_head_of_the_whole_block(m):
-    per_block = montecarlo.paths_per_block(m)
+    per_block = montecarlo.rows_per_block(m)
     for block in (0, 2):
         whole = walk_normals(3, m, block, per_block)
         assert whole.shape == (per_block, m)
@@ -108,10 +108,10 @@ def test_a_blocks_first_paths_are_the_head_of_the_whole_block(m):
 
 
 def test_a_walk_of_fewer_paths_is_the_head_of_a_longer_walk():
-    # 3000 paths end inside the second block of 2621 paths at 50 dates
-    short = knockout_terminal(MP, DO_CALL, 100.0, 3_000, 5, monitoring_per_year=50, stop=None)
-    long = knockout_terminal(MP, DO_CALL, 100.0, 7_000, 5, monitoring_per_year=50, stop=None)
-    assert np.array_equal(short[0], long[0][:3_000]) and np.array_equal(short[1], long[1][:3_000])
+    # 6001 paths end on a lone path inside the second block of 2621 pairs at 50 dates
+    short = knockout_terminal(MP, DO_CALL, 100.0, 6_001, 5, monitoring_per_year=50, stop=None)
+    long = knockout_terminal(MP, DO_CALL, 100.0, 14_000, 5, monitoring_per_year=50, stop=None)
+    assert np.array_equal(short[0], long[0][:6_001]) and np.array_equal(short[1], long[1][:6_001])
 
 
 def spawned_block(seed: int, b: int, paths: int, m: int) -> np.ndarray:
@@ -122,7 +122,7 @@ def spawned_block(seed: int, b: int, paths: int, m: int) -> np.ndarray:
 
 def test_walk_blocks_are_the_spawned_children_of_the_seed():
     m = 50
-    per_block = montecarlo.paths_per_block(m)
+    per_block = montecarlo.rows_per_block(m)
 
     def block(seed, b):
         return walk_normals(seed, m, b, per_block)
@@ -168,7 +168,7 @@ def test_the_walk_draws_each_block_in_one_draw(monkeypatch, cpus):
     monkeypatch.setattr(montecarlo, "walk_normals", walk_normals_)
     monkeypatch.setattr(montecarlo, "SFC64", sfc64_)
     knockout_terminal(MP, DO_CALL, 100.0, paths, 0, monitoring_per_year=m, stop=None)
-    count = -(-paths // montecarlo.paths_per_block(m))
+    count = -(-paths // (2 * montecarlo.rows_per_block(m)))  # a block's rows drive two paths each
     assert sorted(blocks) == list(range(count))
     assert sorted(generators) == [(block,) for block in range(count)]
 
@@ -236,19 +236,27 @@ def test_estimates_are_bit_reproducible():
     assert (a.mean, a.std_error) == (b.mean, b.std_error)
 
 
-# one partial block; two whole blocks and a partial one; a whole block of one-date paths
-# and a partial one; one path a block on two workers; one path a block, walked alone
-WALK_SHAPES = [(50, 2_000), (50, 6_000), (1, BLOCK_NORMALS + 5), (BLOCK_NORMALS, 3), (BLOCK_NORMALS + 3, 3)]
+# a block's rows are antithetic pairs of paths: one partial block; two whole blocks and a
+# partial one ending on a lone path; a whole block of one-date pairs and a partial one ending
+# on a lone path; one pair a block on two workers, the second block a lone path; one pair a
+# block, walked alone
+WALK_SHAPES = [(50, 2_000), (50, 12_001), (1, 2 * BLOCK_NORMALS + 5), (BLOCK_NORMALS, 3),
+               (BLOCK_NORMALS + 3, 3)]
 
 
 @pytest.mark.parametrize("m,paths", WALK_SHAPES)
 def test_knockout_walk_matches_reference_formula(m, paths):
+    # path 2j walks row j's normals z_j and path 2j + 1 walks -z_j, both from one W = cumsum(vol z_j)
     seed, per_block = 5, max(1, BLOCK_NORMALS // m)
     dt = DO_CALL.maturity / m
-    blocks = -(-paths // per_block)
-    z = np.concatenate([spawned_block(seed, b, per_block, m) for b in range(blocks)])[:paths]
+    rows = -(-paths // 2)
+    blocks = -(-rows // per_block)
+    z = np.concatenate([spawned_block(seed, b, per_block, m) for b in range(blocks)])[:rows]
     drift, vol = (MP.r - 0.5 * MP.sigma**2) * dt, MP.sigma * math.sqrt(dt)
-    logs = math.log(100.0) + np.cumsum(drift + vol * z, axis=1)
+    ramp, w = drift * np.arange(1, m + 1), np.cumsum(vol * z, axis=1)
+    logs = np.empty((paths, m))
+    logs[0::2] = math.log(100.0) + (ramp + w)
+    logs[1::2] = math.log(100.0) + (ramp - w)[: paths // 2]
     s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, paths, seed, monitoring_per_year=m, stop=None)
     assert np.array_equal(s_t, np.exp(logs[:, -1]))
     assert np.array_equal(alive, np.min(logs, axis=1) > math.log(80.0))
@@ -302,7 +310,7 @@ def test_knockout_memory_is_bounded_by_two_blocks():
         assert peak < bound, (paths, peak)
 
 
-def test_knockout_refuses_more_dates_than_one_chunk_holds():
+def test_knockout_refuses_more_dates_than_one_block_holds():
     with pytest.raises(ValueError, match="monitoring"):
         knockout_terminal(MP, DO_CALL, 100.0, 2, 0, monitoring_per_year=2 * BLOCK_NORMALS + 1, stop=None)
     s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, 2, 0, monitoring_per_year=2 * BLOCK_NORMALS, stop=None)
@@ -312,31 +320,69 @@ def test_knockout_refuses_more_dates_than_one_chunk_holds():
 # -- discounting -------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("paths", [2, 3, 64, 4_000])
+def pair_standard_error(values: np.ndarray) -> float:
+    """The standard error of the mean of antithetic pairs, and of an odd walk's lone last path.
+
+    sqrt(q s2_pair + (p mod 2) s2_path) / p for p values and q = p // 2 pairs:
+    s2_pair is the sample variance of the pair sums, and s2_path that of the
+    pairs' second paths, each of which has the law of one path.
+    """
+    p, q = len(values), len(values) // 2
+    first, second = values[: 2 * q : 2], values[1 : 2 * q : 2]
+    s2_path = float(np.var(second, ddof=1)) if p % 2 else 0.0
+    return math.sqrt(q * float(np.var(first + second, ddof=1)) + p % 2 * s2_path) / p
+
+
+@pytest.mark.parametrize("payoff,paths", [("call", 2), ("call", 3), ("call", 64), ("call", 4_000),
+                                          ("do-call", 4), ("do-call", 5), ("do-call", 64),
+                                          ("do-call", 4_000), ("do-call", 4_001)])
 @pytest.mark.parametrize("r", [0.0, 0.05, -0.01])
-@pytest.mark.parametrize("payoff", ["call", "do-call"])
 def test_estimate_is_the_discounted_sampler_mean(payoff, r, paths):
     # the undiscounted payoff values of the same draws, aggregated as the
-    # estimate does; its in-place standard error is np.std(ddof=1), bit for bit
+    # estimate does; its in-place standard error is np.std(ddof=1) for a call
+    # and the antithetic pairs' for a barrier, bit for bit
     barrier = 90.0 if payoff == "do-call" else None
     contract = OptionContract("down_and_out_call" if barrier else "european_call", 100.0, 0.5, barrier)
     mp = MarketParams(0.2, r)
     if barrier:
         s_t, alive = knockout_terminal(mp, contract, 100.0, paths, 9, monitoring_per_year=50, stop=None)
         values = np.where(alive, contract.payoff(s_t), 0.0)
+        se = pair_standard_error(values)
     else:
         values = contract.payoff(sample_terminal(mp, contract, 100.0, paths, 9))
+        se = float(np.std(values, ddof=1) / math.sqrt(paths))
     est = feynman_kac_estimate(mp, contract, 100.0, paths, seed=9, monitoring_per_year=50)
     factor = math.exp(-r * 0.5)
     assert est.mean == float(np.sum(values) / paths) * factor
-    assert est.std_error == float(np.std(values, ddof=1) / math.sqrt(paths)) * factor
+    assert est.std_error == se * factor
+
+
+def test_barrier_standard_error_is_calibrated_over_seeds():
+    # the spread of 256 independent estimates matches the standard error each
+    # reports: the pairs' error neither over- nor understates the scatter
+    estimates = [feynman_kac_estimate(MP, DO_CALL, 100.0, 2_000, seed=seed, monitoring_per_year=250)
+                 for seed in range(256)]
+    spread = float(np.std([e.mean for e in estimates], ddof=1))
+    reported = float(np.median([e.std_error for e in estimates]))
+    # the spread of 256 estimates has a relative sampling error of about 1/sqrt(510) = 4.4 %
+    assert 0.85 <= spread / reported <= 1.15, (spread, reported)
+
+
+def test_antithetic_pairs_reduce_the_barrier_standard_error():
+    # the benchmark contract: the pair error of the same values lies below
+    # their i.i.d. error, since the payoff is monotone in every increment
+    paths = 20_000
+    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, paths, 0, monitoring_per_year=250, stop=None)
+    values = np.where(alive, DO_CALL.payoff(s_t), 0.0)
+    iid = float(np.std(values, ddof=1) / math.sqrt(paths))
+    assert pair_standard_error(values) < 0.8 * iid
 
 
 @pytest.mark.parametrize("kind, spot, message", [
     ("european_call", 1e300, "1.08e+300 +- inf"),
     ("european_call", 1e308, "inf +- nan"),
-    ("down_and_out_call", 1e300, "1.1e+300 +- inf"),
-    ("down_and_out_call", 1e308, "inf +- inf"),
+    ("down_and_out_call", 1e300, "1.05e+300 +- inf"),
+    ("down_and_out_call", 1e308, "inf +- nan"),
 ])
 def test_overflowing_payoff_is_refused_with_its_estimate(kind, spot, message):
     contract = OptionContract(kind, 100.0, 1.0, barrier=80.0 if kind == "down_and_out_call" else None)
