@@ -334,8 +334,8 @@ def cmd_price(args) -> RunReport:
                     h = finance.bs_hamiltonian(g, mp)
                     curve = finance.price_pde(h, contract, mp, steps)
                 prices["pde"] = curve.price_at(args.spot)
-                if args.method == "pde" and contract.barrier is None:
-                    # --method all gates a call or put against its closed form instead
+                if args.method == "pde":
+                    # --method all gates the PDE against the closed form or the Monte Carlo instead
                     finance.check_no_arbitrage(mp, contract, args.spot, prices["pde"])
                 if args.method == "all" and contract.barrier is not None:
                     shifted = montecarlo.shifted_barrier(contract, mp.sigma, args.monitoring)

@@ -305,19 +305,23 @@ def pde_tolerance(price: float) -> float:
 
 
 def check_no_arbitrage(mp: MarketParams, contract: OptionContract, spot: float, price: float) -> None:
-    """Refuse a call or put price farther outside its no-arbitrage bounds than ``pde_tolerance``.
+    """Refuse a PDE price farther outside its no-arbitrage bounds than ``pde_tolerance``.
 
-    A call lies in [max(0, S - K e^{-rT}), S] and a put in
-    [max(0, K e^{-rT} - S), K e^{-rT}].  A price below the lower bound L by
-    more than pde_tolerance(L), or above the upper bound U by more than
+    A call lies in [max(0, S - K e^{-rT}), S], a put in [max(0, K e^{-rT} - S),
+    K e^{-rT}] and a down-and-out call in [0, C], C the closed form of the
+    call without its barrier.  A price below the lower bound L by more than
+    pde_tolerance(L), or above the upper bound U by more than
     pde_tolerance(U), is farther from every price the bounds allow than the
-    ``pde_vs_closed`` gate of ``price --method all`` forgives.
+    ``price --method all`` gates forgive.
     """
     discounted = contract.strike * math.exp(-mp.r * contract.maturity)
     if contract.payoff_kind == "european_call":
         lower, upper = max(0.0, spot - discounted), spot
-    else:
+    elif contract.payoff_kind == "european_put":
         lower, upper = max(0.0, discounted - spot), discounted
+    else:
+        vanilla = replace(contract, payoff_kind="european_call", barrier=None)
+        lower, upper = 0.0, closed_form_price(mp, vanilla, spot)
     if not lower - pde_tolerance(lower) <= price <= upper + pde_tolerance(upper):
         raise ValueError(f"PDE price {price:.6g} at spot {spot:.6g} lies outside the no-arbitrage "
                          f"bounds [{lower:.6g}, {upper:.6g}] by more than the PDE tolerance: "

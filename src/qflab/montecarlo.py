@@ -11,17 +11,16 @@ read-only, so the calls and puts of a strike ladder priced in one process
 draw their normals once (common random numbers, Glasserman 2004); the cache
 keeps that one array of ``paths`` values alive between calls.
 
-Randomness is keyed, not sequential.  Terminal sampling uses
-``standard_normals``: normal variate i of stream s is a pure function of
-(seed, s, i), the inverse normal CDF (``ndtri``) of one Philox output.  The
-knock-out walk uses ``walk_normals``: numpy's ziggurat sampler, which is
-cheaper per normal but reads a variable number of words per normal, so it is
-keyed by block of whole rows, each block one draw from its own SFC64
-generator, seeded by the ``SeedSequence`` child (seed, spawn key (block,)).
-Either way results cannot depend on worker scheduling.  Each row drives an
-antithetic pair of paths, z and -z (Glasserman 2004, section 4.2), so the
-walk draws one normal per pair and date, and a barrier's standard error
-comes from the pairs.  Path simulation walks one block at a time on each of
+Randomness is keyed, not sequential.  Every normal is a draw of numpy's
+ziggurat sampler on an SFC64 generator seeded by the ``SeedSequence`` child
+(seed, spawn key), and no two draws share a key.  Terminal sampling uses
+``standard_normals``: stream s is the generator of spawn key (s, 0).  The
+knock-out walk uses ``walk_normals``: the ziggurat reads a variable number of
+words per normal, so the walk is keyed by block of whole rows, block b one
+draw from the generator of spawn key (b,).  Either way results cannot depend
+on worker scheduling.  Each row drives an antithetic pair of paths, z and -z
+(Glasserman 2004, section 4.2), so the walk draws one normal per pair and
+date, and a barrier's standard error comes from the pairs.  Path simulation walks one block at a time on each of
 at most two worker threads, so it holds at most 2 MiB of normals however
 many paths there are.  Aggregation always runs over the fully materialized
 value array with numpy's pairwise summation, making estimates reproducible
@@ -38,12 +37,10 @@ from concurrent.futures import CancelledError, ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.random import Generator, Philox, SFC64, SeedSequence
-from scipy.special import ndtri
+from numpy.random import Generator, SFC64, SeedSequence
 
 from .finance import MarketParams, OptionContract, check_discount
 
-_PHILOX_OUTPUTS_PER_BLOCK = 4
 # normals in one block of the knock-out walk's stream, its unit of work: one
 # SFC64 generator and one ziggurat draw of as many whole rows as fit, and at
 # least one, each row the normals of an antithetic pair of paths.  Two
@@ -62,8 +59,8 @@ SCRATCH_NORMALS = BLOCK_NORMALS // 8
 def check_draws(contract: OptionContract, paths: int, seed: int) -> None:
     """Refuse a path count without a standard error, or a seed outside [0, 2**64).
 
-    The seed is a 64-bit key of both the terminal draw's Philox stream and
-    the ``SeedSequence`` of the walk's blocks.  A barrier's standard error
+    The seed is the 64-bit entropy of the ``SeedSequence`` that keys every
+    draw, the terminal sample's and the walk's.  A barrier's standard error
     comes from its antithetic pairs, so it needs two pairs: four paths.
     """
     if paths < 2:
@@ -91,27 +88,25 @@ class McEstimate:
 # -- keyed normal streams -----------------------------------------------------
 
 
-def raw_uint64(seed: int, stream: int, start: int, count: int) -> np.ndarray:
-    """Philox outputs [start, start+count) of the (seed, stream) key."""
-    bg = Philox(key=np.array([seed, stream], dtype=np.uint64))
-    block, offset = divmod(start, _PHILOX_OUTPUTS_PER_BLOCK)
-    if block:
-        bg.advance(block)
-    return bg.random_raw(offset + count)[offset:]
+def _generator(seed: int, key: tuple[int, ...]) -> Generator:
+    """An SFC64 generator seeded by ``SeedSequence(seed, spawn_key=key)``.
+
+    The key is hashed as its 32-bit words, with no zero high word, after the
+    seed's four: block key (b,) is one word or ends on a nonzero one, stream
+    key (s, 0) is two or more ending on a zero one, so the two never meet.
+    """
+    return Generator(SFC64(SeedSequence(seed, spawn_key=key)))
 
 
 def standard_normals(seed: int, count: int, start: int = 0, stream: int = 0) -> np.ndarray:
-    """Standard normals keyed by (seed, stream, index): Phi^-1(u) by ``ndtri``.
+    """Normals [start, start + count) of terminal stream ``stream``: ziggurat draws keyed (stream, 0).
 
-    u = (raw >> 11) 2**-53 + 2**-54 is strictly inside (0, 1); it is built and
-    mapped in place, so the call holds at most two arrays of ``count`` words.
+    The generator is drawn in order, so the first ``start`` normals are drawn
+    and dropped, and a stream drawn in chunks is the stream drawn at once.
     """
-    raw = raw_uint64(seed, stream, start, count)
-    raw >>= np.uint64(11)
-    u = raw * 2.0**-53
-    del raw
-    u += 2.0**-54
-    return ndtri(u, out=u)
+    gen = _generator(seed, (stream, 0))
+    gen.standard_normal(start)
+    return gen.standard_normal(count)
 
 
 def rows_per_block(m: int) -> int:
@@ -137,8 +132,7 @@ def walk_normals(seed: int, m: int, block: int, rows: int) -> np.ndarray:
     # the barrier benchmark's wall time 0.6-0.9 % slower in alternated pairs,
     # for no cause found
     z = np.empty((rows, m))
-    gen = Generator(SFC64(SeedSequence(seed, spawn_key=(block,))))
-    gen.standard_normal(out=z[:rows])
+    _generator(seed, (block,)).standard_normal(out=z[:rows])
     return z
 
 

@@ -80,11 +80,18 @@ def run_main(argv) -> int:
          "Unable to allocate"),
         (("--payoff", "do-call", "--paths", "3"), "needs two antithetic pairs, got 3"),
         (("--payoff", "do-call", "--method", "mc", "--paths", "2"), "needs two antithetic pairs, got 2"),
-        # a call or put priced by --method pde alone is held to its no-arbitrage bounds
+        # a contract priced by --method pde alone is held to its no-arbitrage bounds
         (("--method", "pde", "--n", "4", "--steps", "0"), "PDE price -641.1 at spot 100 lies outside"),
         (("--method", "pde", "--n", "5", "--steps", "0"), "PDE price 440.851 at spot 100 lies outside"),
         (("--payoff", "put", "--strike", "0.001", "--spot", "0.001", "--rate", "-708", "--method", "pde"),
          "no-arbitrage bounds [3.02338e+304, 3.02338e+304]"),
+        # a down-and-out call lies between 0 and its call without the barrier
+        (("--payoff", "do-call", "--method", "pde", "--n", "4", "--steps", "0"),
+         "PDE price -641.929 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
+        (("--payoff", "do-call", "--method", "pde", "--n", "6", "--steps", "0"),
+         "PDE price 95.6711 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
+        (("--payoff", "do-call", "--method", "pde", "--n", "8", "--steps", "0"),
+         "PDE price 17.3775 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -421,6 +428,9 @@ def edge_commands(draw):
 @example([*SMALL_PRICE, "--payoff", "do-call", "--method", "all", "--paths", "3"])
 @example(["price", "--method", "pde", "--n", "4"])
 @example(["price", "--method", "pde", "--n", "5"])
+@example(["price", "--payoff", "do-call", "--method", "pde", "--n", "4"])
+@example(["price", "--payoff", "do-call", "--method", "pde", "--n", "6"])
+@example(["price", "--payoff", "do-call", "--method", "pde", "--n", "8"])
 @example(["price", "--payoff", "put", "--strike", "0.001", "--spot", "0.001", "--rate", "-708",
           "--method", "pde", "--n", "101"])
 @settings(max_examples=60, deadline=None)

@@ -25,11 +25,10 @@ PACKAGE = SRC / "qflab"
 # the verify-algebra real-spectrum checks are meant to call it, or both go
 ALLOWED = {"susy.real_spectrum_check", "susy.RealSpectrumReport.passed"}
 ALLOWED_PARAMETERS = {
-    # perfbench/layers.py binds every standard_normals call and keys its
-    # unique-draw count by call["stream"]
+    # no src call passes either, since the terminal sample draws stream 0
+    # whole, but perfbench/layers.py binds every standard_normals call and
+    # keys its unique-draw count by call["stream"] and call["start"]
     "montecarlo.standard_normals.stream",
-    # ... and its draw interval by call["start"], which no src call passes
-    # since the knock-out walk draws from walk_normals
     "montecarlo.standard_normals.start",
     # the console script ``qflab = qflab.cli:main`` calls main() without
     # arguments; argparse then reads sys.argv
