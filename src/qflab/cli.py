@@ -300,9 +300,10 @@ def cmd_price(args) -> RunReport:
         raise ValueError("--xmin and --xmax set the grid together: give both or neither")
     if args.xmin is None:
         g = finance.default_pricing_grid(contract, mp, args.spot, args.n)
-        default_steps = finance.default_pricing_steps(contract, g.n)
+        default_steps = finance.default_pricing_steps(g.n)
     else:
-        # a user grid need not put ln K at a cell midpoint, which the fewer steps rely on
+        # a user grid need not put ln K at a cell midpoint or ln B on a node, which
+        # the fewer steps rely on
         g = Grid1D(args.xmin, args.xmax, args.n)
         default_steps = g.n
     steps = args.steps if args.steps else default_steps
@@ -311,7 +312,7 @@ def cmd_price(args) -> RunReport:
 
     prices: dict[str, float] = {}
 
-    if args.method == "closed" or (args.method == "all" and contract.barrier is None):
+    if args.method in ("closed", "all"):
         prices["closed"] = finance.closed_form_price(mp, contract, args.spot)
     if run_mc:
         montecarlo.check_draws(contract, args.paths, args.seed)  # refused before any PDE work
@@ -339,6 +340,8 @@ def cmd_price(args) -> RunReport:
                     finance.check_no_arbitrage(mp, contract, args.spot, prices["pde"])
                 if args.method == "all" and contract.barrier is not None:
                     shifted = montecarlo.shifted_barrier(contract, mp.sigma, args.monitoring)
+                    if args.xmin is None:  # its own default grid, which starts at its barrier
+                        h = finance.bs_hamiltonian(finance.default_pricing_grid(shifted, mp, args.spot, g.n), mp)
                     shifted_pde = finance.price_pde(h, shifted, mp, steps).price_at(args.spot)
             if run_mc:
                 est = mc.result()
@@ -356,10 +359,10 @@ def cmd_price(args) -> RunReport:
         report.parameters.setdefault("prices", {})[name] = value
 
     if args.method == "all":
-        if "closed" in prices:
-            gap = abs(prices["pde"] - prices["closed"])
-            tol = finance.pde_tolerance(prices["closed"])
-            report.add("pde_vs_closed", gap, tol, gap <= tol)
+        gap = abs(prices["pde"] - prices["closed"])
+        tol = finance.pde_tolerance(prices["closed"])
+        report.add("pde_vs_closed", gap, tol, gap <= tol)
+        if contract.barrier is None:
             gap_mc = abs(prices["mc"] - prices["closed"])
             # floored at rounding, so that a standard error of 0 leaves a gate
             tol_mc = max(3.0 * mc_se, TOL.rounding(args.paths, abs(prices["closed"])))
@@ -453,8 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--monitoring", type=int, default=250, help="barrier monitoring dates per year")
     _add_grid_flags(p, None, None, 2001)
     p.add_argument("--steps", type=int, default=0,
-                   help="time steps (0 = n/4 rounded up for a call or put on the default grid, "
-                        "else n)")
+                   help="time steps (0 = n/4 rounded up on the default grid, else n)")
     p.add_argument("--csv", default=None)
     p.add_argument("--json", default=None)
     p.set_defaults(func=cmd_price)

@@ -1,5 +1,6 @@
 import inspect
 import json
+import math
 import subprocess
 import sys
 import threading
@@ -184,10 +185,28 @@ def test_price_closed_worthless_put():
     assert price <= 1e-10
 
 
-def test_price_closed_rejects_barrier():
+def test_price_closed_prices_the_barrier():
+    # the continuously monitored down-and-out call (Merton 1973)
     res = run("price", "--payoff", "do-call", "--method", "closed")
-    assert res.returncode == 2
-    assert res.stderr == "error: no closed form for barrier contracts\n"
+    assert res.returncode == 0, res.stderr
+    assert "price_closed: 10.351345\n" in res.stdout
+
+
+def test_the_barrier_benchmark_prints_no_warning(capsys):
+    # its grid starts at the barrier, where the Dirichlet data are exact
+    assert main(["price", "--payoff", "do-call", "--barrier", "80", "--method", "all", "--paths", "2000"]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("barrier", ["100", "100.1", "120"])
+def test_a_spot_at_or_below_the_barrier_prices_0_on_the_default_grid(tmp_path, capsys, barrier):
+    out = tmp_path / "report.json"
+    for method in ("closed", "pde"):
+        assert main(["price", "--payoff", "do-call", "--barrier", barrier, "--method", method,
+                     "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["parameters"]["prices"] == {method: 0.0}
+    assert doc["parameters"]["xmin"] <= math.log(100.0)
 
 
 def test_knockout_overflow_is_refused_without_a_worker_warning():

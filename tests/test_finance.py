@@ -230,6 +230,10 @@ def closed(s0, k, r, sigma, t, kind):
     return closed_form_price(MarketParams(sigma, r), OptionContract(f"european_{kind}", k, t), s0)
 
 
+def do_call(s0, k, b, r=0.05, sigma=0.2, t=1.0):
+    return closed_form_price(MarketParams(sigma, r), OptionContract("down_and_out_call", k, t, b), s0)
+
+
 @pytest.mark.parametrize("s0,k,r,sigma,t,kind,expected", QUADRATURE_ORACLE)
 def test_closed_form_against_quadrature(s0, k, r, sigma, t, kind, expected):
     assert closed(s0, k, r, sigma, t, kind) == pytest.approx(expected, abs=2e-7)
@@ -256,10 +260,34 @@ def test_closed_form_limits():
     assert closed(100, 90, 0.05, 1e-13, 1.0, "call") == pytest.approx(
         100 - 90 * math.exp(-0.05), rel=1e-12
     )
-    with pytest.raises(ValueError, match="no closed form for barrier contracts"):
-        closed_form_price(MarketParams(0.2, 0.05), OptionContract("down_and_out_call", 100, 1.0, 80.0), 100)
+    assert do_call(100, 100, 80) == pytest.approx(10.351345201184554, rel=1e-14)
+    assert do_call(120, 100, 110) == pytest.approx(16.621957422147567, rel=1e-14)
     with pytest.raises(ValueError, match="spot"):
         closed(0.0, 100, 0.05, 0.2, 1.0, "call")
+
+
+def test_down_and_out_closed_form_limits():
+    # knocked out at or below the barrier, whether B <= K or B > K
+    assert do_call(100, 100, 100) == do_call(90, 100, 95) == do_call(100, 90, 120) == 0.0
+    # a barrier far below the spot leaves the call
+    assert do_call(100, 100, 1e-6) == pytest.approx(closed(100, 100, 0.05, 0.2, 1.0, "call"), rel=1e-12)
+    # Merton's formula (B <= K) meets Reiner and Rubinstein's (B > K) at B = K
+    assert do_call(100, 90, 90 * (1 - 1e-12)) == pytest.approx(do_call(100, 90, 90 * (1 + 1e-12)), rel=1e-9)
+    # zero volatility: the path S e^{rt} falls below the barrier only for r < 0
+    assert do_call(100, 90, 95, r=0.05, sigma=1e-13) == pytest.approx(100 - 90 * math.exp(-0.05), rel=1e-12)
+    assert do_call(100, 90, 97, r=-0.05, sigma=1e-13) == 0.0
+
+
+def test_down_and_out_closed_form_where_its_image_factors_leave_float64():
+    # (B/S)^(2 lambda) is e^801 and N(y) about e^-800: each overflows or underflows
+    # alone, and their product is formed as one exponential
+    s0, k, b, r, sigma, t = 100.0, 90.0, 95.0, -0.5, 0.008, 0.1026
+    mp, contract = MarketParams(sigma, r), OptionContract("down_and_out_call", k, t, b)
+    assert 2 * (r / sigma**2 + 0.5) * math.log(b / s0) > math.log(np.finfo(float).max)
+    # Richardson extrapolation of two second-order PDE solves on a grid starting at ln B
+    coarse, fine = (price_pde(bs_hamiltonian(g, mp), contract, mp, g.n).price_at(s0)
+                    for g in (Grid1D(math.log(b), math.log(b) + 0.4, n) for n in (2001, 4001)))
+    assert closed_form_price(mp, contract, s0) == pytest.approx(fine + (fine - coarse) / 3, abs=2e-4)
 
 
 def test_closed_form_zero_volatility_never_forms_the_forward():
@@ -353,19 +381,86 @@ def test_default_vanilla_grid_puts_the_strike_at_a_cell_midpoint(kind, strike, s
         assert g == centred
 
 
-@pytest.mark.parametrize("n", [4, 5, 2000, 2001])
-def test_default_barrier_grid_stays_centred_on_the_strike(n):
-    mp = MarketParams(0.25, 0.03)
-    contract = OptionContract("down_and_out_call", 105.0, 1.5, barrier=85.0)
-    assert default_pricing_grid(contract, mp, 100.0, n) == centred_grid(contract, mp, 100.0, n)
+# (strike, barrier, spot): B < K twice, and B > K
+BARRIER_CASES = [(100.0, 80.0, 100.0), (105.0, 85.0, 100.0), (100.0, 110.0, 120.0)]
 
 
-@pytest.mark.parametrize("n,vanilla", [(3, 1), (4, 1), (5, 2), (400, 100), (401, 101), (2001, 501)])
-def test_default_steps_are_a_quarter_of_the_nodes_for_calls_and_puts(n, vanilla):
-    for kind in ("european_call", "european_put"):
-        assert finance.default_pricing_steps(OptionContract(kind, 100.0, 1.0), n) == vanilla
-    barrier = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
-    assert finance.default_pricing_steps(barrier, n) == n
+@pytest.mark.parametrize("n", [101, 501, 2000, 2001])
+@pytest.mark.parametrize("strike,barrier,spot", BARRIER_CASES)
+def test_default_barrier_grid_starts_at_the_barrier(strike, barrier, spot, n):
+    mp = MarketParams(0.2, 0.05)
+    contract = OptionContract("down_and_out_call", strike, 1.0, barrier)
+    g = default_pricing_grid(contract, mp, spot, n)
+    assert g.x_min == math.log(barrier)  # node 0
+    assert g.x_max >= math.log(strike) + finance._half_width(contract, mp, spot)
+    if barrier < strike:
+        cells = (math.log(strike) - g.x_min) / g.h
+        assert abs(cells - math.floor(cells) - 0.5) <= 1e-9 * n
+
+
+@pytest.mark.parametrize("n,steps", [(3, 1), (4, 1), (5, 2), (400, 100), (401, 101), (2001, 501)])
+def test_default_steps_are_a_quarter_of_the_nodes(n, steps):
+    assert finance.default_pricing_steps(n) == steps
+
+
+@pytest.mark.parametrize("strike,barrier,spot", BARRIER_CASES)
+def test_default_barrier_grid_converges_at_second_order(strike, barrier, spot):
+    mp = MarketParams(0.2, 0.05)
+    contract = OptionContract("down_and_out_call", strike, 1.0, barrier)
+    exact = closed_form_price(mp, contract, spot)
+    errors = []
+    for n in (501, 1001, 2001):
+        g = default_pricing_grid(contract, mp, spot, n)
+        curve = price_pde(bs_hamiltonian(g, mp), contract, mp, finance.default_pricing_steps(n))
+        errors.append(abs(curve.price_at(spot) - exact))
+    assert errors[0] >= 3.5 * errors[1] and errors[1] >= 3.5 * errors[2]
+    assert errors[2] <= 1e-4
+
+
+@pytest.mark.parametrize("n", [101, 2001])
+@pytest.mark.parametrize("barrier", [100.0, 100.1, 101.0, 120.0])
+def test_a_knocked_out_spot_lies_on_the_default_grid_and_prices_0(barrier, n):
+    mp, spot = MarketParams(0.2, 0.05), 100.0
+    contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier)
+    g = default_pricing_grid(contract, mp, spot, n)
+    # whole cells below ln B reach ln S, and the top still reaches ln K + half
+    cells = (math.log(barrier) - g.x_min) / g.h
+    assert abs(cells - round(cells)) <= 1e-9 * n
+    assert g.x_min <= math.log(spot)
+    assert g.x_max >= math.log(100.0) + finance._half_width(contract, mp, spot)
+    curve = price_pde(bs_hamiltonian(g, mp), contract, mp, finance.default_pricing_steps(n))
+    assert curve.price_at(spot) == 0.0
+    # every node at or below the barrier is held at 0
+    knocked = g.nodes <= math.log(barrier) + 1e-9 * g.h
+    assert np.count_nonzero(knocked) == round(cells) + 1
+    assert np.max(np.abs(curve.values[knocked])) <= 1e-12
+
+
+def test_a_barrier_outside_the_call_grid_is_clipped_to_it():
+    mp, spot, n = MarketParams(0.2, 0.05), 100.0, 2001
+    ln_k, steps = math.log(100.0), finance.default_pricing_steps(n)
+    # far below, the grid is the call's, ln K - 5 to ln K + 5, and prices the call
+    far = OptionContract("down_and_out_call", 100.0, 1.0, 1e-300)
+    g = default_pricing_grid(far, mp, spot, n)
+    assert g.x_min == ln_k - 5.0 and g.x_max >= ln_k + 5.0
+    curve = price_pde(bs_hamiltonian(g, mp), far, mp, steps)
+    assert curve.price_at(spot) == pytest.approx(closed_form_price(mp, far, spot), abs=1e-4)
+    # far above, the grid reaches from ln S to ln K + 5 and every node is knocked out
+    above = OptionContract("down_and_out_call", 100.0, 1.0, 1e300)
+    g = default_pricing_grid(above, mp, spot, n)
+    assert g.x_min <= math.log(spot) and g.x_max >= ln_k + 5.0
+    curve = price_pde(bs_hamiltonian(g, mp), above, mp, steps)
+    assert curve.price_at(spot) == 0.0 and not np.any(curve.values)
+
+
+def test_only_the_top_edge_of_a_grid_from_the_barrier_can_be_narrow():
+    mp = MarketParams(0.2, 0.05)
+    contract = OptionContract("down_and_out_call", 100.0, 1.0, 80.0)
+    assert not finance._narrow(default_pricing_grid(contract, mp, 100.0, 2001), contract, mp)
+    # ln B lies above ln K - 6 sigma sqrt(T), so a grid from below ln B is wide at the bottom
+    assert not finance._narrow(Grid1D(math.log(79.0), math.log(100.0) + 2.0, 101), contract, mp)
+    assert finance._narrow(Grid1D(math.log(81.0), math.log(100.0) + 2.0, 101), contract, mp)
+    assert finance._narrow(Grid1D(math.log(80.0), math.log(100.0) + 1.0, 101), contract, mp)
 
 
 def test_default_grid_and_steps_price_the_strike_ladder_within_3e_4():
@@ -377,7 +472,7 @@ def test_default_grid_and_steps_price_the_strike_ladder_within_3e_4():
         for strike in (80.0, 90.0, 100.0, 110.0, 120.0):
             contract = OptionContract(kind, strike, 1.0)
             g = default_pricing_grid(contract, mp, spot, n)
-            curve = price_pde(bs_hamiltonian(g, mp), contract, mp, finance.default_pricing_steps(contract, n))
+            curve = price_pde(bs_hamiltonian(g, mp), contract, mp, finance.default_pricing_steps(n))
             errors.append(abs(curve.price_at(spot) - closed_form_price(mp, contract, spot)))
     assert max(errors) <= 3e-4
 

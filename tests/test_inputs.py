@@ -87,11 +87,11 @@ def run_main(argv) -> int:
          "no-arbitrage bounds [3.02338e+304, 3.02338e+304]"),
         # a down-and-out call lies between 0 and its call without the barrier
         (("--payoff", "do-call", "--method", "pde", "--n", "4", "--steps", "0"),
-         "PDE price -641.929 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
+         "PDE price 230.76 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
         (("--payoff", "do-call", "--method", "pde", "--n", "6", "--steps", "0"),
-         "PDE price 95.6711 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
+         "PDE price 24.8319 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
         (("--payoff", "do-call", "--method", "pde", "--n", "8", "--steps", "0"),
-         "PDE price 17.3775 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
+         "PDE price 14.6912 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
