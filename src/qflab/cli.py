@@ -9,7 +9,7 @@ barrier, so its bytes depend only on the flags and the seed (wall time is
 printed, but serialized as null).
 
 ``price`` walks its Monte Carlo draws on one worker thread while the calling
-thread runs the closed form and the PDE solves; the draws, sums and solves are
+thread runs the closed form and the PDE solve; the draws, sums and solve are
 the same calls either way, so every report is byte-identical to a serial run.
 No thread outlives the subcommand.
 """
@@ -329,20 +329,14 @@ def cmd_price(args) -> RunReport:
                                  contract, args.spot, args.paths, args.seed,
                                  monitoring_per_year=args.monitoring, stop=stop)
             if run_pde:
-                if args.xmin is None and contract.barrier is None:
+                if args.xmin is None:
                     curve = finance.price_by_translation(contract, mp, args.spot, g.n, steps)
                 else:
-                    h = finance.bs_hamiltonian(g, mp)
-                    curve = finance.price_pde(h, contract, mp, steps)
+                    curve = finance.price_pde(finance.bs_hamiltonian(g, mp), contract, mp, steps)
                 prices["pde"] = curve.price_at(args.spot)
                 if args.method == "pde":
                     # --method all gates the PDE against the closed form or the Monte Carlo instead
                     finance.check_no_arbitrage(mp, contract, args.spot, prices["pde"])
-                if args.method == "all" and contract.barrier is not None:
-                    shifted = montecarlo.shifted_barrier(contract, mp.sigma, args.monitoring)
-                    if args.xmin is None:  # its own default grid, which starts at its barrier
-                        h = finance.bs_hamiltonian(finance.default_pricing_grid(shifted, mp, args.spot, g.n), mp)
-                    shifted_pde = finance.price_pde(h, shifted, mp, steps).price_at(args.spot)
             if run_mc:
                 est = mc.result()
                 prices["mc"], mc_se = est.mean, est.std_error
@@ -369,8 +363,9 @@ def cmd_price(args) -> RunReport:
             report.add("mc_vs_closed_3se", gap_mc, tol_mc, gap_mc <= tol_mc)
         else:
             # PDE is continuously monitored, MC discretely: the gate adds the
-            # monitoring-bias bound, the rise of the PDE price under the shifted barrier
-            bias = max(0.0, shifted_pde - prices["pde"])
+            # monitoring-bias bound, the rise of the closed-form price under the shifted barrier
+            shifted = montecarlo.shifted_barrier(contract, mp.sigma, args.monitoring)
+            bias = max(0.0, finance.closed_form_price(mp, shifted, args.spot) - prices["closed"])
             gap = abs(prices["mc"] - prices["pde"])
             tol = 3.0 * mc_se + finance.pde_tolerance(prices["pde"]) + bias
             report.add("pde_vs_mc", gap, tol, gap <= tol)

@@ -310,7 +310,7 @@ def shifted_barrier(contract: OptionContract, sigma: float, monitoring_per_year:
 
     Broadie-Glasserman-Kou (1997): the continuously monitored price with the
     shifted barrier approximates the discretely monitored one, so the gap
-    between the two PDE prices bounds the monitoring bias.
+    between the two closed-form prices bounds the monitoring bias.
     """
     dt_mon = contract.maturity / monitoring_dates(monitoring_per_year, contract.maturity)
     shift = math.exp(-BARRIER_SHIFT_COEFF * sigma * math.sqrt(dt_mon))

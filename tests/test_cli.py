@@ -263,15 +263,30 @@ def count_calls(monkeypatch, *functions) -> dict[str, int]:
     return counts
 
 
-@pytest.mark.parametrize("payoff,calls", [
-    ("do-call", {"sample_terminal": 0, "knockout_terminal": 1, "price_pde": 2}),  # + shifted barrier
-    ("call", {"sample_terminal": 1, "knockout_terminal": 0, "price_pde": 1}),
-], ids=["do-call", "call"])
-def test_price_all_runs_each_pricer_once(monkeypatch, capsys, payoff, calls):
+@pytest.mark.parametrize("argv,calls", [
+    (("--payoff", "do-call"), {"sample_terminal": 0, "knockout_terminal": 1, "price_pde": 1}),
+    (("--payoff", "do-call", "--xmin", "3", "--xmax", "6"),
+     {"sample_terminal": 0, "knockout_terminal": 1, "price_pde": 1}),
+    (("--payoff", "call"), {"sample_terminal": 1, "knockout_terminal": 0, "price_pde": 1}),
+], ids=["do-call", "do-call-user-grid", "call"])
+def test_price_all_runs_each_pricer_once(monkeypatch, capsys, argv, calls):
     counts = count_calls(monkeypatch, montecarlo.sample_terminal, montecarlo.knockout_terminal,
                          finance.price_pde)
-    assert main([*SMALL_ALL, "--payoff", payoff, "--barrier", "80"]) == 0
+    assert main([*SMALL_ALL, *argv, "--barrier", "80"]) == 0
     assert counts == calls
+
+
+def test_the_barrier_gate_pad_does_not_depend_on_the_grid(tmp_path, capsys):
+    # the Monte Carlo does not depend on n, so neither does 3 SE + bias
+    pads = []
+    for n in ("401", "801"):
+        out = tmp_path / f"{n}.json"
+        assert main(["price", "--method", "all", "--payoff", "do-call", "--paths", "2000", "--n", n,
+                     "--json", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        gate = next(c for c in doc["checks"] if c["name"] == "pde_vs_mc")
+        pads.append(gate["tolerance"] - finance.pde_tolerance(doc["parameters"]["prices"]["pde"]))
+    assert pads[0] == pytest.approx(pads[1], rel=0, abs=1e-12)
 
 
 def test_a_strike_ladder_draws_once(monkeypatch, capsys, tmp_path):
@@ -478,7 +493,7 @@ NARROW_WARNING = ("warning: grid [4, 5.2] narrower than ln K +- 6 sigma sqrt(T);
 
 @pytest.mark.parametrize("argv,count", [
     (("--method", "pde"), 1),
-    (("--payoff", "do-call", "--method", "all", "--paths", "2000"), 2),  # two PDE solves
+    (("--payoff", "do-call", "--method", "all", "--paths", "2000"), 1),
 ])
 def test_warnings_reach_stderr_as_one_line_each(argv, count):
     res = run(*NARROW_GRID, *argv)

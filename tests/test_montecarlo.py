@@ -452,9 +452,10 @@ def test_standard_error_scaling():
 def crosscheck_spots(mp, contract, g, spots, paths):
     """The crosscheck at several spots: one PDE curve, and the estimate at spot i with seed i.
 
-    Each spot passes the gate of ``price --method all``,
-    |MC - PDE| <= 3 SE + pde_tolerance(PDE) + bias.  Returns one
-    (estimate, PDE price, bias) per spot.
+    Each spot passes a gate of the form of ``price --method all``'s,
+    |MC - PDE| <= 3 SE + pde_tolerance(PDE) + bias, but its bias is the rise
+    of the PDE price under the shifted barrier on this grid, not the CLI's
+    closed-form rise.  Returns one (estimate, PDE price, bias) per spot.
     """
     h = bs_hamiltonian(g, mp)
     curve = price_pde(h, contract, mp, g.n)
