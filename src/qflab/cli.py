@@ -24,7 +24,7 @@ import threading
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -369,11 +369,9 @@ def cmd_price(args) -> RunReport:
             gap = abs(prices["mc"] - prices["pde"])
             tol = 3.0 * mc_se + finance.pde_tolerance(prices["pde"]) + bias
             report.add("pde_vs_mc", gap, tol, gap <= tol)
-            vanilla = finance.closed_form_price(
-                mp, replace(contract, payoff_kind="european_call", barrier=None), args.spot
-            )
-            report.add("barrier_below_vanilla", prices["pde"] - vanilla, 1e-6,
-                       prices["pde"] <= vanilla + 1e-6)
+            _, vanilla = finance.no_arbitrage_bounds(mp, contract, args.spot)
+            tol = finance.pde_tolerance(vanilla)
+            report.add("barrier_below_vanilla", prices["pde"] - vanilla, tol, prices["pde"] <= vanilla + tol)
     return report
 
 

@@ -25,8 +25,8 @@ default grid is K times the unit-strike curve moved by ln K; that unit curve
 is solved once and cached, so a strike ladder solves once per payoff kind.
 Both step matrices are tridiagonal, read from H's band by
 ``LinOp.tridiagonal`` and factored once by LAPACK's tridiagonal LU.  The
-price at a spot is read off the curve by a not-a-knot cubic spline, solved
-by LAPACK's tridiagonal ``dgtsv`` and evaluated at that one point.
+price at a spot is read off the curve by the Lagrange cubic through the four
+nodes around it, O(h^4) and below the solve's O(h^2).
 """
 
 import functools
@@ -35,7 +35,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv, dgttrf, dgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .grid import Grid1D
 from .hamiltonians import closed_form
@@ -344,24 +344,30 @@ def pde_tolerance(price: float) -> float:
     return max(1e-2, 2e-3 * abs(price))
 
 
-def check_no_arbitrage(mp: MarketParams, contract: OptionContract, spot: float, price: float) -> None:
-    """Refuse a PDE price farther outside its no-arbitrage bounds than ``pde_tolerance``.
+def no_arbitrage_bounds(mp: MarketParams, contract: OptionContract, spot: float) -> tuple[float, float]:
+    """The (lower, upper) bounds a price of the contract at ``spot`` cannot leave without arbitrage.
 
     A call lies in [max(0, S - K e^{-rT}), S], a put in [max(0, K e^{-rT} - S),
     K e^{-rT}] and a down-and-out call in [0, C], C the closed form of the
-    call without its barrier.  A price below the lower bound L by more than
-    pde_tolerance(L), or above the upper bound U by more than
-    pde_tolerance(U), is farther from every price the bounds allow than the
-    ``price --method all`` gates forgive.
+    call without its barrier.
     """
     discounted = contract.strike * math.exp(-mp.r * contract.maturity)
     if contract.payoff_kind == "european_call":
-        lower, upper = max(0.0, spot - discounted), spot
-    elif contract.payoff_kind == "european_put":
-        lower, upper = max(0.0, discounted - spot), discounted
-    else:
-        vanilla = replace(contract, payoff_kind="european_call", barrier=None)
-        lower, upper = 0.0, closed_form_price(mp, vanilla, spot)
+        return max(0.0, spot - discounted), spot
+    if contract.payoff_kind == "european_put":
+        return max(0.0, discounted - spot), discounted
+    vanilla = replace(contract, payoff_kind="european_call", barrier=None)
+    return 0.0, closed_form_price(mp, vanilla, spot)
+
+
+def check_no_arbitrage(mp: MarketParams, contract: OptionContract, spot: float, price: float) -> None:
+    """Refuse a PDE price farther outside its ``no_arbitrage_bounds`` than ``pde_tolerance``.
+
+    A price below the lower bound L by more than pde_tolerance(L), or above
+    the upper bound U by more than pde_tolerance(U), is farther from every
+    price the bounds allow than the ``price --method all`` gates forgive.
+    """
+    lower, upper = no_arbitrage_bounds(mp, contract, spot)
     if not lower - pde_tolerance(lower) <= price <= upper + pde_tolerance(upper):
         raise ValueError(f"PDE price {price:.6g} at spot {spot:.6g} lies outside the no-arbitrage "
                          f"bounds [{lower:.6g}, {upper:.6g}] by more than the PDE tolerance: "
@@ -379,18 +385,27 @@ class PriceCurve:
     zero_below: float = -math.inf
 
     def price_at(self, s0: float) -> float:
-        """Cubic-spline interpolation of the curve at spot s0 (off-node allowed); refused if not finite.
+        """The Lagrange cubic through the four nodes around ln s0 (off-node allowed); refused if not finite.
 
-        A knocked-out spot reads 0, where the spline would carry the kink at
-        the barrier into the cells below it.
+        For x_i <= ln s0 < x_{i+1} the nodes are i-1..i+2, clipped to the
+        grid and, for a barrier, to start no lower than its last knocked-out
+        node, so the end cells read one-sided and the kink at the barrier
+        stays outside.  A knocked-out spot reads 0.  The cubic is summed in
+        Python floats, which overflow to inf or nan without a warning.
         """
-        if math.log(s0) <= self.zero_below:
+        xv = math.log(s0)
+        if xv <= self.zero_below:
             return 0.0
-        price = _spline_at(self.grid.nodes, self.values, math.log(s0))
+        g = self.grid
+        x = g.nodes
+        first = max(int(np.count_nonzero(_knocked_out(g, self.zero_below))) - 1, 0)
+        lo = min(max(int(np.searchsorted(x, xv, side="right")) - 2, first), g.n - 4)  # i - 1, clipped
+        xs, ys = x[lo:lo + 4].tolist(), self.values[lo:lo + 4].tolist()
+        price = sum(ys[j] * math.prod((xv - xs[k]) / (xs[j] - xs[k]) for k in range(4) if k != j)
+                    for j in range(4))
         if not math.isfinite(price):
-            g = self.grid
             raise ValueError(f"PDE price at spot {s0:.6g} is {price}: the grid [{g.x_min:.6g}, {g.x_max:.6g}] "
-                             f"with n={g.n} does not resolve ln S = {math.log(s0):.6g}")
+                             f"with n={g.n} does not resolve ln S = {xv:.6g}")
         return price
 
     def to_csv(self, path) -> None:
@@ -401,44 +416,9 @@ class PriceCurve:
                 fh.write(f"{xi:.17g},{math.exp(xi):.17g},{ci:.17g}\n")
 
 
-def _spline_at(x: np.ndarray, y: np.ndarray, xv: float) -> float:
-    """The not-a-knot cubic spline through (x, y), n >= 4, evaluated at xv.
-
-    Bit for bit ``scipy.interpolate.CubicSpline(x, y)(xv)``, in the same
-    operation order, with the same numpy warnings and refusals: the node
-    slopes solve the tridiagonal not-a-knot system by LAPACK ``dgtsv`` (what
-    ``solve_banded((1, 1), ...)`` calls), the Hermite coefficients are
-    formed on every interval as ``CubicHermiteSpline`` forms them, the
-    interval is the one ``PPoly`` picks (the end intervals extrapolate), and
-    its cubic sums c_k u^k from the constant term up in Python floats, which
-    overflow to inf or nan without a warning, as ``PPoly``'s compiled loop
-    does.
-    """
-    dx = np.diff(x)
-    if np.any(dx <= 0):
-        raise ValueError("`x` must be strictly increasing sequence.")  # CubicSpline's refusal
-    slope = np.diff(y) / dx
-    d0, d1 = x[2] - x[0], x[-1] - x[-3]
-    diag = np.concatenate(([dx[1]], 2 * (dx[:-1] + dx[1:]), [dx[-2]]))
-    upper = np.concatenate(([d0], dx[:-1]))
-    lower = np.concatenate((dx[1:], [d1]))
-    rhs = np.empty(len(x))
-    rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-    rhs[0] = ((dx[0] + 2 * d0) * dx[1] * slope[0] + dx[0]**2 * slope[1]) / d0
-    rhs[-1] = (dx[-1]**2 * slope[-2] + (2 * d1 + dx[-1]) * dx[-2] * slope[-1]) / d1
-    *_, s, info = dgtsv(lower, diag, upper, rhs)
-    if info != 0:
-        raise ValueError(f"the spline's slope system is singular (LAPACK dgtsv info={info})")
-    if not np.all(np.isfinite(s)):
-        raise ValueError("`dydx` must contain only finite values.")  # CubicSpline's refusal
-    t = (s[:-1] + s[1:] - 2 * slope) / dx
-    coefficients = (y[:-1], s[:-1], (slope - s[:-1]) / dx - t, t / dx)
-    i = min(max(int(np.searchsorted(x, xv, side="right")) - 1, 0), len(x) - 2)
-    u, res, z = xv - float(x[i]), 0.0, 1.0
-    for c in coefficients:
-        res = res + float(c[i]) * z
-        z *= u
-    return res
+def _knocked_out(g: Grid1D, ln_b: float) -> np.ndarray:
+    """The nodes at or below ln B, to rounding: a node the default grid builds on ln B is on it."""
+    return g.nodes <= ln_b + TOL.rounding(g.n, max(abs(g.x_min), abs(g.x_max)))
 
 
 def _boundary_values(contract: OptionContract, mp: MarketParams, g: Grid1D):
@@ -483,9 +463,7 @@ def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, steps: int) 
     zero_below = -math.inf
     if contract.payoff_kind == "down_and_out_call":
         zero_below = math.log(contract.barrier)
-        # a node within rounding of ln(barrier), as the default grid builds it, is on it
-        slack = TOL.rounding(g.n, max(abs(g.x_min), abs(g.x_max)))
-        knocked = x <= zero_below + slack
+        knocked = _knocked_out(g, zero_below)
         c[knocked] = 0.0
         ends[knocked] = 1.0
 

@@ -289,6 +289,19 @@ def test_the_barrier_gate_pad_does_not_depend_on_the_grid(tmp_path, capsys):
     assert pads[0] == pytest.approx(pads[1], rel=0, abs=1e-12)
 
 
+@pytest.mark.parametrize("barrier", ["1", "10", "30"])
+def test_a_far_barrier_stays_below_the_vanilla_call_within_the_pde_tolerance(tmp_path, capsys, barrier):
+    # the PDE price lies above the barrier-free call by its own error, 1.4e-6 to 1.4e-5 here
+    out = tmp_path / "report.json"
+    assert main(["price", "--method", "all", "--payoff", "do-call", "--barrier", barrier,
+                 "--paths", "20000", "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    below = next(c for c in doc["checks"] if c["name"] == "barrier_below_vanilla")
+    contract = finance.OptionContract("down_and_out_call", 100.0, 1.0, barrier=float(barrier))
+    _, vanilla = finance.no_arbitrage_bounds(finance.MarketParams(0.2, 0.05), contract, 100.0)
+    assert below["pass"] and below["measured"] > 0 and below["tolerance"] == finance.pde_tolerance(vanilla)
+
+
 def test_a_strike_ladder_draws_once(monkeypatch, capsys, tmp_path):
     ladder = [("call", "90"), ("put", "90"), ("call", "110"), ("put", "110")]
 
@@ -338,14 +351,14 @@ def test_the_narrow_grid_warning_prints_once_per_solve_after_a_cache_hit(monkeyp
     counts = count_calls(monkeypatch, finance.price_pde)
     for _ in range(2):  # a miss, then a hit
         assert main([*NARROW_DEFAULT, "--strike", "10", "--spot", "10"]) == 2
-        assert capsys.readouterr().err.startswith("error: PDE price 1205.7 at spot 10 lies outside")
+        assert capsys.readouterr().err.startswith("error: PDE price -23.6044 at spot 10 lies outside")
     assert counts == {"price_pde": 1}
     for _ in range(2):
         assert main([*NARROW_DEFAULT, "--strike", "100", "--spot", "100"]) == 2
         warning, error, end = capsys.readouterr().err.split("\n")
         assert warning == ("warning: grid [-0.795, 13.6] narrower than ln K +- 6 sigma sqrt(T); "
                            "boundary data will bias the price")
-        assert error.startswith("error: PDE price 12057 at spot 100 lies outside") and end == ""
+        assert error.startswith("error: PDE price -236.044 at spot 100 lies outside") and end == ""
     assert counts == {"price_pde": 3}  # a narrow grid is solved directly
 
 
@@ -418,12 +431,12 @@ def test_price_all_refuses_a_barrier_without_two_pairs_before_the_pde(monkeypatc
                                        "which needs two antithetic pairs, got 3\n")
 
 
-BOTH_REFUSE = (*SMALL_ALL, "--payoff", "do-call", "--monitoring", "300000", "--xmin=-1e150", "--xmax=10")
+BOTH_REFUSE = (*SMALL_ALL, "--payoff", "do-call", "--monitoring", "300000", "--xmin", "3", "--xmax", "800")
 
 
 @pytest.mark.parametrize("argv,code", [
     (SMALL_ALL, 0),
-    ((*SMALL_ALL, "--xmin=-1e150", "--xmax=10"), 2),  # the PDE refuses
+    ((*SMALL_ALL, "--xmin", "3", "--xmax", "800"), 2),  # the PDE refuses
     ((*SMALL_ALL, "--payoff", "do-call", "--monitoring", "300000"), 2),  # the Monte Carlo refuses
     (BOTH_REFUSE, 2),
 ], ids=["passes", "pde-refuses", "mc-refuses", "both-refuse"])
@@ -436,7 +449,7 @@ def test_price_leaves_no_thread_running(capsys, argv, code):
 def test_a_pde_refusal_wins_over_a_monte_carlo_refusal(capsys):
     assert main(list(BOTH_REFUSE)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: PDE price at spot 100 is nan") and err.count("\n") == 1
+    assert err.startswith("error: grid x_max = 800 must be below") and err.count("\n") == 1
 
 
 def test_a_pde_refusal_stops_the_knock_out_walk(monkeypatch, capsys):

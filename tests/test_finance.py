@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from conftest import from_dense, toarray
 from qflab import finance
 from qflab.finance import (
     MarketParams,
     OptionContract,
+    PriceCurve,
     bs_hamiltonian,
     bsb_hamiltonian,
     bsg_hamiltonian,
@@ -605,41 +605,48 @@ def test_price_curve_csv(tmp_path, pricing_setup):
     assert s == pytest.approx(math.exp(x), rel=1e-15)
 
 
-# -- spline read-off ----------------------------------------------------------
+# -- read-off ----------------------------------------------------------------
 
 
 @given(
     n=st.integers(4, 4001),
     seed=st.integers(0, 2**32 - 1),
-    values=st.sampled_from(["call", "put", "noisy"]),
-    where=st.sampled_from(["node", "x_min", "x_max", "below_x_max", "between", "below", "above"]),
+    cell=st.sampled_from(["first", "interior", "last", "barrier"]),
 )
 @settings(max_examples=200, deadline=None)
-def test_spline_read_off_is_cubic_spline_bit_for_bit(n, seed, values, where):
+def test_read_off_reproduces_a_cubic(n, seed, cell):
     rng = np.random.default_rng(seed)
     lo = rng.uniform(-10.0, 5.0)
     g = Grid1D(lo, lo + rng.uniform(0.5, 20.0), n)
     x = g.nodes
-    strike = math.exp(rng.uniform(g.x_min, g.x_max))
-    y = {
-        "call": np.maximum(np.exp(x) - strike, 0.0),
-        "put": np.maximum(strike - np.exp(x), 0.0),
-        "noisy": rng.standard_normal(n) * 10.0 ** rng.uniform(-6.0, 6.0),
-    }[values]
-    xv = float({
-        "node": x[rng.integers(n)],
-        "x_min": g.x_min,
-        "x_max": g.x_max,
-        "below_x_max": np.nextafter(g.x_max, -np.inf),
-        "between": rng.uniform(g.x_min, g.x_max),
-        "below": g.x_min - rng.uniform(0.0, 5.0),
-        "above": g.x_max + rng.uniform(0.0, 5.0),
-    }[where])
-    assert finance._spline_at(x, y, xv) == float(CubicSpline(x, y)(xv))
+    i = {"first": 0, "interior": rng.integers(1, n - 2), "last": n - 2, "barrier": rng.integers(0, n - 3)}[cell]
+    roots = rng.uniform(g.x_min, g.x_max, 3)
+    ln_b = -math.inf
+    if cell == "barrier":
+        # the cubic is 0 at x_i, and ln B lies on x_i to rounding, as on the default grid;
+        # the curve is 0 at and below ln B
+        roots[0] = x[i]
+        ln_b = float(x[i]) + int(rng.integers(-2, 3)) * math.ulp(x[i])
+    scale = 10.0 ** rng.uniform(-6.0, 6.0)
+
+    def cubic(v):
+        return scale * np.prod(np.subtract.outer(v, roots), axis=-1)
+
+    curve = PriceCurve(g, np.where(x <= ln_b, 0.0, cubic(x)), {}, ln_b)
+    spot = math.exp(rng.uniform(x[i], x[i + 1]))
+    xv = math.log(spot)
+    expected = float(cubic(xv)) if xv > ln_b else 0.0
+    # a weight carries the rounding of ln S - x_k, |x| / h times its own size
+    tol = TOL.rounding(4, (1.0 + np.max(np.abs(x)) / g.h) * np.max(np.abs(curve.values)))
+    assert abs(curve.price_at(spot) - expected) <= tol
 
 
-def test_price_at_reads_the_spline_between_nodes(pricing_setup):
-    mp, g = pricing_setup
-    curve = price_pde(bs_hamiltonian(g, mp), OptionContract("european_put", 80.0, 1.0), mp, 200)
-    for spot in (85.3, 100.0, 117.0):
-        assert curve.price_at(spot) == float(CubicSpline(g.nodes, curve.values)(math.log(spot)))
+def test_read_off_is_fourth_order():
+    # the remainder f''''(xi) / 4! (x - x_0) ... (x - x_3) is O(h^4): halving h divides it by 16
+    errors = []
+    for n in (51, 101):
+        g = Grid1D(0.0, 2.0, n)
+        curve = PriceCurve(g, np.sin(3.0 * g.nodes), {})
+        spots = np.exp(g.nodes[:-1] + 0.5 * g.h)  # every cell's midpoint
+        errors.append(max(abs(curve.price_at(s) - math.sin(3.0 * math.log(s))) for s in spots))
+    assert errors[0] / errors[1] == pytest.approx(16.0, rel=0.05)

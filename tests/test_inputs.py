@@ -18,6 +18,9 @@ from qflab.operators import FunctionSpec
 from qflab.susy import dirichlet_eigenvalues
 
 SMALL_PRICE = ("price", "--n", "101", "--steps", "50", "--paths", "64")
+SPOT_ABOVE_THE_GRID = ("--xmin", "3", "--xmax", "709", "--n", "1001", "--spot", "1.7e308")
+# cells 5e146 wide: the read-off at ln S is finite nonsense
+COARSE_GRID = ("--xmin=-1e150", "--xmax=10")
 
 
 def run_main(argv) -> int:
@@ -61,8 +64,9 @@ def run_main(argv) -> int:
         (("--spot", "1e300", "--method", "mc"), "spot"),
         (("--payoff", "do-call", "--method", "mc", "--monitoring", "1000000000"), "monitoring"),
         (("--payoff", "do-call", "--monitoring", "1000000000"), "monitoring"),
-        (("--method", "pde", "--xmin=-1e150", "--xmax=10"), "does not resolve"),
-        (("--method", "all", "--xmin=-1e150", "--xmax=10"), "does not resolve"),
+        # the read-off above the grid's top multiplies values near 1e308 and overflows
+        (("--method", "pde", *SPOT_ABOVE_THE_GRID), "does not resolve"),
+        (("--method", "all", *SPOT_ABOVE_THE_GRID), "does not resolve"),
         (("--method", "mc", "--csv", "curve.csv"), "--csv"),
         (("--method", "closed", "--csv", "curve.csv"), "--csv"),
         (("--payoff", "do-call", "--monitoring", "262145"), "exceed the 262144 that one path may hold"),
@@ -82,16 +86,17 @@ def run_main(argv) -> int:
         (("--payoff", "do-call", "--method", "mc", "--paths", "2"), "needs two antithetic pairs, got 2"),
         # a contract priced by --method pde alone is held to its no-arbitrage bounds
         (("--method", "pde", "--n", "4", "--steps", "0"), "PDE price -641.1 at spot 100 lies outside"),
-        (("--method", "pde", "--n", "5", "--steps", "0"), "PDE price 440.851 at spot 100 lies outside"),
+        (("--method", "pde", "--n", "5", "--steps", "0"), "PDE price -118.633 at spot 100 lies outside"),
+        (("--method", "pde", *COARSE_GRID), "lies outside the no-arbitrage bounds [4.87706, 100]"),
         (("--payoff", "put", "--strike", "0.001", "--spot", "0.001", "--rate", "-708", "--method", "pde"),
          "no-arbitrage bounds [3.02338e+304, 3.02338e+304]"),
         # a down-and-out call lies between 0 and its call without the barrier
         (("--payoff", "do-call", "--method", "pde", "--n", "4", "--steps", "0"),
          "PDE price 230.76 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
         (("--payoff", "do-call", "--method", "pde", "--n", "6", "--steps", "0"),
-         "PDE price 24.8319 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
+         "PDE price 28.9216 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
         (("--payoff", "do-call", "--method", "pde", "--n", "8", "--steps", "0"),
-         "PDE price 14.6912 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
+         "PDE price 16.0559 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -99,6 +104,14 @@ def test_price_rejects_bad_flag(capsys, argv, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert flag in err and "Traceback" not in err
+
+
+def test_a_grid_too_coarse_for_the_spot_fails_the_closed_form_gate(capsys, tmp_path):
+    # --method pde alone refuses this price outside its no-arbitrage bounds (above)
+    report = tmp_path / "report.json"
+    assert run_main((*SMALL_PRICE, *COARSE_GRID, "--method", "all", "--json", str(report))) == 1
+    checks = json.loads(report.read_text())["checks"]
+    assert [c["name"] for c in checks if not c["pass"]] == ["pde_vs_closed"]
 
 
 # half-width 5 about ln K, as at strike 100 and spot 100: the same unit-strike
@@ -414,6 +427,9 @@ def edge_commands(draw):
 @example([*SMALL_PRICE, "--method", "pde", "--xmin=-1e308", "--xmax=5"])
 @example(["identify", "--n", "41", "--xmax", "inf"])
 @example(["price", "--method", "pde", "--xmin=-1e150", "--xmax=5", "--n", "101", "--steps", "10"])
+@example([*SMALL_PRICE, "--method", "all", *COARSE_GRID])
+@example([*SMALL_PRICE, "--method", "all", "--xmin", "0", "--xmax", "1e-120"])
+@example([*SMALL_PRICE, "--method", "all", *SPOT_ABOVE_THE_GRID])
 @example([*SMALL_PRICE, "--method", "mc", "--csv", "curve.csv"])
 @example([*SMALL_PRICE, "--method", "closed", "--steps", "-5"])
 @example([*SMALL_PRICE, "--method", "pde", "--xmin", "2"])
