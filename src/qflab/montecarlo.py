@@ -11,22 +11,20 @@ read-only, so the calls and puts of a strike ladder priced in one process
 draw their normals once (common random numbers, Glasserman 2004); the cache
 keeps that one array of ``paths`` values alive between calls.
 
-Randomness is keyed, not sequential.  Every normal is a draw of numpy's
-ziggurat sampler on an SFC64 generator seeded by the ``SeedSequence`` child
-(seed, spawn key), and no two draws share a key.  Terminal sampling uses
-``standard_normals``: stream s is the generator of spawn key (s, 0).  The
-knock-out walk uses ``walk_normals``: the ziggurat reads a variable number of
-words per normal, so the walk is keyed by block of whole rows, block b one
-draw from the generator of spawn key (b,).  Either way results cannot depend
-on worker scheduling.  Each row drives an antithetic pair of paths, z and -z
-(Glasserman 2004, section 4.2), so the walk draws one normal per pair and
-date, and a barrier's standard error comes from the pairs.  Path simulation walks one block at a time on each of
-at most two worker threads, so it holds at most 2 MiB of normals however
-many paths there are.  Aggregation always runs over the fully materialized
-value array with numpy's pairwise summation, making estimates reproducible
-bit-for-bit from (market, contract, spot, paths, seed), on whichever thread
-``feynman_kac_estimate`` runs: ``price`` calls it on a worker thread of its
-own, beside the PDE.
+Randomness is keyed, not sequential.  Every normal is drawn by
+``standard_normals``: stream s is numpy's ziggurat sampler on an SFC64
+generator seeded by the ``SeedSequence`` child of spawn key (s, 0).  The
+terminal sample is stream 0, and block b of the knock-out walk, its whole
+rows drawn at once, is stream b + 1, so no two draws share a key and results
+cannot depend on worker scheduling.  Each row drives an antithetic pair of
+paths, z and -z (Glasserman 2004, section 4.2), so the walk draws one normal
+per pair and date, and a barrier's standard error comes from the pairs.
+Path simulation walks one block at a time on each of at most two worker
+threads, so it holds at most 2 MiB of normals however many paths there are.
+Aggregation always runs over the fully materialized value array with numpy's
+pairwise summation, making estimates reproducible bit-for-bit from (market,
+contract, spot, paths, seed), on whichever thread ``feynman_kac_estimate``
+runs: ``price`` calls it on a worker thread of its own, beside the PDE.
 """
 
 import functools
@@ -41,8 +39,8 @@ from numpy.random import Generator, SFC64, SeedSequence
 
 from .finance import MarketParams, OptionContract, check_discount
 
-# normals in one block of the knock-out walk's stream, its unit of work: one
-# SFC64 generator and one ziggurat draw of as many whole rows as fit, and at
+# normals in one block of the knock-out walk, its unit of work: one
+# ``standard_normals`` stream drawn at once, as many whole rows as fit and at
 # least one, each row the normals of an antithetic pair of paths.  Two
 # workers each walk a 1 MiB block, which fits a 2 MiB L2 cache (8 MiB walked
 # about 20 % slower); a row longer than a block walks alone, and one longer
@@ -88,52 +86,29 @@ class McEstimate:
 # -- keyed normal streams -----------------------------------------------------
 
 
-def _generator(seed: int, key: tuple[int, ...]) -> Generator:
-    """An SFC64 generator seeded by ``SeedSequence(seed, spawn_key=key)``.
-
-    The key is hashed as its 32-bit words, with no zero high word, after the
-    seed's four: block key (b,) is one word or ends on a nonzero one, stream
-    key (s, 0) is two or more ending on a zero one, so the two never meet.
-    """
-    return Generator(SFC64(SeedSequence(seed, spawn_key=key)))
-
-
 def standard_normals(seed: int, count: int, start: int = 0, stream: int = 0) -> np.ndarray:
-    """Normals [start, start + count) of terminal stream ``stream``: ziggurat draws keyed (stream, 0).
+    """Normals [start, start + count) of stream ``stream``: SFC64 ziggurat draws keyed (stream, 0).
 
-    The generator is drawn in order, so the first ``start`` normals are drawn
-    and dropped, and a stream drawn in chunks is the stream drawn at once.
+    The generator is seeded by ``SeedSequence(seed, spawn_key=(stream, 0))``;
+    the spawn key keeps every (seed, stream) pair apart, which the entropy
+    tuple (seed, stream) would not: its 32-bit words make seed 5 + 3 * 2**32
+    stream 0 the same as seed 5 stream 3.  The generator is drawn in order,
+    so the first ``start`` normals are drawn and dropped, and a stream drawn
+    in chunks is the stream drawn at once.
     """
-    gen = _generator(seed, (stream, 0))
+    # drawn into an array made before the generator: drawing into an array
+    # that ``standard_normal`` makes measured the barrier benchmark's wall
+    # time 0.6-0.9 % slower in alternated pairs, for no cause found
+    z = np.empty(count)
+    gen = Generator(SFC64(SeedSequence(seed, spawn_key=(stream, 0))))
     gen.standard_normal(start)
-    return gen.standard_normal(count)
+    gen.standard_normal(out=z)
+    return z
 
 
 def rows_per_block(m: int) -> int:
-    """Rows of m normals in one block of the knock-out walk's stream, each row a pair of paths."""
+    """Rows of m normals in one block of the knock-out walk, each row a pair of paths."""
     return max(1, BLOCK_NORMALS // m)
-
-
-def walk_normals(seed: int, m: int, block: int, rows: int) -> np.ndarray:
-    """The knock-out walk's normals of a block's first ``rows`` rows of m dates.
-
-    Block b holds rows [b, b + 1) * ``rows_per_block(m)`` and is one call of
-    numpy's ziggurat ``standard_normal`` on an SFC64 generator seeded by
-    ``SeedSequence(seed, spawn_key=(b,))``, which is the child
-    ``SeedSequence(seed).spawn(b + 1)[b]``.  The spawn key keeps every
-    (seed, b) pair apart, which the entropy tuple (seed, b) would not: its
-    32-bit words make seed 5 + 3 * 2**32 block 0 the same as seed 5 block 3.
-    An SFC64 stream is drawn in order, so a block's first k rows do not
-    depend on how many follow: the last, partial block of a walk is the head
-    of the whole block.
-    """
-    # drawn into a slice of an array made before the generator: drawing into
-    # ``z`` itself, or into an array that ``standard_normal`` makes, measured
-    # the barrier benchmark's wall time 0.6-0.9 % slower in alternated pairs,
-    # for no cause found
-    z = np.empty((rows, m))
-    _generator(seed, (block,)).standard_normal(out=z[:rows])
-    return z
 
 
 # -- sampling ----------------------------------------------------------------
@@ -172,16 +147,18 @@ def knockout_terminal(
     """(S(T), alive) under discrete monitoring of the contract's barrier.
 
     Exact GBM increments at monitoring_per_year dates; a path dies when it
-    touches or crosses the barrier at a monitoring date.  Paths walk in
-    antithetic pairs: row j of ``walk_normals`` drives path 2j with z and
-    path 2j + 1 with -z, so ln(S / S0) is R + W and R - W, where
+    starts at or below the barrier, or touches or crosses it at a monitoring
+    date.  Paths walk in antithetic pairs: row j of a block drives path 2j
+    with z and path 2j + 1 with -z, so ln(S / S0) is R + W and R - W, where
     W = cumsum(sigma sqrt(dt) z) and R is the drift ramp k (r - sigma^2/2) dt
     at date k.  An odd ``paths`` leaves the last path without its mirror.
-    A block of ``rows_per_block(m)`` rows holds 2 ``rows_per_block(m)``
-    paths; blocks are walked one at a time on at most two threads, each
-    writing only its own slice of the result, so the worker count does not
-    affect the draws.  Once ``stop`` is set, no further block starts, and
-    the walk raises ``CancelledError``.
+    Block b holds ``rows_per_block(m)`` rows, 2 ``rows_per_block(m)`` paths,
+    and is stream b + 1 of ``standard_normals`` (stream 0 is the terminal
+    sample's), drawn in order, so a walk's last, partial block is the head
+    of the whole block.  Blocks are walked one at a time on at most two
+    threads, each writing only its own slice of the result, so the worker
+    count does not affect the draws.  Once ``stop`` is set, no further block
+    starts, and the walk raises ``CancelledError``.
     """
     m = monitoring_dates(monitoring_per_year, contract.maturity)
     if m > 2 * BLOCK_NORMALS:
@@ -210,10 +187,10 @@ def knockout_terminal(
         p1 = min(p0 + per_block, paths)
         with np.errstate(**err):
             # W along each row, built in place on the normals; ln S0 joins
-            # only the minimum and the last date, the same bits as at every
-            # date since fl(c + a) is monotone in c
+            # only the minimum, date 0 included, and the last date, the same
+            # bits as at every date since fl(c + a) is monotone in c
             rows = (p1 - p0 + 1) // 2
-            w = walk_normals(seed, m, block, rows)
+            w = standard_normals(seed, rows * m, stream=block + 1).reshape(rows, m)
             w *= vol_term
             np.cumsum(w, axis=1, out=w)
             # path p0 + 2j is R + W of row j, formed a few rows at a time in a
@@ -227,9 +204,9 @@ def knockout_terminal(
                 np.min(plus, axis=1, out=lowest[a : a + len(chunk)])
                 last[a : a + len(chunk)] = plus[:, -1]
             minus = np.subtract(ramp, w, out=w)[: (p1 - p0) // 2]
-            alive[p0:p1:2] = lowest + log_s0 > log_b
+            alive[p0:p1:2] = np.minimum(lowest, 0.0) + log_s0 > log_b
             s_t[p0:p1:2] = np.exp(last + log_s0)
-            alive[p0 + 1 : p1 : 2] = np.min(minus, axis=1) + log_s0 > log_b
+            alive[p0 + 1 : p1 : 2] = np.minimum(np.min(minus, axis=1), 0.0) + log_s0 > log_b
             s_t[p0 + 1 : p1 : 2] = np.exp(minus[:, -1] + log_s0)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

@@ -201,9 +201,9 @@ def test_the_barrier_benchmark_prints_no_warning(capsys):
 @pytest.mark.parametrize("barrier", ["100", "100.1", "120"])
 def test_a_spot_at_or_below_the_barrier_prices_0_on_the_default_grid(tmp_path, capsys, barrier):
     out = tmp_path / "report.json"
-    for method in ("closed", "pde"):
+    for method in ("closed", "pde", "mc"):
         assert main(["price", "--payoff", "do-call", "--barrier", barrier, "--method", method,
-                     "--json", str(out)]) == 0
+                     "--paths", "2000", "--json", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert doc["parameters"]["prices"] == {method: 0.0}
     assert doc["parameters"]["xmin"] <= math.log(100.0)
@@ -459,13 +459,13 @@ def test_a_pde_refusal_stops_the_knock_out_walk(monkeypatch, capsys):
     # signal, the draws stop waiting after the deadline and every block runs
     started, stops, drawn = threading.Event(), [], []
     deadline = time.monotonic() + 30.0
-    walk, normals = montecarlo.knockout_terminal, montecarlo.walk_normals
+    walk, normals = montecarlo.knockout_terminal, montecarlo.standard_normals
 
     def knockout_terminal(*args, **kwargs):
         stops.append(inspect.signature(walk).bind(*args, **kwargs).arguments["stop"])
         return walk(*args, **kwargs)
 
-    def walk_normals(*args, **kwargs):
+    def standard_normals(*args, **kwargs):
         drawn.append(args)
         started.set()
         stops[0].wait(timeout=max(0.0, deadline - time.monotonic()))
@@ -476,7 +476,7 @@ def test_a_pde_refusal_stops_the_knock_out_walk(monkeypatch, capsys):
         raise ValueError("the PDE refuses")
 
     monkeypatch.setattr(montecarlo, "knockout_terminal", knockout_terminal)
-    monkeypatch.setattr(montecarlo, "walk_normals", walk_normals)
+    monkeypatch.setattr(montecarlo, "standard_normals", standard_normals)
     monkeypatch.setattr(finance, "price_pde", price_pde)
     assert main(["price", "--payoff", "do-call", "--method", "all", "--paths", "200000"]) == 2
     blocks = -(-200_000 // (2 * montecarlo.rows_per_block(250)))  # a block's rows drive two paths each

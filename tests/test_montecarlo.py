@@ -22,7 +22,6 @@ from qflab.montecarlo import (
     sample_terminal,
     shifted_barrier,
     standard_normals,
-    walk_normals,
 )
 
 
@@ -42,7 +41,7 @@ def test_estimate_validation():
                              100.0, 100, 0, 250)
 
 
-# -- the terminal draw's keyed streams ------------------------------------------
+# -- the keyed streams of standard_normals ----------------------------------------
 
 
 def test_streams_differ_by_seed_and_stream():
@@ -53,15 +52,16 @@ def test_streams_differ_by_seed_and_stream():
     assert not np.array_equal(a, c)
 
 
-def test_normals_standardized():
-    z = standard_normals(0, 400_000)
+@pytest.mark.parametrize("stream", [0, 3])
+def test_normals_standardized(stream):
+    z = standard_normals(0, 400_000, stream=stream)
     assert abs(z.mean()) < 3.0 / math.sqrt(len(z))
     assert abs(z.std() - 1.0) < 0.01
     assert np.all(np.isfinite(z))
 
 
-def test_terminal_streams_never_share_a_key_or_draws_with_walk_blocks(monkeypatch):
-    # stream s is the SFC64 generator of spawn key (s, 0), block b that of (b,)
+def test_streams_never_share_a_key_or_draws(monkeypatch):
+    # stream s is the SFC64 generator of spawn key (s, 0)
     keys = []
     sfc64 = montecarlo.SFC64
 
@@ -71,16 +71,14 @@ def test_terminal_streams_never_share_a_key_or_draws_with_walk_blocks(monkeypatc
 
     monkeypatch.setattr(montecarlo, "SFC64", sfc64_)
     # among the draws, pairs whose 32-bit words would alias without the spawn
-    # key's structure: seed 5 + 3 * 2**32 at 0 against seed 5 at 3, block 2**32
-    # (words 0, 1) against stream 0 (words 0, 0), and block s against stream s
+    # key's structure: seed 5 + 3 * 2**32 at 0 against seed 5 at 3, and stream
+    # 2**32 (words 0, 1) against stream 0 (words 0)
     high = 5 + 3 * 2**32
     draws = {}
     for seed in (0, 5, high, 2**64 - 1):
-        for i in (0, 1, 3, 2**32, 2**32 + 3):
-            draws[seed, "stream", i] = standard_normals(seed, 16, stream=i)
-            assert keys[-1] == (seed, (i, 0))
-            draws[seed, "block", i] = walk_normals(seed, 16, i, 1)[0]
-            assert keys[-1] == (seed, (i,))
+        for s in (0, 1, 3, 2**32, 2**32 + 3):
+            draws[seed, s] = standard_normals(seed, 16, stream=s)
+            assert keys[-1] == (seed, (s, 0))
     assert len({d.tobytes() for d in draws.values()}) == len(draws)
 
 
@@ -96,25 +94,45 @@ def test_chunked_generation_matches_one_shot(seed, chunks):
     assert np.array_equal(whole, np.concatenate(parts))
 
 
-# -- the knock-out walk's block-keyed stream -----------------------------------------
+def spawned_stream(seed: int, stream: int, shape) -> np.ndarray:
+    """Normals of ``shape`` drawn straight from the seed's spawned grandchild (stream, 0)."""
+    child = np.random.SeedSequence(seed).spawn(stream + 1)[stream].spawn(1)[0]
+    return np.random.Generator(np.random.SFC64(child)).standard_normal(shape)
 
 
-def test_walk_normals_standardized():
-    z = np.concatenate([walk_normals(0, 250, b, 400) for b in range(4)]).ravel()
-    assert len(z) == 400_000
-    assert abs(z.mean()) < 3.0 / math.sqrt(len(z))
-    assert abs(z.std() - 1.0) < 0.01
-    assert np.all(np.isfinite(z))
+def test_streams_are_the_spawned_grandchildren_of_the_seed():
+    for s in range(4):
+        assert np.array_equal(standard_normals(7, 1_000, stream=s), spawned_stream(7, s, 1_000))
+    # the entropy tuple (seed, stream) maps these two pairs to one state; the spawn key does not
+    high = 5 + 3 * 2**32
+    assert np.array_equal(np.random.SeedSequence((high, 0)).generate_state(4),
+                          np.random.SeedSequence((5, 3)).generate_state(4))
+    assert not np.array_equal(standard_normals(high, 16), standard_normals(5, 16, stream=3))
+    assert np.all(np.isfinite(standard_normals(2**64 - 1, 16)))
+
+
+@pytest.mark.parametrize("seed", [0, 5, 2**32])
+def test_streams_are_uncorrelated_across_streams_and_seeds(seed):
+    # stream 0 is the terminal sample's, streams 1 and 2 the walk's first two blocks
+    n = 400_000
+    bound = 5.0 / math.sqrt(n)
+    terminal, first, second = (standard_normals(seed, n, stream=s) for s in range(3))
+    assert abs(np.corrcoef(terminal, first)[0, 1]) < bound
+    assert abs(np.corrcoef(first, second)[0, 1]) < bound
+    assert abs(np.corrcoef(first, standard_normals(seed + 1, n, stream=1))[0, 1]) < bound
+
+
+# -- the knock-out walk's blocks ------------------------------------------------------
 
 
 @pytest.mark.parametrize("m", [1, 50, 250, BLOCK_NORMALS + 3])
 def test_a_blocks_first_paths_are_the_head_of_the_whole_block(m):
-    per_block = montecarlo.rows_per_block(m)
-    for block in (0, 2):
-        whole = walk_normals(3, m, block, per_block)
-        assert whole.shape == (per_block, m)
-        for k in {1, (per_block + 1) // 2, per_block - 1} - {0}:
-            assert np.array_equal(walk_normals(3, m, block, k), whole[:k])
+    # a walk of two blocks, and walks that end part way into the second
+    per_block = 2 * montecarlo.rows_per_block(m)
+    whole = knockout_terminal(MP, DO_CALL, 100.0, 2 * per_block, 3, monitoring_per_year=m, stop=None)
+    for k in {1, per_block // 2 + 1, per_block - 1}:
+        part = knockout_terminal(MP, DO_CALL, 100.0, per_block + k, 3, monitoring_per_year=m, stop=None)
+        assert all(np.array_equal(p, w[: per_block + k]) for p, w in zip(part, whole))
 
 
 def test_a_walk_of_fewer_paths_is_the_head_of_a_longer_walk():
@@ -124,63 +142,29 @@ def test_a_walk_of_fewer_paths_is_the_head_of_a_longer_walk():
     assert np.array_equal(short[0], long[0][:6_001]) and np.array_equal(short[1], long[1][:6_001])
 
 
-def spawned_block(seed: int, b: int, paths: int, m: int) -> np.ndarray:
-    """``paths`` paths of m normals drawn straight from the seed's spawned child b."""
-    child = np.random.SeedSequence(seed).spawn(b + 1)[b]
-    return np.random.Generator(np.random.SFC64(child)).standard_normal((paths, m))
-
-
-def test_walk_blocks_are_the_spawned_children_of_the_seed():
-    m = 50
-    per_block = montecarlo.rows_per_block(m)
-
-    def block(seed, b):
-        return walk_normals(seed, m, b, per_block)
-
-    for b in range(3):
-        assert np.array_equal(block(7, b), spawned_block(7, b, per_block, m))
-    assert not np.array_equal(block(7, 0), block(8, 0))
-    # the entropy tuple (seed, block) maps these two pairs to one state; the spawn key does not
-    high = 5 + 3 * 2**32
-    assert np.array_equal(np.random.SeedSequence((high, 0)).generate_state(4),
-                          np.random.SeedSequence((5, 3)).generate_state(4))
-    assert not np.array_equal(block(high, 0), block(5, 3))
-    assert np.all(np.isfinite(block(2**64 - 1, 0)))
-
-
-@pytest.mark.parametrize("seed", [0, 5, 2**32])
-def test_walk_blocks_are_uncorrelated_across_blocks_and_seeds(seed):
-    # one path of n dates is one block, so rows 0 and 1 are adjacent blocks
-    n = 400_000
-    bound = 5.0 / math.sqrt(n)
-    first, second = walk_normals(seed, n, 0, 1)[0], walk_normals(seed, n, 1, 1)[0]
-    assert abs(np.corrcoef(first, second)[0, 1]) < bound
-    assert abs(np.corrcoef(first, walk_normals(seed + 1, n, 0, 1)[0])[0, 1]) < bound
-
-
 @pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
 def test_the_walk_draws_each_block_in_one_draw(monkeypatch, cpus):
-    # on one worker or two, a block is one generator and one ziggurat call,
-    # and no block is drawn twice
+    # on one worker or two, block b is one draw of whole rows from stream
+    # b + 1, one generator of key (b + 1, 0), and no block is drawn twice
     m, paths = 250, 200_000
     monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: cpus)
-    blocks, generators = [], []
-    walk, sfc64 = montecarlo.walk_normals, montecarlo.SFC64
+    draws, generators = [], []
+    normals, sfc64 = montecarlo.standard_normals, montecarlo.SFC64
 
-    def walk_normals_(seed, m_, block, k):
-        blocks.append(block)
-        return walk(seed, m_, block, k)
+    def standard_normals_(seed, count, start=0, stream=0):
+        draws.append((stream, count % m, start))
+        return normals(seed, count, start, stream)
 
     def sfc64_(seed_sequence):
         generators.append(seed_sequence.spawn_key)
         return sfc64(seed_sequence)
 
-    monkeypatch.setattr(montecarlo, "walk_normals", walk_normals_)
+    monkeypatch.setattr(montecarlo, "standard_normals", standard_normals_)
     monkeypatch.setattr(montecarlo, "SFC64", sfc64_)
     knockout_terminal(MP, DO_CALL, 100.0, paths, 0, monitoring_per_year=m, stop=None)
     count = -(-paths // (2 * montecarlo.rows_per_block(m)))  # a block's rows drive two paths each
-    assert sorted(blocks) == list(range(count))
-    assert sorted(generators) == [(block,) for block in range(count)]
+    assert sorted(draws) == [(block + 1, 0, 0) for block in range(count)]
+    assert sorted(generators) == [(block + 1, 0) for block in range(count)]
 
 
 # -- exact terminal sampling -----------------------------------------------------
@@ -215,12 +199,13 @@ def test_log_moments_match_lognormal():
 
 
 @pytest.mark.parametrize("contract", [OptionContract("down_and_out_call", 100.0, 1.0, barrier=150.0),
+                                      OptionContract("down_and_out_call", 100.0, 1.0, barrier=100.0),
                                       OptionContract("european_call", 1e6, 1.0),
                                       OptionContract("european_put", 1e-6, 1.0)],
-                         ids=["do-call", "call", "put"])
+                         ids=["do-call", "do-call-at-the-spot", "call", "put"])
 def test_constant_claim_has_zero_error(contract):
-    # every path pays 0: a barrier above the spot knocks it out at the first
-    # date, and the call and put end out of the money
+    # every path pays 0: a barrier at or above the spot knocks it out at date
+    # 0, and the call and put end out of the money
     est = feynman_kac_estimate(MP, contract, 100.0, 10_000, seed=0, monitoring_per_year=250)
     assert est.mean == 0.0
     assert est.std_error == 0.0
@@ -261,7 +246,7 @@ def test_knockout_walk_matches_reference_formula(m, paths):
     dt = DO_CALL.maturity / m
     rows = -(-paths // 2)
     blocks = -(-rows // per_block)
-    z = np.concatenate([spawned_block(seed, b, per_block, m) for b in range(blocks)])[:rows]
+    z = np.concatenate([spawned_stream(seed, b + 1, (per_block, m)) for b in range(blocks)])[:rows]
     drift, vol = (MP.r - 0.5 * MP.sigma**2) * dt, MP.sigma * math.sqrt(dt)
     ramp, w = drift * np.arange(1, m + 1), np.cumsum(vol * z, axis=1)
     logs = np.empty((paths, m))

@@ -25,10 +25,9 @@ PACKAGE = SRC / "qflab"
 # the verify-algebra real-spectrum checks are meant to call it, or both go
 ALLOWED = {"susy.real_spectrum_check", "susy.RealSpectrumReport.passed"}
 ALLOWED_PARAMETERS = {
-    # no src call passes either, since the terminal sample draws stream 0
-    # whole, but perfbench/layers.py binds every standard_normals call and
-    # keys its unique-draw count by call["stream"] and call["start"]
-    "montecarlo.standard_normals.stream",
+    # no src call passes it, since every stream is drawn whole, but
+    # perfbench/layers.py binds every standard_normals call and keys its
+    # unique-draw count by call["start"]
     "montecarlo.standard_normals.start",
     # the console script ``qflab = qflab.cli:main`` calls main() without
     # arguments; argparse then reads sys.argv

@@ -54,4 +54,6 @@ def test_tracer_records_every_span_its_metrics_read():
     m = out["metrics"]
     assert m["operators.matmul_calls"] > 0
     assert m["finance.price_pde_calls"] == 1
-    assert m["montecarlo.draws"] > 0 and m["montecarlo.unique_draw_ratio"] == 1.0
+    # the call's 2000 terminal draws and the barrier walk's 1000 rows of 250 dates
+    assert m["montecarlo.draws"] == 2_000 + 1_000 * 250
+    assert m["montecarlo.unique_draw_ratio"] == 1.0
