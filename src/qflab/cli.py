@@ -315,7 +315,7 @@ def cmd_price(args) -> RunReport:
     if args.method in ("closed", "all"):
         prices["closed"] = finance.closed_form_price(mp, contract, args.spot)
     if run_mc:
-        montecarlo.check_draws(contract, args.paths, args.seed)  # refused before any PDE work
+        montecarlo.check_draws(args.paths, args.seed)  # refused before any PDE work
     # the pricers share no data, and the Monte Carlo's heavy calls release the
     # GIL, so it runs on one worker, in a copy of this context (numpy's error
     # state), while this thread steps the PDE.  A PDE refusal leaves the ``with``

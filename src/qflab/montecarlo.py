@@ -16,9 +16,11 @@ Randomness is keyed, not sequential.  Every normal is drawn by
 generator seeded by the ``SeedSequence`` child of spawn key (s, 0).  The
 terminal sample is stream 0, and block b of the knock-out walk, its whole
 rows drawn at once, is stream b + 1, so no two draws share a key and results
-cannot depend on worker scheduling.  Each row drives an antithetic pair of
-paths, z and -z (Glasserman 2004, section 4.2), so the walk draws one normal
-per pair and date, and a barrier's standard error comes from the pairs.
+cannot depend on worker scheduling.  Every sample of p paths is laid out in
+antithetic halves (Glasserman 2004, section 4.2): the normals z_j drive paths
+j < h = ceil(p / 2), and -z_j drives path h + j, the mirror of path j, so a
+sample draws one normal per pair and date, an odd p leaves path h - 1
+without a mirror, and every standard error comes from the pairs.
 Path simulation walks one block at a time on each of at most two worker
 threads, so it holds at most 2 MiB of normals however many paths there are.
 Aggregation always runs over the fully materialized value array with numpy's
@@ -47,25 +49,18 @@ from .finance import MarketParams, OptionContract, check_discount
 # than two blocks is refused, so the walk holds at most 2 MiB of normals
 # however many paths there are
 BLOCK_NORMALS = 1 << 17
-# values in the scratch where a worker forms the +z paths of its block a few
-# rows at a time, and at least one row: on a 2 vCPU host a scratch as large
-# as the block raised the barrier benchmark's peak RSS by 1.7 MB and walked
-# no faster
-SCRATCH_NORMALS = BLOCK_NORMALS // 8
 
 
-def check_draws(contract: OptionContract, paths: int, seed: int) -> None:
+def check_draws(paths: int, seed: int) -> None:
     """Refuse a path count without a standard error, or a seed outside [0, 2**64).
 
     The seed is the 64-bit entropy of the ``SeedSequence`` that keys every
-    draw, the terminal sample's and the walk's.  A barrier's standard error
-    comes from its antithetic pairs, so it needs two pairs: four paths.
+    draw, the terminal sample's and the walk's.  Every standard error comes
+    from antithetic pairs, so it needs two pairs: four paths.
     """
-    if paths < 2:
-        raise ValueError(f"paths must be >= 2 for a standard error, got {paths}")
-    if contract.barrier is not None and paths < 4:
-        raise ValueError(f"paths must be >= 4 for a barrier's standard error, which needs two "
-                         f"antithetic pairs, got {paths}")
+    if paths < 4:
+        raise ValueError(f"paths must be >= 4 for a standard error, which needs two antithetic "
+                         f"pairs, got {paths}")
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
 
@@ -107,7 +102,7 @@ def standard_normals(seed: int, count: int, start: int = 0, stream: int = 0) -> 
 
 
 def rows_per_block(m: int) -> int:
-    """Rows of m normals in one block of the knock-out walk, each row a pair of paths."""
+    """Rows of m normals in one block of the knock-out walk, each row a path and its mirror."""
     return max(1, BLOCK_NORMALS // m)
 
 
@@ -116,11 +111,13 @@ def rows_per_block(m: int) -> int:
 
 def sample_terminal(mp: MarketParams, contract: OptionContract, spot: float, paths: int,
                     seed: int) -> np.ndarray:
-    """Exact lognormal draws of S(T) from S(0) = spot, one per path, with the rate as drift.
+    """Exact lognormal draws of S(T) from S(0) = spot, in antithetic halves, with the rate as drift.
 
-    The sample depends only on (sigma, r, T, spot, paths, seed), not on the
-    payoff or the strike, so a strike ladder priced in one process shares its
-    draws (common random numbers).  The last sample is cached and returned
+    Path j < h = ceil(paths / 2) is drawn from normal j of stream 0, and
+    its mirror, path h + j, from the negation, so the sample draws h
+    normals.  The sample depends only on (sigma, r, T, spot, paths, seed),
+    not on the payoff or the strike, so a strike ladder priced in one process
+    shares its draws (common random numbers).  The last sample is cached and returned
     read-only; the cache holds that one array of ``paths`` values until a
     call with another key replaces it.
     """
@@ -130,10 +127,15 @@ def sample_terminal(mp: MarketParams, contract: OptionContract, spot: float, pat
 @functools.lru_cache(maxsize=1)
 def _terminal_sample(sigma: float, r: float, t: float, spot: float, paths: int,
                      seed: int) -> np.ndarray:
-    # S(T) is built in place on the normals: one array of ``paths`` values
-    s = standard_normals(seed, paths)
-    s *= sigma * math.sqrt(t)
-    s += (r - 0.5 * sigma**2) * t
+    # ln(S / spot) is drift + vol z for path j and drift - vol z for its
+    # mirror h + j, formed on ``paths`` values from the h = ceil(paths / 2) normals
+    h = -(-paths // 2)
+    z = standard_normals(seed, h)
+    z *= sigma * math.sqrt(t)
+    drift = (r - 0.5 * sigma**2) * t
+    s = np.empty(paths)
+    np.subtract(drift, z[: paths // 2], out=s[h:])
+    np.add(z, drift, out=s[:h])
     np.exp(s, out=s)
     s *= spot
     s.flags.writeable = False
@@ -148,16 +150,16 @@ def knockout_terminal(
 
     Exact GBM increments at monitoring_per_year dates; a path dies when it
     starts at or below the barrier, or touches or crosses it at a monitoring
-    date.  Paths walk in antithetic pairs: row j of a block drives path 2j
-    with z and path 2j + 1 with -z, so ln(S / S0) is R + W and R - W, where
-    W = cumsum(sigma sqrt(dt) z) and R is the drift ramp k (r - sigma^2/2) dt
-    at date k.  An odd ``paths`` leaves the last path without its mirror.
-    Block b holds ``rows_per_block(m)`` rows, 2 ``rows_per_block(m)`` paths,
-    and is stream b + 1 of ``standard_normals`` (stream 0 is the terminal
-    sample's), drawn in order, so a walk's last, partial block is the head
-    of the whole block.  Blocks are walked one at a time on at most two
-    threads, each writing only its own slice of the result, so the worker
-    count does not affect the draws.  Once ``stop`` is set, no further block
+    date.  Paths walk in antithetic halves: row i of the walk's normals z
+    drives path i with z and its mirror, path h + i with h = ceil(paths / 2),
+    with -z, so ln(S / S0) is R + W and R - W, where W = cumsum(sigma sqrt(dt)
+    z) and R is the drift ramp k (r - sigma^2/2) dt at date k.  An odd
+    ``paths`` leaves path h - 1 without its mirror.  Block b holds rows
+    [b c, (b + 1) c) with c = ``rows_per_block(m)``, and is stream b + 1 of
+    ``standard_normals`` (stream 0 is the terminal sample's), drawn in order,
+    so a walk's last, partial block is the head of the whole block.  Blocks
+    are walked one at a time on at most two threads, each writing only its
+    own slices of the result, so the worker count does not affect the draws.  Once ``stop`` is set, no further block
     starts, and the walk raises ``CancelledError``.
     """
     m = monitoring_dates(monitoring_per_year, contract.maturity)
@@ -167,10 +169,11 @@ def knockout_terminal(
     # the ziggurat draw, cumsum, min and exp release the GIL, so the blocks
     # walk in parallel; a path longer than a block walks alone
     workers = min(2, len(os.sched_getaffinity(0))) if m <= BLOCK_NORMALS else 1
-    per_block = 2 * rows_per_block(m)
-    scratch_rows = max(1, SCRATCH_NORMALS // m)
+    per_block = rows_per_block(m)
+    h, q = -(-paths // 2), paths // 2
     dt = contract.maturity / m
     ramp = (mp.r - 0.5 * mp.sigma**2) * dt * np.arange(1, m + 1)
+    two_ramp = 2.0 * ramp
     vol_term = mp.sigma * math.sqrt(dt)
     log_b = math.log(contract.barrier)
     log_s0 = math.log(spot)
@@ -183,35 +186,29 @@ def knockout_terminal(
     def walk(block: int) -> None:
         if stop is not None and stop.is_set():
             raise CancelledError(f"the knock-out walk was stopped before block {block}")
-        p0 = block * per_block
-        p1 = min(p0 + per_block, paths)
+        r0 = block * per_block
+        r1 = min(r0 + per_block, h)
         with np.errstate(**err):
             # W along each row, built in place on the normals; ln S0 joins
             # only the minimum, date 0 included, and the last date, the same
             # bits as at every date since fl(c + a) is monotone in c
-            rows = (p1 - p0 + 1) // 2
-            w = standard_normals(seed, rows * m, stream=block + 1).reshape(rows, m)
+            w = standard_normals(seed, (r1 - r0) * m, stream=block + 1).reshape(r1 - r0, m)
             w *= vol_term
             np.cumsum(w, axis=1, out=w)
-            # path p0 + 2j is R + W of row j, formed a few rows at a time in a
-            # small scratch; path p0 + 2j + 1 is R - W, formed in place on W
-            # after it, and an odd walk's last path has no mirror
-            lowest, last = np.empty(rows), np.empty(rows)
-            scratch = np.empty((min(scratch_rows, rows), m))
-            for a in range(0, rows, scratch_rows):
-                chunk = w[a : a + scratch_rows]
-                plus = np.add(chunk, ramp, out=scratch[: len(chunk)])
-                np.min(plus, axis=1, out=lowest[a : a + len(chunk)])
-                last[a : a + len(chunk)] = plus[:, -1]
-            minus = np.subtract(ramp, w, out=w)[: (p1 - p0) // 2]
-            alive[p0:p1:2] = np.minimum(lowest, 0.0) + log_s0 > log_b
-            s_t[p0:p1:2] = np.exp(last + log_s0)
-            alive[p0 + 1 : p1 : 2] = np.minimum(np.min(minus, axis=1), 0.0) + log_s0 > log_b
-            s_t[p0 + 1 : p1 : 2] = np.exp(minus[:, -1] + log_s0)
+            # path r0 + j is R + W of row j, and its mirror h + r0 + j is
+            # R - W = 2R - (R + W), both formed in place on W; an odd walk's
+            # path h - 1 has no mirror
+            plus = np.add(w, ramp, out=w)
+            alive[r0:r1] = np.minimum(np.min(plus, axis=1), 0.0) + log_s0 > log_b
+            s_t[r0:r1] = np.exp(plus[:, -1] + log_s0)
+            mirrored = min(r1, q) - r0
+            minus = np.subtract(two_ramp, plus[:mirrored], out=w[:mirrored])
+            alive[h + r0 : h + r0 + mirrored] = np.minimum(np.min(minus, axis=1), 0.0) + log_s0 > log_b
+            s_t[h + r0 : h + r0 + mirrored] = np.exp(minus[:, -1] + log_s0)
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         # reading every result re-raises a worker's exception here
-        list(pool.map(walk, range(-(-paths // per_block))))
+        list(pool.map(walk, range(-(-h // per_block))))
     return s_t, alive
 
 
@@ -228,15 +225,15 @@ def feynman_kac_estimate(
     contract's maturity.  A barrier contract is priced on monitored paths,
     whose walk ``stop`` ends early (see ``knockout_terminal``); every other
     contract samples the terminal value exactly.  The mean is the sum of the
-    payoffs over ``paths``.  A call's or put's standard error is
-    np.std(ddof=1) / sqrt(paths).  A barrier's comes from the q = paths // 2
-    antithetic pairs: sqrt(q s2_pair + (paths mod 2) s2_path) / paths, where
-    s2_pair is the sample variance of the pair sums and s2_path that of the
-    pairs' second paths, which estimates the variance of an odd walk's lone
-    last path.  Both are formed in place on the payoff array.  Mean and
-    standard error are discounted once, after aggregation.
+    payoffs over ``paths``.  The standard error comes from the q = paths // 2
+    antithetic pairs, path j and its mirror h + j with h = ceil(paths / 2):
+    sqrt(q s2_pair + (paths mod 2) s2_path) / paths, where s2_pair is the
+    sample variance of the pair sums and s2_path that of the mirrors, which
+    estimates the variance of an odd sample's lone path h - 1.  Both are
+    formed in place on the payoff array.  Mean and standard error are
+    discounted once, after aggregation.
     """
-    check_draws(contract, paths, seed)
+    check_draws(paths, seed)
     if not spot > 0:
         raise ValueError(f"spot must be > 0, got {spot}")
     r, t = mp.r, contract.maturity
@@ -249,17 +246,14 @@ def feynman_kac_estimate(
         else:
             values = contract.payoff(sample_terminal(mp, contract, spot, paths, seed))
         mean = float(np.sum(values) / paths)
-        if contract.barrier is None:
-            se = math.sqrt(_variance_in_place(values, mean)) / math.sqrt(paths)
-        else:
-            # the sum of q pairs, plus an odd walk's lone last path, whose
-            # variance the pairs' second paths estimate: each has the law of one path
-            q, lone = divmod(paths, 2)
-            pair_sums, second = values[: 2 * q : 2], values[1 : 2 * q : 2]
-            pair_sums += second
-            pair_var = _variance_in_place(pair_sums, np.sum(pair_sums) / q)
-            path_var = _variance_in_place(second, np.sum(second) / q) if lone else 0.0
-            se = math.sqrt(q * pair_var + lone * path_var) / paths
+        # the sum of q pairs, plus an odd sample's lone path h - 1, whose
+        # variance the mirrors estimate: each has the law of one path
+        h, q = -(-paths // 2), paths // 2
+        pair_sums, mirrors = values[:q], values[h:]
+        pair_sums += mirrors
+        pair_var = _variance_in_place(pair_sums, np.sum(pair_sums) / q)
+        path_var = _variance_in_place(mirrors, np.sum(mirrors) / q) if h > q else 0.0
+        se = math.sqrt(q * pair_var + (h - q) * path_var) / paths
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise ValueError(f"Monte Carlo estimate {mean:.3g} +- {se:.3g} is not finite: "
                          f"the payoff samples overflow float64 at spot={spot:.6g}, "

@@ -411,24 +411,17 @@ def test_zero_commutator_checks_read_their_measurement(monkeypatch, capsys, tmp_
 
 
 @pytest.mark.parametrize("payoff", ["call", "do-call"])
-@pytest.mark.parametrize("flag,message", [(("--paths", "1"), "error: paths must be >= 2"),
-                                          (("--seed", "-1"), "error: seed must be in [0, 2**64)")],
-                         ids=["paths", "seed"])
+@pytest.mark.parametrize("flag,message", [
+    # every standard error comes from antithetic pairs, so 3 paths are too few
+    (("--paths", "3"), "error: paths must be >= 4 for a standard error, which needs two antithetic "
+                       "pairs, got 3\n"),
+    (("--seed", "-1"), "error: seed must be in [0, 2**64)"),
+], ids=["paths", "seed"])
 def test_price_all_refuses_paths_and_seed_before_the_pde(monkeypatch, capsys, payoff, flag, message):
     counts = count_calls(monkeypatch, finance.price_pde)
     assert main(["price", "--payoff", payoff, "--method", "all", "--n", "101", "--steps", "50", *flag]) == 2
     assert counts == {"price_pde": 0}
     assert capsys.readouterr().err.startswith(message)
-
-
-def test_price_all_refuses_a_barrier_without_two_pairs_before_the_pde(monkeypatch, capsys):
-    # a barrier's standard error comes from its antithetic pairs, so 3 paths are too few
-    counts = count_calls(monkeypatch, finance.price_pde)
-    assert main(["price", "--payoff", "do-call", "--method", "all", "--n", "101", "--steps", "50",
-                 "--paths", "3"]) == 2
-    assert counts == {"price_pde": 0}
-    assert capsys.readouterr().err == ("error: paths must be >= 4 for a barrier's standard error, "
-                                       "which needs two antithetic pairs, got 3\n")
 
 
 BOTH_REFUSE = (*SMALL_ALL, "--payoff", "do-call", "--monitoring", "300000", "--xmin", "3", "--xmax", "800")
@@ -527,8 +520,8 @@ def test_price_all_reports_the_pde_and_mc_prices(tmp_path, payoff):
 
 
 @pytest.mark.parametrize("argv,passed", [
-    # the three draws end below the strike: every payoff is 0, so the standard error is 0
-    (("--paths", "3", "--strike", "150"), False),
+    # the four paths end far below the strike: every payoff is 0, so the standard error is 0
+    (("--paths", "4", "--strike", "300"), False),
     (("--sigma", "1e-17", "--paths", "1000", "--n", "401", "--steps", "200"), True),  # exact draws
 ], ids=["zero-payoffs", "zero-volatility"])
 def test_mc_gate_is_floored_at_rounding(tmp_path, capsys, argv, passed):

@@ -97,6 +97,9 @@ def run_main(argv) -> int:
          "PDE price 28.9216 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
         (("--payoff", "do-call", "--method", "pde", "--n", "8", "--steps", "0"),
          "PDE price 16.0559 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
+        # every contract's standard error needs two antithetic pairs
+        (("--paths", "2"), "needs two antithetic pairs, got 2"),
+        (("--payoff", "put", "--method", "mc", "--paths", "3"), "needs two antithetic pairs, got 3"),
     ],
 )
 def test_price_rejects_bad_flag(capsys, argv, flag):
@@ -303,12 +306,12 @@ def test_spectrum_runs_hermitian_partners_on_a_small_grid(capsys):
 def test_library_constructors_reject_the_same_inputs():
     mp, call = MarketParams(0.2, 0.05), OptionContract("european_call", 100.0, 1.0)
     with pytest.raises(ValueError, match="seed"):
-        feynman_kac_estimate(mp, call, 100.0, 2, -1, 250)
+        feynman_kac_estimate(mp, call, 100.0, 4, -1, 250)
     with pytest.raises(ValueError, match="seed"):
-        feynman_kac_estimate(mp, call, 100.0, 2, 2**64, 250)
-    feynman_kac_estimate(mp, call, 100.0, 2, 2**64 - 1, 250)
+        feynman_kac_estimate(mp, call, 100.0, 4, 2**64, 250)
+    feynman_kac_estimate(mp, call, 100.0, 4, 2**64 - 1, 250)
     with pytest.raises(ValueError, match="paths"):
-        feynman_kac_estimate(mp, call, 100.0, 1, 0, 250)
+        feynman_kac_estimate(mp, call, 100.0, 3, 0, 250)
     barrier = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
     with pytest.raises(ValueError, match="monitoring"):
         knockout_terminal(mp, barrier, 100.0, 2, 0, monitoring_per_year=0, stop=None)
@@ -442,6 +445,7 @@ def edge_commands(draw):
 @example([*SMALL_PRICE, "--payoff", "do-call", "--barrier", "80", "--method", "all",
           "--paths", "1000000000000"])
 @example([*SMALL_PRICE, "--payoff", "do-call", "--method", "all", "--paths", "3"])
+@example([*SMALL_PRICE, "--payoff", "call", "--paths", "3"])
 @example(["price", "--method", "pde", "--n", "4"])
 @example(["price", "--method", "pde", "--n", "5"])
 @example(["price", "--payoff", "do-call", "--method", "pde", "--n", "4"])

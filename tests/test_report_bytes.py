@@ -13,7 +13,9 @@ goldens from the changed code, from the root of the checkout:
 
     PYTHONPATH=src python tests/test_report_bytes.py
 
-and commits the rewritten files under ``tests/data/`` in the same change.
+which rewrites only the goldens whose bytes changed, printing ``moved: <name>``
+for each, and commits the rewritten files under ``tests/data/`` in the same
+change.
 """
 
 import contextlib
@@ -89,5 +91,7 @@ if __name__ == "__main__":
                 code, got = run(argv, Path(tmp) / f"out{suffix}")
                 if code != 0:
                     sys.exit(f"{name}: exit code {code}, golden not written")
-                (DATA / f"{name}{suffix}").write_bytes(got)
-                print(f"wrote {DATA / name}{suffix}")
+                golden = DATA / f"{name}{suffix}"
+                if not golden.exists() or golden.read_bytes() != got:
+                    golden.write_bytes(got)
+                    print(f"moved: {name}{suffix}")

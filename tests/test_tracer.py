@@ -54,6 +54,7 @@ def test_tracer_records_every_span_its_metrics_read():
     m = out["metrics"]
     assert m["operators.matmul_calls"] > 0
     assert m["finance.price_pde_calls"] == 1
-    # the call's 2000 terminal draws and the barrier walk's 1000 rows of 250 dates
-    assert m["montecarlo.draws"] == 2_000 + 1_000 * 250
+    # the call's 1000 terminal draws, one a pair of its 2000 paths, and the
+    # barrier walk's 1000 rows of 250 dates
+    assert m["montecarlo.draws"] == 1_000 + 1_000 * 250
     assert m["montecarlo.unique_draw_ratio"] == 1.0
