@@ -412,11 +412,13 @@ def test_zero_commutator_checks_read_their_measurement(monkeypatch, capsys, tmp_
 
 @pytest.mark.parametrize("payoff", ["call", "do-call"])
 @pytest.mark.parametrize("flag,message", [
-    # every standard error comes from antithetic pairs, so 3 paths are too few
+    # every standard error comes from antithetic pairs, so 1 or 3 paths are too few
+    (("--paths", "1"), "error: paths must be >= 4 for a standard error, which needs two antithetic "
+                       "pairs, got 1\n"),
     (("--paths", "3"), "error: paths must be >= 4 for a standard error, which needs two antithetic "
                        "pairs, got 3\n"),
     (("--seed", "-1"), "error: seed must be in [0, 2**64)"),
-], ids=["paths", "seed"])
+], ids=["paths-1", "paths", "seed"])
 def test_price_all_refuses_paths_and_seed_before_the_pde(monkeypatch, capsys, payoff, flag, message):
     counts = count_calls(monkeypatch, finance.price_pde)
     assert main(["price", "--payoff", payoff, "--method", "all", "--n", "101", "--steps", "50", *flag]) == 2

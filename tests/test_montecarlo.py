@@ -200,7 +200,7 @@ def test_discounted_martingale_property(sigma, r):
 def test_log_moments_match_lognormal():
     contract = OptionContract("european_call", 100.0, 1.5)
     # the +z half: its mirrors would cancel every deviation of the mean
-    logs = np.log(sample_terminal(MarketParams(0.3, 0.03), contract, 80.0, 400_000, 1)[:200_000] / 80.0)
+    logs = np.log(sample_terminal(MarketParams(0.3, 0.03), contract, 80.0, 800_000, 1)[:400_000] / 80.0)
     expected = (0.03 - 0.5 * 0.09) * 1.5
     se = np.std(logs, ddof=1) / math.sqrt(len(logs))
     assert abs(logs.mean() - expected) <= 3.0 * se
@@ -369,7 +369,7 @@ def test_estimate_is_the_discounted_sampler_mean(payoff, r, paths):
 @pytest.mark.parametrize("contract", [DO_CALL, OptionContract("european_call", 100.0, 1.0),
                                       OptionContract("european_put", 120.0, 1.0)],
                          ids=["do-call", "call-100", "put-120"])
-def test_barrier_standard_error_is_calibrated_over_seeds(contract):
+def test_standard_error_is_calibrated_over_seeds(contract):
     # the spread of 256 independent estimates matches the standard error each
     # reports: the pairs' error neither over- nor understates the scatter
     estimates = [feynman_kac_estimate(MP, contract, 100.0, 2_000, seed=seed, monitoring_per_year=250)
@@ -383,7 +383,7 @@ def test_barrier_standard_error_is_calibrated_over_seeds(contract):
 @pytest.mark.parametrize("contract", [DO_CALL, OptionContract("european_call", 80.0, 1.0),
                                       OptionContract("european_put", 120.0, 1.0)],
                          ids=["do-call", "call-80", "put-120"])
-def test_antithetic_pairs_reduce_the_barrier_standard_error(contract):
+def test_antithetic_pairs_reduce_the_standard_error(contract):
     # the benchmark contract and two in the money: the pair error of the same
     # values lies below their i.i.d. error, since each payoff is monotone in every increment
     paths = 20_000
