@@ -226,20 +226,20 @@ def cmd_verify_algebra(args) -> RunReport:
     if safe:
         gs, gs_tilde = susy.ground_states(g, f, alpha, beta)
         tol_gs = susy.ground_state_tolerance(g, f, alpha, beta)
-        report.add("ground_state_residual_h", gs.residual, tol_gs, gs.residual <= tol_gs)
-        report.add("ground_state_residual_htilde", gs_tilde.residual, tol_gs,
-                   gs_tilde.residual <= tol_gs)
-    if safe and f.is_polynomial:
-        # convergence comparison on a fixed physical window (see ground_states);
-        # residuals at rounding noise (e.g. f = 0, where annihilation is exact)
-        # carry no convergence information
-        margin = 4.0 * g.h
-        coarse_gs, _ = susy.ground_states(g, f, alpha, beta, margin=margin)
-        fine_gs, _ = susy.ground_states(g_fine, f, alpha, beta, margin=margin)
-        noise_floor = TOL.rounding(g.n, pf.max_abs() ** 2)
-        if coarse_gs.residual > noise_floor and fine_gs.residual > 0:
-            r = coarse_gs.residual / fine_gs.residual
-            report.add("ground_state_refinement_ratio_dev", abs(r - 4.0), 0.5, abs(r - 4.0) <= 0.5)
+        for name, rep in (("h", gs), ("htilde", gs_tilde)):
+            residual = rep.residual
+            report.add(f"ground_state_residual_{name}", residual, tol_gs, residual <= tol_gs)
+        if f.is_polynomial:
+            # convergence comparison on a fixed physical window (see
+            # GroundStateReport.window_residual); residuals at rounding noise (e.g.
+            # f = 0, where annihilation is exact) carry no convergence information
+            margin = 4.0 * g.h
+            coarse = gs.window_residual(margin)
+            fine = susy.ground_states(g_fine, f, alpha, beta)[0].window_residual(margin)
+            noise_floor = TOL.rounding(g.n, pf.max_abs() ** 2)
+            if coarse > noise_floor and fine > 0:
+                r = coarse / fine
+                report.add("ground_state_refinement_ratio_dev", abs(r - 4.0), 0.5, abs(r - 4.0) <= 0.5)
     return report
 
 
@@ -258,17 +258,9 @@ def cmd_spectrum(args) -> RunReport:
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
             fh.write("index,lambda_h1,lambda_h2,paired\n")
-            # the H1 members of the pairs are the nonzero H1 eigenvalues, in order
-            pairs = iter(pairing.pairs)
-            own = next(pairs, None)
-            for i in range(args.k):
-                la = pairing.eigenvalues_a[i]
-                lb = pairing.eigenvalues_b[i]
-                paired = 0
-                if own is not None and own[0] == la:
-                    paired = int(abs(own[0] - own[1]) <= pairing.pair_tol)
-                    own = next(pairs, None)
-                fh.write(f"{i},{_fmt(la)},{_fmt(lb)},{paired}\n")
+            rows = zip(pairing.eigenvalues_a, pairing.eigenvalues_b, pairing.paired)
+            for i, (la, lb, paired) in enumerate(rows):
+                fh.write(f"{i},{_fmt(la)},{_fmt(lb)},{int(paired)}\n")
         report.artifacts.append(args.csv)
 
     print(f"  lambda(H1): {np.array2string(pairing.eigenvalues_a, precision=6)}")

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from conftest import SRC, run_cli as run
 
-from qflab import finance, hamiltonians, montecarlo, operators
+from qflab import finance, hamiltonians, montecarlo, operators, susy
 from qflab.cli import build_parser, main
 
 
@@ -390,6 +390,15 @@ def test_verify_algebra_builds_each_hamiltonian_once(monkeypatch):
     # H1..H4 of f once; the duality check reads only the closed forms of -f
     assert counts == {"build_all": 1}
     assert len(products) == 46
+
+
+def test_verify_algebra_forms_the_ground_states_once_per_grid(monkeypatch, capsys):
+    grids, ground_states = [], susy.ground_states
+    monkeypatch.setattr(susy, "ground_states",
+                        lambda g, *args, **kwargs: grids.append(g.n) or ground_states(g, *args, **kwargs))
+    assert main(["verify-algebra", "--f", "poly:0,0,0.5", "--n", "101"]) == 0
+    # the residuals on g and the refinement ratio's window on g read one pass
+    assert grids == [101, 201]
 
 
 @pytest.mark.parametrize("argv", [("spectrum", "--n", "801", "--k", "2"), ("identify", "--n", "41")])

@@ -21,9 +21,6 @@ import ast
 from conftest import SRC
 
 PACKAGE = SRC / "qflab"
-# a library check that no subcommand runs yet, and the verdict of its report;
-# the verify-algebra real-spectrum checks are meant to call it, or both go
-ALLOWED = {"susy.real_spectrum_check", "susy.RealSpectrumReport.passed"}
 ALLOWED_PARAMETERS = {
     # no src call passes it, since every stream is drawn whole, but
     # perfbench/layers.py binds every standard_normals call and keys its
@@ -68,7 +65,7 @@ def test_every_name_in_src_has_a_caller_in_src():
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(PACKAGE.glob("*.py"))}
     defined, unused = defined_and_unused(trees)
     assert len(defined) > 50  # the scan sees the package
-    assert [where for where in unused if where not in ALLOWED] == []
+    assert unused == []
 
 
 def _signatures(trees) -> dict[str, list[tuple[str, list[str], set[str]]]]:
