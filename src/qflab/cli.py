@@ -29,9 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import finance, hamiltonians, montecarlo, operators, susy
+from . import tolerances as TOL
 from .grid import Grid1D
 from .operators import FunctionSpec
-from .tolerances import DEFAULT as TOL
 
 SCHEMA_VERSION = 1
 
@@ -199,7 +199,9 @@ def cmd_verify_algebra(args) -> RunReport:
         report.add(name.format("_".join(ident.labels).lower()), max(ident.residuals),
                    ident.tolerance, passed)
 
-    q = susy.supercharge_2x2(g, f, alpha)
+    q1, q2, q3, q4 = susy.supercharges_4x4(g, f, alpha, beta)
+    # the 2x2 sector of ordinary SUSY QM: Q1 at beta = 0, its one block alpha P_f at (0, 1)
+    q = q1 if beta == 0 else susy.supercharges_4x4(g, f, alpha, 0.0)[0]
     nilpotent("q2x2", q)
     h2x2 = susy.block_anticommutator(q, q.adjoint())
     report.add("h2x2_block_diagonal", 0.0, 0.0, h2x2.structurally_block_diagonal)
@@ -207,7 +209,6 @@ def cmd_verify_algebra(args) -> RunReport:
     anti = susy.block_anticommutator(q, h2x2).max_abs()
     report.add("anticommutator_q_h_magnitude", anti, None, True)
 
-    q1, q2, q3, q4 = susy.supercharges_4x4(g, f, alpha, beta)
     for name, qi in (("q1", q1), ("q2", q2), ("q3", q3), ("q4", q4)):
         nilpotent(name, qi)
 
@@ -224,7 +225,8 @@ def cmd_verify_algebra(args) -> RunReport:
     block_content("duality_maps_h_to_htilde", h_neg, ("H1", "H2", "H4", "H4"))
 
     if safe:
-        gs, gs_tilde = susy.ground_states(g, f, alpha, beta)
+        # H~ = {Q3, Q4} of f is the dual H of -f
+        gs, gs_tilde = susy.ground_states(f, q1, q2), susy.ground_states(neg, q3, q4)
         tol_gs = susy.ground_state_tolerance(g, f, alpha, beta)
         for name, rep in (("h", gs), ("htilde", gs_tilde)):
             residual = rep.residual
@@ -235,7 +237,8 @@ def cmd_verify_algebra(args) -> RunReport:
             # f = 0, where annihilation is exact) carry no convergence information
             margin = 4.0 * g.h
             coarse = gs.window_residual(margin)
-            fine = susy.ground_states(g_fine, f, alpha, beta)[0].window_residual(margin)
+            fine_q1, fine_q2, _, _ = susy.supercharges_4x4(g_fine, f, alpha, beta)
+            fine = susy.ground_states(f, fine_q1, fine_q2).window_residual(margin)
             noise_floor = TOL.rounding(g.n, pf.max_abs() ** 2)
             if coarse > noise_floor and fine > 0:
                 r = coarse / fine

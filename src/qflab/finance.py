@@ -37,10 +37,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg.lapack import dgttrf, dgttrs
 
+from . import tolerances as TOL
 from .grid import Grid1D
 from .hamiltonians import closed_form
 from .operators import FunctionSpec, LinOp, derivative_matrices, diagonal, identity
-from .tolerances import DEFAULT as TOL, EPS
 
 PAYOFF_KINDS = ("european_call", "european_put", "down_and_out_call")
 
@@ -222,8 +222,8 @@ def map_to_deformed(mp: MarketParams, g: Grid1D, kind: str) -> DeformationMappin
     # the candidates cancel the diagonal terms b^2 (f'' -+ f'^2) of their base
     # Hamiltonian, so their rounding scales with those terms too
     cancelled = beta * beta * float(np.max(np.abs(fpp) + fp * fp))
-    target_tol = TOL.round_coeff * EPS * max(target.max_abs(), 1.0)
-    tol = TOL.round_coeff * EPS * max(target.max_abs(), cancelled, 1.0)
+    target_tol = TOL.ROUND_COEFF * TOL.EPS * max(target.max_abs(), 1.0)
+    tol = TOL.ROUND_COEFF * TOL.EPS * max(target.max_abs(), cancelled, 1.0)
     # branch +1 is H_I(f) = H_II(-f), branch -1 is H_II(f) = H_I(-f): one
     # matrix per branch, measured once
     candidates = {which: _candidate(g, f, beta, v2_vals, which) for which in ("H_I", "H_II")}
@@ -468,8 +468,6 @@ def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, steps: int) 
         ends[knocked] = 1.0
 
     dt = contract.maturity / steps
-    peak = np.abs(c)  # the largest |C| each node has held so far
-    payoff_max = float(peak.max())
     rann = min(RANNACHER_STEPS, steps)
 
     def factor(coef):
@@ -495,7 +493,6 @@ def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, steps: int) 
                 y, _ = dgttrs(*lu_cn, w, overwrite_b=True)
                 y *= 2.0
                 np.subtract(y, c, out=c)
-            np.maximum(peak, np.abs(c), out=peak)
     if not np.all(np.isfinite(c)):
         raise ValueError(f"PDE values overflow float64 on the grid [{g.x_min:.6g}, {g.x_max:.6g}]; "
                          f"the payoff grows as exp(x_max), so lower x_max")
@@ -506,18 +503,8 @@ def price_pde(h: LinOp, contract: OptionContract, mp: MarketParams, steps: int) 
             stacklevel=2,
         )
 
-    return PriceCurve(
-        grid=g,
-        values=c,
-        diagnostics={
-            "steps": steps,
-            "rannacher_steps": rann,
-            "banded": True,  # every step matrix is tridiagonal
-            "payoff_max": payoff_max,
-            "max_abs": float(peak.max()),
-        },
-        zero_below=zero_below,
-    )
+    # every step matrix is tridiagonal
+    return PriceCurve(grid=g, values=c, diagnostics={"banded": True}, zero_below=zero_below)
 
 
 def _narrow(g: Grid1D, contract: OptionContract, mp: MarketParams) -> bool:
@@ -624,9 +611,7 @@ def price_by_translation(contract: OptionContract, mp: MarketParams, spot: float
             with np.errstate(over="ignore"):  # a curve that overflows is solved directly below
                 values = k * c1.values
             if np.all(np.isfinite(values)):
-                diagnostics = c1.diagnostics | {"payoff_max": k * c1.diagnostics["payoff_max"],
-                                                "max_abs": k * c1.diagnostics["max_abs"]}
-                return PriceCurve(grid=g, values=values, diagnostics=diagnostics)
+                return PriceCurve(grid=g, values=values, diagnostics=c1.diagnostics)
     return price_pde(bs_hamiltonian(g, mp), contract, mp, steps)
 
 

@@ -21,8 +21,8 @@ from pathlib import Path
 import numpy as np
 from numpy.polynomial import polynomial as npoly
 
+from . import tolerances as TOL
 from .grid import Grid1D
-from .tolerances import DEFAULT as TOL
 
 # exp(f) overflows float64 near 709; similarity constructions stay well clear
 MAX_SAFE_EXPONENT = 300.0

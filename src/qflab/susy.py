@@ -24,27 +24,27 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from . import tolerances as TOL
 from .grid import Grid1D
 from .hamiltonians import HamiltonianPair, check_coupling
 from .operators import FunctionSpec, LinOp, deformed_momentum
-from .tolerances import DEFAULT as TOL
 
 
 @dataclass(frozen=True, eq=False)
 class BlockOp:
-    """m x m block matrix of LinOps on a shared grid.
+    """4 x 4 block matrix of LinOps on a shared grid.
 
     ``blocks`` maps (row, column) to a nonzero block; an absent key is a zero
-    block.  Every sum runs over the keys in ascending order.
+    block.  Every sum runs over the keys in ascending order.  The 2x2 sector
+    of ordinary SUSY QM is the top-left corner: Q1 at beta = 0.
     """
 
-    m: int
     blocks: dict[tuple[int, int], LinOp]
     grid: Grid1D
 
     def __post_init__(self):
-        if self.m not in (2, 4) or not all(0 <= i < self.m and 0 <= j < self.m for i, j in self.blocks):
-            raise ValueError("blocks must sit in a 2x2 or 4x4 layout")
+        if not all(0 <= i < 4 and 0 <= j < 4 for i, j in self.blocks):
+            raise ValueError("blocks must sit in the 4x4 layout")
         if any(b.grid != self.grid for b in self.blocks.values()):
             raise ValueError("all blocks must share the block operator's grid")
 
@@ -61,28 +61,28 @@ class BlockOp:
             for (row, j), b in sorted(other.blocks.items()):
                 if row == k:
                     out[i, j] = out[i, j] + (a @ b) if (i, j) in out else a @ b
-        return BlockOp(self.m, out, self.grid)
+        return BlockOp(out, self.grid)
 
     def __add__(self, other: "BlockOp") -> "BlockOp":
         out = dict(self.blocks)
         for key, b in other.blocks.items():
             out[key] = out[key] + b if key in out else b
-        return BlockOp(self.m, out, self.grid)
+        return BlockOp(out, self.grid)
 
     def __sub__(self, other: "BlockOp") -> "BlockOp":
         out = dict(self.blocks)
         for key, b in other.blocks.items():
             out[key] = out[key] - b if key in out else -b
-        return BlockOp(self.m, out, self.grid)
+        return BlockOp(out, self.grid)
 
     def __rmul__(self, scalar) -> "BlockOp":
-        return BlockOp(self.m, {key: scalar * b for key, b in self.blocks.items()}, self.grid)
+        return BlockOp({key: scalar * b for key, b in self.blocks.items()}, self.grid)
 
     def adjoint(self) -> "BlockOp":
-        return BlockOp(self.m, {(j, i): b.adjoint() for (i, j), b in self.blocks.items()}, self.grid)
+        return BlockOp({(j, i): b.adjoint() for (i, j), b in self.blocks.items()}, self.grid)
 
     def apply(self, vec: np.ndarray) -> np.ndarray:
-        v = np.asarray(vec).reshape(self.m, self.n)
+        v = np.asarray(vec).reshape(4, self.n)
         out = np.zeros_like(v, dtype=np.complex128)
         for (i, j), b in sorted(self.blocks.items()):
             out[i] += b.apply(v[j])
@@ -111,20 +111,15 @@ def block_anticommutator(a: BlockOp, b: BlockOp) -> BlockOp:
 # -- supercharges ------------------------------------------------------------
 
 
-def supercharge_2x2(g: Grid1D, f: FunctionSpec, alpha: float) -> BlockOp:
-    """Nilpotent 2x2 supercharge with upper-right block alpha P_f."""
-    check_coupling(alpha, "alpha", allow_zero=False)
-    return BlockOp(2, {(0, 1): alpha * deformed_momentum(g, f)}, g)
-
-
 def supercharges_4x4(
     g: Grid1D, f: FunctionSpec, alpha: float, beta: float
 ) -> tuple[BlockOp, BlockOp, BlockOp, BlockOp]:
     """The four 4x4 supercharges; all are structurally nilpotent.
 
-    beta = 0 leaves the beta blocks absent, embedding the 2x2 supercharge in
-    the top block exactly.  {Q1, Q2} and {Q3, Q4} are the superhamiltonians H
-    and H~, whose diagonal content :func:`identify_blocks` measures.
+    beta = 0 leaves the beta blocks absent: Q1 is then the 2x2 supercharge of
+    ordinary SUSY QM, its one block alpha P_f at (0, 1).  {Q1, Q2} and
+    {Q3, Q4} are the superhamiltonians H and H~, whose diagonal content
+    :func:`identify_blocks` measures.
     """
     check_coupling(alpha, "alpha", allow_zero=False)
     check_coupling(beta, "beta", allow_zero=True)
@@ -137,7 +132,7 @@ def supercharges_4x4(
         lower = ({(2, 3): bpfd}, {(3, 2): bpfd}, {(2, 3): bpf}, {(3, 2): bpf})
     else:
         lower = ({}, {}, {}, {})
-    return tuple(BlockOp(4, a | b, g) for a, b in zip(upper, lower))
+    return tuple(BlockOp(a | b, g) for a, b in zip(upper, lower))
 
 
 # -- block identification ----------------------------------------------------
@@ -169,7 +164,7 @@ def identify_blocks(h: BlockOp, pairs: dict[str, HamiltonianPair]) -> BlockMatch
     scale = max(h.max_abs(), max((r.max_abs() for r in references.values()), default=1.0))
     tol = TOL.rounding(h.n, scale)
     labels, residuals, ties = [], [], []
-    for i in range(h.m):
+    for i in range(4):
         block = h.block(i, i)
         best_label, best_res, tied = "?", np.inf, []
         for label, ref in references.items():
@@ -260,15 +255,15 @@ def _annihilation_scale(f: FunctionSpec, g: Grid1D) -> float:
     return f.derivative_scale(g) ** 4
 
 
-def ground_states(
-    g: Grid1D, f: FunctionSpec, alpha: float, beta: float
-) -> tuple[GroundStateReport, GroundStateReport]:
-    """The 4-vectors annihilated by H = {Q1,Q2} and H~ = {Q3,Q4}, with H applied.
+def ground_states(f: FunctionSpec, qa: BlockOp, qb: BlockOp) -> GroundStateReport:
+    """The 4-vector annihilated by H = {qa, qb}, with H applied, on the supercharges' grid.
 
-    Slots follow the measured block ordering: (e^-f, e^f, e^-f, e^-f) for
-    diag(H2, H1, H3, H3) and (e^f, e^-f, e^f, e^f) for diag(H1, H2, H4, H4).
+    Slots follow the measured block ordering of {Q1, Q2}, diag(H2, H1, H3, H3):
+    (e^-f, e^f, e^-f, e^-f).  H~ = {Q3, Q4} of f is the dual H of -f, so
+    ``ground_states(-f, q3, q4)`` gives its state (e^f, e^-f, e^f, e^f).
     Each slot carries equal weight before global normalization.
     """
+    g = qa.grid
     fv = f.exponent_values(g)
 
     def unit(v):
@@ -279,15 +274,7 @@ def ground_states(
 
     plus, minus = unit(np.exp(fv)), unit(np.exp(-fv))
     psi = np.concatenate([minus, plus, minus, minus]) / 2.0
-    psi_tilde = np.concatenate([plus, minus, plus, plus]) / 2.0
-
-    q1, q2, q3, q4 = supercharges_4x4(g, f, alpha, beta)
-
-    def ham_action(qa, qb, v):
-        return qa.apply(qb.apply(v)) + qb.apply(qa.apply(v))
-
-    return (GroundStateReport(psi, ham_action(q1, q2, psi), g),
-            GroundStateReport(psi_tilde, ham_action(q3, q4, psi_tilde), g))
+    return GroundStateReport(psi, qa.apply(qb.apply(psi)) + qb.apply(qa.apply(psi)), g)
 
 
 def ground_state_tolerance(g: Grid1D, f: FunctionSpec, alpha: float, beta: float) -> float:
@@ -341,7 +328,6 @@ class PairingReport:
 
     eigenvalues_a: np.ndarray
     eigenvalues_b: np.ndarray
-    pairs: tuple[tuple[float, float], ...]
     paired: np.ndarray
     max_pair_gap: float | None
     zero_modes: tuple[int, int]
@@ -382,7 +368,6 @@ def partner_spectra(h1: LinOp, h2: LinOp, k: int, pair_tol: float) -> PairingRep
     return PairingReport(
         eigenvalues_a=ea,
         eigenvalues_b=eb,
-        pairs=pairs,
         paired=paired,
         max_pair_gap=max(gaps, default=None),
         zero_modes=(len(ea) - len(nz_a), len(eb) - len(nz_b)),

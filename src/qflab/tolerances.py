@@ -3,36 +3,29 @@
 Two regimes cover every assertion in the package:
 
 * discretization checks (statements true up to the O(h^2) truncation of the
-  difference stencils): ``disc_coeff * scale * h^2 + round_coeff * eps * n``;
+  difference stencils): ``DISC_COEFF * scale * h^2 + ROUND_COEFF * eps * n``;
 * exact algebraic identities (true as matrix algebra, limited only by
-  floating-point rounding): ``round_coeff * eps * n * scale``.
+  floating-point rounding): ``ROUND_COEFF * eps * n * scale``.
 
 ``scale`` carries the magnitude of whatever enters the comparison (derivative
 bounds of the deformation function, operator entry sizes), so the constants
-here never need per-test tuning.
+here never need per-test tuning.  Callers import the module as ``TOL``.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import Grid1D
 
 EPS = float(np.finfo(np.float64).eps)
+DISC_COEFF = 10.0
+ROUND_COEFF = 100.0
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    disc_coeff: float = 10.0
-    round_coeff: float = 100.0
-
-    def discretization(self, g: Grid1D, scale: float) -> float:
-        """Bound for O(h^2)-convergent statements on grid ``g``."""
-        return self.disc_coeff * max(scale, 1.0) * g.h**2 + self.round_coeff * EPS * g.n
-
-    def rounding(self, n: int, scale: float) -> float:
-        """Bound for identities that are exact modulo floating-point rounding."""
-        return self.round_coeff * EPS * n * max(scale, 1.0)
+def discretization(g: Grid1D, scale: float) -> float:
+    """Bound for O(h^2)-convergent statements on grid ``g``."""
+    return DISC_COEFF * max(scale, 1.0) * g.h**2 + ROUND_COEFF * EPS * g.n
 
 
-DEFAULT = Tolerances()
+def rounding(n: int, scale: float) -> float:
+    """Bound for identities that are exact modulo floating-point rounding."""
+    return ROUND_COEFF * EPS * n * max(scale, 1.0)

@@ -71,7 +71,7 @@ def toarray(op) -> np.ndarray:
 
 
 def to_matrix(q) -> np.ndarray:
-    """Dense (m n) x (m n) export of a ``BlockOp``; an absent block is zero."""
+    """Dense (4 n) x (4 n) export of a ``BlockOp``; an absent block is zero."""
     z = np.zeros((q.n, q.n), dtype=np.complex128)
-    return np.block([[toarray(q.blocks[i, j]) if (i, j) in q.blocks else z for j in range(q.m)]
-                     for i in range(q.m)])
+    return np.block([[toarray(q.blocks[i, j]) if (i, j) in q.blocks else z for j in range(4)]
+                     for i in range(4)])

@@ -42,10 +42,9 @@ from qflab.susy import (
     ground_states,
     identify_blocks,
     partner_spectra,
-    supercharge_2x2,
     supercharges_4x4,
 )
-from qflab.tolerances import DEFAULT as TOL, EPS
+from qflab import tolerances as TOL
 
 F_CORPUS = {
     "0": [0.0],
@@ -120,7 +119,8 @@ def test_c03_susy_algebra():
     started = time.perf_counter()
     g = Grid1D(-5, 5, 501)
     f = FunctionSpec.polynomial([0, 0, 0.5])
-    q = supercharge_2x2(g, f, 1.0)
+    q1z, q2z, _, _ = supercharges_4x4(g, f, 1.0, 0.0)
+    q = q1z  # the 2x2 sector: Q1 at beta = 0
     assert (q @ q).structurally_zero
     q1, q2, q3, q4 = supercharges_4x4(g, f, 1.0, 1.0)
     for qi in (q1, q2, q3, q4):
@@ -138,7 +138,6 @@ def test_c03_susy_algebra():
         c = block_commutator(qi, ham).max_abs()
         assert c <= TOL.rounding(g.n, qi.max_abs() * ham.max_abs())
         worst = max(worst, c)
-    q1z, q2z, _, _ = supercharges_4x4(g, f, 1.0, 0.0)
     hz = block_anticommutator(q1z, q2z)
     h2 = block_anticommutator(q, q.adjoint())
     reduction_exact = all(
@@ -181,7 +180,8 @@ def test_c05_ground_states():
         residuals, residuals_t = [], []
         for n in (501, 1001, 2001):
             g = Grid1D(-5, 5, n)
-            gs, gs_t = ground_states(g, f, 1.0, 1.0)
+            q1, q2, q3, q4 = supercharges_4x4(g, f, 1.0, 1.0)
+            gs, gs_t = ground_states(f, q1, q2), ground_states(-f, q3, q4)
             tol = ground_state_tolerance(g, f, 1.0, 1.0)
             residual, residual_t = gs.window_residual(margin), gs_t.window_residual(margin)
             assert residual <= tol and residual_t <= tol, (label, n)
@@ -247,18 +247,18 @@ def test_c08_finance_identification():
         for r in (0.0, 0.01, 0.05, 0.1):
             mp = MarketParams(sigma, r)
             mapping = map_to_deformed(mp, g, kind="auto")
-            tol = 100.0 * EPS * bs_hamiltonian(g, mp).max_abs()
+            tol = 100.0 * TOL.EPS * bs_hamiltonian(g, mp).max_abs()
             assert mapping.residual <= tol, (sigma, r)
             if abs(sigma**2 / 2 - r) > 1e-12:
                 # the four candidates collapse to one matching sign branch
                 assert set(mapping.matches) == {("H_I", 1), ("H_II", -1)}, (sigma, r)
     mp = MarketParams(0.3, 0.0, FunctionSpec.polynomial([0.05, 0.01]))
     bsg = map_to_deformed(mp, g, kind="auto")
-    assert bsg.residual <= 100.0 * EPS * bsg_hamiltonian(g, mp).max_abs()
+    assert bsg.residual <= 100.0 * TOL.EPS * bsg_hamiltonian(g, mp).max_abs()
     v = FunctionSpec.tabulated(np.where(g.nodes < 0.0, 40.0, 0.05))
     mpb = MarketParams(0.2, 0.05, v)
     bsb = map_to_deformed(mpb, g, kind="bsb")
-    assert bsb.residual <= 100.0 * EPS * bsb_hamiltonian(g, mpb, v).max_abs()
+    assert bsb.residual <= 100.0 * TOL.EPS * bsb_hamiltonian(g, mpb, v).max_abs()
     elapsed = time.perf_counter() - started
     _report("C8", "finance identification", elapsed < 10.0,
             f"12 (sigma, r) points + BSG + BSB all match (H_I, +f) branch, "

@@ -11,7 +11,7 @@ from qflab.cli import main
 from qflab.grid import Grid1D
 from qflab.hamiltonians import build_all
 from qflab.operators import FunctionSpec, LinOp, deformed_momentum, diagonal
-from qflab.susy import block_anticommutator, block_commutator, dirichlet_eigenvalues, supercharge_2x2
+from qflab.susy import block_anticommutator, block_commutator, dirichlet_eigenvalues, supercharges_4x4
 
 N_SMALL = 9
 
@@ -99,7 +99,7 @@ def test_band_width_stays_bounded():
     pf = deformed_momentum(g, FunctionSpec.polynomial([0, 0, 0.5]))
     assert width(pf) <= 2
     assert width(pf.adjoint() @ pf) <= 4
-    q = supercharge_2x2(g, FunctionSpec.polynomial([0, 0, 0.5]), 1.0)
+    q = supercharges_4x4(g, FunctionSpec.polynomial([0, 0, 0.5]), 1.0, 0.0)[0]  # the 2x2 sector
     comm = block_commutator(q, block_anticommutator(q, q.adjoint()))
     for block in comm.blocks.values():
         assert width(block) <= 7

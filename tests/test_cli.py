@@ -392,13 +392,23 @@ def test_verify_algebra_builds_each_hamiltonian_once(monkeypatch):
     assert len(products) == 46
 
 
-def test_verify_algebra_forms_the_ground_states_once_per_grid(monkeypatch, capsys):
-    grids, ground_states = [], susy.ground_states
-    monkeypatch.setattr(susy, "ground_states",
-                        lambda g, *args, **kwargs: grids.append(g.n) or ground_states(g, *args, **kwargs))
-    assert main(["verify-algebra", "--f", "poly:0,0,0.5", "--n", "101"]) == 0
-    # the residuals on g and the refinement ratio's window on g read one pass
-    assert grids == [101, 201]
+@pytest.mark.parametrize("beta", ["1", "0"])
+def test_verify_algebra_builds_each_supercharge_set_once(monkeypatch, capsys, beta):
+    built, supercharges_4x4 = [], susy.supercharges_4x4
+    grids, report = [], susy.GroundStateReport
+
+    def recorded(g, f, alpha, b):
+        built.append((g.n, f.coefficients, b))
+        return supercharges_4x4(g, f, alpha, b)
+
+    monkeypatch.setattr(susy, "supercharges_4x4", recorded)
+    monkeypatch.setattr(susy, "GroundStateReport",
+                        lambda state, action, g: grids.append(g.n) or report(state, action, g))
+    assert main(["verify-algebra", "--f", "poly:0,0,0.5", "--n", "101", "--beta", beta]) == 0
+    # the 2x2 sector is Q1 at beta = 0, and the ground states read the supercharges built
+    assert len(built) == len(set(built)), built
+    # H and H~ on g; the refinement ratio reads H's window alone on the refined grid
+    assert grids == [101, 101, 201]
 
 
 @pytest.mark.parametrize("argv", [("spectrum", "--n", "801", "--k", "2"), ("identify", "--n", "41")])

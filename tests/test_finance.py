@@ -22,7 +22,7 @@ from qflab.finance import (
 from qflab.grid import Grid1D
 from qflab.hamiltonians import closed_form
 from qflab.operators import FunctionSpec, diagonal, hermiticity_defect
-from qflab.tolerances import DEFAULT as TOL, EPS
+from qflab import tolerances as TOL
 
 
 G = Grid1D(-3, 3, 601)
@@ -119,7 +119,7 @@ def test_bsb_soft_barrier_differs_only_on_diagonal(g):
 def test_identification_corpus(g, sigma, r):
     mapping = map_to_deformed(MarketParams(sigma, r), g, kind="auto")
     target = bs_hamiltonian(g, MarketParams(sigma, r))
-    assert mapping.residual <= TOL.round_coeff * EPS * target.max_abs()
+    assert mapping.residual <= TOL.ROUND_COEFF * TOL.EPS * target.max_abs()
     assert mapping.beta**2 == pytest.approx(sigma**2 / 2, rel=1e-15)
     if abs(sigma**2 / 2 - r) > 1e-12:
         # exactly one sign branch: the paper-form f through H_I, or -f through H_II
@@ -146,7 +146,7 @@ def test_identification_generalized_tabulated(g):
     mp = MarketParams(0.3, 0.0, FunctionSpec.tabulated(0.05 + 0.01 * np.tanh(g.nodes)))
     mapping = map_to_deformed(mp, g, kind="auto")
     assert mapping.kind == "bsg"
-    assert mapping.residual <= TOL.round_coeff * EPS * bsg_hamiltonian(g, mp).max_abs()
+    assert mapping.residual <= TOL.ROUND_COEFF * TOL.EPS * bsg_hamiltonian(g, mp).max_abs()
 
 
 def test_identification_barrier(g):
@@ -512,12 +512,16 @@ def test_a_translated_curve_that_overflows_is_refused_on_its_own_grid(recwarn):
     assert not recwarn.list
 
 
-def test_pde_stability_bound(pricing_setup):
+@pytest.mark.parametrize("j", [1, 2, 3, 4, 100, 499, 500])
+def test_pde_stability_bound(pricing_setup, j):
+    # the curve after j of 500 steps over T = 1: the Rannacher steps 1 and 2,
+    # the first Crank-Nicolson steps and the last ones
     mp, g = pricing_setup
-    contract = OptionContract("european_call", 100.0, 1.0)
-    curve = price_pde(bs_hamiltonian(g, mp), contract, mp, 500)
-    bound = curve.diagnostics["payoff_max"] * math.exp(abs(mp.r) * contract.maturity) * (1 + 1e-6)
-    assert curve.diagnostics["max_abs"] <= bound
+    tau = j / 500
+    contract = OptionContract("european_call", 100.0, tau)
+    curve = price_pde(bs_hamiltonian(g, mp), contract, mp, j)
+    payoff_max = np.max(np.abs(contract.payoff(np.exp(g.nodes))))
+    assert np.max(np.abs(curve.values)) <= payoff_max * math.exp(abs(mp.r) * tau) * (1 + 1e-6)
 
 
 def test_pde_narrow_grid_warns():

@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 
 from qflab.grid import Grid1D
 from qflab.operators import derivative_matrices
-from qflab.tolerances import DEFAULT as TOL
+from qflab import tolerances as TOL
 
 
 def test_make_grid_examples():

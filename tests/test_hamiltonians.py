@@ -18,8 +18,8 @@ from qflab.operators import (
     momentum_operator,
     momentum_squared,
 )
-from qflab.susy import dirichlet_eigenvalues, supercharge_2x2, supercharges_4x4
-from qflab.tolerances import DEFAULT as TOL
+from qflab.susy import dirichlet_eigenvalues, supercharges_4x4
+from qflab import tolerances as TOL
 
 CORPUS = [[0.0], [0, 1], [0, 0, 0.5], [0, 0, 0, 1 / 6]]
 
@@ -131,7 +131,7 @@ def test_coupling_validation(g):
     alphas += [(a, r"alpha\*\*2 must be finite") for a in (math.nan, math.inf, 1e200)]
     for alpha, message in alphas:
         with pytest.raises(ValueError, match=message):
-            supercharge_2x2(g, f, alpha)
+            supercharges_4x4(g, f, alpha, 0.0)  # the 2x2 sector
         with pytest.raises(ValueError, match=message):
             supercharges_4x4(g, f, alpha, 1.0)
     betas = [(-1.0, "beta must be >= 0")] + [(b, r"beta\*\*2 must be finite") for b in (math.nan, math.inf)]

@@ -19,7 +19,7 @@ from qflab.operators import (
     momentum_operator,
     position_operator,
 )
-from qflab.tolerances import DEFAULT as TOL
+from qflab import tolerances as TOL
 
 
 @pytest.fixture(scope="module")

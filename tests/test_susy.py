@@ -5,7 +5,7 @@ from scipy.linalg import eigh_tridiagonal
 from conftest import from_dense, to_matrix, toarray
 from qflab.grid import Grid1D
 from qflab.hamiltonians import build_all, build_from_superpotential
-from qflab.operators import FunctionSpec, hermiticity_defect, momentum_squared
+from qflab.operators import FunctionSpec, deformed_momentum, hermiticity_defect, momentum_squared
 from qflab.susy import (
     BlockOp,
     block_anticommutator,
@@ -15,10 +15,9 @@ from qflab.susy import (
     ground_states,
     identify_blocks,
     partner_spectra,
-    supercharge_2x2,
     supercharges_4x4,
 )
-from qflab.tolerances import DEFAULT as TOL
+from qflab import tolerances as TOL
 
 ALPHA, BETA = 1.0, 1.0
 
@@ -43,24 +42,36 @@ def refs(g, f):
     return build_all(g, f, ALPHA, BETA)
 
 
+def q_2x2(g, f, alpha):
+    """The 2x2 supercharge of ordinary SUSY QM: Q1 at beta = 0."""
+    return supercharges_4x4(g, f, alpha, 0.0)[0]
+
+
+def both_ground_states(g, f):
+    """The reports of H = {Q1, Q2} and of H~ = {Q3, Q4}, H~'s as the dual H of -f."""
+    q1, q2, q3, q4 = supercharges_4x4(g, f, ALPHA, BETA)
+    return ground_states(f, q1, q2), ground_states(-f, q3, q4)
+
+
 # -- 2x2 sector ----------------------------------------------------------------
 
 
 def test_supercharge_2x2_structure(g, f):
-    q = supercharge_2x2(g, f, ALPHA)
-    assert q.block(0, 1) is not None
+    q = q_2x2(g, f, ALPHA)
+    assert list(q.blocks) == [(0, 1)]
     assert q.block(0, 0) is q.block(1, 0) is q.block(1, 1) is None
     assert (q @ q).structurally_zero
 
 
 def test_superhamiltonian_2x2_properties(g, f, refs):
-    q = supercharge_2x2(g, f, ALPHA)
+    q = q_2x2(g, f, ALPHA)
     h = block_anticommutator(q, q.adjoint())
     assert h.structurally_block_diagonal
-    # measured ordering: diag(H2, H1)
+    assert h.block(2, 2) is None and h.block(3, 3) is None
+    # measured ordering: diag(H2, H1) in the top-left corner
     ident = identify_blocks(h, refs)
     assert "H2" in ident.ties[0] and "H1" in ident.ties[1]
-    assert ident.matched
+    assert max(ident.residuals[:2]) <= ident.tolerance
     for i in range(2):
         block = h.block(i, i)
         assert hermiticity_defect(block) <= TOL.rounding(g.n, block.max_abs())
@@ -70,7 +81,7 @@ def test_superhamiltonian_2x2_properties(g, f, refs):
 
 
 def test_commutator_with_h_vanishes_anticommutator_does_not(g, f):
-    q = supercharge_2x2(g, f, ALPHA)
+    q = q_2x2(g, f, ALPHA)
     h = block_anticommutator(q, q.adjoint())
     comm = block_commutator(q, h).max_abs()
     assert comm <= TOL.rounding(g.n, q.max_abs() * h.max_abs())
@@ -80,7 +91,7 @@ def test_commutator_with_h_vanishes_anticommutator_does_not(g, f):
 
 def test_free_case_superhamiltonian(g):
     # f = 0: {Q, Q+} = alpha^2 diag(P P+, P+ P), both blocks acting as 4 P^2
-    q = supercharge_2x2(g, FunctionSpec.polynomial([0.0]), 2.0)
+    q = q_2x2(g, FunctionSpec.polynomial([0.0]), 2.0)
     h = block_anticommutator(q, q.adjoint())
     from qflab.operators import action_difference
 
@@ -137,7 +148,7 @@ def test_free_case_4x4_anticommutator(g):
 
 def test_beta_zero_reduction(g, f):
     q1, q2, _, _ = supercharges_4x4(g, f, ALPHA, 0.0)
-    q = supercharge_2x2(g, f, ALPHA)
+    q = BlockOp({(0, 1): ALPHA * deformed_momentum(g, f)}, g)
     h4 = block_anticommutator(q1, q2)
     h2 = block_anticommutator(q, q.adjoint())
     for i in range(2):
@@ -174,24 +185,24 @@ def test_zero_f_is_duality_fixed_point(g):
 
 
 def test_blockop_validation_and_apply(g, f):
-    q = supercharge_2x2(g, f, 1.0)
+    q = q_2x2(g, f, 1.0)
     pf = q.block(0, 1)
-    for m, key in ((3, (0, 1)), (2, (0, 2)), (2, (-1, 0))):
+    for key in ((0, 4), (4, 0), (-1, 0), (3, -1)):
         with pytest.raises(ValueError, match="layout"):
-            BlockOp(m, {key: pf}, g)  # not a block of a 2x2 or 4x4 square layout
+            BlockOp({key: pf}, g)  # not a block of the 4x4 layout
     with pytest.raises(ValueError, match="grid"):
-        BlockOp(2, {(0, 1): pf}, Grid1D(-5, 5, 11))
-    v = np.concatenate([np.sin(g.nodes), np.cos(g.nodes)])
+        BlockOp({(0, 1): pf}, Grid1D(-5, 5, 11))
+    v = np.concatenate([np.sin(g.nodes), np.cos(g.nodes), np.sin(g.nodes), np.cos(g.nodes)])
     out = q.apply(v)
     assert np.array_equal(out[: g.n], pf.apply(np.cos(g.nodes)))
     assert np.max(np.abs(out[g.n :])) == 0.0
     m = to_matrix(q)
-    assert m.shape == (2 * g.n, 2 * g.n)
-    assert np.array_equal(m[: g.n, g.n :], toarray(pf))
+    assert m.shape == (4 * g.n, 4 * g.n)
+    assert np.array_equal(m[: g.n, g.n : 2 * g.n], toarray(pf))
 
 
 def test_blockop_adjoint_layout(g, f):
-    q = supercharge_2x2(g, f, 1.0)
+    q = q_2x2(g, f, 1.0)
     qd = q.adjoint()
     assert qd.block(1, 0) is not None and qd.block(0, 1) is None
     assert np.array_equal(toarray(qd.block(1, 0)), toarray(q.block(0, 1)).conj().T)
@@ -206,9 +217,9 @@ def _random_band(small, rng, offsets=(-1, 0, 1)):
 def test_blockop_algebra_matches_dense_reference():
     small = Grid1D(-1, 1, 7)
     rng = np.random.default_rng(5)
-    a1, a2, a3, b1, b2, b3 = (_random_band(small, rng) for _ in range(6))
-    a = BlockOp(2, {(0, 1): a1, (1, 0): a2, (1, 1): a3}, small)
-    b = BlockOp(2, {(0, 0): b1, (1, 0): b2, (1, 1): b3}, small)
+    a1, a2, a3, a4, b1, b2, b3, b4 = (_random_band(small, rng) for _ in range(8))
+    a = BlockOp({(0, 1): a1, (1, 0): a2, (1, 1): a3, (3, 2): a4}, small)
+    b = BlockOp({(0, 0): b1, (1, 0): b2, (1, 1): b3, (2, 3): b4}, small)
     da, db = to_matrix(a), to_matrix(b)
     tol = dict(rtol=1e-14, atol=1e-14)
     assert np.allclose(to_matrix(a @ b), da @ db, **tol)
@@ -222,7 +233,7 @@ def test_blockop_algebra_matches_dense_reference():
     assert np.array_equal(toarray((a - b).block(0, 0)), -toarray(b1))
     assert np.array_equal(to_matrix(a.adjoint()), da.conj().T)
     assert np.array_equal(to_matrix(2.0 * a), 2.0 * da)
-    v = rng.normal(size=2 * small.n) + 1j * rng.normal(size=2 * small.n)
+    v = rng.normal(size=4 * small.n) + 1j * rng.normal(size=4 * small.n)
     assert np.allclose(a.apply(v), da @ v, **tol)
     assert np.allclose(block_commutator(a, b).apply(v), (da @ db - db @ da) @ v, **tol)
 
@@ -249,7 +260,7 @@ def test_ground_state_residuals_and_convergence(coeffs):
     residuals, residuals_t = [], []
     for n in (501, 1001, 2001):
         g = Grid1D(-5, 5, n)
-        gs, gs_t = ground_states(g, f, ALPHA, BETA)
+        gs, gs_t = both_ground_states(g, f)
         assert abs(np.linalg.norm(gs.state) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(gs_t.state) - 1.0) <= 1e-12
         tol = ground_state_tolerance(g, f, ALPHA, BETA)
@@ -264,7 +275,7 @@ def test_ground_state_residuals_and_convergence(coeffs):
 
 
 def test_ground_state_zero_f_is_constant_vector(g):
-    gs, gs_t = ground_states(g, FunctionSpec.polynomial([0.0]), ALPHA, BETA)
+    gs, gs_t = both_ground_states(g, FunctionSpec.polynomial([0.0]))
     slot = gs.state[: g.n]
     assert np.allclose(slot, slot[0])
     assert gs.residual <= TOL.discretization(g, 1.0)
@@ -272,17 +283,20 @@ def test_ground_state_zero_f_is_constant_vector(g):
 
 
 def test_ground_state_slots_follow_measured_ordering(g, f):
-    gs, gs_t = ground_states(g, f, ALPHA, BETA)
+    gs, gs_t = both_ground_states(g, f)
     fv = f.values(g)
     unit = lambda v: v / np.linalg.norm(v)
     assert np.allclose(gs.state[: g.n], unit(np.exp(-fv)) / 2)
     assert np.allclose(gs.state[g.n : 2 * g.n], unit(np.exp(fv)) / 2)
     assert np.allclose(gs_t.state[: g.n], unit(np.exp(fv)) / 2)
+    # -f samples to exactly -f, so the dual's slots are H's, swapped, bit for bit
+    slots, slots_t = gs.state.reshape(4, g.n), gs_t.state.reshape(4, g.n)
+    assert np.array_equal(slots_t, slots[[1, 0, 1, 1]])
 
 
 def test_ground_state_residuals_are_norms_of_the_interior_and_its_window(g, f):
     # np.linalg.norm is the reference; the report sums squares in another order
-    for rep in ground_states(g, f, ALPHA, BETA):
+    for rep in both_ground_states(g, f):
         action = rep.action.reshape(4, g.n)
         assert rep.residual == pytest.approx(np.linalg.norm(action[:, 4 : g.n - 4]), rel=1e-13)
         # a margin of 1.01 on h = 0.025 leaves nodes 41..359
@@ -291,7 +305,7 @@ def test_ground_state_residuals_are_norms_of_the_interior_and_its_window(g, f):
 
 def test_ground_state_overflow_guard(g):
     with pytest.raises(ValueError, match="overflow"):
-        ground_states(g, FunctionSpec.polynomial([0, 100]), ALPHA, BETA)
+        both_ground_states(g, FunctionSpec.polynomial([0, 100]))
 
 
 # -- spectra ---------------------------------------------------------------------
@@ -305,8 +319,7 @@ def test_partner_spectra_harmonic():
     assert np.allclose(rep.eigenvalues_b, [0, 2, 4, 6, 8, 10], atol=1e-3)
     assert rep.zero_modes == (0, 1)
     assert rep.all_paired
-    assert len(rep.pairs) == 5  # H1's top value has no computed partner
-    assert rep.paired.tolist() == [True] * 5 + [False]
+    assert rep.paired.tolist() == [True] * 5 + [False]  # H1's top value has no computed partner
 
 
 def test_partner_spectra_flags_skip_a_zero_mode_of_h1():
