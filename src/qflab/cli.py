@@ -200,8 +200,8 @@ def cmd_verify_algebra(args) -> RunReport:
                    ident.tolerance, passed)
 
     q1, q2, q3, q4 = susy.supercharges_4x4(g, f, alpha, beta)
-    # the 2x2 sector of ordinary SUSY QM: Q1 at beta = 0, its one block alpha P_f at (0, 1)
-    q = q1 if beta == 0 else susy.supercharges_4x4(g, f, alpha, 0.0)[0]
+    # the 2x2 sector of ordinary SUSY QM: Q1's corner alpha P_f at (0, 1), Q1 at beta = 0
+    q = susy.BlockOp({(0, 1): q1.block(0, 1)}, g)
     nilpotent("q2x2", q)
     h2x2 = susy.block_anticommutator(q, q.adjoint())
     report.add("h2x2_block_diagonal", 0.0, 0.0, h2x2.structurally_block_diagonal)

@@ -611,7 +611,7 @@ def price_by_translation(contract: OptionContract, mp: MarketParams, spot: float
             with np.errstate(over="ignore"):  # a curve that overflows is solved directly below
                 values = k * c1.values
             if np.all(np.isfinite(values)):
-                return PriceCurve(grid=g, values=values, diagnostics=c1.diagnostics)
+                return PriceCurve(grid=g, values=values, diagnostics=dict(c1.diagnostics))
     return price_pde(bs_hamiltonian(g, mp), contract, mp, steps)
 
 

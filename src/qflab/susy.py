@@ -259,8 +259,9 @@ def ground_states(f: FunctionSpec, qa: BlockOp, qb: BlockOp) -> GroundStateRepor
     """The 4-vector annihilated by H = {qa, qb}, with H applied, on the supercharges' grid.
 
     Slots follow the measured block ordering of {Q1, Q2}, diag(H2, H1, H3, H3):
-    (e^-f, e^f, e^-f, e^-f).  H~ = {Q3, Q4} of f is the dual H of -f, so
-    ``ground_states(-f, q3, q4)`` gives its state (e^f, e^-f, e^f, e^f).
+    (e^-f, e^f, e^-f, e^-f).  ``f`` must be the function that {qa, qb} is
+    H of.  H~ = {Q3, Q4} of f is the dual H of -f, so its one call is
+    ``ground_states(-f, q3, q4)``, state (e^f, e^-f, e^f, e^f).
     Each slot carries equal weight before global normalization.
     """
     g = qa.grid

@@ -10,6 +10,9 @@ minimal, so colouring and report bytes do not depend on the caller's shell.
 package's banded operators and dense numpy matrices, so that tests can check
 the band algebra against plain dense algebra.
 
+:func:`both_ground_states` is the one place the tests form H~'s ground state
+as the dual H of -f.
+
 Every test starts with empty terminal-sample and unit-strike curve caches, so
 that no result, draw count or solve count depends on which test ran before it.
 """
@@ -24,6 +27,7 @@ import pytest
 
 from qflab import finance, montecarlo
 from qflab.operators import LinOp
+from qflab.susy import ground_states, supercharges_4x4
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -75,3 +79,9 @@ def to_matrix(q) -> np.ndarray:
     z = np.zeros((q.n, q.n), dtype=np.complex128)
     return np.block([[toarray(q.blocks[i, j]) if (i, j) in q.blocks else z for j in range(4)]
                      for i in range(4)])
+
+
+def both_ground_states(g, f, alpha, beta):
+    """The reports of H = {Q1, Q2} and of H~ = {Q3, Q4} of f, H~'s as the dual H of -f."""
+    q1, q2, q3, q4 = supercharges_4x4(g, f, alpha, beta)
+    return ground_states(f, q1, q2), ground_states(-f, q3, q4)

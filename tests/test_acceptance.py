@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from conftest import run_cli, toarray
+from conftest import both_ground_states, run_cli, toarray
 
 from qflab.cli import main
 from qflab.finance import (
@@ -35,11 +35,11 @@ from qflab.operators import (
     momentum_squared,
 )
 from qflab.susy import (
+    BlockOp,
     block_anticommutator,
     block_commutator,
     dirichlet_eigenvalues,
     ground_state_tolerance,
-    ground_states,
     identify_blocks,
     partner_spectra,
     supercharges_4x4,
@@ -119,9 +119,10 @@ def test_c03_susy_algebra():
     started = time.perf_counter()
     g = Grid1D(-5, 5, 501)
     f = FunctionSpec.polynomial([0, 0, 0.5])
-    q1z, q2z, _, _ = supercharges_4x4(g, f, 1.0, 0.0)
-    q = q1z  # the 2x2 sector: Q1 at beta = 0
+    # ordinary 2x2 SUSY QM, built apart from the 4x4 supercharges at beta = 0
+    q = BlockOp({(0, 1): 1.0 * deformed_momentum(g, f)}, g)
     assert (q @ q).structurally_zero
+    q1z, q2z, _, _ = supercharges_4x4(g, f, 1.0, 0.0)
     q1, q2, q3, q4 = supercharges_4x4(g, f, 1.0, 1.0)
     for qi in (q1, q2, q3, q4):
         assert (qi @ qi).structurally_zero
@@ -180,8 +181,7 @@ def test_c05_ground_states():
         residuals, residuals_t = [], []
         for n in (501, 1001, 2001):
             g = Grid1D(-5, 5, n)
-            q1, q2, q3, q4 = supercharges_4x4(g, f, 1.0, 1.0)
-            gs, gs_t = ground_states(f, q1, q2), ground_states(-f, q3, q4)
+            gs, gs_t = both_ground_states(g, f, 1.0, 1.0)
             tol = ground_state_tolerance(g, f, 1.0, 1.0)
             residual, residual_t = gs.window_residual(margin), gs_t.window_residual(margin)
             assert residual <= tol and residual_t <= tol, (label, n)

@@ -405,8 +405,9 @@ def test_verify_algebra_builds_each_supercharge_set_once(monkeypatch, capsys, be
     monkeypatch.setattr(susy, "GroundStateReport",
                         lambda state, action, g: grids.append(g.n) or report(state, action, g))
     assert main(["verify-algebra", "--f", "poly:0,0,0.5", "--n", "101", "--beta", beta]) == 0
-    # the 2x2 sector is Q1 at beta = 0, and the ground states read the supercharges built
+    # the 2x2 sector is the corner of Q1, and the ground states read the supercharges built
     assert len(built) == len(set(built)), built
+    assert {b for _, _, b in built} == {float(beta)}, built
     # H and H~ on g; the refinement ratio reads H's window alone on the refined grid
     assert grids == [101, 101, 201]
 

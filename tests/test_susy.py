@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from conftest import from_dense, to_matrix, toarray
+from conftest import both_ground_states, from_dense, to_matrix, toarray
 from qflab.grid import Grid1D
 from qflab.hamiltonians import build_all, build_from_superpotential
 from qflab.operators import FunctionSpec, deformed_momentum, hermiticity_defect, momentum_squared
@@ -12,7 +12,6 @@ from qflab.susy import (
     block_commutator,
     dirichlet_eigenvalues,
     ground_state_tolerance,
-    ground_states,
     identify_blocks,
     partner_spectra,
     supercharges_4x4,
@@ -45,12 +44,6 @@ def refs(g, f):
 def q_2x2(g, f, alpha):
     """The 2x2 supercharge of ordinary SUSY QM: Q1 at beta = 0."""
     return supercharges_4x4(g, f, alpha, 0.0)[0]
-
-
-def both_ground_states(g, f):
-    """The reports of H = {Q1, Q2} and of H~ = {Q3, Q4}, H~'s as the dual H of -f."""
-    q1, q2, q3, q4 = supercharges_4x4(g, f, ALPHA, BETA)
-    return ground_states(f, q1, q2), ground_states(-f, q3, q4)
 
 
 # -- 2x2 sector ----------------------------------------------------------------
@@ -260,7 +253,7 @@ def test_ground_state_residuals_and_convergence(coeffs):
     residuals, residuals_t = [], []
     for n in (501, 1001, 2001):
         g = Grid1D(-5, 5, n)
-        gs, gs_t = both_ground_states(g, f)
+        gs, gs_t = both_ground_states(g, f, ALPHA, BETA)
         assert abs(np.linalg.norm(gs.state) - 1.0) <= 1e-12
         assert abs(np.linalg.norm(gs_t.state) - 1.0) <= 1e-12
         tol = ground_state_tolerance(g, f, ALPHA, BETA)
@@ -275,7 +268,7 @@ def test_ground_state_residuals_and_convergence(coeffs):
 
 
 def test_ground_state_zero_f_is_constant_vector(g):
-    gs, gs_t = both_ground_states(g, FunctionSpec.polynomial([0.0]))
+    gs, gs_t = both_ground_states(g, FunctionSpec.polynomial([0.0]), ALPHA, BETA)
     slot = gs.state[: g.n]
     assert np.allclose(slot, slot[0])
     assert gs.residual <= TOL.discretization(g, 1.0)
@@ -283,7 +276,7 @@ def test_ground_state_zero_f_is_constant_vector(g):
 
 
 def test_ground_state_slots_follow_measured_ordering(g, f):
-    gs, gs_t = both_ground_states(g, f)
+    gs, gs_t = both_ground_states(g, f, ALPHA, BETA)
     fv = f.values(g)
     unit = lambda v: v / np.linalg.norm(v)
     assert np.allclose(gs.state[: g.n], unit(np.exp(-fv)) / 2)
@@ -296,7 +289,7 @@ def test_ground_state_slots_follow_measured_ordering(g, f):
 
 def test_ground_state_residuals_are_norms_of_the_interior_and_its_window(g, f):
     # np.linalg.norm is the reference; the report sums squares in another order
-    for rep in both_ground_states(g, f):
+    for rep in both_ground_states(g, f, ALPHA, BETA):
         action = rep.action.reshape(4, g.n)
         assert rep.residual == pytest.approx(np.linalg.norm(action[:, 4 : g.n - 4]), rel=1e-13)
         # a margin of 1.01 on h = 0.025 leaves nodes 41..359
@@ -305,7 +298,7 @@ def test_ground_state_residuals_are_norms_of_the_interior_and_its_window(g, f):
 
 def test_ground_state_overflow_guard(g):
     with pytest.raises(ValueError, match="overflow"):
-        both_ground_states(g, FunctionSpec.polynomial([0, 100]))
+        both_ground_states(g, FunctionSpec.polynomial([0, 100]), ALPHA, BETA)
 
 
 # -- spectra ---------------------------------------------------------------------
