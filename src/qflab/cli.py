@@ -6,24 +6,22 @@ prints the summary and the wall time, and exits: 0 all checks passed, 1 at
 least one check failed, 2 usage error.  A report's ``parameters`` are the
 parsed flags, minus the output paths, with price's resolved grid, steps and
 barrier, so its bytes depend only on the flags and the seed (wall time is
-printed, but serialized as null).
+printed, but serialized as null).  The argparse tree is built once per
+process, on the first call of :func:`main`.
 
-``price`` walks its Monte Carlo draws on one worker thread while the calling
-thread runs the closed form and the PDE solve; the draws, sums and solve are
-the same calls either way, so every report is byte-identical to a serial run.
-No thread outlives the subcommand.
+``price`` runs its pricers one after another on the calling thread: the
+closed form, the PDE, then the Monte Carlo, so a PDE refusal ends the run
+before any normal is drawn.
 """
 
 import argparse
-import contextvars
+import functools
 import json
 import math
 import os
 import sys
-import threading
 import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -284,8 +282,6 @@ def cmd_price(args) -> RunReport:
     mp = finance.MarketParams(args.sigma, args.rate)
     if not 0.0 < args.spot < math.inf:
         raise ValueError(f"--spot must be finite and > 0, got {args.spot}")
-    if args.monitoring < 1:
-        raise ValueError(f"--monitoring must be >= 1, got {args.monitoring}")
     if args.steps < 0:
         raise ValueError(f"--steps must be >= 0 (0 picks the default), got {args.steps}")
     run_pde, run_mc = args.method in ("pde", "all"), args.method in ("mc", "all")
@@ -311,32 +307,19 @@ def cmd_price(args) -> RunReport:
         prices["closed"] = finance.closed_form_price(mp, contract, args.spot)
     if run_mc:
         montecarlo.check_draws(args.paths, args.seed)  # refused before any PDE work
-    # the pricers share no data, and the Monte Carlo's heavy calls release the
-    # GIL, so it runs on one worker, in a copy of this context (numpy's error
-    # state), while this thread steps the PDE.  A PDE refusal leaves the ``with``
-    # before the Monte Carlo's result is read; ``stop`` then ends the knock-out
-    # walk before its next block, and the ``with`` joins the worker
-    stop = threading.Event()
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        try:
-            if run_mc:
-                mc = pool.submit(contextvars.copy_context().run, montecarlo.feynman_kac_estimate, mp,
-                                 contract, args.spot, args.paths, args.seed,
-                                 monitoring_per_year=args.monitoring, stop=stop)
-            if run_pde:
-                if args.xmin is None:
-                    curve = finance.price_by_translation(contract, mp, args.spot, g.n, steps)
-                else:
-                    curve = finance.price_pde(finance.bs_hamiltonian(g, mp), contract, mp, steps)
-                prices["pde"] = curve.price_at(args.spot)
-                if args.method == "pde":
-                    # --method all gates the PDE against the closed form or the Monte Carlo instead
-                    finance.check_no_arbitrage(mp, contract, args.spot, prices["pde"])
-            if run_mc:
-                est = mc.result()
-                prices["mc"], mc_se = est.mean, est.std_error
-        finally:
-            stop.set()
+    # the PDE runs before the Monte Carlo, so that its refusal wins when both refuse
+    if run_pde:
+        if args.xmin is None:
+            curve = finance.price_by_translation(contract, mp, args.spot, g.n, steps)
+        else:
+            curve = finance.price_pde(finance.bs_hamiltonian(g, mp), contract, mp, steps)
+        prices["pde"] = curve.price_at(args.spot)
+        if args.method == "pde":
+            # --method all gates the PDE against the closed form instead
+            finance.check_no_arbitrage(mp, contract, args.spot, prices["pde"])
+    if run_mc:
+        est = montecarlo.feynman_kac_estimate(mp, contract, args.spot, args.paths, args.seed)
+        prices["mc"], mc_se = est.mean, est.std_error
     if args.csv:
         curve.to_csv(args.csv)
         report.artifacts.append(args.csv)
@@ -351,19 +334,11 @@ def cmd_price(args) -> RunReport:
         gap = abs(prices["pde"] - prices["closed"])
         tol = finance.pde_tolerance(prices["closed"])
         report.add("pde_vs_closed", gap, tol, gap <= tol)
-        if contract.barrier is None:
-            gap_mc = abs(prices["mc"] - prices["closed"])
-            # floored at rounding, so that a standard error of 0 leaves a gate
-            tol_mc = max(3.0 * mc_se, TOL.rounding(args.paths, abs(prices["closed"])))
-            report.add("mc_vs_closed_3se", gap_mc, tol_mc, gap_mc <= tol_mc)
-        else:
-            # PDE is continuously monitored, MC discretely: the gate adds the
-            # monitoring-bias bound, the rise of the closed-form price under the shifted barrier
-            shifted = montecarlo.shifted_barrier(contract, mp.sigma, args.monitoring)
-            bias = max(0.0, finance.closed_form_price(mp, shifted, args.spot) - prices["closed"])
-            gap = abs(prices["mc"] - prices["pde"])
-            tol = 3.0 * mc_se + finance.pde_tolerance(prices["pde"]) + bias
-            report.add("pde_vs_mc", gap, tol, gap <= tol)
+        gap_mc = abs(prices["mc"] - prices["closed"])
+        # floored at rounding, so that a standard error of 0 leaves a gate
+        tol_mc = max(3.0 * mc_se, TOL.rounding(args.paths, abs(prices["closed"])))
+        report.add("mc_vs_closed_3se", gap_mc, tol_mc, gap_mc <= tol_mc)
+        if contract.barrier is not None:
             _, vanilla = finance.no_arbitrage_bounds(mp, contract, args.spot)
             tol = finance.pde_tolerance(vanilla)
             report.add("barrier_below_vanilla", prices["pde"] - vanilla, tol, prices["pde"] <= vanilla + tol)
@@ -405,7 +380,9 @@ def _add_grid_flags(p, xmin, xmax, n):
     p.add_argument("--n", type=int, default=n)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once: parsing reads it and changes nothing, and no default is mutable."""
     parser = argparse.ArgumentParser(
         prog="qflab",
         description="Deformed-momentum quantum mechanics and quantum-finance laboratory",
@@ -441,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", choices=("pde", "mc", "closed", "all"), default="all")
     p.add_argument("--paths", type=int, default=1_000_000)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--monitoring", type=int, default=250, help="barrier monitoring dates per year")
     _add_grid_flags(p, None, None, 2001)
     p.add_argument("--steps", type=int, default=0,
                    help="time steps (0 = n/4 rounded up on the default grid, else n)")

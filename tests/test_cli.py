@@ -1,16 +1,14 @@
-import inspect
 import json
 import math
 import subprocess
 import sys
 import threading
-import time
 
 import numpy as np
 import pytest
 from conftest import SRC, run_cli as run
 
-from qflab import finance, hamiltonians, montecarlo, operators, susy
+from qflab import cli, finance, hamiltonians, montecarlo, operators, susy
 from qflab.cli import build_parser, main
 
 
@@ -19,6 +17,23 @@ def test_usage_errors_exit_2():
     assert run("price", "--method", "bogus").returncode == 2
     assert run("verify-algebra", "--f", "spline:1").returncode == 2
     assert run("verify-algebra", "--n", "2").returncode == 2
+
+
+def test_the_parser_is_built_once_and_keeps_no_flag_between_calls(capsys, tmp_path):
+    cli.build_parser.cache_clear()
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    assert main(["price", "--method", "closed", "--strike", "90", "--json", str(first)]) == 0
+    assert main(["price", "--method", "closed", "--json", str(second)]) == 0
+    assert cli.build_parser.cache_info()[:2] == (1, 1)  # (hits, misses)
+    assert json.loads(second.read_text())["parameters"]["strike"] == 100.0
+
+
+def test_monitoring_is_an_unknown_flag(capsys):
+    # the Monte Carlo prices the continuously monitored barrier: there are no monitoring dates to set
+    with pytest.raises(SystemExit) as exc:
+        main(["price", "--payoff", "do-call", "--monitoring", "250"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --monitoring 250" in capsys.readouterr().err
 
 
 def test_verify_algebra_passes(tmp_path):
@@ -209,8 +224,8 @@ def test_a_spot_at_or_below_the_barrier_prices_0_on_the_default_grid(tmp_path, c
     assert doc["parameters"]["xmin"] <= math.log(100.0)
 
 
-def test_knockout_overflow_is_refused_without_a_worker_warning():
-    # the walk's threads inherit the caller's ignored overflow, so only the refusal prints
+def test_barrier_overflow_is_refused_without_a_warning():
+    # ln S(T) of an overflowed S(T) is inf, and its weight 1: only the refusal prints
     res = run("price", "--payoff", "do-call", "--barrier", "80", "--method", "mc", "--paths", "5000",
               "--spot", "1e308", "--rate", "5")
     assert res.returncode == 2
@@ -263,30 +278,34 @@ def count_calls(monkeypatch, *functions) -> dict[str, int]:
     return counts
 
 
-@pytest.mark.parametrize("argv,calls", [
-    (("--payoff", "do-call"), {"sample_terminal": 0, "knockout_terminal": 1, "price_pde": 1}),
-    (("--payoff", "do-call", "--xmin", "3", "--xmax", "6"),
-     {"sample_terminal": 0, "knockout_terminal": 1, "price_pde": 1}),
-    (("--payoff", "call"), {"sample_terminal": 1, "knockout_terminal": 0, "price_pde": 1}),
-], ids=["do-call", "do-call-user-grid", "call"])
-def test_price_all_runs_each_pricer_once(monkeypatch, capsys, argv, calls):
-    counts = count_calls(monkeypatch, montecarlo.sample_terminal, montecarlo.knockout_terminal,
-                         finance.price_pde)
+@pytest.mark.parametrize("argv", [("--payoff", "do-call"), ("--payoff", "do-call", "--xmin", "3", "--xmax", "6"),
+                                  ("--payoff", "call")], ids=["do-call", "do-call-user-grid", "call"])
+def test_price_all_runs_each_pricer_once(monkeypatch, capsys, argv):
+    # every contract's Monte Carlo reads one terminal sample
+    counts = count_calls(monkeypatch, montecarlo.sample_terminal, finance.price_pde)
     assert main([*SMALL_ALL, *argv, "--barrier", "80"]) == 0
-    assert counts == calls
+    assert counts == {"sample_terminal": 1, "price_pde": 1}
 
 
-def test_the_barrier_gate_pad_does_not_depend_on_the_grid(tmp_path, capsys):
-    # the Monte Carlo does not depend on n, so neither does 3 SE + bias
-    pads = []
+def test_the_barrier_monte_carlo_gate_does_not_depend_on_the_grid(tmp_path, capsys):
+    # the Monte Carlo and the closed form do not depend on n, so neither does their gate
+    gates = []
     for n in ("401", "801"):
         out = tmp_path / f"{n}.json"
         assert main(["price", "--method", "all", "--payoff", "do-call", "--paths", "2000", "--n", n,
                      "--json", str(out)]) == 0
-        doc = json.loads(out.read_text())
-        gate = next(c for c in doc["checks"] if c["name"] == "pde_vs_mc")
-        pads.append(gate["tolerance"] - finance.pde_tolerance(doc["parameters"]["prices"]["pde"]))
-    assert pads[0] == pytest.approx(pads[1], rel=0, abs=1e-12)
+        gates.append(next(c for c in json.loads(out.read_text())["checks"] if c["name"] == "mc_vs_closed_3se"))
+    assert gates[0] == gates[1]
+
+
+@pytest.mark.parametrize("barrier", ["99.5", "99.9"])
+def test_a_barrier_next_to_the_spot_passes_every_gate(tmp_path, capsys, barrier):
+    # the Monte Carlo prices the continuously monitored contract, as the PDE and the closed form do
+    out = tmp_path / "report.json"
+    assert main(["price", "--payoff", "do-call", "--spot", "100", "--barrier", barrier, "--method", "all",
+                 "--paths", "200000", "--json", str(out)]) == 0
+    names = [c["name"] for c in json.loads(out.read_text())["checks"]]
+    assert names == ["pde_vs_closed", "mc_vs_closed_3se", "barrier_below_vanilla"]
 
 
 @pytest.mark.parametrize("barrier", ["1", "10", "30"])
@@ -446,13 +465,14 @@ def test_price_all_refuses_paths_and_seed_before_the_pde(monkeypatch, capsys, pa
     assert capsys.readouterr().err.startswith(message)
 
 
-BOTH_REFUSE = (*SMALL_ALL, "--payoff", "do-call", "--monitoring", "300000", "--xmin", "3", "--xmax", "800")
+# S(T) overflows, so the Monte Carlo refuses its payoffs, and the PDE refuses the grid
+BOTH_REFUSE = (*SMALL_ALL, "--payoff", "do-call", "--maturity", "1e300")
 
 
 @pytest.mark.parametrize("argv,code", [
     (SMALL_ALL, 0),
     ((*SMALL_ALL, "--xmin", "3", "--xmax", "800"), 2),  # the PDE refuses
-    ((*SMALL_ALL, "--payoff", "do-call", "--monitoring", "300000"), 2),  # the Monte Carlo refuses
+    ((*BOTH_REFUSE, "--method", "mc"), 2),  # the Monte Carlo refuses
     (BOTH_REFUSE, 2),
 ], ids=["passes", "pde-refuses", "mc-refuses", "both-refuse"])
 def test_price_leaves_no_thread_running(capsys, argv, code):
@@ -462,44 +482,28 @@ def test_price_leaves_no_thread_running(capsys, argv, code):
 
 
 def test_a_pde_refusal_wins_over_a_monte_carlo_refusal(capsys):
+    assert main([*BOTH_REFUSE, "--method", "mc"]) == 2
+    assert capsys.readouterr().err.startswith("error: Monte Carlo estimate inf +- nan is not finite")
     assert main(list(BOTH_REFUSE)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: grid x_max = 800 must be below") and err.count("\n") == 1
+    assert err.startswith("error: grid x_max = ") and err.count("\n") == 1
 
 
-def test_a_pde_refusal_stops_the_knock_out_walk(monkeypatch, capsys):
-    # every block's draw waits for the stop signal, and the PDE refuses once
-    # the first block has started, so only the blocks already drawing (one per
-    # worker) finish, however the threads are scheduled.  Without a stop
-    # signal, the draws stop waiting after the deadline and every block runs
-    started, stops, drawn = threading.Event(), [], []
-    deadline = time.monotonic() + 30.0
-    walk, normals = montecarlo.knockout_terminal, montecarlo.standard_normals
-
-    def knockout_terminal(*args, **kwargs):
-        stops.append(inspect.signature(walk).bind(*args, **kwargs).arguments["stop"])
-        return walk(*args, **kwargs)
-
-    def standard_normals(*args, **kwargs):
-        drawn.append(args)
-        started.set()
-        stops[0].wait(timeout=max(0.0, deadline - time.monotonic()))
-        return normals(*args, **kwargs)
-
+def test_a_pde_refusal_draws_no_normals(monkeypatch, capsys):
+    # the PDE runs first, so its refusal ends the run before the Monte Carlo starts
     def price_pde(*args, **kwargs):
-        assert started.wait(timeout=60)
         raise ValueError("the PDE refuses")
 
-    monkeypatch.setattr(montecarlo, "knockout_terminal", knockout_terminal)
-    monkeypatch.setattr(montecarlo, "standard_normals", standard_normals)
+    montecarlo._terminal_sample.cache_clear()
+    counts = count_calls(monkeypatch, montecarlo.feynman_kac_estimate, montecarlo.standard_normals)
     monkeypatch.setattr(finance, "price_pde", price_pde)
-    assert main(["price", "--payoff", "do-call", "--method", "all", "--paths", "200000"]) == 2
-    blocks = -(-200_000 // (2 * montecarlo.rows_per_block(250)))  # a block's rows drive two paths each
-    assert 1 <= len(drawn) <= 2 < blocks
-    assert capsys.readouterr().err == "error: the PDE refuses\n"
+    for payoff in ("call", "do-call"):
+        assert main(["price", "--payoff", payoff, "--method", "all", "--paths", "200000"]) == 2
+        assert capsys.readouterr().err == "error: the PDE refuses\n"
+    assert counts == {"feynman_kac_estimate": 0, "standard_normals": 0}
 
 
-def test_price_runs_the_monte_carlo_beside_the_pde_in_the_callers_context(monkeypatch, capsys):
+def test_price_runs_both_pricers_on_the_calling_thread(monkeypatch, capsys):
     seen = {}
     for module, fn in ((finance, finance.price_pde), (montecarlo, montecarlo.feynman_kac_estimate)):
         def recorded(*args, _fn=fn, **kwargs):
@@ -509,9 +513,8 @@ def test_price_runs_the_monte_carlo_beside_the_pde_in_the_callers_context(monkey
         monkeypatch.setattr(module, fn.__name__, recorded)
     with np.errstate(divide="ignore"):
         assert main(list(SMALL_ALL)) == 0
-    assert seen["price_pde"] == (threading.current_thread(), "ignore")
-    mc_thread, mc_divide = seen["feynman_kac_estimate"]
-    assert mc_thread is not threading.current_thread() and mc_divide == "ignore"
+    caller = (threading.current_thread(), "ignore")
+    assert seen == {"price_pde": caller, "feynman_kac_estimate": caller}
 
 
 NARROW_GRID = ("price", "--xmin", "4", "--xmax", "5.2", "--n", "201", "--steps", "50")

@@ -13,7 +13,7 @@ from qflab.cli import main
 from qflab.finance import MarketParams, OptionContract, bs_hamiltonian, map_to_deformed, price_pde
 from qflab.grid import Grid1D
 from qflab.hamiltonians import build_from_superpotential
-from qflab.montecarlo import feynman_kac_estimate, knockout_terminal
+from qflab.montecarlo import feynman_kac_estimate
 from qflab.operators import FunctionSpec
 from qflab.susy import dirichlet_eigenvalues
 
@@ -37,7 +37,6 @@ def run_main(argv) -> int:
         (("--seed", "-1"), "seed"),
         (("--seed", str(2**64)), "seed"),
         (("--paths", "1"), "paths"),
-        (("--monitoring", "0"), "--monitoring"),
         (("--spot", "-5"), "--spot"),
         (("--rate", "inf"), "r"),
         (("--sigma", "nan"), "sigma"),
@@ -62,14 +61,11 @@ def run_main(argv) -> int:
         (("--rate", "700", "--method", "mc"), "drift"),
         (("--spot", "1e300"), "spot"),
         (("--spot", "1e300", "--method", "mc"), "spot"),
-        (("--payoff", "do-call", "--method", "mc", "--monitoring", "1000000000"), "monitoring"),
-        (("--payoff", "do-call", "--monitoring", "1000000000"), "monitoring"),
         # the read-off above the grid's top multiplies values near 1e308 and overflows
         (("--method", "pde", *SPOT_ABOVE_THE_GRID), "does not resolve"),
         (("--method", "all", *SPOT_ABOVE_THE_GRID), "does not resolve"),
         (("--method", "mc", "--csv", "curve.csv"), "--csv"),
         (("--method", "closed", "--csv", "curve.csv"), "--csv"),
-        (("--payoff", "do-call", "--monitoring", "262145"), "exceed the 262144 that one path may hold"),
         (("--steps", "-5"), "--steps must be >= 0"),
         (("--method", "pde", "--steps", "-5"), "--steps must be >= 0"),
         (("--method", "closed", "--steps", "-5"), "--steps must be >= 0"),
@@ -306,15 +302,12 @@ def test_spectrum_runs_hermitian_partners_on_a_small_grid(capsys):
 def test_library_constructors_reject_the_same_inputs():
     mp, call = MarketParams(0.2, 0.05), OptionContract("european_call", 100.0, 1.0)
     with pytest.raises(ValueError, match="seed"):
-        feynman_kac_estimate(mp, call, 100.0, 4, -1, 250)
+        feynman_kac_estimate(mp, call, 100.0, 4, -1)
     with pytest.raises(ValueError, match="seed"):
-        feynman_kac_estimate(mp, call, 100.0, 4, 2**64, 250)
-    feynman_kac_estimate(mp, call, 100.0, 4, 2**64 - 1, 250)
+        feynman_kac_estimate(mp, call, 100.0, 4, 2**64)
+    feynman_kac_estimate(mp, call, 100.0, 4, 2**64 - 1)
     with pytest.raises(ValueError, match="paths"):
-        feynman_kac_estimate(mp, call, 100.0, 3, 0, 250)
-    barrier = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
-    with pytest.raises(ValueError, match="monitoring"):
-        knockout_terminal(mp, barrier, 100.0, 2, 0, monitoring_per_year=0, stop=None)
+        feynman_kac_estimate(mp, call, 100.0, 3, 0)
     with pytest.raises(ValueError, match="finite"):
         FunctionSpec.polynomial([0.0, math.nan])
     with pytest.raises(ValueError, match="finite"):
@@ -346,20 +339,8 @@ def test_library_constructors_reject_the_same_inputs():
         price_pde(bs_hamiltonian(g, mp), OptionContract("european_call", 100.0, 1.0), mp, 10)
 
 
-def test_price_walks_as_many_dates_as_one_path_block_holds():
-    assert run_main((*SMALL_PRICE, "--payoff", "do-call", "--method", "mc", "--paths", "4",
-                     "--monitoring", "262144")) == 0
-
-
-def test_short_maturity_keeps_one_monitoring_date():
-    contract = OptionContract("down_and_out_call", 100.0, 1e-4, barrier=80.0)
-    s_t, alive = knockout_terminal(MarketParams(0.2, 0.05), contract, 100.0, 8, 0, monitoring_per_year=1,
-                                   stop=None)
-    assert s_t.shape == alive.shape == (8,)
-
-
 EDGE = ("nan", "inf", "-1", "0", "1")
-PRICE_FLAGS = ("--seed", "--paths", "--monitoring", "--spot", "--sigma", "--rate",
+PRICE_FLAGS = ("--seed", "--paths", "--spot", "--sigma", "--rate",
                "--strike", "--maturity", "--barrier")
 
 
@@ -407,8 +388,6 @@ def edge_commands(draw):
 @example([*SMALL_PRICE, "--rate", "1e300", "--method", "mc"])
 @example([*SMALL_PRICE, "--spot", "1e300", "--method", "mc"])
 @example([*SMALL_PRICE, "--rate", "-1", "--maturity", "1000", "--method", "closed"])
-@example([*SMALL_PRICE, "--payoff", "do-call", "--method", "mc", "--monitoring", "1000000000"])
-@example([*SMALL_PRICE, "--payoff", "do-call", "--monitoring", "300000"])
 @example(["verify-algebra", "--n", "41", "--alpha", "1e300"])
 @example(["verify-algebra", "--n", "41", "--beta", "1e300"])
 @example(["identify", "--n", "41", "--sigma", "1e-150"])

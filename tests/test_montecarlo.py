@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,30 +14,23 @@ from qflab.finance import (
     price_pde,
 )
 from qflab.grid import Grid1D
-from qflab.montecarlo import (
-    BLOCK_NORMALS,
-    feynman_kac_estimate,
-    knockout_terminal,
-    sample_terminal,
-    shifted_barrier,
-    standard_normals,
-)
+from qflab.montecarlo import feynman_kac_estimate, sample_terminal, standard_normals
 
 
 MP = MarketParams(0.2, 0.05)
-# the knock-out walks' contract: barrier 80 below a spot of 100, one year
+# the barrier benchmark's contract: barrier 80 below a spot of 100, one year
 DO_CALL = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
 
 
 def test_estimate_validation():
     call = OptionContract("european_call", 100.0, 1.0)
     with pytest.raises(ValueError, match="paths"):
-        feynman_kac_estimate(MP, call, 100.0, 0, 0, 250)
+        feynman_kac_estimate(MP, call, 100.0, 0, 0)
     with pytest.raises(ValueError, match="spot"):
-        feynman_kac_estimate(MP, call, -1.0, 100, 0, 250)
+        feynman_kac_estimate(MP, call, -1.0, 100, 0)
     with pytest.raises(ValueError, match="discount"):
         feynman_kac_estimate(MarketParams(0.2, -700.0), OptionContract("european_call", 100.0, 2.0),
-                             100.0, 100, 0, 250)
+                             100.0, 100, 0)
 
 
 # -- the keyed streams of standard_normals ----------------------------------------
@@ -113,69 +105,13 @@ def test_streams_are_the_spawned_grandchildren_of_the_seed():
 
 @pytest.mark.parametrize("seed", [0, 5, 2**32])
 def test_streams_are_uncorrelated_across_streams_and_seeds(seed):
-    # stream 0 is the terminal sample's, streams 1 and 2 the walk's first two blocks
+    # stream 0 is the terminal sample's; the others are keyed apart all the same
     n = 400_000
     bound = 5.0 / math.sqrt(n)
     terminal, first, second = (standard_normals(seed, n, stream=s) for s in range(3))
     assert abs(np.corrcoef(terminal, first)[0, 1]) < bound
     assert abs(np.corrcoef(first, second)[0, 1]) < bound
     assert abs(np.corrcoef(first, standard_normals(seed + 1, n, stream=1))[0, 1]) < bound
-
-
-# -- the knock-out walk's blocks ------------------------------------------------------
-
-
-def is_head_per_half(short: np.ndarray, long: np.ndarray) -> bool:
-    """Whether the +z paths of ``short`` and their mirrors head those of ``long``.
-
-    A sample of p paths holds its +z paths at [0, h) and their mirrors at
-    [h, p), with h = ceil(p / 2).
-    """
-    h, h_long = -(-len(short) // 2), -(-len(long) // 2)
-    return (np.array_equal(short[:h], long[:h])
-            and np.array_equal(short[h:], long[h_long : h_long + len(short) - h]))
-
-
-@pytest.mark.parametrize("m", [1, 50, 250, BLOCK_NORMALS + 3])
-def test_a_blocks_first_paths_are_the_head_of_the_whole_block(m):
-    # a walk of two blocks, and walks that end part way into the second
-    per_block = 2 * montecarlo.rows_per_block(m)
-    whole = knockout_terminal(MP, DO_CALL, 100.0, 2 * per_block, 3, monitoring_per_year=m, stop=None)
-    for k in {1, per_block // 2 + 1, per_block - 1}:
-        part = knockout_terminal(MP, DO_CALL, 100.0, per_block + k, 3, monitoring_per_year=m, stop=None)
-        assert all(is_head_per_half(p, w) for p, w in zip(part, whole))
-
-
-def test_a_walk_of_fewer_paths_is_the_head_of_a_longer_walk():
-    # 6001 paths end on a lone path inside the second block of 2621 pairs at 50 dates
-    short = knockout_terminal(MP, DO_CALL, 100.0, 6_001, 5, monitoring_per_year=50, stop=None)
-    long = knockout_terminal(MP, DO_CALL, 100.0, 14_000, 5, monitoring_per_year=50, stop=None)
-    assert is_head_per_half(short[0], long[0]) and is_head_per_half(short[1], long[1])
-
-
-@pytest.mark.parametrize("cpus", [{0, 1}, {0}], ids=["two-cpus", "one-cpu"])
-def test_the_walk_draws_each_block_in_one_draw(monkeypatch, cpus):
-    # on one worker or two, block b is one draw of whole rows from stream
-    # b + 1, one generator of key (b + 1, 0), and no block is drawn twice
-    m, paths = 250, 200_000
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: cpus)
-    draws, generators = [], []
-    normals, sfc64 = montecarlo.standard_normals, montecarlo.SFC64
-
-    def standard_normals_(seed, count, start=0, stream=0):
-        draws.append((stream, count % m, start))
-        return normals(seed, count, start, stream)
-
-    def sfc64_(seed_sequence):
-        generators.append(seed_sequence.spawn_key)
-        return sfc64(seed_sequence)
-
-    monkeypatch.setattr(montecarlo, "standard_normals", standard_normals_)
-    monkeypatch.setattr(montecarlo, "SFC64", sfc64_)
-    knockout_terminal(MP, DO_CALL, 100.0, paths, 0, monitoring_per_year=m, stop=None)
-    count = -(-paths // (2 * montecarlo.rows_per_block(m)))  # a block's rows drive two paths each
-    assert sorted(draws) == [(block + 1, 0, 0) for block in range(count)]
-    assert sorted(generators) == [(block + 1, 0) for block in range(count)]
 
 
 # -- exact terminal sampling -----------------------------------------------------
@@ -215,9 +151,9 @@ def test_log_moments_match_lognormal():
                                       OptionContract("european_put", 1e-6, 1.0)],
                          ids=["do-call", "do-call-at-the-spot", "call", "put"])
 def test_constant_claim_has_zero_error(contract):
-    # every path pays 0: a barrier at or above the spot knocks it out at date
+    # every path pays 0: a barrier at or above the spot knocks it out at time
     # 0, and the call and put end out of the money
-    est = feynman_kac_estimate(MP, contract, 100.0, 10_000, seed=0, monitoring_per_year=250)
+    est = feynman_kac_estimate(MP, contract, 100.0, 10_000, seed=0)
     assert est.mean == 0.0
     assert est.std_error == 0.0
 
@@ -230,97 +166,16 @@ def test_linear_claim_matches_gbm_mean():
 
 def test_call_estimate_matches_closed_form():
     mp, contract = MarketParams(0.2, 0.05), OptionContract("european_call", 100.0, 1.0)
-    est = feynman_kac_estimate(mp, contract, 100.0, 1_000_000, seed=0, monitoring_per_year=250)
+    est = feynman_kac_estimate(mp, contract, 100.0, 1_000_000, seed=0)
     ref = closed_form_price(mp, contract, 100.0)
     assert abs(est.mean - ref) <= 3.0 * est.std_error
 
 
 def test_estimates_are_bit_reproducible():
     mp, contract = MarketParams(0.2, 0.05), OptionContract("european_call", 90.0, 1.0)
-    a = feynman_kac_estimate(mp, contract, 100.0, 50_000, seed=11, monitoring_per_year=250)
-    b = feynman_kac_estimate(mp, contract, 100.0, 50_000, seed=11, monitoring_per_year=250)
+    a = feynman_kac_estimate(mp, contract, 100.0, 50_000, seed=11)
+    b = feynman_kac_estimate(mp, contract, 100.0, 50_000, seed=11)
     assert (a.mean, a.std_error) == (b.mean, b.std_error)
-
-
-# a block's rows are antithetic pairs of paths: one partial block; two whole blocks and a
-# partial one ending on a lone path; a whole block of one-date pairs and a partial one ending
-# on a lone path; one pair a block on two workers, the second block a lone path; one pair a
-# block, walked alone
-WALK_SHAPES = [(50, 2_000), (50, 12_001), (1, 2 * BLOCK_NORMALS + 5), (BLOCK_NORMALS, 3),
-               (BLOCK_NORMALS + 3, 3)]
-
-
-@pytest.mark.parametrize("m,paths", WALK_SHAPES)
-def test_knockout_walk_matches_reference_formula(m, paths):
-    # path j walks row j's normals z_j and its mirror h + j walks -z_j, both from one
-    # W = cumsum(vol z_j), with h = ceil(paths / 2); the mirror's R - W is 2R - (R + W)
-    seed, per_block = 5, max(1, BLOCK_NORMALS // m)
-    dt = DO_CALL.maturity / m
-    rows = -(-paths // 2)
-    blocks = -(-rows // per_block)
-    z = np.concatenate([spawned_stream(seed, b + 1, (per_block, m)) for b in range(blocks)])[:rows]
-    drift, vol = (MP.r - 0.5 * MP.sigma**2) * dt, MP.sigma * math.sqrt(dt)
-    ramp, w = drift * np.arange(1, m + 1), np.cumsum(vol * z, axis=1)
-    plus = ramp + w
-    logs = math.log(100.0) + np.concatenate([plus, (2.0 * ramp - plus)[: paths // 2]])
-    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, paths, seed, monitoring_per_year=m, stop=None)
-    assert np.array_equal(s_t, np.exp(logs[:, -1]))
-    assert np.array_equal(alive, np.min(logs, axis=1) > math.log(80.0))
-
-
-@pytest.mark.parametrize("m,paths", WALK_SHAPES[:-1])
-def test_knockout_walk_does_not_depend_on_the_worker_count(monkeypatch, m, paths):
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0, 1})
-    two = knockout_terminal(MP, DO_CALL, 100.0, paths, 5, monitoring_per_year=m, stop=None)
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: {0})
-    one = knockout_terminal(MP, DO_CALL, 100.0, paths, 5, monitoring_per_year=m, stop=None)
-    assert np.array_equal(one[0], two[0]) and np.array_equal(one[1], two[1])
-
-
-@pytest.mark.parametrize("dates,workers", [(250, 2), (BLOCK_NORMALS, 2), (BLOCK_NORMALS + 1, 1),
-                                           (2 * BLOCK_NORMALS, 1)])
-def test_knockout_walk_asks_for_at_most_two_workers(monkeypatch, dates, workers):
-    asked = []
-
-    class SerialPool:
-        """Records the worker count and walks the blocks in the calling thread."""
-
-        def __init__(self, max_workers):
-            asked.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        map = staticmethod(map)
-
-    monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", SerialPool)
-    monkeypatch.setattr(montecarlo.os, "sched_getaffinity", lambda pid: set(range(64)))
-    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, 4, 0, monitoring_per_year=dates, stop=None)
-    # a path longer than a block walks alone, so the walk still holds at most two blocks of normals
-    assert asked == [workers]
-    assert s_t.shape == alive.shape == (4,)
-
-
-def test_knockout_memory_is_bounded_by_two_blocks():
-    bound = 3 * 2 * 8 * BLOCK_NORMALS
-    for paths in (8_192, 65_536):
-        tracemalloc.start()
-        try:
-            knockout_terminal(MP, DO_CALL, 100.0, paths, 0, 250, stop=None)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < bound, (paths, peak)
-
-
-def test_knockout_refuses_more_dates_than_one_block_holds():
-    with pytest.raises(ValueError, match="monitoring"):
-        knockout_terminal(MP, DO_CALL, 100.0, 2, 0, monitoring_per_year=2 * BLOCK_NORMALS + 1, stop=None)
-    s_t, alive = knockout_terminal(MP, DO_CALL, 100.0, 2, 0, monitoring_per_year=2 * BLOCK_NORMALS, stop=None)
-    assert s_t.shape == alive.shape == (2,)
 
 
 # -- discounting -------------------------------------------------------------------
@@ -340,13 +195,23 @@ def pair_standard_error(values: np.ndarray) -> float:
     return math.sqrt(q * float(np.var(first + mirrors, ddof=1)) + p % 2 * s2_path) / p
 
 
-def payoff_values(mp: MarketParams, contract: OptionContract, paths: int, seed: int,
-                  monitoring_per_year: int = 250) -> np.ndarray:
-    """The undiscounted payoffs of the paths an estimate from spot 100 draws, knocked-out ones 0."""
+def survival(mp: MarketParams, contract: OptionContract, spot: float, s_t: np.ndarray) -> np.ndarray:
+    """1 - exp(-2 (x0 - b) max(y - b, 0) / (sigma^2 T)), y = ln S(T): the bridge's chance to stay above b.
+
+    Written with the estimator's order of operations, the exponent divided by
+    sigma sqrt(T) twice, so that the estimate can be compared bit for bit.
+    """
+    log_b, sd = math.log(contract.barrier), mp.sigma * math.sqrt(contract.maturity)
+    exponent = np.maximum(np.log(s_t) - log_b, 0.0) / sd / sd * (-2.0 * (math.log(spot) - log_b))
+    return -np.expm1(exponent)
+
+
+def payoff_values(mp: MarketParams, contract: OptionContract, paths: int, seed: int) -> np.ndarray:
+    """The undiscounted payoffs of the cached sample an estimate from spot 100 draws, a barrier's weighted."""
+    s_t = sample_terminal(mp, contract, 100.0, paths, seed)
     if contract.barrier is None:
-        return contract.payoff(sample_terminal(mp, contract, 100.0, paths, seed))
-    s_t, alive = knockout_terminal(mp, contract, 100.0, paths, seed, monitoring_per_year, stop=None)
-    return np.where(alive, contract.payoff(s_t), 0.0)
+        return contract.payoff(s_t)
+    return contract.payoff(s_t) * survival(mp, contract, 100.0, s_t)
 
 
 @pytest.mark.parametrize("payoff,paths", [("call", 4), ("call", 5), ("call", 64), ("call", 4_000),
@@ -359,8 +224,8 @@ def test_estimate_is_the_discounted_sampler_mean(payoff, r, paths):
     barrier = 90.0 if payoff == "do-call" else None
     contract = OptionContract("down_and_out_call" if barrier else "european_call", 100.0, 0.5, barrier)
     mp = MarketParams(0.2, r)
-    values = payoff_values(mp, contract, paths, 9, monitoring_per_year=50)
-    est = feynman_kac_estimate(mp, contract, 100.0, paths, seed=9, monitoring_per_year=50)
+    values = payoff_values(mp, contract, paths, 9)
+    est = feynman_kac_estimate(mp, contract, 100.0, paths, seed=9)
     factor = math.exp(-r * 0.5)
     assert est.mean == float(np.sum(values) / paths) * factor
     assert est.std_error == pair_standard_error(values) * factor
@@ -372,7 +237,7 @@ def test_estimate_is_the_discounted_sampler_mean(payoff, r, paths):
 def test_standard_error_is_calibrated_over_seeds(contract):
     # the spread of 256 independent estimates matches the standard error each
     # reports: the pairs' error neither over- nor understates the scatter
-    estimates = [feynman_kac_estimate(MP, contract, 100.0, 2_000, seed=seed, monitoring_per_year=250)
+    estimates = [feynman_kac_estimate(MP, contract, 100.0, 2_000, seed=seed)
                  for seed in range(256)]
     spread = float(np.std([e.mean for e in estimates], ddof=1))
     reported = float(np.median([e.std_error for e in estimates]))
@@ -401,7 +266,7 @@ def test_antithetic_pairs_reduce_the_standard_error(contract):
 def test_overflowing_payoff_is_refused_with_its_estimate(kind, spot, message):
     contract = OptionContract(kind, 100.0, 1.0, barrier=80.0 if kind == "down_and_out_call" else None)
     with pytest.raises(ValueError) as info:
-        feynman_kac_estimate(MP, contract, spot, 64, seed=0, monitoring_per_year=250)
+        feynman_kac_estimate(MP, contract, spot, 64, seed=0)
     assert str(info.value) == (f"Monte Carlo estimate {message} is not finite: the payoff samples "
                                f"overflow float64 at spot={spot:.6g}, drift=0.05, sigma=0.2, T=1")
 
@@ -444,8 +309,8 @@ def test_each_sample_input_draws_again(monkeypatch, change):
 def test_standard_error_scaling():
     contract = OptionContract("european_call", 100.0, 1.0)
     for seed in range(10):
-        small = feynman_kac_estimate(MP, contract, 100.0, 20_000, seed=seed, monitoring_per_year=250)
-        big = feynman_kac_estimate(MP, contract, 100.0, 80_000, seed=seed, monitoring_per_year=250)
+        small = feynman_kac_estimate(MP, contract, 100.0, 20_000, seed=seed)
+        big = feynman_kac_estimate(MP, contract, 100.0, 80_000, seed=seed)
         ratio = big.std_error / small.std_error
         assert 0.4 <= ratio <= 0.6  # quadrupling paths halves the SE within 20%
 
@@ -456,24 +321,14 @@ def test_standard_error_scaling():
 def crosscheck_spots(mp, contract, g, spots, paths):
     """The crosscheck at several spots: one PDE curve, and the estimate at spot i with seed i.
 
-    Each spot passes a gate of the form of ``price --method all``'s,
-    |MC - PDE| <= 3 SE + pde_tolerance(PDE) + bias, but its bias is the rise
-    of the PDE price under the shifted barrier on this grid, not the CLI's
-    closed-form rise.  Returns one (estimate, PDE price, bias) per spot.
+    Each spot passes |MC - PDE| <= 3 SE + pde_tolerance(PDE): the two pricers
+    price the same contract, a barrier's continuously monitored.
     """
-    h = bs_hamiltonian(g, mp)
-    curve = price_pde(h, contract, mp, g.n)
-    shifted = None
-    if contract.barrier is not None:
-        shifted = price_pde(h, shifted_barrier(contract, mp.sigma, 250), mp, g.n)
-    rows = []
+    curve = price_pde(bs_hamiltonian(g, mp), contract, mp, g.n)
     for i, spot in enumerate(spots):
-        est = feynman_kac_estimate(mp, contract, spot, paths, seed=i, monitoring_per_year=250)
+        est = feynman_kac_estimate(mp, contract, spot, paths, seed=i)
         pde = curve.price_at(spot)
-        bias = 0.0 if shifted is None else max(0.0, shifted.price_at(spot) - pde)
-        assert abs(est.mean - pde) <= 3.0 * est.std_error + pde_tolerance(pde) + bias, spot
-        rows.append((est, pde, bias))
-    return rows
+        assert abs(est.mean - pde) <= 3.0 * est.std_error + pde_tolerance(pde), spot
 
 
 def test_fk_pde_crosscheck_vanilla():
@@ -496,5 +351,134 @@ def test_fk_pde_crosscheck_barrier():
     contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier=80.0)
     g = Grid1D(math.log(100) - 5, math.log(100) + 5, 1501)
     spots = (100.0 * np.array([0.9, 1.0, 1.1, 1.2])).tolist()
-    rows = crosscheck_spots(mp, contract, g, spots, 100_000)
-    assert max(bias for _, _, bias in rows) > 0.0
+    crosscheck_spots(mp, contract, g, spots, 100_000)
+
+
+# -- the continuously monitored barrier ---------------------------------------------
+
+
+@pytest.mark.parametrize("barrier", [80.0, 90.0, 95.0, 99.5, 99.9])
+def test_barrier_estimate_matches_the_closed_form(barrier):
+    # the survival weight prices the continuous contract, so no monitoring bias
+    # is left, however close the barrier lies to the spot
+    contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier=barrier)
+    est = feynman_kac_estimate(MP, contract, 100.0, 200_000, seed=0)
+    assert abs(est.mean - closed_form_price(MP, contract, 100.0)) <= 3.0 * est.std_error
+
+
+def test_barrier_estimate_is_unbiased_with_a_calibrated_error_over_seeds():
+    # z = (MC - closed) / SE over 40 seeds: its mean has a standard error of
+    # 1/sqrt(40) = 0.16 and its standard deviation a relative one of about
+    # 1/sqrt(78) = 0.11, so the bounds lie 3 and 2.7 of those out
+    contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier=95.0)
+    exact = closed_form_price(MP, contract, 100.0)
+    z = [(e.mean - exact) / e.std_error
+         for e in (feynman_kac_estimate(MP, contract, 100.0, 20_001, seed=seed) for seed in range(40))]
+    assert abs(np.mean(z)) < 0.48, z
+    assert 0.7 < np.std(z, ddof=1) < 1.3, z
+
+
+def test_a_barrier_priced_after_a_call_draws_no_normals(monkeypatch):
+    # the survival weight reads the call's cached sample: common random numbers
+    draws = []
+    normals = montecarlo.standard_normals
+    monkeypatch.setattr(montecarlo, "standard_normals",
+                        lambda *args, **kwargs: draws.append(args) or normals(*args, **kwargs))
+    montecarlo._terminal_sample.cache_clear()
+    call = feynman_kac_estimate(MP, OptionContract("european_call", 100.0, 1.0), 100.0, 4_000, seed=2)
+    assert len(draws) == 1
+    barrier = feynman_kac_estimate(MP, DO_CALL, 100.0, 4_000, seed=2)
+    assert len(draws) == 1
+    # each path's weight lies in [0, 1], so the barrier pays at most the call
+    assert 0.0 < barrier.mean < call.mean
+
+
+def test_survival_weight_is_0_or_1_when_sigma_squared_t_underflows():
+    # sigma^2 T = 1e-400 rounds to 0: a path ends above the barrier (weight 1)
+    # or at or below it (weight 0), with no 0/0 between
+    mp = MarketParams(1e-100, 0.05)
+    contract = OptionContract("down_and_out_call", 100.0, 1e-200, barrier=80.0)
+    assert mp.sigma**2 * contract.maturity == 0.0
+    with np.errstate(divide="ignore", over="ignore"):  # ln 0 and the overflowing exponent, as in the estimate
+        weight = montecarlo.survival_weight(mp, contract, 100.0, np.array([0.0, 79.0, 80.0, 80.5, np.inf]))
+    assert weight.tolist() == [0.0, 0.0, 0.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("sigma, r, maturity, strike, barrier", [
+    (0.4, 0.0, 2.0, 100.0, 90.0),
+    (0.1, 0.05, 0.25, 100.0, 97.0),
+    (0.2, 0.05, 1.0, 80.0, 90.0),
+    (0.3, -0.01, 0.5, 110.0, 85.0),
+], ids=["high-vol-long", "low-vol-short", "strike-below-barrier", "negative-rate"])
+def test_barrier_estimate_matches_the_closed_form_across_markets(sigma, r, maturity, strike, barrier):
+    # the weight holds for any sigma^2 T and drift, and for a strike below the
+    # barrier, where the closed form takes its Reiner-Rubinstein branch
+    mp = MarketParams(sigma, r)
+    contract = OptionContract("down_and_out_call", strike, maturity, barrier=barrier)
+    est = feynman_kac_estimate(mp, contract, 100.0, 200_000, seed=0)
+    assert abs(est.mean - closed_form_price(mp, contract, 100.0)) <= 3.0 * est.std_error
+
+
+@pytest.mark.parametrize("barrier", [50.0, 80.0, 95.0, 99.9])
+def test_survival_weight_lies_in_0_1_and_rises_with_the_end(barrier):
+    # a path ending at or below the barrier weighs 0; above it the bridge's
+    # chance to stay up grows with its end, towards 1
+    contract = OptionContract("down_and_out_call", 100.0, 1.0, barrier=barrier)
+    ends = np.linspace(barrier * 0.5, 400.0, 2_001)
+    weight = montecarlo.survival_weight(MP, contract, 100.0, ends)
+    assert np.all((weight >= 0.0) & (weight <= 1.0))
+    assert np.all(weight[ends <= barrier] == 0.0)
+    assert np.all(weight[ends > barrier] > 0.0)
+    assert np.all(np.diff(weight) >= 0.0)
+    np.testing.assert_array_equal(weight, survival(MP, contract, 100.0, ends))
+
+
+@pytest.mark.parametrize("sigma", [0.1, 0.2, 0.4])
+def test_barrier_estimate_falls_as_the_barrier_rises(sigma):
+    # on one cached sample each path's weight falls as b rises, so the
+    # estimates do too; rounding is monotone, so the order holds exactly
+    mp = MarketParams(sigma, 0.05)
+    means = [feynman_kac_estimate(mp, OptionContract("down_and_out_call", 100.0, 1.0, barrier=b),
+                                  100.0, 20_000, seed=4).mean
+             for b in (20.0, 60.0, 80.0, 90.0, 95.0, 99.0, 99.9)]
+    assert all(a >= b for a, b in zip(means, means[1:])), means
+    assert means[-1] > 0.0
+
+
+@pytest.mark.parametrize("strike", [80.0, 100.0, 120.0])
+def test_a_far_barrier_prices_the_vanilla_call(strike):
+    # at B = 1e-3 the exponent is about -6600 on every path, so each weight is
+    # exactly 1 and the barrier estimate is the call's, bit for bit
+    call = feynman_kac_estimate(MP, OptionContract("european_call", strike, 1.0), 100.0, 20_000, seed=6)
+    far = feynman_kac_estimate(MP, OptionContract("down_and_out_call", strike, 1.0, barrier=1e-3),
+                               100.0, 20_000, seed=6)
+    assert (far.mean, far.std_error) == (call.mean, call.std_error)
+
+
+@pytest.mark.parametrize("spot", [80.0, 79.99, 50.0])
+def test_a_spot_at_or_below_the_barrier_prices_zero_and_draws_nothing(monkeypatch, spot):
+    draws = []
+    normals = montecarlo.standard_normals
+    monkeypatch.setattr(montecarlo, "standard_normals",
+                        lambda *args, **kwargs: draws.append(args) or normals(*args, **kwargs))
+    montecarlo._terminal_sample.cache_clear()
+    est = feynman_kac_estimate(MP, DO_CALL, spot, 4_000, seed=0)
+    assert (est.mean, est.std_error) == (0.0, 0.0)
+    assert draws == []
+
+
+def test_barrier_price_vanishes_as_the_spot_nears_the_barrier():
+    # the weight is about 2 (x0 - b)(y - b) / (sigma^2 T), with x0 - b = 1e-9
+    est = feynman_kac_estimate(MP, DO_CALL, 80.0 * (1.0 + 1e-9), 20_000, seed=0)
+    assert 0.0 < est.mean < 1e-6
+
+
+def test_a_barrier_estimate_does_not_depend_on_the_cache():
+    # priced from a cleared cache or after a call on the same sample: one estimate
+    montecarlo._terminal_sample.cache_clear()
+    first = feynman_kac_estimate(MP, DO_CALL, 100.0, 4_001, seed=3)
+    feynman_kac_estimate(MP, OptionContract("european_call", 100.0, 1.0), 100.0, 4_001, seed=3)
+    again = feynman_kac_estimate(MP, DO_CALL, 100.0, 4_001, seed=3)
+    montecarlo._terminal_sample.cache_clear()
+    fresh = feynman_kac_estimate(MP, DO_CALL, 100.0, 4_001, seed=3)
+    assert (first.mean, first.std_error) == (again.mean, again.std_error) == (fresh.mean, fresh.std_error)

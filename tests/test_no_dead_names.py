@@ -26,6 +26,9 @@ ALLOWED_PARAMETERS = {
     # perfbench/layers.py binds every standard_normals call and keys its
     # unique-draw count by call["start"]
     "montecarlo.standard_normals.start",
+    # no src call passes it either, since every sample is stream 0, but
+    # perfbench/layers.py binds it too and keys its unique draws by (seed, stream)
+    "montecarlo.standard_normals.stream",
     # the console script ``qflab = qflab.cli:main`` calls main() without
     # arguments; argparse then reads sys.argv
     "cli.main.argv",

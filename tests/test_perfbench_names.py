@@ -25,6 +25,7 @@ STALE = {
     "hamiltonians.build_h2",
     "hamiltonians.build_h3",
     "hamiltonians.build_h4",
+    "montecarlo.knockout_terminal",  # the knock-out walk; the barrier reads the terminal sample
     "montecarlo.raw_uint64",
     "operators.adjoint",
     "susy.real_spectrum_check",
