@@ -179,21 +179,14 @@ class FunctionSpec:
 
 def _clear_outside(data: np.ndarray, offsets) -> None:
     """Zero, in place, the DIA slots of an (ndiag, m) band array that fall outside the matrix."""
-    m = data.shape[1]
     for row, o in zip(data, offsets):
-        row[: max(o, 0)] = 0.0
-        row[m + min(o, 0) :] = 0.0
+        if o:  # the first o slots, or the last -o; offset 0 has none
+            row[slice(o) if o > 0 else slice(o, None)] = 0.0
 
 
-def _shift(v: np.ndarray, s: int) -> np.ndarray:
-    """w[j] = v[j - s], zero where j - s falls outside v."""
-    n = len(v)
-    w = np.zeros_like(v)
-    if s >= 0:
-        w[s:] = v[: n - s]
-    else:
-        w[: n + s] = v[-s:]
-    return w
+def _span(s: int, n: int) -> tuple[slice, slice]:
+    """(to, frm) such that w[to] = v[frm] shifts v by s on n nodes: w[j] = v[j - s]."""
+    return (slice(s, n), slice(0, n - s)) if s >= 0 else (slice(0, n + s), slice(-s, n))
 
 
 @dataclass(frozen=True, eq=False)
@@ -205,7 +198,8 @@ class LinOp:
     Offsets are ascending and distinct, and the slots of a diagonal that fall
     outside the matrix hold zero.  Every operator in the package has a band
     width w of a few diagonals, so sums, products, adjoints and actions cost
-    O(n w^2).
+    O(n w^2), each writing its result once, through slices, into one array;
+    the constructor copies it, so no operator shares its caller's entries.
 
     Instances are treated as immutable; combining two operators requires a
     shared grid.
@@ -217,19 +211,21 @@ class LinOp:
 
     def __post_init__(self):
         n = self.grid.n
-        offsets = np.asarray(self.offsets, dtype=int).reshape(-1)
+        offsets = tuple(int(o) for o in self.offsets)
         e = np.asarray(self.entries)
         if e.shape != (len(offsets), n):
             raise ValueError(
                 f"band entries must have shape (ndiag, n) = ({len(offsets)}, {n}), got {e.shape}"
             )
-        if np.any(np.abs(offsets) >= n) or len(set(offsets.tolist())) != len(offsets):
+        if any(abs(o) >= n for o in offsets) or len(set(offsets)) != len(offsets):
             raise ValueError(f"offsets must be distinct and below {n} in size, got {offsets}")
-        order = np.argsort(offsets)
-        e = np.ascontiguousarray(e[order], dtype=np.complex128)
-        _clear_outside(e, offsets[order])
+        if any(a > b for a, b in zip(offsets, offsets[1:])):
+            order = sorted(range(len(offsets)), key=offsets.__getitem__)
+            e, offsets = e[order], tuple(offsets[k] for k in order)
+        e = np.array(e, dtype=np.complex128, order="C")  # a copy: no operator shares its caller's array
+        _clear_outside(e, offsets)
         object.__setattr__(self, "entries", e)
-        object.__setattr__(self, "offsets", tuple(offsets[order].tolist()))
+        object.__setattr__(self, "offsets", offsets)
 
     @property
     def n(self) -> int:
@@ -239,19 +235,22 @@ class LinOp:
         if self.grid != other.grid:
             raise ValueError("operators act on different grids")
 
-    def _combine(self, other: "LinOp", other_entries: np.ndarray) -> "LinOp":
+    def _combine(self, other: "LinOp", op) -> "LinOp":
+        # op is np.add or np.subtract: x - y and x + (-y) round alike
         self._require_same_grid(other)
         offsets = sorted(set(self.offsets) | set(other.offsets))
         out = np.zeros((len(offsets), self.n), dtype=np.complex128)
-        out[[offsets.index(o) for o in self.offsets]] += self.entries
-        out[[offsets.index(o) for o in other.offsets]] += other_entries
+        rows = dict(zip(offsets, out))
+        out[[offsets.index(o) for o in self.offsets]] = self.entries
+        for o, b in zip(other.offsets, other.entries):
+            op(rows[o], b, out=rows[o])
         return LinOp(out, tuple(offsets), self.grid)
 
     def __add__(self, other: "LinOp") -> "LinOp":
-        return self._combine(other, other.entries)
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "LinOp") -> "LinOp":
-        return self._combine(other, -other.entries)
+        return self._combine(other, np.subtract)
 
     def __neg__(self) -> "LinOp":
         return LinOp(-self.entries, self.offsets, self.grid)
@@ -263,23 +262,26 @@ class LinOp:
 
     def __matmul__(self, other: "LinOp") -> "LinOp":
         # (AB)[j - p - q, j] = A[j - p - q, j - q] B[j - q, j]: diagonal p of A
-        # meets diagonal q of B on diagonal p + q
+        # meets diagonal q of B on diagonal p + q, summed with p, then q, ascending
         self._require_same_grid(other)
-        acc: dict[int, np.ndarray] = {}
+        offsets = sorted({p + q for p in self.offsets for q in other.offsets if abs(p + q) < self.n})
+        out = np.zeros((len(offsets), self.n), dtype=np.complex128)
+        rows = dict(zip(offsets, out))
         for p, a in zip(self.offsets, self.entries):
             for q, b in zip(other.offsets, other.entries):
-                if abs(p + q) < self.n:
-                    term = _shift(a, q) * b
-                    acc[p + q] = acc[p + q] + term if p + q in acc else term
-        offsets = tuple(sorted(acc))
-        data = np.array([acc[o] for o in offsets]).reshape(len(offsets), self.n)
-        return LinOp(data, offsets, self.grid)
+                if p + q in rows:
+                    to, frm = _span(q, self.n)
+                    rows[p + q][to] += a[frm] * b[to]  # in place: numpy skips the self-assignment
+        return LinOp(out, tuple(offsets), self.grid)
 
     def scale_rows(self, values) -> "LinOp":
         """diag(values) A: row i scaled by values[i]."""
         v = np.asarray(values)
-        rows = np.array([_shift(v, o) for o in self.offsets]).reshape(self.entries.shape)
-        return LinOp(rows * self.entries, self.offsets, self.grid)
+        out = np.zeros_like(self.entries)
+        for o, a, row in zip(self.offsets, self.entries, out):
+            to, frm = _span(o, self.n)
+            np.multiply(v[frm], a[to], out=row[to])
+        return LinOp(out, self.offsets, self.grid)
 
     def similarity(self, values) -> "LinOp":
         """diag(values) A diag(values)^-1: row i times values[i], column j over values[j]."""
@@ -287,15 +289,19 @@ class LinOp:
         return LinOp(self.scale_rows(v).entries / v, self.offsets, self.grid)
 
     def adjoint(self) -> "LinOp":
-        # (A^dagger)[j + p, j] = conj(A[j, j + p]): diagonal p becomes diagonal -p
-        data = np.array([np.conj(_shift(a, -p)) for p, a in zip(self.offsets, self.entries)])
-        return LinOp(data.reshape(self.entries.shape), tuple(-p for p in self.offsets), self.grid)
+        # (A^dagger)[j + p, j] = conj(A[j, j + p]): diagonal p becomes -p, so reversed offsets ascend
+        out = np.zeros_like(self.entries)
+        for p, a, row in zip(reversed(self.offsets), self.entries[::-1], out):
+            to, frm = _span(-p, self.n)
+            np.conjugate(a[frm], out=row[to])
+        return LinOp(out, tuple(-p for p in reversed(self.offsets)), self.grid)
 
     def apply(self, vec) -> np.ndarray:
         v = np.asarray(vec)
         out = np.zeros(self.n, dtype=np.result_type(v, np.complex128))
         for p, a in zip(self.offsets, self.entries):
-            out += _shift(a * v, -p)
+            to, frm = _span(-p, self.n)
+            out[to] += a[frm] * v[frm]
         return out
 
     def max_abs(self) -> float:

@@ -10,7 +10,7 @@ from conftest import from_dense, toarray
 from qflab.cli import main
 from qflab.grid import Grid1D
 from qflab.hamiltonians import build_all
-from qflab.operators import FunctionSpec, LinOp, deformed_momentum, diagonal
+from qflab.operators import FunctionSpec, LinOp, deformed_momentum, derivative_matrices, diagonal
 from qflab.susy import block_anticommutator, block_commutator, dirichlet_eigenvalues, supercharges_4x4
 
 N_SMALL = 9
@@ -19,6 +19,54 @@ N_SMALL = 9
 def random_band(rng, g, offsets) -> LinOp:
     data = rng.normal(size=(len(offsets), g.n)) + 1j * rng.normal(size=(len(offsets), g.n))
     return LinOp(data, offsets, g)
+
+
+# Reference band kernels: each diagonal shifted into a zeroed copy of its own,
+# the slower form the sliced kernels of LinOp must reproduce bit for bit.
+
+
+def shift(v, s):
+    """w[j] = v[j - s], zero where j - s falls outside v."""
+    n = len(v)
+    w = np.zeros_like(v)
+    if s >= 0:
+        w[s:] = v[: n - s]
+    else:
+        w[: n + s] = v[-s:]
+    return w
+
+
+def reference_matmul(a, b):
+    acc = {}
+    for p, x in zip(a.offsets, a.entries):
+        for q, y in zip(b.offsets, b.entries):
+            if abs(p + q) < a.n:
+                term = shift(x, q) * y
+                acc[p + q] = acc[p + q] + term if p + q in acc else term
+    offsets = tuple(sorted(acc))
+    return LinOp(np.array([acc[o] for o in offsets]).reshape(len(offsets), a.n), offsets, a.grid)
+
+
+def reference_apply(a, v):
+    out = np.zeros(a.n, dtype=np.result_type(v, np.complex128))
+    for p, x in zip(a.offsets, a.entries):
+        out += shift(x * v, -p)
+    return out
+
+
+def reference_adjoint(a):
+    data = np.array([np.conj(shift(x, -p)) for p, x in zip(a.offsets, a.entries)])
+    return LinOp(data.reshape(a.entries.shape), tuple(-p for p in a.offsets), a.grid)
+
+
+def reference_scale_rows(a, v):
+    rows = np.array([shift(v, o) for o in a.offsets]).reshape(a.entries.shape)
+    return LinOp(rows * a.entries, a.offsets, a.grid)
+
+
+def same_bits(op, ref) -> bool:
+    """Equal offsets and entries; np.array_equal leaves only the sign of a zero free."""
+    return op.offsets == ref.offsets and np.array_equal(op.entries, ref.entries)
 
 
 band_offsets = st.sets(st.integers(1 - N_SMALL, N_SMALL - 1), min_size=1, max_size=5).map(tuple)
@@ -40,6 +88,11 @@ def test_band_algebra_matches_dense_algebra(seed, offs_a, offs_b):
     assert np.allclose(toarray(a @ b), da @ db, rtol=1e-13, atol=1e-13)
     assert np.allclose(a.apply(v), da @ v, rtol=1e-13, atol=1e-13)
     assert np.array_equal(toarray(a.scale_rows(v)), v[:, None] * da)
+    assert same_bits(a @ b, reference_matmul(a, b)) and same_bits(b @ a, reference_matmul(b, a))
+    assert same_bits(a.adjoint(), reference_adjoint(a))
+    for w in (v, v.real):
+        assert np.array_equal(a.apply(w), reference_apply(a, w))
+        assert same_bits(a.scale_rows(w), reference_scale_rows(a, w))
     assert np.array_equal(toarray(a.similarity(v)), v[:, None] * da / v[None, :])
     assert a.max_abs() == np.max(np.abs(da))
     s = slice(2, N_SMALL - 3)
@@ -78,6 +131,15 @@ def test_tridiagonal_refuses_complex_and_wider_bands():
         assert len(wide.tridiagonal(slice(3, 5))[1]) == 2
 
 
+def assert_band_layout(op: LinOp):
+    """Ascending offsets, complex128 C-contiguous entries, zeros outside the matrix."""
+    assert list(op.offsets) == sorted(set(op.offsets))
+    e = op.entries
+    assert e.dtype == np.complex128 and e.flags.c_contiguous and e.shape == (len(op.offsets), op.n)
+    for o, row in zip(op.offsets, e):
+        assert not np.any(row[: max(o, 0)]) and not np.any(row[op.n + min(o, 0) :]), o
+
+
 def test_band_entries_outside_the_matrix_are_zero():
     g = Grid1D(0, 1, N_SMALL)
     op = LinOp(np.ones((3, g.n)), (2, -1, 0), g)
@@ -88,6 +150,32 @@ def test_band_entries_outside_the_matrix_are_zero():
         LinOp(np.ones((2, g.n)), (0, 0), g)
     with pytest.raises(ValueError):
         LinOp(np.ones((1, g.n)), (g.n,), g)
+
+    # a caller's complex128 C-contiguous array, ascending or not, is neither
+    # written (its out-of-matrix slots keep their ones) nor shared
+    for offsets in ((-1, 0, 2), (2, -1, 0)):
+        data = np.full((3, g.n), 1.0 + 2.0j)
+        op = LinOp(data, offsets, g)
+        assert np.array_equal(data, np.full((3, g.n), 1.0 + 2.0j))
+        data[:] = 7.0
+        assert np.count_nonzero(op.entries == 1.0 + 2.0j) == 3 * g.n - 3
+        assert_band_layout(op)
+
+    # every method's result has the layout, and the read-only cached
+    # derivative bands it read are left as they were
+    d1, d2 = derivative_matrices(g)
+    before = [d.entries.copy() for d in (d1, d2)]
+    v = np.linspace(1.0, 2.0, g.n)
+    results = [d1 + d2, d2 - d1, -d1, 2.0 * d2, d1 * 0.5j, d1 @ d2, d2 @ d1, d1.adjoint(),
+               (1j * d1).adjoint(), d1.scale_rows(v), d2.similarity(v)]
+    for result in results:
+        assert_band_layout(result)
+        assert not np.shares_memory(result.entries, d1.entries)
+        assert not np.shares_memory(result.entries, d2.entries)
+    d1.apply(v), d2.apply(1j * v), d2.block_max_abs(slice(1, 6)), d1.max_abs(), d1.tridiagonal(slice(2, 5))
+    for d, entries in zip((d1, d2), before):
+        assert not d.entries.flags.writeable
+        assert np.array_equal(d.entries, entries)
 
 
 def width(op: LinOp) -> int:

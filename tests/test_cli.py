@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import subprocess
@@ -429,6 +430,42 @@ def test_verify_algebra_builds_each_supercharge_set_once(monkeypatch, capsys, be
     assert {b for _, _, b in built} == {float(beta)}, built
     # H and H~ on g; the refinement ratio reads H's window alone on the refined grid
     assert grids == [101, 101, 201]
+
+
+@pytest.mark.parametrize("argv,grids,ratio", [
+    # pre-asymptotic grids: ratios 4.58, 4.12 and 2.89, 3.35, 3.65 as h halves
+    (("--f", "poly:0,0,0.5", "--n", "41", "--alpha", "2", "--beta", "0.5"), [41, 41, 81, 161], 4.12),
+    (("--f", "poly:0.3,1,0.7,0.1", "--n", "201"), [201, 201, 401, 801, 1601], 3.65),
+])
+def test_a_pre_asymptotic_ground_state_ratio_is_taken_again_on_finer_grids(
+        monkeypatch, capsys, tmp_path, argv, grids, ratio):
+    built, report = [], susy.GroundStateReport
+    monkeypatch.setattr(susy, "GroundStateReport",
+                        lambda state, action, g: built.append(g.n) or report(state, action, g))
+    out = tmp_path / "report.json"
+    assert main(["verify-algebra", *argv, "--json", str(out)]) == 0
+    assert built == grids
+    check, = (c for c in json.loads(out.read_text())["checks"]
+              if c["name"] == "ground_state_refinement_ratio_dev")
+    assert check["pass"] and check["measured"] == pytest.approx(abs(ratio - 4.0), abs=0.01)
+
+
+def test_the_refined_ratio_still_fails_a_first_order_error():
+    read = []
+
+    def finer():  # ratios 2.4, 2.2, 2.1, 2.05, ... tend to 2, a first-order error's
+        residual = 1.0
+        for k in itertools.count():
+            residual /= 2.0 + 0.4 / 2**k
+            read.append(residual)
+            yield residual
+
+    ratio = cli.refined_ratio(1.0, finer())
+    assert len(read) == 3 and ratio == pytest.approx(2.1) and abs(ratio - 4.0) > 0.5
+    # a ratio inside 4 +- 0.5 reads one finer grid; a vanishing residual carries no ratio
+    assert cli.refined_ratio(1.0, iter([0.25, 0.0])) == 4.0
+    assert cli.refined_ratio(1.0, iter([0.0, 0.25])) is None
+    assert cli.refined_ratio(1.0, iter([0.5, 0.0])) == 2.0
 
 
 @pytest.mark.parametrize("argv", [("spectrum", "--n", "801", "--k", "2"), ("identify", "--n", "41")])
