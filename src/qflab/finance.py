@@ -296,7 +296,8 @@ def closed_form_price(mp: MarketParams, contract: OptionContract, spot: float) -
     Merton (Bell J. Econ. 4, 1973) for B <= K, Reiner & Rubinstein (Risk 4,
     1991) for B > K.  Each image term is at most S or K e^{-rT}, so it is formed
     as one exponential of (B/S)'s power plus ln N, which neither overflows
-    nor underflows where the two factors alone would.
+    nor underflows where the two factors alone would.  A price that is not
+    finite, for any contract, is refused.
     """
     if spot <= 0:
         raise ValueError(f"spot must be > 0, got {spot}")
@@ -307,32 +308,34 @@ def closed_form_price(mp: MarketParams, contract: OptionContract, spot: float) -
     disc = math.exp(-r * maturity)
     vol = sigma * math.sqrt(maturity)
     if vol < 1e-12:
-        # discounted deterministic forward, s0 e^{rT} e^{-rT} - K e^{-rT}, never formed;
-        # its path S e^{rt} is lowest at t = 0 or, for r < 0, at T
-        if barrier is not None and spot * math.exp(min(r, 0.0) * maturity) <= barrier:
-            return 0.0
+        # discounted deterministic forward, s0 e^{rT} e^{-rT} - K e^{-rT}, never formed
         intrinsic = spot - strike * disc
-        return max(intrinsic, 0.0) if call else max(-intrinsic, 0.0)
-    if barrier is None:
+        # its path S e^{rt} is lowest at t = 0 or, for r < 0, at T
+        knocked = barrier is not None and spot * math.exp(min(r, 0.0) * maturity) <= barrier
+        price = 0.0 if knocked else max(intrinsic if call else -intrinsic, 0.0)
+    elif barrier is None:
         d1 = (math.log(spot / strike) + (r + 0.5 * sigma**2) * maturity) / vol
         d2 = d1 - vol
         if call:
-            return spot * _norm_cdf(d1) - strike * disc * _norm_cdf(d2)
-        return strike * disc * _norm_cdf(-d2) - spot * _norm_cdf(-d1)
-    if spot <= barrier:
-        return 0.0
-    low = max(barrier, strike)  # the call pays only above low: the payoff there, or the barrier
-    drift = (r + 0.5 * sigma**2) * maturity
-    ln_bs = math.log(barrier / spot)
-    d1 = (math.log(spot / low) + drift) / vol
-    y = (ln_bs + math.log(barrier / low) + drift) / vol  # d1 at the image B^2/S
-    power = 2.0 * (r / sigma**2 + 0.5) * ln_bs  # ln (B/S)^(2 lambda)
-    price = (spot * _norm_cdf(d1) - strike * disc * _norm_cdf(d1 - vol)
-             - spot * math.exp(power + _log_norm_cdf(y))
-             + strike * disc * math.exp(power - 2.0 * ln_bs + _log_norm_cdf(y - vol)))
+            price = spot * _norm_cdf(d1) - strike * disc * _norm_cdf(d2)
+        else:
+            price = strike * disc * _norm_cdf(-d2) - spot * _norm_cdf(-d1)
+    elif spot <= barrier:
+        price = 0.0
+    else:
+        low = max(barrier, strike)  # the call pays only above low: the payoff there, or the barrier
+        drift = (r + 0.5 * sigma**2) * maturity
+        ln_bs = math.log(barrier / spot)
+        d1 = (math.log(spot / low) + drift) / vol
+        y = (ln_bs + math.log(barrier / low) + drift) / vol  # d1 at the image B^2/S
+        power = 2.0 * (r / sigma**2 + 0.5) * ln_bs  # ln (B/S)^(2 lambda)
+        price = (spot * _norm_cdf(d1) - strike * disc * _norm_cdf(d1 - vol)
+                 - spot * math.exp(power + _log_norm_cdf(y))
+                 + strike * disc * math.exp(power - 2.0 * ln_bs + _log_norm_cdf(y - vol)))
     if not math.isfinite(price):
-        raise ValueError(f"the down-and-out closed form is {price} at spot={spot:.6g}, barrier={barrier:.6g}, "
-                         f"sigma={sigma:.6g}, rate={r:.6g}: its terms overflow float64")
+        raise ValueError(f"the {contract.payoff_kind} closed form is {price} at spot={spot:.6g}, "
+                         f"strike={strike:.6g}, sigma={sigma:.6g}, rate={r:.6g}, maturity={maturity:.6g}: "
+                         f"its terms overflow float64")
     return price
 
 
@@ -342,36 +345,6 @@ def closed_form_price(mp: MarketParams, contract: OptionContract, spot: float) -
 def pde_tolerance(price: float) -> float:
     """Gate on a PDE price: max(1e-2, 0.2 % of |price|)."""
     return max(1e-2, 2e-3 * abs(price))
-
-
-def no_arbitrage_bounds(mp: MarketParams, contract: OptionContract, spot: float) -> tuple[float, float]:
-    """The (lower, upper) bounds a price of the contract at ``spot`` cannot leave without arbitrage.
-
-    A call lies in [max(0, S - K e^{-rT}), S], a put in [max(0, K e^{-rT} - S),
-    K e^{-rT}] and a down-and-out call in [0, C], C the closed form of the
-    call without its barrier.
-    """
-    discounted = contract.strike * math.exp(-mp.r * contract.maturity)
-    if contract.payoff_kind == "european_call":
-        return max(0.0, spot - discounted), spot
-    if contract.payoff_kind == "european_put":
-        return max(0.0, discounted - spot), discounted
-    vanilla = replace(contract, payoff_kind="european_call", barrier=None)
-    return 0.0, closed_form_price(mp, vanilla, spot)
-
-
-def check_no_arbitrage(mp: MarketParams, contract: OptionContract, spot: float, price: float) -> None:
-    """Refuse a PDE price farther outside its ``no_arbitrage_bounds`` than ``pde_tolerance``.
-
-    A price below the lower bound L by more than pde_tolerance(L), or above
-    the upper bound U by more than pde_tolerance(U), is farther from every
-    price the bounds allow than the ``price --method all`` gates forgive.
-    """
-    lower, upper = no_arbitrage_bounds(mp, contract, spot)
-    if not lower - pde_tolerance(lower) <= price <= upper + pde_tolerance(upper):
-        raise ValueError(f"PDE price {price:.6g} at spot {spot:.6g} lies outside the no-arbitrage "
-                         f"bounds [{lower:.6g}, {upper:.6g}] by more than the PDE tolerance: "
-                         f"the grid and steps do not resolve the contract")
 
 
 @dataclass(frozen=True, eq=False)

@@ -159,7 +159,7 @@ def feynman_kac_estimate(mp: MarketParams, contract: OptionContract, spot: float
     where s2_pair is the sample variance of the pair sums and s2_path that of
     the mirrors, which estimates the variance of an odd sample's lone path
     h - 1.  Both are formed in place on the payoff array.  Mean and standard
-    error are discounted once, after aggregation.
+    error are discounted once, after aggregation, and refused if not finite.
     """
     check_draws(paths, seed)
     if not spot > 0:
@@ -184,12 +184,13 @@ def feynman_kac_estimate(mp: MarketParams, contract: OptionContract, spot: float
         pair_var = _variance_in_place(pair_sums, np.sum(pair_sums) / q)
         path_var = _variance_in_place(mirrors, np.sum(mirrors) / q) if h > q else 0.0
         se = math.sqrt(q * pair_var + (h - q) * path_var) / paths
+    factor = math.exp(-r * t)
+    mean, se = mean * factor, se * factor
     if not (math.isfinite(mean) and math.isfinite(se)):
         raise ValueError(f"Monte Carlo estimate {mean:.3g} +- {se:.3g} is not finite: "
-                         f"the payoff samples overflow float64 at spot={spot:.6g}, "
+                         f"the discounted payoffs overflow float64 at spot={spot:.6g}, "
                          f"drift={r:.6g}, sigma={mp.sigma:.6g}, T={t:.6g}")
-    factor = math.exp(-r * t)
-    return McEstimate(mean * factor, se * factor)
+    return McEstimate(mean, se)
 
 
 def _variance_in_place(x: np.ndarray, mean: float) -> float:

@@ -306,14 +306,14 @@ def test_c10_barrier(tmp_path):
                  "--paths", "200000", "--seed", "0", "--json", str(out)])
     doc = json.loads(out.read_text())
     checks = {c["name"]: c for c in doc["checks"]}
-    gate, below = checks["mc_vs_closed_3se"], checks["barrier_below_vanilla"]
-    assert code == 0 and gate["pass"] and below["pass"], checks
+    gate, pde = checks["mc_vs_closed_3se"], checks["pde_vs_closed"]
+    assert code == 0 and gate["pass"] and pde["pass"], checks
     prices = doc["parameters"]["prices"]
     elapsed = time.perf_counter() - started
     _report("C10", "barrier pricing", elapsed < 120.0,
             f"MC {prices['mc']:.4f} vs closed form {prices['closed']:.4f} gap {gate['measured']:.4f}, "
             f"tolerance {gate['tolerance']:.4f} (3se); PDE {prices['pde']:.4f}; "
-            f"PDE - vanilla {below['measured']:+.4f}; runtime {elapsed:.1f}s < 120s")
+            f"|PDE - closed form| {pde['measured']:.2e}; runtime {elapsed:.1f}s < 120s")
 
 
 def test_c11_reproducibility(tmp_path):

@@ -221,7 +221,7 @@ def test_a_spot_at_or_below_the_barrier_prices_0_on_the_default_grid(tmp_path, c
         assert main(["price", "--payoff", "do-call", "--barrier", barrier, "--method", method,
                      "--paths", "2000", "--json", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert doc["parameters"]["prices"] == {method: 0.0}
+        assert doc["parameters"]["prices"] == {"closed": 0.0, method: 0.0}
     assert doc["parameters"]["xmin"] <= math.log(100.0)
 
 
@@ -230,7 +230,7 @@ def test_barrier_overflow_is_refused_without_a_warning():
     res = run("price", "--payoff", "do-call", "--barrier", "80", "--method", "mc", "--paths", "5000",
               "--spot", "1e308", "--rate", "5")
     assert res.returncode == 2
-    assert res.stderr == ("error: Monte Carlo estimate inf +- nan is not finite: the payoff samples "
+    assert res.stderr == ("error: Monte Carlo estimate inf +- nan is not finite: the discounted payoffs "
                           "overflow float64 at spot=1e+308, drift=5, sigma=0.2, T=1\n")
 
 
@@ -306,20 +306,22 @@ def test_a_barrier_next_to_the_spot_passes_every_gate(tmp_path, capsys, barrier)
     assert main(["price", "--payoff", "do-call", "--spot", "100", "--barrier", barrier, "--method", "all",
                  "--paths", "200000", "--json", str(out)]) == 0
     names = [c["name"] for c in json.loads(out.read_text())["checks"]]
-    assert names == ["pde_vs_closed", "mc_vs_closed_3se", "barrier_below_vanilla"]
+    assert names == ["pde_vs_closed", "mc_vs_closed_3se"]
 
 
 @pytest.mark.parametrize("barrier", ["1", "10", "30"])
 def test_a_far_barrier_stays_below_the_vanilla_call_within_the_pde_tolerance(tmp_path, capsys, barrier):
-    # the PDE price lies above the barrier-free call by its own error, 1.4e-6 to 1.4e-5 here
+    # the PDE price lies above the barrier-free call by its own error, 1.4e-6 to 1.4e-5 here; the
+    # closed form lies below that call, so its gate bounds the PDE price by the call plus the tolerance
     out = tmp_path / "report.json"
     assert main(["price", "--method", "all", "--payoff", "do-call", "--barrier", barrier,
                  "--paths", "20000", "--json", str(out)]) == 0
     doc = json.loads(out.read_text())
-    below = next(c for c in doc["checks"] if c["name"] == "barrier_below_vanilla")
-    contract = finance.OptionContract("down_and_out_call", 100.0, 1.0, barrier=float(barrier))
-    _, vanilla = finance.no_arbitrage_bounds(finance.MarketParams(0.2, 0.05), contract, 100.0)
-    assert below["pass"] and below["measured"] > 0 and below["tolerance"] == finance.pde_tolerance(vanilla)
+    gate = next(c for c in doc["checks"] if c["name"] == "pde_vs_closed")
+    prices = doc["parameters"]["prices"]
+    vanilla = finance.closed_form_price(finance.MarketParams(0.2, 0.05),
+                                        finance.OptionContract("european_call", 100.0, 1.0), 100.0)
+    assert gate["pass"] and prices["closed"] <= vanilla < prices["pde"] <= vanilla + gate["tolerance"]
 
 
 def test_a_strike_ladder_draws_once(monkeypatch, capsys, tmp_path):
@@ -366,19 +368,16 @@ NARROW_DEFAULT = ("price", "--method", "pde", "--n", "5", "--sigma", "0.9")
 def test_the_narrow_grid_warning_prints_once_per_solve_after_a_cache_hit(monkeypatch, capsys):
     # half-width 7.2 and n = 5 give the same unit-strike curve at either strike;
     # the rounding of ln 100 + offset leaves only the strike-100 grid narrow
-    # n = 5 does not resolve the call, so each run then refuses its price; the
-    # refusal follows the solve, so the unit curve is cached all the same
+    # n = 5 does not resolve the call, so each run then fails its closed-form gate
     counts = count_calls(monkeypatch, finance.price_pde)
     for _ in range(2):  # a miss, then a hit
-        assert main([*NARROW_DEFAULT, "--strike", "10", "--spot", "10"]) == 2
-        assert capsys.readouterr().err.startswith("error: PDE price -23.6044 at spot 10 lies outside")
+        assert main([*NARROW_DEFAULT, "--strike", "10", "--spot", "10"]) == 1
+        assert capsys.readouterr().err == ""
     assert counts == {"price_pde": 1}
     for _ in range(2):
-        assert main([*NARROW_DEFAULT, "--strike", "100", "--spot", "100"]) == 2
-        warning, error, end = capsys.readouterr().err.split("\n")
-        assert warning == ("warning: grid [-0.795, 13.6] narrower than ln K +- 6 sigma sqrt(T); "
-                           "boundary data will bias the price")
-        assert error.startswith("error: PDE price -236.044 at spot 100 lies outside") and end == ""
+        assert main([*NARROW_DEFAULT, "--strike", "100", "--spot", "100"]) == 1
+        assert capsys.readouterr().err == ("warning: grid [-0.795, 13.6] narrower than ln K +- 6 sigma "
+                                           "sqrt(T); boundary data will bias the price\n")
     assert counts == {"price_pde": 3}  # a narrow grid is solved directly
 
 
@@ -520,7 +519,8 @@ def test_price_leaves_no_thread_running(capsys, argv, code):
 
 def test_a_pde_refusal_wins_over_a_monte_carlo_refusal(capsys):
     assert main([*BOTH_REFUSE, "--method", "mc"]) == 2
-    assert capsys.readouterr().err.startswith("error: Monte Carlo estimate inf +- nan is not finite")
+    # S(T) overflows to inf, and the discount factor exp(-rT) underflows to 0
+    assert capsys.readouterr().err.startswith("error: Monte Carlo estimate nan +- nan is not finite")
     assert main(list(BOTH_REFUSE)) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: grid x_max = ") and err.count("\n") == 1
@@ -579,6 +579,19 @@ def test_price_all_reports_the_pde_and_mc_prices(tmp_path, payoff):
         prices[method] = json.loads(out.read_text())["parameters"]["prices"]
     assert prices["all"]["pde"] == prices["pde"]["pde"]
     assert prices["all"]["mc"] == prices["mc"]["mc"]
+
+
+@pytest.mark.parametrize("payoff", ["call", "put", "do-call"])
+@pytest.mark.parametrize("method", ["closed", "pde", "mc", "all"])
+def test_every_numerical_price_is_gated_against_the_closed_form(tmp_path, capsys, method, payoff):
+    # --method picks the numerical pricers; the closed form is always formed, and gates each of them
+    out = tmp_path / "report.json"
+    assert main([*SMALL_ALL, "--method", method, "--payoff", payoff, "--json", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    pricers = {"closed": [], "pde": ["pde"], "mc": ["mc"], "all": ["pde", "mc"]}[method]
+    assert list(doc["parameters"]["prices"]) == ["closed", *pricers]
+    gates = {"pde": "pde_vs_closed", "mc": "mc_vs_closed_3se"}
+    assert [c["name"] for c in doc["checks"]] == [gates[p] for p in pricers]
 
 
 @pytest.mark.parametrize("argv,passed", [

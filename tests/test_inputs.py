@@ -18,6 +18,7 @@ from qflab.operators import FunctionSpec
 from qflab.susy import dirichlet_eigenvalues
 
 SMALL_PRICE = ("price", "--n", "101", "--steps", "50", "--paths", "64")
+DISCOUNT_OVERFLOW = ("--strike", "1e10", "--rate", "-700")
 SPOT_ABOVE_THE_GRID = ("--xmin", "3", "--xmax", "709", "--n", "1001", "--spot", "1.7e308")
 # cells 5e146 wide: the read-off at ln S is finite nonsense
 COARSE_GRID = ("--xmin=-1e150", "--xmax=10")
@@ -80,19 +81,10 @@ def run_main(argv) -> int:
          "Unable to allocate"),
         (("--payoff", "do-call", "--paths", "3"), "needs two antithetic pairs, got 3"),
         (("--payoff", "do-call", "--method", "mc", "--paths", "2"), "needs two antithetic pairs, got 2"),
-        # a contract priced by --method pde alone is held to its no-arbitrage bounds
-        (("--method", "pde", "--n", "4", "--steps", "0"), "PDE price -641.1 at spot 100 lies outside"),
-        (("--method", "pde", "--n", "5", "--steps", "0"), "PDE price -118.633 at spot 100 lies outside"),
-        (("--method", "pde", *COARSE_GRID), "lies outside the no-arbitrage bounds [4.87706, 100]"),
-        (("--payoff", "put", "--strike", "0.001", "--spot", "0.001", "--rate", "-708", "--method", "pde"),
-         "no-arbitrage bounds [3.02338e+304, 3.02338e+304]"),
-        # a down-and-out call lies between 0 and its call without the barrier
-        (("--payoff", "do-call", "--method", "pde", "--n", "4", "--steps", "0"),
-         "PDE price 230.76 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
-        (("--payoff", "do-call", "--method", "pde", "--n", "6", "--steps", "0"),
-         "PDE price 28.9216 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
-        (("--payoff", "do-call", "--method", "pde", "--n", "8", "--steps", "0"),
-         "PDE price 16.0559 at spot 100 lies outside the no-arbitrage bounds [0, 10.4506]"),
+        # a price that is not finite is refused: here K e^{-rT} = 1e10 e^700 overflows float64
+        (("--payoff", "call", *DISCOUNT_OVERFLOW, "--method", "closed"), "european_call closed form is nan"),
+        (("--payoff", "put", *DISCOUNT_OVERFLOW, "--method", "closed"), "european_put closed form is inf"),
+        (("--payoff", "put", *DISCOUNT_OVERFLOW, "--method", "mc"), "european_put closed form is inf"),
         # every contract's standard error needs two antithetic pairs
         (("--paths", "2"), "needs two antithetic pairs, got 2"),
         (("--payoff", "put", "--method", "mc", "--paths", "3"), "needs two antithetic pairs, got 3"),
@@ -106,9 +98,26 @@ def test_price_rejects_bad_flag(capsys, argv, flag):
 
 
 def test_a_grid_too_coarse_for_the_spot_fails_the_closed_form_gate(capsys, tmp_path):
-    # --method pde alone refuses this price outside its no-arbitrage bounds (above)
     report = tmp_path / "report.json"
     assert run_main((*SMALL_PRICE, *COARSE_GRID, "--method", "all", "--json", str(report))) == 1
+    checks = json.loads(report.read_text())["checks"]
+    assert [c["name"] for c in checks if not c["pass"]] == ["pde_vs_closed"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "8", "--steps", "0"),  # 16.148402 against the closed form's 10.450584
+    ("--n", "4", "--steps", "0"),
+    ("--n", "5", "--steps", "0"),
+    COARSE_GRID,
+    ("--payoff", "put", "--strike", "0.001", "--spot", "0.001", "--rate", "-708"),
+    ("--payoff", "do-call", "--n", "4", "--steps", "0"),
+    ("--payoff", "do-call", "--n", "6", "--steps", "0"),
+    ("--payoff", "do-call", "--n", "8", "--steps", "0"),
+])
+def test_a_pde_price_that_does_not_resolve_the_contract_fails_the_closed_form_gate(capsys, tmp_path, argv):
+    # a PDE price alone is gated against the closed form, as under --method all
+    report = tmp_path / "report.json"
+    assert run_main((*SMALL_PRICE, *argv, "--method", "pde", "--json", str(report))) == 1
     checks = json.loads(report.read_text())["checks"]
     assert [c["name"] for c in checks if not c["pass"]] == ["pde_vs_closed"]
 
@@ -432,6 +441,9 @@ def edge_commands(draw):
 @example(["price", "--payoff", "do-call", "--method", "pde", "--n", "8"])
 @example(["price", "--payoff", "put", "--strike", "0.001", "--spot", "0.001", "--rate", "-708",
           "--method", "pde", "--n", "101"])
+@example([*SMALL_PRICE, "--payoff", "call", *DISCOUNT_OVERFLOW, "--method", "closed"])
+@example([*SMALL_PRICE, "--payoff", "put", *DISCOUNT_OVERFLOW, "--method", "closed"])
+@example([*SMALL_PRICE, "--payoff", "put", *DISCOUNT_OVERFLOW, "--method", "mc", "--paths", "2000"])
 @settings(max_examples=60, deadline=None)
 def test_edge_values_end_in_an_exit_code(argv):
     with tempfile.TemporaryDirectory() as tmp:
